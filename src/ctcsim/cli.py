@@ -35,7 +35,18 @@ PASS_TOL = 1e-9
 
 def _default_tol() -> float:
     env = os.environ.get("CTCSIM_DEFAULT_TOL")
-    return float(env) if env else 1e-12
+    if not env:
+        return 1e-12
+    try:
+        tol = float(env)
+        valid = 0 < tol < float("inf")
+    except ValueError:
+        valid = False
+    if not valid:
+        raise ValueError(
+            f"CTCSIM_DEFAULT_TOL must be a positive number, got {env!r}"
+        )
+    return tol
 
 
 def matrix_doc(m: np.ndarray) -> dict:
@@ -324,7 +335,7 @@ def cmd_sweep(args) -> int:
         "seed": args.seed,
         "trials": args.trials,
         "dim": args.dim,
-        "summary": worst,
+        "summary": worst if rows else dict.fromkeys(worst),
         "per_trial": rows,
         "ok": ok,
     }
@@ -381,7 +392,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        parser = build_parser()
+    except ValueError as exc:  # a malformed CTCSIM_DEFAULT_TOL
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    args = parser.parse_args(argv)
     return args.func(args)
 
 

@@ -2,17 +2,30 @@
 register, its linearization as a superoperator, fixed-point solvers with
 multiplicity diagnostics, and the visible output state.
 
-Two solver paths exist. ``eig`` diagonalizes the d^2 x d^2 superoperator and
-projects onto its unit-eigenvalue subspace. ``cesaro`` iterates the averaged
-map rho -> (rho + M(rho)) / 2 from the maximally mixed state, which converges
-geometrically to the same time-averaged limit even when plain iteration
-cycles. Both select the same canonical state when several fixed points exist:
-the averaged limit seeded at the maximally mixed state.
+The induced map M(sigma) = Tr_CR[U (rho_CR x sigma) U^dag] is handled in
+operator-sum form. With rho_CR = sum_k l_k |phi_k><phi_k| (one eigh; only
+eigenvalues above rounding level are kept), its Kraus operators are
+K_(k,a) = sqrt(l_k) (<a| x I) U (|phi_k> x I), one d x d block for each
+eigenvector k and each CR output basis state a. Only the r*d columns
+U (|phi_k> x I) of the interaction enter, r being the rank of rho_CR, so no
+path forms rho_CR x sigma or conjugates a full D x D matrix. The stack is
+built once per problem (``DeutschProblem.kraus``). The superoperator is
+S = sum K x conj(K), the map and the residual apply sum K X K^dag, and the
+visible output traces the CTC out of the same blocks applied to sigma.
+
+Two solver paths exist. ``eig`` takes the null space of S - I and projects
+onto it; ``cesaro`` iterates the averaged map rho -> (rho + M(rho)) / 2 from
+the maximally mixed state, which converges geometrically to the
+time-averaged limit even when plain iteration cycles. Both return the unique
+fixed point when there is only one (multiplicity 1). With several fixed
+points they may select different ones, because ``eig`` projects the
+maximally mixed state orthogonally rather than taking its averaged limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +63,20 @@ class DeutschProblem:
     def ctc_dim(self) -> int:
         return self.layout.ctc_dim
 
+    @cached_property
+    def kraus(self) -> np.ndarray:
+        """Kraus operators of the induced CTC map, shape (r * D_cr, d, d):
+        entry (k, a) is sqrt(l_k) (<a| x I) U (|phi_k> x I)."""
+        d = self.ctc_dim
+        cr_dim = self.cr_input.side
+        lam, phi = np.linalg.eigh(self.cr_input.mat)
+        # eigenvalues at rounding level carry no weight; dropping them keeps
+        # the stack at the true rank of rho_CR
+        keep = lam > lam[-1] * cr_dim * np.finfo(float).eps
+        cols = phi[:, keep] * np.sqrt(lam[keep])
+        u = self.interaction.mat.reshape(cr_dim, d, cr_dim, d)
+        return np.tensordot(cols, u, axes=(0, 2)).reshape(-1, d, d)
+
 
 @dataclass
 class SolverOptions:
@@ -77,12 +104,12 @@ class FixedPointResult:
 
 
 def _map_raw(problem: DeutschProblem, ctc_mat: np.ndarray) -> np.ndarray:
-    """Apply the induced CTC map to an arbitrary operator on the CTC register."""
-    full = linalg.kron(problem.cr_input.mat, ctc_mat)
-    u = problem.interaction.mat
-    evolved = u @ full @ u.conj().T
-    dims = problem.layout.dims
-    return linalg.partial_trace(evolved, dims, [problem.layout.ctc_index])
+    """Apply the induced CTC map to an arbitrary operator on the CTC register:
+    sum_K K X K^dag."""
+    k = problem.kraus
+    d = problem.ctc_dim
+    kx = (k @ ctc_mat).transpose(1, 0, 2).reshape(d, -1)
+    return kx @ k.transpose(1, 0, 2).reshape(d, -1).conj().T
 
 
 def deutsch_map(problem: DeutschProblem, rho_ctc: DensityMatrix) -> DensityMatrix:
@@ -100,25 +127,23 @@ def output_state(problem: DeutschProblem, rho_ctc: DensityMatrix) -> DensityMatr
         raise ValueError(
             f"CTC state side {rho_ctc.side} does not match dim {problem.ctc_dim}"
         )
-    full = linalg.kron(problem.cr_input.mat, rho_ctc.mat)
-    u = problem.interaction.mat
-    evolved = u @ full @ u.conj().T
-    dims = problem.layout.dims
-    keep = [i for i in range(len(dims)) if i != problem.layout.ctc_index]
-    reduced = linalg.partial_trace(evolved, dims, keep)
+    # blocks[a, k] is Kraus operator (k, a); entry (a, b) of the output sums
+    # the row products of blocks[a, k] sigma and conj(blocks[b, k]) over k
+    d = problem.ctc_dim
+    cr_dim = problem.cr_input.side
+    blocks = problem.kraus.reshape(-1, cr_dim, d, d).transpose(1, 0, 2, 3)
+    evolved = (blocks @ rho_ctc.mat).reshape(cr_dim, -1)
+    reduced = evolved @ blocks.reshape(cr_dim, -1).conj().T
     return DensityMatrix.sanitize(reduced, problem.layout.cr_dims)
 
 
 def build_superoperator(problem: DeutschProblem) -> np.ndarray:
-    """Row-major-vec linearization of the CTC map: vec(M(rho)) = S vec(rho)."""
+    """Row-major-vec linearization of the CTC map: vec(M(rho)) = S vec(rho),
+    with S = sum_K K x conj(K)."""
     d = problem.ctc_dim
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            s[:, i * d + j] = _map_raw(problem, unit).reshape(-1)
-    return s
+    k = problem.kraus
+    s = np.tensordot(k, k.conj(), axes=(0, 0))  # indices (a, b, c, e)
+    return s.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def _multiplicity(s: np.ndarray, window: float) -> int:

@@ -124,6 +124,18 @@ class TestSweep:
         report = json.loads(capsys.readouterr().out)
         assert report["summary"]["min_infidelity"] > 1e-6
 
+    @pytest.mark.parametrize("kind", ["fidelity-props", "fixed-points",
+                                      "no-cloning-baseline"])
+    def test_zero_trials_report_is_strict_json(self, kind, capsys):
+        assert main(["sweep", kind, "--trials", "0"]) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-finite JSON constant {token}")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert report["per_trial"] == []
+        assert all(v is None for v in report["summary"].values())
+
     def test_seeded_reports_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["sweep", "fidelity-props", "--trials", "10", "--seed", "42"]
@@ -138,3 +150,13 @@ def test_default_tol_env_override(monkeypatch, tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["solver_options"]["tol_residual"] == 1e-9
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1e-9", "nan"])
+def test_bad_default_tol_env_is_usage_error(value, monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("CTCSIM_DEFAULT_TOL", value)
+    code = main(["run", write_circuit(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: CTCSIM_DEFAULT_TOL")
+    assert err.count("\n") == 1

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import zero_plus_alphabet
+from conftest import random_alphabet, zero_plus_alphabet
 from ctcsim import linalg
+from ctcsim.cloning import build_mixed_cloner, build_pure_cloner, make_problem
 from ctcsim.engine import (
     DeutschProblem,
     SolverOptions,
@@ -12,8 +13,16 @@ from ctcsim.engine import (
     output_state,
     solve_fixed_point,
 )
-from ctcsim.quantum import DensityMatrix, Layout, Unitary, embed_on_registers, swap_gate
-from ctcsim.sampling import haar_unitary, random_density
+from ctcsim.nosignal import _extended_problem
+from ctcsim.quantum import (
+    DensityMatrix,
+    Layout,
+    PureState,
+    Unitary,
+    embed_on_registers,
+    swap_gate,
+)
+from ctcsim.sampling import haar_unitary, random_density, random_pure
 
 
 def two_register_problem(interaction, cr, d=2):
@@ -30,6 +39,89 @@ def identity_problem(rng, d=2):
 def swap_problem(rng, d=2):
     layout = Layout((("CR", d), ("CTC", d)), ctc_index=1)
     return DeutschProblem(layout, swap_gate(layout, "CR", "CTC"), random_density(rng, d))
+
+
+def oracle_evolved(problem, sigma):
+    u = problem.interaction.mat
+    return u @ linalg.kron(problem.cr_input.mat, sigma) @ u.conj().T
+
+
+def oracle_map(problem, sigma):
+    """The induced map from its definition: kron, U . U^dag, partial trace."""
+    evolved = oracle_evolved(problem, sigma)
+    return linalg.partial_trace(evolved, problem.layout.dims, [problem.layout.ctc_index])
+
+
+def oracle_superoperator(problem):
+    """Column by column: column i*d + j is vec(M(|i><j|))."""
+    d = problem.ctc_dim
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    return np.column_stack([oracle_map(problem, e).reshape(-1) for e in units])
+
+
+def oracle_output(problem, sigma):
+    layout = problem.layout
+    keep = [i for i in range(len(layout.dims)) if i != layout.ctc_index]
+    return linalg.partial_trace(oracle_evolved(problem, sigma), layout.dims, keep)
+
+
+def pure_cloner_problem(rng, n):
+    alphabet = random_alphabet(rng, n)
+    return make_problem(build_pure_cloner(alphabet), alphabet.states[-1].density())
+
+
+def mixed_cloner_problem(rng, n):
+    probs = rng.dirichlet(np.ones(n))
+    return make_problem(build_mixed_cloner(n), DensityMatrix(np.diag(probs + 0j)))
+
+
+def haar_problem(rng, cr_dim=3, d=2):
+    layout = Layout((("A", cr_dim), ("CTC", d)), ctc_index=1)
+    return DeutschProblem(layout, haar_unitary(rng, cr_dim * d), random_density(rng, cr_dim))
+
+
+def rank_two_problem(rng):
+    layout = Layout((("A", 2), ("B", 2), ("CTC", 3)), ctc_index=2)
+    psi, phi = random_pure(rng, 4), random_pure(rng, 4)
+    cr = DensityMatrix(0.3 * psi.projector() + 0.7 * phi.projector(), (2, 2))
+    return DeutschProblem(layout, haar_unitary(rng, 12), cr)
+
+
+def nosignal_problem(rng):
+    joint = DensityMatrix(random_density(rng, 4).mat, (2, 2))
+    return _extended_problem(build_pure_cloner(random_alphabet(rng, 2)), joint, 2)
+
+
+def multiplicity_four_problem(rng):
+    # CR qubit in |0>, CTC qutrit, permutation swapping |0,2> and |1,0>
+    layout = Layout((("CR", 2), ("CTC", 3)), ctc_index=1)
+    perm = np.eye(6, dtype=complex)[[0, 1, 3, 2, 4, 5]]
+    return DeutschProblem(layout, Unitary(perm), PureState.basis(2, 0).density())
+
+
+ORACLE_CASES = {
+    **{f"pure-n{n}": (lambda rng, n=n: pure_cloner_problem(rng, n)) for n in range(2, 6)},
+    **{f"mixed-n{n}": (lambda rng, n=n: mixed_cloner_problem(rng, n)) for n in range(2, 6)},
+    "haar-3x2": haar_problem,
+    "haar-2x3": lambda rng: haar_problem(rng, 2, 3),
+    "rank-two": rank_two_problem,
+    "nosignal": nosignal_problem,
+    "multiplicity-four": multiplicity_four_problem,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_kraus_form_matches_dense_oracle(case, rng):
+    prob = ORACLE_CASES[case](rng)
+    assert np.max(np.abs(build_superoperator(prob) - oracle_superoperator(prob))) <= 1e-12
+    for _ in range(3):
+        sigma = random_density(rng, prob.ctc_dim)
+        mapped = deutsch_map(prob, sigma).mat
+        assert np.max(np.abs(mapped - oracle_map(prob, sigma.mat))) <= 1e-12
+        out = output_state(prob, sigma).mat
+        assert np.max(np.abs(out - oracle_output(prob, sigma.mat))) <= 1e-12
+    if case == "multiplicity-four":
+        assert solve_fixed_point(prob).multiplicity == 4
 
 
 class TestDeutschMap:
