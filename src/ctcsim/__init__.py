@@ -28,6 +28,7 @@ from .nosignal import NoSignalReport, check_channel_invariance, run_entangled_cl
 from .quantum import (
     Alphabet,
     DensityMatrix,
+    GateList,
     Layout,
     PureState,
     Unitary,
@@ -45,6 +46,7 @@ __all__ = [
     "DensityMatrix",
     "DeutschProblem",
     "FixedPointResult",
+    "GateList",
     "Layout",
     "NoSignalReport",
     "PureState",

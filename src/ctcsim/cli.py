@@ -1,8 +1,8 @@
 """Command-line driver: run circuit files, replay the canned cloning and
 no-signalling experiments, and execute seeded property sweeps.
 
-Exit codes: 0 success, 1 parse errors, 2 solver non-convergence or property
-violation, 3 I/O failure.
+Exit codes: 0 success, 1 parse errors, 2 invalid option values, solver
+failure or non-convergence, or property violation, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -322,6 +322,8 @@ def _sweep_baseline(rng, trials, dim):
 
 
 def cmd_sweep(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     if args.kind == "fidelity-props":
         rows, worst, ok = _sweep_fidelity(rng, args.trials, args.dim)
@@ -392,13 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # a ValueError that escapes a command (or a malformed CTCSIM_DEFAULT_TOL)
+    # is a usage or solver error: one line and exit 2, never a traceback
     try:
-        parser = build_parser()
-    except ValueError as exc:  # a malformed CTCSIM_DEFAULT_TOL
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    args = parser.parse_args(argv)
-    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from . import linalg
 from .engine import DeutschProblem
 from .quantum import (
     DensityMatrix,
+    GateList,
     Layout,
     PureState,
     Unitary,
@@ -412,38 +413,49 @@ def format_matrix_file(mats) -> str:
 
 
 def lower(spec: CircuitSpec, base_dir=".") -> DeutschProblem:
-    """Build a solvable problem: canonical CTC-last layout, the composed
-    interaction unitary, and the tensor-assembled CR input state."""
+    """Build a solvable problem: canonical CTC-last layout, the interaction
+    as a gate list, and the tensor-assembled CR input state."""
     base = Path(base_dir)
     dims = spec.system_dims()
     order = [s.name for s in spec.systems if s.name != "CTC"] + ["CTC"]
     layout = Layout(tuple((n, dims[n]) for n in order), ctc_index=len(order) - 1)
 
-    total = np.eye(layout.total_dim, dtype=complex)
+    families = {}
+
+    def family(name):
+        """The matrices of one @file as unitaries, read and parsed once."""
+        if name not in families:
+            mats = load_matrix_file(base / name)
+            try:
+                families[name] = [Unitary(m) for m in mats]
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        return families[name]
+
+    gates = []
     for g in spec.gates:
         if g.kind == "swap":
             gate = swap_gate(layout, g.regs[0], g.regs[1])
         elif g.kind == "csum":
             gate = csum_gate(layout, g.regs[0], g.regs[1])
         elif g.kind in ("select", "select_adj"):
-            mats = load_matrix_file(base / g.file)
-            if len(mats) != layout.dim(g.regs[0]):
+            fam = family(g.file)
+            if len(fam) != layout.dim(g.regs[0]):
                 raise ValueError(
-                    f"{g.file}: select family size {len(mats)} does not match "
+                    f"{g.file}: select family size {len(fam)} does not match "
                     f"control dim {layout.dim(g.regs[0])}"
                 )
-            family = [Unitary(m) for m in mats]
-            gate = select_gate(layout, g.regs[0], g.regs[1], family,
+            gate = select_gate(layout, g.regs[0], g.regs[1], fam,
                                adjoint=(g.kind == "select_adj"))
         elif g.kind == "unitary":
-            mats = load_matrix_file(base / g.file)
-            if len(mats) != 1:
+            fam = family(g.file)
+            if len(fam) != 1:
                 raise ValueError(f"{g.file}: expected a single matrix")
-            gate = embed_unitary(layout, g.regs[0], Unitary(mats[0]))
+            gate = embed_unitary(layout, g.regs[0], fam[0])
         else:  # pragma: no cover - parser rejects unknown kinds
             raise ValueError(f"unknown gate kind {g.kind!r}")
-        total = gate.mat @ total
-    interaction = Unitary(total)
+        gates.extend(gate.gates)
+    interaction = GateList(layout, tuple(gates))
 
     # assemble the CR input: kron the groups in declaration order, then
     # permute the flattened register list into canonical layout order

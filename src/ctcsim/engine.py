@@ -7,9 +7,12 @@ operator-sum form. With rho_CR = sum_k l_k |phi_k><phi_k| (one eigh; only
 eigenvalues above rounding level are kept), its Kraus operators are
 K_(k,a) = sqrt(l_k) (<a| x I) U (|phi_k> x I), one d x d block for each
 eigenvector k and each CR output basis state a. Only the r*d columns
-U (|phi_k> x I) of the interaction enter, r being the rank of rho_CR, so no
-path forms rho_CR x sigma or conjugates a full D x D matrix. The stack is
-built once per problem (``DeutschProblem.kraus``). The superoperator is
+U (|phi_k> x I) of the interaction enter, r being the rank of rho_CR; they
+come from pushing the input columns |phi_k> x |c> through the interaction's
+local gates (a dense ``Unitary`` is the one gate over every register), so no
+path forms rho_CR x sigma, a D x D interaction, or a D x D conjugation. The
+stack is built once per problem (``DeutschProblem.kraus``) and checked for
+trace preservation, sum K^dag K = I, as one d x d product. The superoperator is
 S = sum K x conj(K), the map and the residual apply sum K X K^dag, and the
 visible output traces the CTC out of the same blocks applied to sigma.
 
@@ -30,18 +33,19 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .quantum import DensityMatrix, Layout, Unitary
+from .quantum import DensityMatrix, GateList, Layout, Unitary
 
 EIG_DIM_CUTOFF = 8  # largest CTC dimension still solved by dense eigendecomposition
 
 
 @dataclass(frozen=True)
 class DeutschProblem:
-    """A layout with a designated CTC register, the interaction unitary over
-    the full layout, and the chronology-respecting input state."""
+    """A layout with a designated CTC register, the interaction over the full
+    layout (a ``GateList`` or a dense ``Unitary``), and the chronology-
+    respecting input state."""
 
     layout: Layout
-    interaction: Unitary
+    interaction: GateList | Unitary
     cr_input: DensityMatrix
 
     def __post_init__(self):
@@ -52,6 +56,11 @@ class DeutschProblem:
                 f"interaction side {self.interaction.side} does not match "
                 f"layout dimension {self.layout.total_dim}"
             )
+        if (
+            isinstance(self.interaction, GateList)
+            and self.interaction.layout.registers != self.layout.registers
+        ):
+            raise ValueError("interaction gate list is on a different layout")
         cr_dim = int(np.prod(self.layout.cr_dims))
         if self.cr_input.side != cr_dim:
             raise ValueError(
@@ -63,19 +72,45 @@ class DeutschProblem:
     def ctc_dim(self) -> int:
         return self.layout.ctc_dim
 
+    @property
+    def gates(self) -> GateList:
+        """The interaction as a gate list; a dense ``Unitary`` is the one
+        gate over every register."""
+        if isinstance(self.interaction, GateList):
+            return self.interaction
+        return GateList(self.layout, ((self.layout.names, self.interaction),))
+
     @cached_property
     def kraus(self) -> np.ndarray:
         """Kraus operators of the induced CTC map, shape (r * D_cr, d, d):
-        entry (k, a) is sqrt(l_k) (<a| x I) U (|phi_k> x I)."""
+        entry (k, a) is sqrt(l_k) (<a| x I) U (|phi_k> x I).
+
+        Raises ``ValueError`` unless sum K^dag K is the identity (times the
+        weight of the kept eigenvalues) within ``tolerances.unitary``: the
+        trace preservation every solver path relies on.
+        """
         d = self.ctc_dim
         cr_dim = self.cr_input.side
         lam, phi = np.linalg.eigh(self.cr_input.mat)
         # eigenvalues at rounding level carry no weight; dropping them keeps
         # the stack at the true rank of rho_CR
         keep = lam > lam[-1] * cr_dim * np.finfo(float).eps
-        cols = phi[:, keep] * np.sqrt(lam[keep])
-        u = self.interaction.mat.reshape(cr_dim, d, cr_dim, d)
-        return np.tensordot(cols, u, axes=(0, 2)).reshape(-1, d, d)
+        weights = lam[keep]
+        cols = phi[:, keep] * np.sqrt(weights)
+        r = cols.shape[1]
+        # the r * d input columns |phi_k> x |c>, column index (k, c)
+        inputs = np.zeros((cr_dim, d, r, d), dtype=complex)
+        inputs[:, np.arange(d), :, np.arange(d)] = cols
+        out = self.gates.apply(inputs.reshape(cr_dim * d, r * d))
+        k = out.reshape(cr_dim, d, r, d).transpose(2, 0, 1, 3).reshape(-1, d, d)
+        flat = k.reshape(-1, d)
+        defect = np.abs(flat.conj().T @ flat - weights.sum() * np.eye(d)).max()
+        if defect > linalg.tolerances.unitary:
+            raise ValueError(
+                "induced map is not trace preserving: "
+                f"max |sum K^dag K - I| = {defect:.3e}"
+            )
+        return k
 
 
 @dataclass

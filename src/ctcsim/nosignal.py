@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg
 from .cloning import ClonerCircuit, blank_state
 from .engine import DeutschProblem, FixedPointResult, SolverOptions, evolve
-from .quantum import DensityMatrix, Layout, Unitary, embed_on_registers
+from .quantum import DensityMatrix, GateList, Layout
 
 
 @dataclass
@@ -37,7 +37,9 @@ def _extended_problem(
     layout = Layout(
         (("A", n), ("B", n), ("R", r_dim), ("CTC", n)), ctc_index=3
     )
-    interaction = embed_on_registers(layout, ["A", "B", "CTC"], cloner.total)
+    # the cloner's gates address registers by name, so on the extended
+    # layout they leave R alone
+    interaction = GateList(layout, cloner.total.gates)
     # input given on (A, R); insert the blank B and reorder to (A, B, R)
     big = linalg.kron(joint_input.mat, blank_state(n).mat)  # order (A, R, B)
     cr_mat = linalg.permute_registers(big, (n, r_dim, n), [0, 2, 1])

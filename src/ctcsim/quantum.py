@@ -1,6 +1,17 @@
-"""Register layouts, validated state/unitary wrappers, and the qudit gate
-constructors used by the cloning circuits: SWAP, CSUM, controlled-select
-blocks, basis mappers, and single-register embeddings.
+"""Register layouts, validated state/unitary wrappers, and the qudit gates
+used by the cloning circuits: SWAP, CSUM, controlled-select blocks, basis
+mappers, and register embeddings.
+
+Every gate is local: a tuple of register names plus a small ``Unitary`` on
+those registers, validated when the gate is built. The gate constructors
+return a ``GateList``, the local gates of an interaction in application
+order on one ``Layout``; gate lists compose with ``@``. One kernel,
+``apply_local``, applies a local gate to a (dims..., m) tensor of m column
+vectors with one s x s matrix product between two transposes, so a gate of
+side s costs O(D * m * s) on m columns of total dimension D and no D x D
+matrix is formed.
+The dense interaction is built only on request (``GateList.mat``): the
+kernel applied to the identity, still checked by ``Unitary``.
 
 Tensor convention: registers appear in declaration order, the CTC register
 (when present) last, and a basis state |i0, i1, ...> has flat index
@@ -9,13 +20,15 @@ sum(i_k * prod(later dims)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import linalg
-from .linalg import as_matrix, kron_all, tolerances
+from .linalg import as_matrix, tolerances
 
 
 @dataclass(frozen=True)
@@ -49,7 +62,7 @@ class Layout:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def index(self, name: str) -> int:
         for i, (n, _) in enumerate(self.registers):
@@ -235,59 +248,105 @@ class Alphabet:
         return cls(tuple(states))
 
 
-def _permutation_gate(layout: Layout, f) -> Unitary:
-    """Unitary permuting basis states: index tuple i -> f(i)."""
-    dims = layout.dims
-    total = layout.total_dim
-    m = np.zeros((total, total), dtype=complex)
-    for col, idx in enumerate(np.ndindex(*dims)):
-        out = f(idx)
-        row = int(np.ravel_multi_index(out, dims))
-        m[row, col] = 1.0
-    return Unitary(m)
+def apply_local(layout: Layout, gate, tensor: np.ndarray) -> np.ndarray:
+    """Apply one local gate, a pair (register names, Unitary on those
+    registers in that order), to a tensor of shape (dims..., m): move the
+    named axes to the front, multiply by the gate's matrix, and move them
+    back into their places."""
+    regs, u = gate
+    order = [layout.index(r) for r in regs]
+    order += [a for a in range(tensor.ndim) if a not in order]
+    moved = tensor.transpose(order)
+    out = (u.mat @ moved.reshape(u.side, -1)).reshape(moved.shape)
+    return out.transpose([order.index(a) for a in range(tensor.ndim)])
 
 
-def swap_gate(layout: Layout, r1: str, r2: str) -> Unitary:
-    """Exchange the basis indices of two equal-dimension registers."""
-    i1, i2 = layout.index(r1), layout.index(r2)
-    if i1 == i2:
-        raise ValueError("cannot swap a register with itself")
-    if layout.dim(r1) != layout.dim(r2):
-        raise ValueError(
-            f"swap needs equal dims, got {layout.dim(r1)} and {layout.dim(r2)}"
+@dataclass(frozen=True, eq=False)
+class GateList:
+    """An interaction as local gates on one layout, in application order.
+
+    Each gate is a pair (register names, Unitary on those registers); every
+    other register sees the identity. U x I is unitary exactly when U is, so
+    validating each small matrix validates the whole interaction.
+    """
+
+    layout: Layout
+    gates: tuple = ()
+
+    def __post_init__(self):
+        gates = tuple((tuple(regs), u) for regs, u in self.gates)
+        dims = self.layout.dims
+        for regs, u in gates:
+            positions = [self.layout.index(r) for r in regs]
+            if len(set(positions)) != len(positions):
+                raise ValueError(f"registers {list(regs)} must be distinct")
+            side = math.prod(dims[p] for p in positions)
+            if u.side != side:
+                raise ValueError(
+                    f"unitary side {u.side} does not match registers {list(regs)}"
+                )
+        object.__setattr__(self, "gates", gates)
+
+    @property
+    def side(self) -> int:
+        return self.layout.total_dim
+
+    def apply(self, columns: np.ndarray) -> np.ndarray:
+        """The interaction applied to each column of a (D, m) array."""
+        t = columns.reshape(self.layout.dims + (-1,))
+        for gate in self.gates:
+            t = apply_local(self.layout, gate, t)
+        return t.reshape(columns.shape)
+
+    def __matmul__(self, other: "GateList") -> "GateList":
+        """Matrix-order composition: ``a @ b`` applies b first."""
+        if other.layout.registers != self.layout.registers:
+            raise ValueError("cannot compose gate lists on different layouts")
+        return GateList(self.layout, other.gates + self.gates)
+
+    def dagger(self) -> "GateList":
+        return GateList(
+            self.layout, tuple((regs, u.dagger()) for regs, u in reversed(self.gates))
         )
 
-    def f(idx):
-        out = list(idx)
-        out[i1], out[i2] = out[i2], out[i1]
-        return tuple(out)
+    @cached_property
+    def unitary(self) -> Unitary:
+        """The dense D x D interaction, built only on request: the gates
+        applied to the identity, checked by ``Unitary``."""
+        return Unitary(self.apply(np.eye(self.side, dtype=complex)))
 
-    return _permutation_gate(layout, f)
+    @property
+    def mat(self) -> np.ndarray:
+        return self.unitary.mat
 
 
-def csum_gate(layout: Layout, ctrl: str, tgt: str) -> Unitary:
+def _local_gate(layout: Layout, regs: Sequence[str], mat: np.ndarray) -> GateList:
+    return GateList(layout, ((tuple(regs), Unitary(mat)),))
+
+
+def swap_gate(layout: Layout, r1: str, r2: str) -> GateList:
+    """Exchange the basis indices of two equal-dimension registers."""
+    if layout.index(r1) == layout.index(r2):
+        raise ValueError("cannot swap a register with itself")
+    n = layout.dim(r1)
+    if layout.dim(r2) != n:
+        raise ValueError(f"swap needs equal dims, got {n} and {layout.dim(r2)}")
+    # |i, j> -> |j, i>: exchange the two output indices of the identity
+    perm = np.eye(n * n, dtype=complex).reshape(n, n, n * n).transpose(1, 0, 2)
+    return _local_gate(layout, (r1, r2), perm.reshape(n * n, n * n))
+
+
+def csum_gate(layout: Layout, ctrl: str, tgt: str) -> GateList:
     """Generalized controlled sum: |i>|j> -> |i>|j + i mod N| on (ctrl, tgt)."""
-    ic, it = layout.index(ctrl), layout.index(tgt)
-    if ic == it:
+    if layout.index(ctrl) == layout.index(tgt):
         raise ValueError("control and target must differ")
     n = layout.dim(ctrl)
     if layout.dim(tgt) != n:
         raise ValueError(f"csum needs equal dims, got {n} and {layout.dim(tgt)}")
-
-    def f(idx):
-        out = list(idx)
-        out[it] = (idx[it] + idx[ic]) % n
-        return tuple(out)
-
-    return _permutation_gate(layout, f)
-
-
-def _embed_factors(layout: Layout, parts: dict) -> np.ndarray:
-    """Kron together per-register operators (identity where unspecified)."""
-    factors = []
-    for name, dim in layout.registers:
-        factors.append(parts.get(name, np.eye(dim, dtype=complex)))
-    return kron_all(*factors)
+    i, j = np.indices((n, n)).reshape(2, -1)
+    perm = np.zeros((n * n, n * n), dtype=complex)
+    perm[i * n + (i + j) % n, i * n + j] = 1.0
+    return _local_gate(layout, (ctrl, tgt), perm)
 
 
 def select_gate(
@@ -296,7 +355,7 @@ def select_gate(
     tgt: str,
     family: Sequence[Unitary],
     adjoint: bool = False,
-) -> Unitary:
+) -> GateList:
     """Controlled-select block sum_k |k><k|_ctrl x (U_k or U_k^dag)_tgt."""
     nc = layout.dim(ctrl)
     nt = layout.dim(tgt)
@@ -304,45 +363,23 @@ def select_gate(
         raise ValueError("control and target must differ")
     if len(family) != nc:
         raise ValueError(f"family size {len(family)} must equal control dim {nc}")
-    total = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
+    blocks = np.zeros((nc, nt, nc, nt), dtype=complex)
     for k, u in enumerate(family):
         if u.side != nt:
             raise ValueError(f"family member {k} has side {u.side}, target dim {nt}")
-        proj = np.zeros((nc, nc), dtype=complex)
-        proj[k, k] = 1.0
-        op = u.mat.conj().T if adjoint else u.mat
-        total += _embed_factors(layout, {ctrl: proj, tgt: op})
-    return Unitary(total)
+        blocks[k, :, k, :] = u.mat.conj().T if adjoint else u.mat
+    return _local_gate(layout, (ctrl, tgt), blocks.reshape(nc * nt, nc * nt))
 
 
-def embed_unitary(layout: Layout, reg: str, u: Unitary) -> Unitary:
+def embed_unitary(layout: Layout, reg: str, u: Unitary) -> GateList:
     """Place a single-register unitary into the full layout."""
-    if u.side != layout.dim(reg):
-        raise ValueError(f"unitary side {u.side} does not match register {reg!r}")
-    return Unitary(_embed_factors(layout, {reg: u.mat}))
+    return GateList(layout, (((reg,), u),))
 
 
-def embed_on_registers(layout: Layout, regs: Sequence[str], u: Unitary) -> Unitary:
+def embed_on_registers(layout: Layout, regs: Sequence[str], u: Unitary) -> GateList:
     """Place a multi-register unitary (acting on ``regs`` in the given order)
     into the full layout, identity on the remaining registers."""
-    positions = [layout.index(r) for r in regs]
-    if len(set(positions)) != len(positions):
-        raise ValueError("registers must be distinct")
-    dims = layout.dims
-    sub_dims = [dims[p] for p in positions]
-    if u.side != int(np.prod(sub_dims)):
-        raise ValueError(
-            f"unitary side {u.side} does not match registers {list(regs)}"
-        )
-    rest = [i for i in range(len(dims)) if i not in positions]
-    rest_dim = int(np.prod([dims[i] for i in rest])) if rest else 1
-    full = np.kron(u.mat, np.eye(rest_dim, dtype=complex))
-    order = positions + rest  # current tensor order of `full`
-    inv = [order.index(r) for r in range(len(dims))]
-    permuted = linalg.permute_registers(
-        full, [dims[p] for p in order], inv
-    )
-    return Unitary(permuted)
+    return GateList(layout, ((tuple(regs), u),))
 
 
 def basis_mapper(psi: PureState, j: int) -> Unitary:

@@ -160,3 +160,20 @@ def test_bad_default_tol_env_is_usage_error(value, monkeypatch, tmp_path, capsys
     assert code == 2
     assert err.startswith("error: CTCSIM_DEFAULT_TOL")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{circuit}", "--tol", "0"],
+    ["run", "{circuit}", "--max-iter", "0"],
+    ["sweep", "fixed-points", "--dim", "1"],
+    ["demo", "clone-mixed", "--probs", "1"],
+    ["sweep", "fixed-points", "--trials", "-3"],
+])
+def test_invalid_values_are_one_line_usage_errors(argv, tmp_path, capsys):
+    circuit = write_circuit(tmp_path)
+    code = main([a.format(circuit=circuit) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1

@@ -186,6 +186,44 @@ class TestLower:
         with pytest.raises(ValueError, match="not unitary"):
             dsl.lower(parse(text), tmp_path)
 
+    def test_shared_matrix_files_are_read_once(self, tmp_path, rng, monkeypatch):
+        fam = [haar_unitary(rng, 2).mat for _ in range(2)]
+        u = haar_unitary(rng, 2).mat
+        (tmp_path / "fam.mat").write_text(dsl.format_matrix_file(fam))
+        (tmp_path / "u.mat").write_text(dsl.format_matrix_file([u]))
+        text = (
+            "system A 2\nsystem B 2\nsystem CTC 2\n"
+            "input pure A : 1 0\ninput pure B : 0 1\n"
+            "gate select A B @fam.mat\ngate unitary A @u.mat\n"
+            "gate select_adj B CTC @fam.mat\ngate select CTC A @fam.mat\n"
+            "gate unitary CTC @u.mat\n"
+        )
+        reads = []
+        load = dsl.load_matrix_file
+        monkeypatch.setattr(dsl, "load_matrix_file",
+                            lambda path: reads.append(path.name) or load(path))
+        problem = dsl.lower(parse(text), tmp_path)
+        assert sorted(reads) == ["fam.mat", "u.mat"]
+        i2 = np.eye(2)
+        proj = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        steps = [
+            sum(np.kron(np.kron(proj[k], fam[k]), i2) for k in range(2)),
+            np.kron(u, np.eye(4)),
+            sum(np.kron(i2, np.kron(proj[k], fam[k].conj().T)) for k in range(2)),
+            sum(np.kron(np.kron(fam[k], i2), proj[k]) for k in range(2)),
+            np.kron(np.eye(4), u),
+        ]
+        expected = np.eye(8)
+        for m in steps:
+            expected = m @ expected
+        assert np.max(np.abs(problem.interaction.mat - expected)) <= 1e-12
+
+    def test_shared_bad_file_is_named(self, tmp_path):
+        (tmp_path / "bad.mat").write_text("matrix 2 1\n1 1 ;\n0 1 ;\n")
+        text = SMALLEST + "gate unitary A @bad.mat\ngate unitary CTC @bad.mat\n"
+        with pytest.raises(ValueError, match="bad.mat: not unitary"):
+            dsl.lower(parse(text), tmp_path)
+
     def test_missing_file(self, tmp_path):
         text = SMALLEST + "gate unitary A @missing.mat\n"
         with pytest.raises(OSError):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_alphabet, zero_plus_alphabet
 from ctcsim import linalg
-from ctcsim.cloning import build_mixed_cloner, build_pure_cloner, make_problem
+from ctcsim.cloning import build_mixed_cloner, build_pure_cloner, make_problem, run_clone
 from ctcsim.engine import (
     DeutschProblem,
     SolverOptions,
@@ -13,9 +13,10 @@ from ctcsim.engine import (
     output_state,
     solve_fixed_point,
 )
-from ctcsim.nosignal import _extended_problem
+from ctcsim.nosignal import _extended_problem, run_entangled_clone
 from ctcsim.quantum import (
     DensityMatrix,
+    GateList,
     Layout,
     PureState,
     Unitary,
@@ -122,6 +123,33 @@ def test_kraus_form_matches_dense_oracle(case, rng):
         assert np.max(np.abs(out - oracle_output(prob, sigma.mat))) <= 1e-12
     if case == "multiplicity-four":
         assert solve_fixed_point(prob).multiplicity == 4
+
+
+def test_clone_runs_never_materialise_the_interaction(monkeypatch, rng):
+    def refuse(self):
+        raise AssertionError("a D x D interaction was materialised")
+
+    monkeypatch.setattr(GateList, "unitary", property(refuse))
+    alphabet = random_alphabet(rng, 4)
+    cloner = build_pure_cloner(alphabet)
+    with pytest.raises(AssertionError, match="materialised"):
+        cloner.total.mat
+    rep = run_clone(cloner, alphabet.states[1].density())
+    assert rep.joint_fid >= 1 - 1e-9
+    bell = PureState.normalized([0, 1, 1, 0]).density().with_dims((2, 2))
+    pure = build_pure_cloner(random_alphabet(rng, 2))
+    assert run_entangled_clone(pure, bell).fixed_point.residual <= 1e-10
+    assert run_entangled_clone(build_mixed_cloner(2), bell).deviation <= 1e-9
+
+
+def test_kraus_rejects_gate_corrupted_after_validation(rng):
+    alphabet = random_alphabet(rng, 3)
+    cloner = build_pure_cloner(alphabet)
+    problem = make_problem(cloner, alphabet.states[0].density())
+    _, select_block = cloner.gates[2][1].gates[0]  # S, checked when built
+    select_block.mat[:] *= 1.001
+    with pytest.raises(ValueError, match="not trace preserving"):
+        problem.kraus
 
 
 class TestDeutschMap:

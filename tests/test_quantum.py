@@ -3,9 +3,13 @@ import pytest
 
 from conftest import random_alphabet
 from ctcsim import linalg
+from ctcsim.sampling import haar_unitary
+from ctcsim.cloning import build_mixed_cloner, build_pure_cloner, make_problem
+from ctcsim.engine import DeutschProblem
 from ctcsim.quantum import (
     Alphabet,
     DensityMatrix,
+    GateList,
     Layout,
     PureState,
     Unitary,
@@ -18,6 +22,131 @@ from ctcsim.quantum import (
 )
 
 X = Unitary(np.array([[0, 1], [1, 0]], dtype=complex))
+
+
+# -- dense reference constructors, one D x D matrix per gate ------------------
+
+def oracle_permutation(layout, f):
+    """Python loop over all basis states: column i has its 1 in row f(i)."""
+    m = np.zeros((layout.total_dim,) * 2, dtype=complex)
+    for col, idx in enumerate(np.ndindex(*layout.dims)):
+        m[np.ravel_multi_index(f(list(idx)), layout.dims), col] = 1.0
+    return m
+
+
+def oracle_swap(layout, r1, r2):
+    i1, i2 = layout.index(r1), layout.index(r2)
+
+    def f(x):
+        x[i1], x[i2] = x[i2], x[i1]
+        return x
+
+    return oracle_permutation(layout, f)
+
+
+def oracle_csum(layout, ctrl, tgt):
+    ic, it, n = layout.index(ctrl), layout.index(tgt), layout.dim(ctrl)
+
+    def f(x):
+        x[it] = (x[it] + x[ic]) % n
+        return x
+
+    return oracle_permutation(layout, f)
+
+
+def oracle_select(layout, ctrl, tgt, family, adjoint=False):
+    """Sum over k of dense krons |k><k|_ctrl x U_k (or U_k^dag) on tgt."""
+    total = 0
+    for k, u in enumerate(family):
+        parts = {ctrl: np.diag(np.eye(layout.dim(ctrl))[k]),
+                 tgt: u.mat.conj().T if adjoint else u.mat}
+        total = total + linalg.kron_all(
+            *(parts.get(name, np.eye(dim)) for name, dim in layout.registers))
+    return total
+
+
+def oracle_embed_on_registers(layout, regs, u):
+    """U x I with U's registers first, then permuted into layout order."""
+    order = [layout.index(r) for r in regs]
+    order += [i for i in range(len(layout.dims)) if i not in order]
+    full = np.kron(u.mat, np.eye(layout.total_dim // u.side))
+    inverse = [order.index(i) for i in range(len(order))]
+    return linalg.permute_registers(full, [layout.dims[i] for i in order], inverse)
+
+
+MIXED = Layout((("A", 2), ("B", 3), ("C", 3), ("CTC", 2)), ctc_index=3)
+
+
+def gate_cases(rng):
+    fam_b = [haar_unitary(rng, 3) for _ in range(2)]  # control dim 2, target dim 3
+    fam_a = [haar_unitary(rng, 2) for _ in range(3)]  # control dim 3, target dim 2
+    u2, u3, u4, u6 = (haar_unitary(rng, d) for d in (2, 3, 4, 6))
+    cases = {}
+    for r1, r2 in (("B", "C"), ("C", "B"), ("A", "CTC")):
+        cases[f"swap-{r1}{r2}"] = (swap_gate(MIXED, r1, r2), oracle_swap(MIXED, r1, r2))
+    for c, t in (("B", "C"), ("C", "B"), ("A", "CTC"), ("CTC", "A")):
+        cases[f"csum-{c}{t}"] = (csum_gate(MIXED, c, t), oracle_csum(MIXED, c, t))
+    for adj in (False, True):
+        for c, t, fam in (("A", "B", fam_b), ("C", "A", fam_a), ("CTC", "C", fam_b)):
+            cases[f"select-{c}{t}-{adj}"] = (select_gate(MIXED, c, t, fam, adj),
+                                             oracle_select(MIXED, c, t, fam, adj))
+    for reg, u in (("C", u3), ("CTC", u2)):
+        cases[f"embed-{reg}"] = (embed_unitary(MIXED, reg, u),
+                                 oracle_embed_on_registers(MIXED, [reg], u))
+    for regs, u in ((["CTC", "A"], u4), (["C", "A"], u6), (["A", "C"], u6)):
+        cases["embed-" + "".join(regs)] = (embed_on_registers(MIXED, regs, u),
+                                           oracle_embed_on_registers(MIXED, regs, u))
+    return cases
+
+
+def test_every_gate_kind_matches_dense_oracle(rng):
+    cases = gate_cases(rng)
+    assert len(cases) == 18
+    for name, (gate, oracle) in cases.items():
+        assert isinstance(gate, GateList), name
+        assert np.max(np.abs(gate.mat - oracle)) <= 1e-12, name
+
+
+def test_composition_and_dagger_match_dense_products(rng):
+    total = GateList(MIXED)
+    dense = np.eye(MIXED.total_dim)
+    for gate, oracle in gate_cases(rng).values():
+        total = gate @ total
+        dense = oracle @ dense
+    assert np.max(np.abs(total.mat - dense)) <= 1e-12
+    assert np.max(np.abs(total.dagger().mat - dense.conj().T)) <= 1e-12
+
+
+def oracle_cloner_total(cloner):
+    lay = cloner.layout
+    if cloner.kind == "mixed_diagonal":
+        steps = [oracle_swap(lay, "A", "CTC"), oracle_swap(lay, "B", "CTC"),
+                 oracle_csum(lay, "B", "CTC")]
+    else:
+        maps = [basis_mapper(s, k) for k, s in enumerate(cloner.alphabet.states)]
+        steps = [oracle_swap(lay, "A", "CTC"), oracle_csum(lay, "A", "B"),
+                 oracle_select(lay, "B", "CTC", maps),
+                 oracle_select(lay, "A", "B", maps, adjoint=True),
+                 oracle_select(lay, "CTC", "A", maps, adjoint=True)]
+    total = np.eye(lay.total_dim, dtype=complex)
+    for m in steps:
+        total = m @ total
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cloner_totals_match_dense_product(n, rng):
+    alphabet = random_alphabet(rng, n)
+    probs = rng.dirichlet(np.ones(n))
+    for cloner, target in (
+        (build_pure_cloner(alphabet), alphabet.states[-1].density()),
+        (build_mixed_cloner(n), DensityMatrix(np.diag(probs + 0j))),
+    ):
+        dense = oracle_cloner_total(cloner)
+        assert np.max(np.abs(cloner.total.mat - dense)) <= 1e-12
+        problem = make_problem(cloner, target)
+        from_dense = DeutschProblem(problem.layout, Unitary(dense), problem.cr_input)
+        assert np.max(np.abs(problem.kraus - from_dense.kraus)) <= 1e-12
 
 
 def basis_vec(layout, *idx):
