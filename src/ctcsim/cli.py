@@ -18,19 +18,24 @@ import numpy as np
 from . import dsl, linalg, sampling
 from .cloning import (
     Alphabet,
+    baseline_infidelities,
     build_mixed_cloner,
     build_pure_cloner,
-    classical_copy_circuit,
-    no_ctc_baseline,
     run_clone,
 )
 from .engine import SolverOptions, evolve
-from .fidelity import check_monotonicity, check_multiplicativity, fidelity
+from .fidelity import fidelities, monotonicity_margins, multiplicativity_defects
 from .nosignal import run_entangled_clone
-from .quantum import DensityMatrix, Layout, PureState, Unitary
+from .quantum import DensityMatrix, Layout, PureState, check_density, check_unitary
 
 FORMAT_VERSION = 1
 PASS_TOL = 1e-9
+# the fidelity and baseline sweeps draw and evaluate trials as one stack of
+# at most CHUNK_TRIALS trials and CHUNK_ENTRIES entries per matrix stack, so
+# peak memory stays bounded for any --trials and --dim; the bits do not
+# depend on the chunking
+CHUNK_TRIALS = 256
+CHUNK_ENTRIES = 2**18
 
 
 def _default_tol() -> float:
@@ -103,6 +108,14 @@ def _options_doc(opts: SolverOptions) -> dict:
     }
 
 
+def _fixed_point_doc(fp) -> dict:
+    return {
+        "matrix": matrix_doc(fp.rho_ctc.mat),
+        "residual": fp.residual,
+        "multiplicity": fp.multiplicity,
+    }
+
+
 def cmd_run(args) -> int:
     try:
         text = Path(args.circuit).read_text(encoding="utf-8")
@@ -143,9 +156,7 @@ def cmd_run(args) -> int:
         "command": "run",
         "solver_options": _options_doc(opts),
         "fixed_point": {
-            "matrix": matrix_doc(fp.rho_ctc.mat),
-            "residual": fp.residual,
-            "multiplicity": fp.multiplicity,
+            **_fixed_point_doc(fp),
             "method": fp.method_used,
             "iterations": fp.iterations,
         },
@@ -196,11 +207,7 @@ def cmd_demo(args) -> int:
             "fid_a": rep.fid_a,
             "fid_b": rep.fid_b,
             "distance_to_broadcast": dist,
-            "fixed_point": {
-                "matrix": matrix_doc(rep.fixed_point.rho_ctc.mat),
-                "residual": rep.fixed_point.residual,
-                "multiplicity": rep.fixed_point.multiplicity,
-            },
+            "fixed_point": _fixed_point_doc(rep.fixed_point),
             "output": matrix_doc(rep.output.mat),
         }
     elif args.name == "clone-mixed":
@@ -226,11 +233,7 @@ def cmd_demo(args) -> int:
             "probs": probs,
             "joint_fidelity": rep.joint_fid,
             "distance_to_broadcast": dist,
-            "fixed_point": {
-                "matrix": matrix_doc(rep.fixed_point.rho_ctc.mat),
-                "residual": rep.fixed_point.residual,
-                "multiplicity": rep.fixed_point.multiplicity,
-            },
+            "fixed_point": _fixed_point_doc(rep.fixed_point),
             "output": matrix_doc(rep.output.mat),
         }
     else:  # nosignal
@@ -250,11 +253,7 @@ def cmd_demo(args) -> int:
             "deviation": rep.deviation,
             "reduced_AB": matrix_doc(rep.reduced_ab.mat),
             "expected_AB": matrix_doc(rep.expected_ab.mat),
-            "fixed_point": {
-                "matrix": matrix_doc(rep.fixed_point.rho_ctc.mat),
-                "residual": rep.fixed_point.residual,
-                "multiplicity": rep.fixed_point.multiplicity,
-            },
+            "fixed_point": _fixed_point_doc(rep.fixed_point),
         }
     code = _dump_report(report, args.format, args.out)
     if code != 0:
@@ -263,28 +262,61 @@ def cmd_demo(args) -> int:
     return 0 if passed else 2
 
 
+def _chunks(trials, side):
+    """(lo, hi) trial ranges, one per stack; ``side`` is the largest matrix
+    side drawn per trial."""
+    size = max(1, min(CHUNK_TRIALS, CHUNK_ENTRIES // (side * side)))
+    for lo in range(0, trials, size):
+        yield lo, min(lo + size, trials)
+
+
+def _check_trials(lo, checks):
+    """Run each (check, stack) pair over trials lo, lo + 1, ... and raise one
+    ValueError naming the first trial that fails any check."""
+    failures = []
+    for check, stack in checks:
+        try:
+            check(stack)
+        except linalg.StackError as exc:
+            failures.append(exc)
+    if failures:
+        first = min(failures, key=lambda exc: exc.index)
+        raise ValueError(f"trial {lo + first.index}: {first.message}")
+
+
 def _sweep_fidelity(rng, trials, dim):
     rows = []
     worst = {"multiplicativity": 0.0, "monotonicity": np.inf,
              "symmetry": 0.0, "unitary_invariance": 0.0}
-    for t in range(trials):
-        a, b = sampling.random_density(rng, dim), sampling.random_density(rng, dim)
-        c, d = sampling.random_density(rng, dim), sampling.random_density(rng, dim)
-        mult = check_multiplicativity(a, c, b, d)
-        big_a = sampling.random_density(rng, dim * dim)
-        big_b = sampling.random_density(rng, dim * dim)
-        mono = check_monotonicity(big_a, big_b, (dim, dim), {1})
-        sym = abs(fidelity(a, b) - fidelity(b, a))
-        u = sampling.haar_unitary(rng, dim).mat
-        rot_a = DensityMatrix(u @ a.mat @ u.conj().T)
-        rot_b = DensityMatrix(u @ b.mat @ u.conj().T)
-        inv = abs(fidelity(rot_a, rot_b) - fidelity(a, b))
-        rows.append({"trial": t, "multiplicativity": mult, "monotonicity": mono,
-                     "symmetry": sym, "unitary_invariance": inv})
-        worst["multiplicativity"] = max(worst["multiplicativity"], mult)
-        worst["monotonicity"] = min(worst["monotonicity"], mono)
-        worst["symmetry"] = max(worst["symmetry"], sym)
-        worst["unitary_invariance"] = max(worst["unitary_invariance"], inv)
+    for lo, hi in _chunks(trials, dim * dim):
+        # per trial: four states a, b, c, d, two states on dim x dim and a
+        # Haar unitary, the order of the per-trial generators
+        *draws, z_u = sampling.ginibre_trials(
+            rng, hi - lo, (dim,) * 4 + (dim * dim,) * 2 + (dim,))
+        a, b, c, d, big_a, big_b = map(sampling.density_from_ginibre, draws)
+        u = sampling.haar_from_ginibre(z_u)
+        rot_a = u @ a @ linalg.dagger(u)
+        rot_b = u @ b @ linalg.dagger(u)
+        reduced = [linalg.partial_trace(s, (dim, dim), [0]) for s in (big_a, big_b)]
+        derived = [linalg.kron(a, c), linalg.kron(b, d), *reduced, rot_a, rot_b]
+        _check_trials(lo, [(check_unitary, u)] + [
+            (check_density, s) for s in (a, b, c, d, big_a, big_b, *derived)])
+        f_ab = fidelities(a, b)
+        mult = multiplicativity_defects(a, c, b, d)
+        mono = monotonicity_margins(big_a, big_b, (dim, dim), {1})
+        sym = np.abs(f_ab - fidelities(b, a))
+        inv = np.abs(fidelities(rot_a, rot_b) - f_ab)
+        for t in range(hi - lo):
+            row = {"trial": lo + t, "multiplicativity": float(mult[t]),
+                   "monotonicity": float(mono[t]), "symmetry": float(sym[t]),
+                   "unitary_invariance": float(inv[t])}
+            rows.append(row)
+            worst["multiplicativity"] = max(worst["multiplicativity"],
+                                            row["multiplicativity"])
+            worst["monotonicity"] = min(worst["monotonicity"], row["monotonicity"])
+            worst["symmetry"] = max(worst["symmetry"], row["symmetry"])
+            worst["unitary_invariance"] = max(worst["unitary_invariance"],
+                                              row["unitary_invariance"])
     ok = (worst["multiplicativity"] <= 1e-9 and worst["monotonicity"] >= -1e-9
           and worst["symmetry"] <= 1e-9 and worst["unitary_invariance"] <= 1e-9)
     return rows, worst, ok
@@ -313,11 +345,14 @@ def _sweep_baseline(rng, trials, dim):
     ancilla = PureState.basis(dim, 0).density()
     rows = []
     worst = {"min_infidelity": np.inf}
-    for t in range(trials):
-        u = sampling.haar_unitary(rng, dim**3)
-        infid = no_ctc_baseline(alphabet, u, ancilla)
-        rows.append({"trial": t, "worst_pair_infidelity": infid})
-        worst["min_infidelity"] = min(worst["min_infidelity"], infid)
+    for lo, hi in _chunks(trials, dim**3):
+        (z,) = sampling.ginibre_trials(rng, hi - lo, (dim**3,))
+        u = sampling.haar_from_ginibre(z)
+        _check_trials(lo, [(check_unitary, u)])
+        infid = baseline_infidelities(alphabet, u, ancilla)
+        for t in range(hi - lo):
+            rows.append({"trial": lo + t, "worst_pair_infidelity": float(infid[t])})
+            worst["min_infidelity"] = min(worst["min_infidelity"], float(infid[t]))
     return rows, worst, worst["min_infidelity"] > 1e-6
 
 

@@ -20,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import linalg
+from . import linalg, quantum
 from .engine import DeutschProblem, FixedPointResult, SolverOptions, evolve
-from .fidelity import fidelity
+from .fidelity import fidelities, fidelity
 from .quantum import (
     Alphabet,
     DensityMatrix,
@@ -117,7 +117,7 @@ def blank_state(n: int) -> DensityMatrix:
 
 
 def make_problem(cloner: ClonerCircuit, target: DensityMatrix) -> DeutschProblem:
-    cr = DensityMatrix(
+    cr = DensityMatrix._trusted(
         linalg.kron(target.mat, blank_state(cloner.n).mat), (cloner.n, cloner.n)
     )
     return DeutschProblem(cloner.layout, cloner.total, cr)
@@ -144,7 +144,7 @@ def run_clone(
     dims = (n, n)
     clone_a = DensityMatrix.sanitize(linalg.partial_trace(output.mat, dims, [0]))
     clone_b = DensityMatrix.sanitize(linalg.partial_trace(output.mat, dims, [1]))
-    joint_target = DensityMatrix(linalg.kron(target.mat, target.mat))
+    joint_target = DensityMatrix._trusted(linalg.kron(target.mat, target.mat))
     return CloneReport(
         input_state=target,
         fixed_point=fp,
@@ -192,17 +192,25 @@ def no_ctc_baseline(
         raise ValueError(
             f"interaction side {interaction.side} does not match A*B*C = {total}"
         )
+    return float(baseline_infidelities(alphabet, interaction.mat[None], ancilla)[0])
+
+
+def baseline_infidelities(
+    alphabet: Alphabet, interactions: np.ndarray, ancilla: DensityMatrix
+) -> np.ndarray:
+    """``no_ctc_baseline`` for a (..., D, D) stack of dense interactions,
+    each a validated unitary on A x B x C."""
+    n = alphabet.dim
     dims = (n, n, ancilla.side)
     sigma = blank_state(n)
-    worst = 1.0
+    u_dag = linalg.dagger(interactions)
+    worst = np.ones(interactions.shape[:-2])
     for state in alphabet.states:
-        rho_s = state.density()
-        full = linalg.kron_all(rho_s.mat, sigma.mat, ancilla.mat)
-        u = interaction.mat
-        evolved = u @ full @ u.conj().T
-        out = DensityMatrix.sanitize(linalg.partial_trace(evolved, dims, [0, 1]))
-        joint_target = DensityMatrix(linalg.kron(rho_s.mat, rho_s.mat))
-        worst = min(worst, fidelity(out, joint_target))
+        rho_s = state.density().mat
+        full = linalg.kron_all(rho_s, sigma.mat, ancilla.mat)
+        evolved = interactions @ full @ u_dag
+        out = quantum._sanitize(linalg.partial_trace(evolved, dims, [0, 1]))
+        worst = np.minimum(worst, fidelities(out, linalg.kron(rho_s, rho_s)))
     return 1.0 - worst
 
 

@@ -27,6 +27,7 @@ maximally mixed state orthogonally rather than taking its averaged limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,7 +62,7 @@ class DeutschProblem:
             and self.interaction.layout.registers != self.layout.registers
         ):
             raise ValueError("interaction gate list is on a different layout")
-        cr_dim = int(np.prod(self.layout.cr_dims))
+        cr_dim = math.prod(self.layout.cr_dims)
         if self.cr_input.side != cr_dim:
             raise ValueError(
                 f"CR input side {self.cr_input.side} does not match "

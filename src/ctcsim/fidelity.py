@@ -1,5 +1,13 @@
 """Uhlmann fidelity and executable checkers for its algebraic properties
-(multiplicativity over tensor products, monotonicity under partial trace)."""
+(multiplicativity over tensor products, monotonicity under partial trace).
+
+Each property has one kernel over plain (..., n, n) arrays that broadcasts
+over leading axes: ``fidelities``, ``multiplicativity_defects`` and
+``monotonicity_margins``. The functions on ``DensityMatrix`` arguments call
+them with no batch axis, and the property sweeps call them once per stack of
+trials. The kernels trust their inputs to be density matrices (validated
+where they entered the program) and do not check Hermiticity again.
+"""
 
 from __future__ import annotations
 
@@ -8,30 +16,44 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
+from .linalg import dagger, reject
 from .quantum import DensityMatrix
 
 
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Tr sqrt(rho^{1/2} sigma rho^{1/2}), clamped to [0, 1].
+def fidelities(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Tr sqrt(rho^{1/2} sigma rho^{1/2}) of each pair of (..., n, n)
+    density matrices, clamped to [0, 1].
 
-    Computed by eigendecomposing the sandwiched operator and summing the
-    square roots of its (clamped) eigenvalues.
+    Computed by eigendecomposing the (symmetrized) sandwiched operator and
+    summing the square roots of its (clamped) eigenvalues.
     """
-    if rho.side != sigma.side:
-        raise ValueError(f"shape mismatch: {rho.side} vs {sigma.side}")
-    root = linalg.psd_sqrt(rho.mat)
-    sandwich = root @ sigma.mat @ root
-    w, _ = np.linalg.eigh((sandwich + sandwich.conj().T) / 2)
-    if w[0] < -linalg.tolerances.psd:
-        raise ValueError(f"sandwiched operator not PSD: {w[0]:.3e}")
+    root = linalg._psd_sqrt(rho)
+    sandwich = root @ sigma @ root
+    w, _ = np.linalg.eigh((sandwich + dagger(sandwich)) / 2)
+    reject((w[..., 0] < -linalg.tolerances.psd, w[..., 0],
+            "sandwiched operator not PSD: {:.3e}"))
     # eigenvalues at the numerical noise floor would contribute sqrt(eps)
     # after the square root; floor them to zero first
-    cut = 1e-13 * max(float(w[-1]), 1.0)
-    w = np.where(w < cut, 0.0, w)
-    f = float(np.sum(np.sqrt(w)))
-    if f < -1e-9 or f > 1 + 1e-9:
-        raise ValueError(f"fidelity {f} outside [0,1] beyond tolerance")
-    return min(max(f, 0.0), 1.0)
+    cut = 1e-13 * np.maximum(w[..., -1], 1.0)
+    w = np.where(w < cut[..., None], 0.0, w)
+    f = np.sqrt(w).sum(axis=-1)
+    reject(((f < -1e-9) | (f > 1 + 1e-9), f,
+            "fidelity {} outside [0,1] beyond tolerance"))
+    return np.minimum(np.maximum(f, 0.0), 1.0)
+
+
+def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Uhlmann fidelity of two states; see ``fidelities``."""
+    if rho.side != sigma.side:
+        raise ValueError(f"shape mismatch: {rho.side} vs {sigma.side}")
+    return float(fidelities(rho.mat, sigma.mat))
+
+
+def multiplicativity_defects(rho_i, sigma_i, rho_j, sigma_j) -> np.ndarray:
+    """|F(rho_i x sigma_i, rho_j x sigma_j) - F(rho_i, rho_j) F(sigma_i, sigma_j)|
+    for (..., n, n) arrays of density matrices."""
+    lhs = fidelities(linalg.kron(rho_i, sigma_i), linalg.kron(rho_j, sigma_j))
+    return np.abs(lhs - fidelities(rho_i, rho_j) * fidelities(sigma_i, sigma_j))
 
 
 def check_multiplicativity(
@@ -41,11 +63,21 @@ def check_multiplicativity(
     sigma_j: DensityMatrix,
 ) -> float:
     """|F(rho_i x sigma_i, rho_j x sigma_j) - F(rho_i, rho_j) F(sigma_i, sigma_j)|."""
-    big_i = DensityMatrix(linalg.kron(rho_i.mat, sigma_i.mat))
-    big_j = DensityMatrix(linalg.kron(rho_j.mat, sigma_j.mat))
-    lhs = fidelity(big_i, big_j)
-    rhs = fidelity(rho_i, rho_j) * fidelity(sigma_i, sigma_j)
-    return abs(lhs - rhs)
+    return float(
+        multiplicativity_defects(rho_i.mat, sigma_i.mat, rho_j.mat, sigma_j.mat)
+    )
+
+
+def monotonicity_margins(
+    sigma_big, tau_big, dims: Sequence[int], traced: Iterable[int]
+) -> np.ndarray:
+    """F(reduced sigma, reduced tau) - F(sigma, tau) for (..., n, n) arrays of
+    density matrices on registers ``dims``, tracing out ``traced``."""
+    traced = set(int(t) for t in traced)
+    keep = [i for i in range(len(dims)) if i not in traced]
+    red_s = linalg.partial_trace(sigma_big, dims, keep)
+    red_t = linalg.partial_trace(tau_big, dims, keep)
+    return fidelities(red_s, red_t) - fidelities(sigma_big, tau_big)
 
 
 def check_monotonicity(
@@ -59,9 +91,4 @@ def check_monotonicity(
     Non-negative (within numerical slack) for every partial trace; callers
     pick their own threshold.
     """
-    dims = tuple(int(d) for d in dims)
-    traced = set(int(t) for t in traced)
-    keep = [i for i in range(len(dims)) if i not in traced]
-    red_s = DensityMatrix(linalg.partial_trace(sigma_big.mat, dims, keep))
-    red_t = DensityMatrix(linalg.partial_trace(tau_big.mat, dims, keep))
-    return fidelity(red_s, red_t) - fidelity(sigma_big, tau_big)
+    return float(monotonicity_margins(sigma_big.mat, tau_big.mat, dims, traced))

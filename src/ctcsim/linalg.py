@@ -2,12 +2,16 @@
 Hermitian eigendecomposition, PSD square roots and trace distances.
 
 All operators are plain square ``numpy`` arrays of ``complex128``, stored
-row-major. Every numeric kernel routes through ``hermitian_eig`` so the
-tolerance story stays in one place.
+row-major. ``kron``, ``partial_trace``, ``hermiticity_defect`` and
+``psd_sqrt`` are shape-generic: they act on the last two axes of an
+(..., n, n) stack and broadcast over the leading ones, so one matrix and a
+stack of them take the same code. Checks on a stack go through ``reject``,
+which names the first failing entry. Tolerances live in ``tolerances``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
@@ -27,6 +31,37 @@ class Tolerances:
 tolerances = Tolerances()
 
 
+class StackError(ValueError):
+    """A check failed. ``index`` is the flat position of the first failing
+    entry of a stack, or None when a single matrix failed."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message if index is None else f"stack entry {index}: {message}")
+        self.message = message
+        self.index = index
+
+
+def reject(*checks) -> None:
+    """Raise ``StackError`` for the first entry of a stack that fails a check.
+
+    Each check is a triple (bad, values, message) of numpy arrays of one
+    batch shape and a format string: ``bad`` marks the failing entries and
+    ``message.format(value)`` describes one. An entry failing several checks
+    is described by the first of them.
+    """
+    # a 0-d result (one matrix) is tested by truth value, much cheaper than
+    # a reduction
+    if not any(bad.any() if bad.ndim else bad for bad, _, _ in checks):
+        return
+    bads = [np.asarray(bad) for bad, _, _ in checks]
+    first = int(np.flatnonzero(np.logical_or.reduce(bads))[0])
+    index = None if bads[0].ndim == 0 else first
+    for bad, (_, values, message) in zip(bads, checks):
+        if bad.reshape(-1)[first]:
+            value = float(np.reshape(values, -1)[first])
+            raise StackError(message.format(value), index)
+
+
 def as_matrix(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -34,16 +69,36 @@ def as_matrix(m) -> np.ndarray:
     return m
 
 
+def as_stack(m) -> np.ndarray:
+    """A complex (..., n, n) array: one square matrix or a stack of them."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {m.shape}")
+    return m
+
+
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def kron(a, b) -> np.ndarray:
-    """Kronecker product of two square matrices."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product of the last two axes, broadcast over leading axes.
+
+    A broadcast multiply, the same products ``np.kron`` forms, so the bits
+    match it; ``einsum`` would not.
+    """
+    a, b = as_stack(a), as_stack(b)
+    n, m = a.shape[-1], b.shape[-1]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (n * m, n * m))
 
 
 def kron_all(*mats) -> np.ndarray:
     """Left-to-right Kronecker product of any number of square matrices."""
     out = np.array([[1.0 + 0j]])
     for m in mats:
-        out = np.kron(out, as_matrix(m))
+        out = kron(out, as_matrix(m))
     return out
 
 
@@ -51,10 +106,9 @@ def _check_dims(m: np.ndarray, dims: Sequence[int]) -> Tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise ValueError(f"register dimensions must be positive, got {dims}")
-    total = int(np.prod(dims))
-    if m.shape[0] != total:
+    if m.shape[-1] != math.prod(dims):
         raise ValueError(
-            f"matrix side {m.shape[0]} does not match product of dims {dims}"
+            f"matrix side {m.shape[-1]} does not match product of dims {dims}"
         )
     return dims
 
@@ -64,21 +118,24 @@ def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
 
     ``dims`` lists the register dimensions in tensor order; ``keep`` is a set
     of register indices. An empty ``keep`` yields the 1x1 matrix [Tr(m)].
+    ``m`` may be a stack (..., n, n); the leading axes are kept.
     """
-    m = as_matrix(m)
+    m = as_stack(m)
     dims = _check_dims(m, dims)
     n = len(dims)
     keep = sorted(set(int(k) for k in keep))
     if keep and (keep[0] < 0 or keep[-1] >= n):
         raise ValueError(f"keep indices {keep} out of range for {n} registers")
-    t = m.reshape(dims + dims)
+    lead = m.shape[:-2]
+    t = m.reshape(lead + dims + dims)
     traced = [i for i in range(n) if i not in keep]
     remaining = n
-    for count, i in enumerate(sorted(traced, reverse=True)):
-        t = np.trace(t, axis1=i, axis2=i + remaining)
+    for i in sorted(traced, reverse=True):
+        b = len(lead) + i
+        t = np.trace(t, axis1=b, axis2=b + remaining)
         remaining -= 1
-    side = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return t.reshape(side, side)
+    side = math.prod(dims[i] for i in keep)
+    return t.reshape(lead + (side, side))
 
 
 def permute_registers(m, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
@@ -94,9 +151,10 @@ def permute_registers(m, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray
     return np.ascontiguousarray(t.reshape(m.shape))
 
 
-def hermiticity_defect(h) -> float:
-    h = as_matrix(h)
-    return float(np.max(np.abs(h - h.conj().T)))
+def hermiticity_defect(h):
+    """max |h - h^dag| of each (..., n, n) entry."""
+    h = as_stack(h)
+    return np.abs(h - dagger(h)).max(axis=(-2, -1))
 
 
 def hermitian_eig(h, tol: float | None = None) -> Tuple[np.ndarray, np.ndarray]:
@@ -107,7 +165,7 @@ def hermitian_eig(h, tol: float | None = None) -> Tuple[np.ndarray, np.ndarray]:
     """
     h = as_matrix(h)
     tol = tolerances.herm if tol is None else tol
-    defect = hermiticity_defect(h)
+    defect = float(hermiticity_defect(h))
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian: max |h - h^dag| = {defect:.3e}")
     w, v = np.linalg.eigh((h + h.conj().T) / 2)
@@ -115,16 +173,27 @@ def hermitian_eig(h, tol: float | None = None) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def psd_sqrt(h) -> np.ndarray:
-    """Unique positive square root of a PSD Hermitian matrix.
+    """Unique positive square root of each PSD Hermitian (..., n, n) entry.
 
     Eigenvalues within ``tolerances.psd`` of zero are clamped; anything more
-    negative rejects the input.
+    negative, or an asymmetry beyond ``tolerances.herm``, rejects the input.
     """
-    w, v = hermitian_eig(h)
-    if w[0] < -tolerances.psd:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
-    w = np.sqrt(np.clip(w, 0.0, None))
-    return (v * w) @ v.conj().T
+    h = as_stack(h)
+    defect = hermiticity_defect(h)
+    reject((defect > tolerances.herm, defect,
+            "matrix is not Hermitian: max |h - h^dag| = {:.3e}"))
+    return _psd_sqrt(h)
+
+
+def _psd_sqrt(h: np.ndarray) -> np.ndarray:
+    """``psd_sqrt`` of the Hermitian part, for input already known to be
+    Hermitian (a validated state); the PSD check stays."""
+    w, v = np.linalg.eigh((h + dagger(h)) / 2)
+    reject((w[..., 0] < -tolerances.psd, w[..., 0],
+            "matrix is not PSD: min eigenvalue {:.3e}"))
+    # np.maximum gives np.clip(w, 0, None)'s values without its wrapper cost
+    w = np.sqrt(np.maximum(w, 0.0))
+    return (v * w[..., None, :]) @ dagger(v)
 
 
 def trace_norm(h) -> float:

@@ -43,7 +43,7 @@ def _extended_problem(
     # input given on (A, R); insert the blank B and reorder to (A, B, R)
     big = linalg.kron(joint_input.mat, blank_state(n).mat)  # order (A, R, B)
     cr_mat = linalg.permute_registers(big, (n, r_dim, n), [0, 2, 1])
-    cr = DensityMatrix(cr_mat, (n, n, r_dim))
+    cr = DensityMatrix._trusted(cr_mat, (n, n, r_dim))
     return DeutschProblem(layout, interaction, cr)
 
 
@@ -70,7 +70,7 @@ def run_entangled_clone(
     rho_a = DensityMatrix.sanitize(
         linalg.partial_trace(joint_input.mat, (n, r_dim), [0])
     )
-    expected_ab = DensityMatrix(linalg.kron(rho_a.mat, rho_a.mat), (n, n))
+    expected_ab = DensityMatrix._trusted(linalg.kron(rho_a.mat, rho_a.mat), (n, n))
     deviation = linalg.trace_distance(reduced_ab.mat, expected_ab.mat)
     return NoSignalReport(
         rho_tot=rho_tot.with_dims(dims),

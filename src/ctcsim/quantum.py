@@ -28,7 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .linalg import as_matrix, tolerances
+from .linalg import as_matrix, dagger, reject, tolerances
+
+TRACE_TOL = 1e-10  # max |Tr rho - 1| accepted for a density matrix
 
 
 @dataclass(frozen=True)
@@ -52,15 +54,15 @@ class Layout:
             if self.ctc_index != len(regs) - 1:
                 raise ValueError("the CTC register must be last in tensor order")
 
-    @property
+    @cached_property
     def names(self) -> tuple:
         return tuple(n for n, _ in self.registers)
 
-    @property
+    @cached_property
     def dims(self) -> tuple:
         return tuple(d for _, d in self.registers)
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
         return math.prod(self.dims)
 
@@ -79,7 +81,7 @@ class Layout:
             raise ValueError("layout has no CTC register")
         return self.registers[self.ctc_index][1]
 
-    @property
+    @cached_property
     def cr_dims(self) -> tuple:
         """Dimensions of the chronology-respecting (non-CTC) registers."""
         return tuple(
@@ -119,12 +121,74 @@ class PureState:
         return np.outer(self.amps, self.amps.conj())
 
     def density(self) -> "DensityMatrix":
-        return DensityMatrix(self.projector())
+        p = self.projector()
+        # the norm tolerance admits a trace of 1 +- 2e-10, beyond TRACE_TOL;
+        # renormalise only then, so a projector of valid trace keeps its bits
+        tr = float(np.real(np.trace(p)))
+        if abs(tr - 1.0) > TRACE_TOL:
+            p = p / tr
+        return DensityMatrix(p)
+
+
+def check_density(m: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every (..., n, n) entry of ``m`` is
+    Hermitian, PSD and of unit trace within the tolerances; for a stack the
+    error (a ``linalg.StackError``) names the first failing entry."""
+    defect = linalg.hermiticity_defect(m)
+    w = np.linalg.eigvalsh((m + dagger(m)) / 2)[..., 0]
+    tr = np.real(np.trace(m, axis1=-2, axis2=-1))
+    reject(
+        (defect > tolerances.herm, defect,
+         "matrix is not Hermitian: max |h - h^dag| = {:.3e}"),
+        (w < -tolerances.psd, w, "not PSD: min eigenvalue {:.3e}"),
+        (np.abs(tr - 1.0) > TRACE_TOL, tr, f"trace {{}} is not 1 within {TRACE_TOL}"),
+    )
+
+
+def check_unitary(m: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every (..., n, n) entry of ``m`` has
+    max |U^dag U - I| within ``tolerances.unitary``; for a stack the error
+    (a ``linalg.StackError``) names the first failing entry."""
+    defect = np.abs(dagger(m) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1))
+    reject((defect > tolerances.unitary, defect,
+            "not unitary: max |U^dag U - I| = {:.3e}"))
+
+
+def _sanitize(m: np.ndarray) -> np.ndarray:
+    """Symmetrize, clamp small negative eigenvalues and renormalize each
+    (..., n, n) entry with one eigendecomposition; an eigenvalue below
+    ``-tolerances.psd`` still rejects."""
+    m = (m + dagger(m)) / 2
+    w, v = np.linalg.eigh(m)
+    reject((w[..., 0] < -tolerances.psd, w[..., 0],
+            "not PSD even before clamping: {:.3e}"))
+    # np.maximum gives np.clip(w, 0, None)'s values without its wrapper cost
+    w = np.maximum(w, 0.0)
+    m = (v * w[..., None, :]) @ dagger(v)
+    m = (m + dagger(m)) / 2
+    return m / np.real(np.trace(m, axis1=-2, axis2=-1))[..., None, None]
+
+
+def _register_dims(side: int, dims) -> tuple:
+    dims = (side,) if dims is None else tuple(int(d) for d in dims)
+    if math.prod(dims) != side:
+        raise ValueError(f"dims {dims} do not match side {side}")
+    return dims
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, trace-one operator, optionally with register dims."""
+    """Hermitian, PSD, trace-one operator, optionally with register dims.
+
+    The public constructor validates its input (one eigendecomposition): use
+    it for anything arriving from outside, the API, a DSL file or the CLI.
+    Results that are density matrices by construction from validated inputs
+    (``sanitize`` output, the kron of two states, a reordering of their
+    tensor factors, ``sampling.random_density``) are wrapped by the internal
+    ``_trusted`` constructor, which checks only the register dims.
+    ``check_density`` runs the same validation on an (..., n, n) stack at
+    once.
+    """
 
     mat: np.ndarray
     dims: tuple = None
@@ -132,23 +196,24 @@ class DensityMatrix:
     def __post_init__(self):
         m = as_matrix(self.mat)
         object.__setattr__(self, "mat", m)
-        dims = (m.shape[0],) if self.dims is None else tuple(int(d) for d in self.dims)
-        if int(np.prod(dims)) != m.shape[0]:
-            raise ValueError(f"dims {dims} do not match side {m.shape[0]}")
-        object.__setattr__(self, "dims", dims)
-        w, _ = linalg.hermitian_eig(m)
-        if w[0] < -tolerances.psd:
-            raise ValueError(f"not PSD: min eigenvalue {w[0]:.3e}")
-        tr = float(np.real(np.trace(m)))
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"trace {tr} is not 1 within 1e-10")
+        object.__setattr__(self, "dims", _register_dims(m.shape[0], self.dims))
+        check_density(m)
+
+    @classmethod
+    def _trusted(cls, mat: np.ndarray, dims=None) -> "DensityMatrix":
+        """Wrap a complex (n, n) array that is a density matrix by
+        construction, skipping the eigendecomposition."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "mat", mat)
+        object.__setattr__(rho, "dims", _register_dims(mat.shape[0], dims))
+        return rho
 
     @property
     def side(self) -> int:
         return self.mat.shape[0]
 
     def with_dims(self, dims: Sequence[int]) -> "DensityMatrix":
-        return DensityMatrix(self.mat, tuple(dims))
+        return DensityMatrix._trusted(self.mat, dims)
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
@@ -159,17 +224,10 @@ class DensityMatrix:
         """Symmetrize, clamp small negative eigenvalues, renormalize.
 
         Guards solver output against numerical drift; anything beyond the PSD
-        tolerance still rejects.
+        tolerance still rejects. The result is a density matrix by
+        construction and is not checked again.
         """
-        m = as_matrix(m)
-        m = (m + m.conj().T) / 2
-        w, v = np.linalg.eigh(m)
-        if w[0] < -tolerances.psd:
-            raise ValueError(f"not PSD even before clamping: {w[0]:.3e}")
-        w = np.clip(w, 0.0, None)
-        m = (v * w) @ v.conj().T
-        m = (m + m.conj().T) / 2
-        return cls(m / np.real(np.trace(m)), dims)
+        return cls._trusted(_sanitize(as_matrix(m)), dims)
 
 
 @dataclass(frozen=True)
@@ -178,9 +236,7 @@ class Unitary:
 
     def __post_init__(self):
         m = as_matrix(self.mat)
-        defect = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-        if defect > tolerances.unitary:
-            raise ValueError(f"not unitary: max |U^dag U - I| = {defect:.3e}")
+        check_unitary(m)
         object.__setattr__(self, "mat", m)
 
     @property

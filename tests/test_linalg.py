@@ -50,6 +50,13 @@ class TestKron:
         d = np.diag([1.0, 2.0]).astype(complex)
         assert np.array_equal(linalg.kron(X, d), kron_oracle(X, d))
 
+    def test_stack_matches_np_kron_bitwise(self, rng):
+        a = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+        b = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+        got = linalg.kron(a, b)
+        for k in range(4):
+            assert np.array_equal(got[k], np.kron(a[k], b[k]))
+
     def test_associative(self, rng):
         for _ in range(20):
             a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -102,6 +109,13 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             linalg.partial_trace(np.eye(4), [2, 3], {0})
 
+    def test_stack_matches_single_matrices(self, rng):
+        m = np.array([random_hermitian(rng, 12) for _ in range(3)])
+        got = linalg.partial_trace(m, [2, 3, 2], {0, 2})
+        assert got.shape == (3, 4, 4)
+        for k in range(3):
+            assert np.array_equal(got[k], linalg.partial_trace(m[k], [2, 3, 2], {0, 2}))
+
 
 class TestHermitianEig:
     def test_diagonal_sorted(self):
@@ -144,6 +158,12 @@ class TestPsdSqrt:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="not PSD"):
             linalg.psd_sqrt(np.diag([1.0, -1.0]))
+
+    def test_rejects_non_hermitian_stack_entry(self):
+        stack = np.array([np.eye(2), [[1, 1], [0, 1]]], dtype=complex)
+        with pytest.raises(linalg.StackError, match="not Hermitian") as info:
+            linalg.psd_sqrt(stack)
+        assert info.value.index == 1
 
 
 class TestTraceDistance:

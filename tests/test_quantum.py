@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_alphabet
-from ctcsim import linalg
+from ctcsim import linalg, quantum
 from ctcsim.sampling import haar_unitary
 from ctcsim.cloning import build_mixed_cloner, build_pure_cloner, make_problem
 from ctcsim.engine import DeutschProblem
@@ -14,6 +14,7 @@ from ctcsim.quantum import (
     PureState,
     Unitary,
     basis_mapper,
+    check_density,
     csum_gate,
     embed_on_registers,
     embed_unitary,
@@ -191,6 +192,36 @@ class TestStates:
         m = np.diag([1.0 + 3e-11, -3e-11]).astype(complex)
         rho = DensityMatrix.sanitize(m)
         assert rho.mat[1, 1].real >= 0
+
+    def test_sanitize_rejects_eigenvalue_below_psd_tolerance(self):
+        eps = 2 * linalg.tolerances.psd
+        with pytest.raises(ValueError, match="not PSD even before clamping"):
+            DensityMatrix.sanitize(np.diag([1.0 + eps, -eps]))
+
+    def test_sanitized_stack_matches_single_matrices(self, rng):
+        z = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        m = z @ z.conj().swapaxes(-1, -2)
+        stacked = quantum._sanitize(m)
+        for k in range(5):
+            assert np.array_equal(stacked[k], DensityMatrix.sanitize(m[k]).mat)
+
+    def test_density_of_every_accepted_pure_state(self):
+        # the norm tolerance admits a projector trace of 1 + 1.8e-10
+        state = PureState(np.array([1 + 0.9e-10, 0]))
+        rho = state.density()
+        assert abs(np.trace(rho.mat).real - 1.0) <= 1e-15
+        # a projector whose trace is already within tolerance keeps its bits
+        plus = PureState.normalized([1, 1])
+        assert np.array_equal(plus.density().mat, plus.projector())
+
+    def test_stack_check_names_first_failing_entry(self):
+        good = np.eye(2, dtype=complex) / 2
+        stack = np.array([good, good, np.diag([1.5, -0.5]), good], dtype=complex)
+        stack[3, 0, 1] = 0.1  # not Hermitian, but later than the non-PSD entry
+        with pytest.raises(linalg.StackError, match="not PSD") as info:
+            check_density(stack)
+        assert info.value.index == 2
+        check_density(stack[:2])
 
 
 class TestSwap:
