@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -23,19 +24,14 @@ from .cloning import (
     build_pure_cloner,
     run_clone,
 )
-from .engine import SolverOptions, evolve
+from .engine import SolverOptions, evolve, kraus_stack, solve_stack
 from .fidelity import fidelities, monotonicity_margins, multiplicativity_defects
+from .linalg import CHUNK_TRIALS, chunks  # noqa: F401 (the sweeps' chunk size)
 from .nosignal import run_entangled_clone
 from .quantum import DensityMatrix, Layout, PureState, check_density, check_unitary
 
 FORMAT_VERSION = 1
 PASS_TOL = 1e-9
-# the fidelity and baseline sweeps draw and evaluate trials as one stack of
-# at most CHUNK_TRIALS trials and CHUNK_ENTRIES entries per matrix stack, so
-# peak memory stays bounded for any --trials and --dim; the bits do not
-# depend on the chunking
-CHUNK_TRIALS = 256
-CHUNK_ENTRIES = 2**18
 
 
 def _default_tol() -> float:
@@ -216,7 +212,9 @@ def cmd_demo(args) -> int:
         except ValueError:
             print(f"error: invalid probabilities {args.probs!r}", file=sys.stderr)
             return 1
-        if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
+        # NaN passes the sign and sum comparisons, so test finiteness first
+        if (any(not math.isfinite(p) or p < 0 for p in probs)
+                or abs(sum(probs) - 1.0) > 1e-9):
             print("error: probabilities must be nonnegative and sum to 1",
                   file=sys.stderr)
             return 1
@@ -237,22 +235,29 @@ def cmd_demo(args) -> int:
             "output": matrix_doc(rep.output.mat),
         }
     else:  # nosignal
+        bell = PureState.normalized([0, 1, 1, 0]).density().with_dims((2, 2))
         if args.cloner == "mixed":
             cloner = build_mixed_cloner(2)
         else:
             cloner = build_pure_cloner(
                 Alphabet((PureState.basis(2, 0), PureState.basis(2, 1)))
             )
-        bell = PureState.normalized([0, 1, 1, 0])
-        rep = run_entangled_clone(cloner, bell.density().with_dims((2, 2)), opts)
-        passed = rep.deviation <= PASS_TOL
+        rep = run_entangled_clone(cloner, bell, opts)
+        expected, deviation = rep.expected_ab.mat, rep.deviation
+        if args.cloner == "pure":
+            # the basis-alphabet cloner does not broadcast the mixed rho_A;
+            # no signalling means the local output equals the clone of rho_A
+            rho_a = DensityMatrix(linalg.partial_trace(bell.mat, (2, 2), [0]))
+            expected = run_clone(cloner, rho_a, opts).output.mat
+            deviation = linalg.trace_distance(rep.reduced_ab.mat, expected)
+        passed = deviation <= PASS_TOL
         report = {
             "format_version": FORMAT_VERSION,
             "command": "demo nosignal",
             "cloner": args.cloner,
-            "deviation": rep.deviation,
+            "deviation": deviation,
             "reduced_AB": matrix_doc(rep.reduced_ab.mat),
-            "expected_AB": matrix_doc(rep.expected_ab.mat),
+            "expected_AB": matrix_doc(expected),
             "fixed_point": _fixed_point_doc(rep.fixed_point),
         }
     code = _dump_report(report, args.format, args.out)
@@ -262,12 +267,9 @@ def cmd_demo(args) -> int:
     return 0 if passed else 2
 
 
-def _chunks(trials, side):
-    """(lo, hi) trial ranges, one per stack; ``side`` is the largest matrix
-    side drawn per trial."""
-    size = max(1, min(CHUNK_TRIALS, CHUNK_ENTRIES // (side * side)))
-    for lo in range(0, trials, size):
-        yield lo, min(lo + size, trials)
+def _trial_error(lo, exc: linalg.StackError) -> ValueError:
+    """The error of a stack over trials lo, lo + 1, ..., naming the trial."""
+    return ValueError(f"trial {lo + exc.index}: {exc.message}")
 
 
 def _check_trials(lo, checks):
@@ -280,15 +282,14 @@ def _check_trials(lo, checks):
         except linalg.StackError as exc:
             failures.append(exc)
     if failures:
-        first = min(failures, key=lambda exc: exc.index)
-        raise ValueError(f"trial {lo + first.index}: {first.message}")
+        raise _trial_error(lo, min(failures, key=lambda exc: exc.index))
 
 
 def _sweep_fidelity(rng, trials, dim):
     rows = []
     worst = {"multiplicativity": 0.0, "monotonicity": np.inf,
              "symmetry": 0.0, "unitary_invariance": 0.0}
-    for lo, hi in _chunks(trials, dim * dim):
+    for lo, hi in chunks(trials, dim * dim):
         # per trial: four states a, b, c, d, two states on dim x dim and a
         # Haar unitary, the order of the per-trial generators
         *draws, z_u = sampling.ginibre_trials(
@@ -323,18 +324,25 @@ def _sweep_fidelity(rng, trials, dim):
 
 
 def _sweep_fixed_points(rng, trials, dim):
-    from .engine import DeutschProblem, solve_fixed_point
-
     rows = []
     worst = {"residual": 0.0}
     layout = Layout((("CR", dim), ("CTC", dim)), ctc_index=1)
-    for t in range(trials):
-        u = sampling.haar_unitary(rng, dim * dim)
-        cr = sampling.random_density(rng, dim)
-        fp = solve_fixed_point(DeutschProblem(layout, u, cr))
-        rows.append({"trial": t, "residual": fp.residual,
-                     "multiplicity": fp.multiplicity})
-        worst["residual"] = max(worst["residual"], fp.residual)
+    # the largest matrix per trial is the d^2 x d^2 superoperator
+    for lo, hi in chunks(trials, dim * dim):
+        # per trial: a Haar unitary on CR x CTC, then the CR state
+        z_u, z_cr = sampling.ginibre_trials(rng, hi - lo, (dim * dim, dim))
+        u = sampling.haar_from_ginibre(z_u)
+        _check_trials(lo, [(check_unitary, u)])
+        cr = sampling.density_from_ginibre(z_cr)
+        try:
+            fps = solve_stack(kraus_stack(layout, u, cr))
+        except linalg.StackError as exc:
+            raise _trial_error(lo, exc) from None
+        for t in range(hi - lo):
+            residual = float(fps.residual[t])
+            rows.append({"trial": lo + t, "residual": residual,
+                         "multiplicity": int(fps.multiplicity[t])})
+            worst["residual"] = max(worst["residual"], residual)
     return rows, worst, worst["residual"] <= 1e-10
 
 
@@ -345,7 +353,7 @@ def _sweep_baseline(rng, trials, dim):
     ancilla = PureState.basis(dim, 0).density()
     rows = []
     worst = {"min_infidelity": np.inf}
-    for lo, hi in _chunks(trials, dim**3):
+    for lo, hi in chunks(trials, dim**3):
         (z,) = sampling.ginibre_trials(rng, hi - lo, (dim**3,))
         u = sampling.haar_from_ginibre(z)
         _check_trials(lo, [(check_unitary, u)])
@@ -359,6 +367,8 @@ def _sweep_baseline(rng, trials, dim):
 def cmd_sweep(args) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    if args.dim < 2:
+        raise ValueError(f"--dim must be >= 2, got {args.dim}")
     rng = np.random.default_rng(args.seed)
     if args.kind == "fidelity-props":
         rows, worst, ok = _sweep_fidelity(rng, args.trials, args.dim)

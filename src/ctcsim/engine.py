@@ -9,20 +9,40 @@ K_(k,a) = sqrt(l_k) (<a| x I) U (|phi_k> x I), one d x d block for each
 eigenvector k and each CR output basis state a. Only the r*d columns
 U (|phi_k> x I) of the interaction enter, r being the rank of rho_CR; they
 come from pushing the input columns |phi_k> x |c> through the interaction's
-local gates (a dense ``Unitary`` is the one gate over every register), so no
-path forms rho_CR x sigma, a D x D interaction, or a D x D conjugation. The
-stack is built once per problem (``DeutschProblem.kraus``) and checked for
-trace preservation, sum K^dag K = I, as one d x d product. The superoperator is
-S = sum K x conj(K), the map and the residual apply sum K X K^dag, and the
-visible output traces the CTC out of the same blocks applied to sigma.
+local gates, or through a dense unitary, so no path forms rho_CR x sigma or a
+D x D conjugation. The superoperator is S = sum K x conj(K), the map and the
+residual apply sum K X K^dag, and the visible output traces the CTC out of
+the same blocks applied to sigma.
 
-Two solver paths exist. ``eig`` takes the null space of S - I and projects
-onto it; ``cesaro`` iterates the averaged map rho -> (rho + M(rho)) / 2 from
-the maximally mixed state, which converges geometrically to the
-time-averaged limit even when plain iteration cycles. Both return the unique
-fixed point when there is only one (multiplicity 1). With several fixed
-points they may select different ones, because ``eig`` projects the
-maximally mixed state orthogonally rather than taking its averaged limit.
+Every kernel acts on a stack of B problems on one layout. ``kraus_stack``
+takes the CR inputs as a (B, D_cr, D_cr) array and the interaction as one
+shared ``GateList`` or ``Unitary`` or as a (B, D, D) stack of dense
+unitaries; the input columns of all members of one kept rank go through the
+interaction in one ``GateList.apply`` or one batched product. It returns the
+(B, r * D_cr, d, d) Kraus stack, r being the largest kept rank in the
+stack: a member of lower rank ends in exactly-zero blocks, which add nothing.
+Each member's products keep the shapes of its own stack of one, so a stacked
+solve gives every member the bits of its single solve. Sum K^dag K = I is
+checked once per stack. ``solve_stack`` builds the (B, d^2, d^2)
+superoperators and solves them together into ``FixedPoints`` (CTC states
+(B, d, d), residuals and multiplicities (B,)); ``output_stack`` gives the
+(B, D_cr, D_cr) visible outputs. A failing member raises
+``linalg.StackError`` naming its position in the stack. The single-problem
+API (``DeutschProblem.kraus``, ``solve_fixed_point``, ``deutsch_map``,
+``output_state``, ``build_superoperator``) runs the same kernels on a stack
+of one, with the single-problem error messages.
+
+Two solver methods exist. ``eig`` takes the null space of S - I from one
+SVD per member, its last right singular vector when the null space is at
+most one-dimensional, otherwise (a per-member branch) the least-squares
+projection of the maximally mixed state onto it. ``cesaro`` iterates the
+averaged map rho -> (rho + M(rho)) / 2 from the maximally mixed state, which
+converges geometrically to the time-averaged limit even when plain
+iteration cycles; it runs member by member, until the Cesaro path is
+replaced by one exact solver (ROADMAP item 2). Both return the unique fixed
+point when there is only one (multiplicity 1). With several fixed points
+they may select different ones, because ``eig`` projects the maximally
+mixed state orthogonally rather than taking its averaged limit.
 """
 
 from __future__ import annotations
@@ -34,9 +54,76 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .quantum import DensityMatrix, GateList, Layout, Unitary
+from .quantum import DensityMatrix, GateList, Layout, Unitary, _sanitize
 
 EIG_DIM_CUTOFF = 8  # largest CTC dimension still solved by dense eigendecomposition
+
+
+def _kraus_blocks(interaction, lam, phi, d: int, r: int) -> np.ndarray:
+    """The Kraus operators of members whose kept rank is r, from their r
+    largest eigenpairs: (B, r, D_cr, d, d), entry (b, k, a) the block of
+    Kraus operator (k, a)."""
+    b, cr_dim = phi.shape[0], phi.shape[1]
+    cols = phi[:, :, -r:] * np.sqrt(lam[:, -r:])[:, None, :]  # (B, D_cr, r)
+    # the r * d input columns |phi_k> x |c> of each member, column (k, c)
+    diag = np.arange(d)
+    inputs = np.zeros((b, cr_dim, d, r, d), dtype=complex)
+    inputs[:, :, diag, :, diag] = cols
+    inputs = inputs.reshape(b, cr_dim * d, r * d)
+    if isinstance(interaction, GateList):
+        out = interaction.apply(inputs)
+    elif isinstance(interaction, Unitary):
+        out = interaction.mat @ inputs
+    else:
+        out = interaction @ inputs
+    return out.reshape(b, cr_dim, d, r, d).transpose(0, 3, 1, 2, 4)
+
+
+def kraus_stack(
+    layout: Layout, interaction: GateList | Unitary | np.ndarray, cr: np.ndarray
+) -> np.ndarray:
+    """Kraus operators of B induced CTC maps on ``layout``, shape
+    (B, r * D_cr, d, d): entry (b, (k, a)) is sqrt(l_k) (<a| x I) U (|phi_k> x I)
+    for the eigenpairs (l_k, phi_k) of ``cr[b]``.
+
+    ``cr`` is a (B, D_cr, D_cr) stack of CR inputs; ``interaction`` is one
+    ``GateList`` or ``Unitary`` shared by the stack, or a (B, D, D) array of
+    dense unitaries. r is the largest kept rank in the stack; a member of
+    lower rank ends in zero blocks.
+
+    Raises ``linalg.StackError`` for the first member whose sum K^dag K is
+    not the identity (times the weight of its kept eigenvalues) within
+    ``tolerances.unitary``: the trace preservation every solver path
+    relies on.
+    """
+    d = layout.ctc_dim
+    b, cr_dim = cr.shape[0], cr.shape[-1]
+    lam, phi = np.linalg.eigh(cr)
+    # eigenvalues at rounding level carry no weight; dropping them keeps
+    # the stack at the true rank of rho_CR
+    keep = lam > lam[:, -1:] * cr_dim * np.finfo(float).eps
+    ranks = keep.sum(axis=1)
+    # members of one rank go through the interaction together, in products
+    # of the width their own stacks would have (a wider product can round a
+    # column differently), and zero blocks add nothing to a sum over the
+    # Kraus index, so each member keeps the bits of its own stack
+    groups = sorted(set(ranks.tolist()))
+    if len(groups) == 1:
+        k = _kraus_blocks(interaction, lam, phi, d, groups[0])
+    else:
+        k = np.zeros((b, groups[-1], cr_dim, d, d), dtype=complex)
+        for rank in groups:
+            m = ranks == rank
+            u = interaction[m] if isinstance(interaction, np.ndarray) else interaction
+            k[m, :rank] = _kraus_blocks(u, lam[m], phi[m], d, rank)
+    k = k.reshape(b, -1, d, d)
+    flat = k.reshape(b, -1, d)
+    total = np.where(keep, lam, 0.0).sum(axis=1)[:, None, None] * np.eye(d)
+    defect = np.abs(linalg.dagger(flat) @ flat - total).max(axis=(1, 2))
+    linalg.reject((defect > linalg.tolerances.unitary, defect,
+                   "induced map is not trace preserving: "
+                   "max |sum K^dag K - I| = {:.3e}"))
+    return k
 
 
 @dataclass(frozen=True)
@@ -73,45 +160,14 @@ class DeutschProblem:
     def ctc_dim(self) -> int:
         return self.layout.ctc_dim
 
-    @property
-    def gates(self) -> GateList:
-        """The interaction as a gate list; a dense ``Unitary`` is the one
-        gate over every register."""
-        if isinstance(self.interaction, GateList):
-            return self.interaction
-        return GateList(self.layout, ((self.layout.names, self.interaction),))
-
     @cached_property
     def kraus(self) -> np.ndarray:
         """Kraus operators of the induced CTC map, shape (r * D_cr, d, d):
-        entry (k, a) is sqrt(l_k) (<a| x I) U (|phi_k> x I).
-
-        Raises ``ValueError`` unless sum K^dag K is the identity (times the
-        weight of the kept eigenvalues) within ``tolerances.unitary``: the
-        trace preservation every solver path relies on.
-        """
-        d = self.ctc_dim
-        cr_dim = self.cr_input.side
-        lam, phi = np.linalg.eigh(self.cr_input.mat)
-        # eigenvalues at rounding level carry no weight; dropping them keeps
-        # the stack at the true rank of rho_CR
-        keep = lam > lam[-1] * cr_dim * np.finfo(float).eps
-        weights = lam[keep]
-        cols = phi[:, keep] * np.sqrt(weights)
-        r = cols.shape[1]
-        # the r * d input columns |phi_k> x |c>, column index (k, c)
-        inputs = np.zeros((cr_dim, d, r, d), dtype=complex)
-        inputs[:, np.arange(d), :, np.arange(d)] = cols
-        out = self.gates.apply(inputs.reshape(cr_dim * d, r * d))
-        k = out.reshape(cr_dim, d, r, d).transpose(2, 0, 1, 3).reshape(-1, d, d)
-        flat = k.reshape(-1, d)
-        defect = np.abs(flat.conj().T @ flat - weights.sum() * np.eye(d)).max()
-        if defect > linalg.tolerances.unitary:
-            raise ValueError(
-                "induced map is not trace preserving: "
-                f"max |sum K^dag K - I| = {defect:.3e}"
-            )
-        return k
+        ``kraus_stack`` on a stack of one. Raises ``ValueError`` unless
+        sum K^dag K is the identity within ``tolerances.unitary``."""
+        with linalg.single_entry():
+            k = kraus_stack(self.layout, self.interaction, self.cr_input.mat[None])
+        return k[0]
 
 
 @dataclass
@@ -139,13 +195,45 @@ class FixedPointResult:
     iterations: int
 
 
-def _map_raw(problem: DeutschProblem, ctc_mat: np.ndarray) -> np.ndarray:
-    """Apply the induced CTC map to an arbitrary operator on the CTC register:
-    sum_K K X K^dag."""
-    k = problem.kraus
-    d = problem.ctc_dim
-    kx = (k @ ctc_mat).transpose(1, 0, 2).reshape(d, -1)
-    return kx @ k.transpose(1, 0, 2).reshape(d, -1).conj().T
+@dataclass
+class FixedPoints:
+    """Solver results for a stack of B problems; ``fps[i]`` is member i's
+    ``FixedPointResult``."""
+
+    rho_ctc: np.ndarray       # (B, d, d), density matrices by construction
+    residual: np.ndarray      # (B,)
+    multiplicity: np.ndarray  # (B,)
+    method_used: str
+    iterations: np.ndarray    # (B,)
+
+    def __getitem__(self, i: int) -> FixedPointResult:
+        return FixedPointResult(
+            rho_ctc=DensityMatrix._trusted(self.rho_ctc[i]),
+            residual=float(self.residual[i]),
+            multiplicity=int(self.multiplicity[i]),
+            method_used=self.method_used,
+            iterations=int(self.iterations[i]),
+        )
+
+
+def _maps(k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Apply each member's induced map to an arbitrary (B, d, d) operator
+    stack on the CTC register: sum_K K X K^dag."""
+    b, _, d, _ = k.shape
+    kx = (k @ x[:, None]).transpose(0, 2, 1, 3).reshape(b, d, -1)
+    return kx @ linalg.dagger(k.transpose(0, 2, 1, 3).reshape(b, d, -1))
+
+
+def _residuals(k: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    return linalg.trace_distance(_maps(k, rho), rho)
+
+
+def _superoperators(k: np.ndarray) -> np.ndarray:
+    """Row-major-vec linearizations S = sum_K K x conj(K), (B, d^2, d^2)."""
+    b, n, d, _ = k.shape
+    flat = k.reshape(b, n, d * d)
+    s = flat.swapaxes(1, 2) @ flat.conj()  # indices (a, b), (c, e)
+    return s.reshape(b, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(b, d * d, d * d)
 
 
 def deutsch_map(problem: DeutschProblem, rho_ctc: DensityMatrix) -> DensityMatrix:
@@ -154,7 +242,19 @@ def deutsch_map(problem: DeutschProblem, rho_ctc: DensityMatrix) -> DensityMatri
         raise ValueError(
             f"CTC state side {rho_ctc.side} does not match dim {problem.ctc_dim}"
         )
-    return DensityMatrix.sanitize(_map_raw(problem, rho_ctc.mat))
+    return DensityMatrix.sanitize(_maps(problem.kraus[None], rho_ctc.mat[None])[0])
+
+
+def output_stack(k: np.ndarray, rho_ctc: np.ndarray, cr_dim: int) -> np.ndarray:
+    """Visible outputs of a stack: trace the CTC register out of each
+    member's evolved joint state, sanitized, (B, D_cr, D_cr)."""
+    # blocks[b, a, k] is Kraus operator (k, a); entry (a, c) of the output
+    # sums the row products of blocks[b, a, k] sigma and conj(blocks[b, c, k])
+    b, _, d, _ = k.shape
+    blocks = k.reshape(b, -1, cr_dim, d, d).transpose(0, 2, 1, 3, 4)
+    evolved = (blocks @ rho_ctc[:, None, None]).reshape(b, cr_dim, -1)
+    reduced = evolved @ linalg.dagger(blocks.reshape(b, cr_dim, -1))
+    return _sanitize(reduced)
 
 
 def output_state(problem: DeutschProblem, rho_ctc: DensityMatrix) -> DensityMatrix:
@@ -163,94 +263,89 @@ def output_state(problem: DeutschProblem, rho_ctc: DensityMatrix) -> DensityMatr
         raise ValueError(
             f"CTC state side {rho_ctc.side} does not match dim {problem.ctc_dim}"
         )
-    # blocks[a, k] is Kraus operator (k, a); entry (a, b) of the output sums
-    # the row products of blocks[a, k] sigma and conj(blocks[b, k]) over k
-    d = problem.ctc_dim
-    cr_dim = problem.cr_input.side
-    blocks = problem.kraus.reshape(-1, cr_dim, d, d).transpose(1, 0, 2, 3)
-    evolved = (blocks @ rho_ctc.mat).reshape(cr_dim, -1)
-    reduced = evolved @ blocks.reshape(cr_dim, -1).conj().T
-    return DensityMatrix.sanitize(reduced, problem.layout.cr_dims)
+    with linalg.single_entry():
+        out = output_stack(
+            problem.kraus[None], rho_ctc.mat[None], problem.cr_input.side
+        )
+    return DensityMatrix._trusted(out[0], problem.layout.cr_dims)
 
 
 def build_superoperator(problem: DeutschProblem) -> np.ndarray:
     """Row-major-vec linearization of the CTC map: vec(M(rho)) = S vec(rho),
     with S = sum_K K x conj(K)."""
-    d = problem.ctc_dim
-    k = problem.kraus
-    s = np.tensordot(k, k.conj(), axes=(0, 0))  # indices (a, b, c, e)
-    return s.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    return _superoperators(problem.kraus[None])[0]
 
 
-def _multiplicity(s: np.ndarray, window: float) -> int:
-    eigvals = np.linalg.eigvals(s)
-    return int(np.sum(np.abs(eigvals - 1.0) <= window))
-
-
-def _residual(problem: DeutschProblem, mat: np.ndarray) -> float:
-    return linalg.trace_distance(_map_raw(problem, mat), mat)
-
-
-def _solve_eig(problem: DeutschProblem, opts: SolverOptions, s: np.ndarray):
-    d = problem.ctc_dim
+def _solve_eig(s: np.ndarray, opts: SolverOptions) -> np.ndarray:
+    """Unnormalized fixed-point candidates of a (B, d^2, d^2) stack."""
+    b, dd, _ = s.shape
+    d = math.isqrt(dd)
     # fixed points = null space of S - I; SVD keeps this robust for
-    # non-normal superoperators
-    u_sv, sv, vh = np.linalg.svd(s - np.eye(d * d))
-    null_mask = sv <= max(opts.eig_one_window, sv[0] * 1e-14)
-    basis = vh[null_mask].conj().T  # columns span the fixed subspace
-    if basis.shape[1] == 0:
-        # fall back to the single smallest singular vector
-        basis = vh[-1:].conj().T
-    if basis.shape[1] == 1:
-        candidate = basis[:, 0].reshape(d, d)
-    else:
-        seed = (np.eye(d, dtype=complex) / d).reshape(-1)
+    # non-normal superoperators. Singular values descend, so the null
+    # space is spanned by the last rows of vh.
+    _, sv, vh = np.linalg.svd(s - np.eye(dd))
+    nulls = np.sum(sv <= np.maximum(opts.eig_one_window, sv[:, :1] * 1e-14), axis=1)
+    # at most one null vector: take it, or the smallest singular vector
+    candidate = vh[:, -1].conj().reshape(b, d, d)
+    seed = (np.eye(d, dtype=complex) / d).reshape(-1)
+    for i in np.flatnonzero(nulls > 1):
+        basis = vh[i, -nulls[i]:].conj().T  # columns span the fixed subspace
         coeff, *_ = np.linalg.lstsq(basis, seed, rcond=None)
-        candidate = (basis @ coeff).reshape(d, d)
-    tr = np.trace(candidate)
-    if abs(tr) < 1e-12:
-        raise ValueError("eigensolver produced a traceless fixed-point candidate")
-    return DensityMatrix.sanitize(candidate / tr), 0
+        candidate[i] = (basis @ coeff).reshape(d, d)
+    return candidate
 
 
-def _solve_cesaro(problem: DeutschProblem, opts: SolverOptions):
-    d = problem.ctc_dim
+def _solve_cesaro(k: np.ndarray, opts: SolverOptions):
+    """The averaged iteration for a stack of one member."""
+    d = k.shape[-1]
     rho = np.eye(d, dtype=complex) / d
     best = rho
-    best_res = _residual(problem, rho)
+    best_res = _residuals(k, rho[None])[0]
     iterations = 0
     while best_res > opts.tol_residual and iterations < opts.max_iter:
-        rho = 0.5 * (rho + _map_raw(problem, rho))
+        rho = 0.5 * (rho + _maps(k, rho[None])[0])
         rho = (rho + rho.conj().T) / 2
         iterations += 1
-        res = _residual(problem, rho)
+        res = _residuals(k, rho[None])[0]
         if res < best_res:
             best, best_res = rho, res
-    return DensityMatrix.sanitize(best), iterations
+    return best, iterations
+
+
+def solve_stack(kraus: np.ndarray, opts: SolverOptions | None = None) -> FixedPoints:
+    """The canonical fixed point of each member of a (B, n, d, d) Kraus
+    stack, solved together. Raises ``linalg.StackError`` naming the first
+    member whose candidate is traceless or not PSD."""
+    opts = opts or SolverOptions()
+    b, d = kraus.shape[0], kraus.shape[-1]
+    method = opts.method
+    if method == "auto":
+        method = "eig" if d <= EIG_DIM_CUTOFF else "cesaro"
+    s = _superoperators(kraus)
+    eigvals = np.linalg.eigvals(s)
+    multiplicity = np.sum(np.abs(eigvals - 1.0) <= opts.eig_one_window, axis=1)
+    iterations = np.zeros(b, dtype=int)
+    if method == "eig":
+        candidate = _solve_eig(s, opts)
+        tr = np.trace(candidate, axis1=1, axis2=2)
+        linalg.reject((np.abs(tr) < 1e-12, np.abs(tr),
+                       "eigensolver produced a traceless fixed-point candidate"))
+        candidate = candidate / tr[:, None, None]
+    else:
+        candidate = np.empty((b, d, d), dtype=complex)
+        for i in range(b):
+            with linalg.entries_from(i):
+                candidate[i], iterations[i] = _solve_cesaro(kraus[i:i + 1], opts)
+    rho = _sanitize(candidate)
+    return FixedPoints(rho, _residuals(kraus, rho), multiplicity, method, iterations)
 
 
 def solve_fixed_point(
     problem: DeutschProblem, opts: SolverOptions | None = None
 ) -> FixedPointResult:
     """Find the canonical fixed point of the self-consistency condition."""
-    opts = opts or SolverOptions()
-    method = opts.method
-    if method == "auto":
-        method = "eig" if problem.ctc_dim <= EIG_DIM_CUTOFF else "cesaro"
-    s = build_superoperator(problem)
-    multiplicity = _multiplicity(s, opts.eig_one_window)
-    if method == "eig":
-        rho, iterations = _solve_eig(problem, opts, s)
-    else:
-        rho, iterations = _solve_cesaro(problem, opts)
-    residual = _residual(problem, rho.mat)
-    return FixedPointResult(
-        rho_ctc=rho,
-        residual=residual,
-        multiplicity=multiplicity,
-        method_used=method,
-        iterations=iterations,
-    )
+    with linalg.single_entry():
+        return solve_stack(problem.kraus[None], opts)[0]
 
 
 def evolve(

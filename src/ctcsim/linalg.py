@@ -2,16 +2,19 @@
 Hermitian eigendecomposition, PSD square roots and trace distances.
 
 All operators are plain square ``numpy`` arrays of ``complex128``, stored
-row-major. ``kron``, ``partial_trace``, ``hermiticity_defect`` and
-``psd_sqrt`` are shape-generic: they act on the last two axes of an
-(..., n, n) stack and broadcast over the leading ones, so one matrix and a
-stack of them take the same code. Checks on a stack go through ``reject``,
-which names the first failing entry. Tolerances live in ``tolerances``.
+row-major. ``kron``, ``partial_trace``, ``permute_registers``,
+``hermiticity_defect``, ``psd_sqrt``, ``trace_norm`` and ``trace_distance``
+are shape-generic: they act on the last two axes of an (..., n, n) stack and
+broadcast over the leading ones, so one matrix and a stack of them take the
+same code. Checks on a stack go through ``reject``, which names the first
+failing entry; ``chunks`` splits a long stack so its memory stays bounded.
+Tolerances live in ``tolerances``.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
@@ -29,6 +32,21 @@ class Tolerances:
 
 
 tolerances = Tolerances()
+
+# stacked callers (the sweeps, the no-signalling checks) process at most
+# CHUNK_TRIALS members and CHUNK_ENTRIES entries per matrix stack at once,
+# so peak memory stays bounded for any count and size; the bits do not
+# depend on the chunking
+CHUNK_TRIALS = 256
+CHUNK_ENTRIES = 2**18
+
+
+def chunks(count: int, side: int):
+    """(lo, hi) ranges covering ``count`` stack members, one per chunk;
+    ``side`` is the side of the largest matrix held per member."""
+    size = max(1, min(CHUNK_TRIALS, CHUNK_ENTRIES // (side * side)))
+    for lo in range(0, count, size):
+        yield lo, min(lo + size, count)
 
 
 class StackError(ValueError):
@@ -60,6 +78,28 @@ def reject(*checks) -> None:
         if bad.reshape(-1)[first]:
             value = float(np.reshape(values, -1)[first])
             raise StackError(message.format(value), index)
+
+
+@contextmanager
+def entries_from(offset: int):
+    """Let a ``StackError`` raised on a chunk of a larger stack name the
+    failing entry by its position in the whole stack."""
+    try:
+        yield
+    except StackError as exc:
+        if exc.index is None:
+            raise
+        raise StackError(exc.message, offset + exc.index) from None
+
+
+@contextmanager
+def single_entry():
+    """Run stacked kernels on a stack of one: a failure reads as the message
+    for one matrix, without the stack entry."""
+    try:
+        yield
+    except StackError as exc:
+        raise StackError(exc.message) from None
 
 
 def as_matrix(m) -> np.ndarray:
@@ -139,15 +179,18 @@ def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
 
 
 def permute_registers(m, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Reorder tensor factors: register i of the result is register perm[i] of m."""
-    m = as_matrix(m)
+    """Reorder tensor factors: register i of the result is register perm[i]
+    of m. ``m`` may be a stack (..., n, n); the leading axes are kept."""
+    m = as_stack(m)
     dims = _check_dims(m, dims)
     n = len(dims)
     perm = list(perm)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
-    t = m.reshape(dims + dims)
-    t = t.transpose(perm + [p + n for p in perm])
+    lead = m.ndim - 2
+    t = m.reshape(m.shape[:-2] + dims + dims)
+    t = t.transpose(list(range(lead)) + [lead + p for p in perm]
+                    + [lead + n + p for p in perm])
     return np.ascontiguousarray(t.reshape(m.shape))
 
 
@@ -196,16 +239,26 @@ def _psd_sqrt(h: np.ndarray) -> np.ndarray:
     return (v * w[..., None, :]) @ dagger(v)
 
 
-def trace_norm(h) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    w, _ = hermitian_eig(h)
-    return float(np.sum(np.abs(w)))
+def trace_norm(h):
+    """Sum of absolute eigenvalues of each Hermitian (..., n, n) entry: a
+    float for one matrix, an array for a stack. An asymmetry beyond
+    ``tolerances.herm`` rejects the input."""
+    h = as_stack(h)
+    defect = hermiticity_defect(h)
+    reject((defect > tolerances.herm, defect,
+            "matrix is not Hermitian: max |h - h^dag| = {:.3e}"))
+    # eigh, not eigvalsh: LAPACK's eigenvalue-only path rounds differently
+    w, _ = np.linalg.eigh((h + dagger(h)) / 2)
+    norm = np.sum(np.abs(w), axis=-1)
+    return float(norm) if norm.ndim == 0 else norm
 
 
-def trace_distance(a, b) -> float:
-    """Half the trace norm of a - b, for Hermitian a, b of equal side."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
+def trace_distance(a, b):
+    """Half the trace norm of a - b, for Hermitian (..., n, n) a and b of
+    equal side whose leading axes broadcast: a float for one pair, an array
+    for a stack."""
+    a = as_stack(a)
+    b = as_stack(b)
+    if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return 0.5 * trace_norm(a - b)

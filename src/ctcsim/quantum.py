@@ -6,10 +6,12 @@ Every gate is local: a tuple of register names plus a small ``Unitary`` on
 those registers, validated when the gate is built. The gate constructors
 return a ``GateList``, the local gates of an interaction in application
 order on one ``Layout``; gate lists compose with ``@``. One kernel,
-``apply_local``, applies a local gate to a (dims..., m) tensor of m column
-vectors with one s x s matrix product between two transposes, so a gate of
+``apply_local``, applies a local gate to a (..., dims..., m) tensor of m
+column vectors (a leading axis batches independent column sets) with one
+s x s matrix product per batch member between two transposes, so a gate of
 side s costs O(D * m * s) on m columns of total dimension D and no D x D
-matrix is formed.
+matrix is formed. A batch member's product has the shape it would have
+alone, so its bits do not depend on the batch.
 The dense interaction is built only on request (``GateList.mat``): the
 kernel applied to the identity, still checked by ``Unitary``.
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -304,17 +306,29 @@ class Alphabet:
         return cls(tuple(states))
 
 
+@lru_cache(maxsize=256)
+def _gate_axes(layout: Layout, regs: tuple, ndim: int) -> tuple:
+    """For an (..., dims..., m) tensor of ``ndim`` axes: the number of
+    leading batch axes, the axis order that moves the registers ``regs``
+    ahead of the other register axes, and its inverse. Cached, because long
+    circuits apply the same few gates hundreds of times."""
+    lead = ndim - len(layout.registers) - 1
+    order = list(range(lead)) + [lead + layout.index(r) for r in regs]
+    order += [a for a in range(lead, ndim) if a not in order]
+    return lead, tuple(order), tuple(order.index(a) for a in range(ndim))
+
+
 def apply_local(layout: Layout, gate, tensor: np.ndarray) -> np.ndarray:
     """Apply one local gate, a pair (register names, Unitary on those
-    registers in that order), to a tensor of shape (dims..., m): move the
-    named axes to the front, multiply by the gate's matrix, and move them
-    back into their places."""
+    registers in that order), to a tensor of shape (..., dims..., m): move
+    the named axes to the front of the register axes, multiply by the gate's
+    matrix, and move them back into their places. Leading axes are a batch;
+    each member gets its own matrix product."""
     regs, u = gate
-    order = [layout.index(r) for r in regs]
-    order += [a for a in range(tensor.ndim) if a not in order]
+    lead, order, inverse = _gate_axes(layout, tuple(regs), tensor.ndim)
     moved = tensor.transpose(order)
-    out = (u.mat @ moved.reshape(u.side, -1)).reshape(moved.shape)
-    return out.transpose([order.index(a) for a in range(tensor.ndim)])
+    out = u.mat @ moved.reshape(moved.shape[:lead] + (u.side, -1))
+    return out.reshape(moved.shape).transpose(inverse)
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,8 +362,8 @@ class GateList:
         return self.layout.total_dim
 
     def apply(self, columns: np.ndarray) -> np.ndarray:
-        """The interaction applied to each column of a (D, m) array."""
-        t = columns.reshape(self.layout.dims + (-1,))
+        """The interaction applied to each column of a (..., D, m) array."""
+        t = columns.reshape(columns.shape[:-2] + self.layout.dims + (-1,))
         for gate in self.gates:
             t = apply_local(self.layout, gate, t)
         return t.reshape(columns.shape)

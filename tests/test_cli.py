@@ -177,3 +177,58 @@ def test_invalid_values_are_one_line_usage_errors(argv, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "fidelity-props", "--dim", "0"],
+    ["sweep", "fidelity-props", "--dim", "-1"],
+    ["sweep", "no-cloning-baseline", "--dim", "0"],
+    ["sweep", "no-cloning-baseline", "--dim", "1"],
+    ["sweep", "fixed-points", "--dim", "0"],
+    ["sweep", "fixed-points", "--dim", "-2", "--trials", "0"],
+])
+def test_sweep_rejects_dim_below_two(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --dim must be >= 2")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("probs", ["0.5,nan,0.5", "nan", "inf,0.5", "0.5,-inf,0.5"])
+def test_clone_mixed_rejects_non_finite_probs(probs, capsys):
+    code = main(["demo", "clone-mixed", f"--probs={probs}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: probabilities must be nonnegative and sum to 1\n"
+
+
+def test_nosignal_pure_cloner_passes(capsys):
+    code = main(["demo", "nosignal", "--cloner", "pure"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.endswith("PASS demo nosignal\n")
+    report = json.loads(captured.out.rsplit("PASS", 1)[0])
+    assert report["deviation"] <= 1e-9
+    expected = np.array(report["expected_AB"]["entries"])[:, 0].reshape(4, 4)
+    assert np.allclose(expected, np.diag([0.5, 0, 0, 0.5]), atol=1e-12)
+
+
+def test_module_entry_point_exit_code():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ctcsim", "sweep", "fixed-points", "--trials", "-3"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1

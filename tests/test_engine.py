@@ -10,8 +10,11 @@ from ctcsim.engine import (
     build_superoperator,
     deutsch_map,
     evolve,
+    kraus_stack,
+    output_stack,
     output_state,
     solve_fixed_point,
+    solve_stack,
 )
 from ctcsim.nosignal import _extended_problem, run_entangled_clone
 from ctcsim.quantum import (
@@ -319,3 +322,62 @@ class TestOutputAndEvolve:
         prob = identity_problem(rng)
         with pytest.raises(ValueError):
             deutsch_map(prob, DensityMatrix.maximally_mixed(3))
+
+
+def assert_members_equal_single_solves(layout, interactions, crs):
+    """Each member of one stacked solve equals its own single solve, bit
+    for bit: state, residual, multiplicity and visible output."""
+    inter = interactions if isinstance(interactions, GateList) else np.stack(
+        [u.mat for u in interactions])
+    kraus = kraus_stack(layout, inter, np.stack([cr.mat for cr in crs]))
+    fps = solve_stack(kraus)
+    outputs = output_stack(kraus, fps.rho_ctc, crs[0].side)
+    for i, cr in enumerate(crs):
+        u = interactions if isinstance(interactions, GateList) else interactions[i]
+        out, fp = evolve(DeutschProblem(layout, u, cr))
+        assert np.array_equal(fps.rho_ctc[i], fp.rho_ctc.mat)
+        assert fps[i].residual == fp.residual
+        assert fps[i].multiplicity == fp.multiplicity
+        assert np.array_equal(outputs[i], out.mat)
+    return fps
+
+
+def test_stack_of_mixed_ranks_equals_single_solves(rng):
+    # pure and mixed CR inputs on one cloner: ranks 1, 2 and 3 in one stack,
+    # padded with zero Kraus blocks to the largest
+    alphabet = random_alphabet(rng, 3)
+    cloner = build_pure_cloner(alphabet)
+    blank = PureState.basis(3, 0).density().mat
+    targets = [alphabet.states[0].density(), random_density(rng, 3),
+               DensityMatrix(0.4 * alphabet.states[1].projector()
+                             + 0.6 * alphabet.states[2].projector()),
+               alphabet.states[2].density()]
+    crs = [DensityMatrix(linalg.kron(t.mat, blank), (3, 3)) for t in targets]
+    fps = assert_members_equal_single_solves(cloner.layout, cloner.total, crs)
+    assert fps.residual.max() <= 1e-10
+
+
+def test_stack_with_multiplicity_four_member(rng):
+    # the multiplicity-4 permutation repro beside Haar problems on its
+    # layout: only that member takes the least-squares branch
+    repro = multiplicity_four_problem(rng)
+    layout = repro.layout
+    unitaries = [haar_unitary(rng, 6), repro.interaction, haar_unitary(rng, 6)]
+    crs = [random_density(rng, 2), repro.cr_input, random_density(rng, 2)]
+    fps = assert_members_equal_single_solves(layout, unitaries, crs)
+    assert fps.multiplicity.tolist() == [1, 4, 1]
+
+
+def test_stack_error_names_the_member(rng):
+    layout = Layout((("CR", 2), ("CTC", 2)), ctc_index=1)
+    u = np.stack([haar_unitary(rng, 4).mat for _ in range(3)])
+    u[2] *= 1.1
+    crs = np.stack([random_density(rng, 2).mat for _ in range(3)])
+    with pytest.raises(linalg.StackError, match="entry 2: induced map is not") as exc:
+        kraus_stack(layout, u, crs)
+    assert exc.value.index == 2
+    # one problem keeps the single-problem message
+    bad = Unitary(haar_unitary(rng, 4).mat)
+    bad.mat[:] *= 1.1
+    with pytest.raises(ValueError, match="^induced map is not trace preserving"):
+        DeutschProblem(layout, bad, DensityMatrix(crs[0])).kraus

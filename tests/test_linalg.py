@@ -196,3 +196,36 @@ def test_permute_registers_roundtrip(rng):
     p = linalg.permute_registers(m, (2, 3, 2), [2, 0, 1])
     back = linalg.permute_registers(p, (2, 2, 3), [1, 2, 0])
     assert np.max(np.abs(back - m)) == 0
+
+
+def test_stacked_trace_distance_and_permutation_equal_single(rng):
+    # a stack gives each entry the bits of its single-matrix call, and one
+    # matrix still gets a float back
+    a = np.stack([random_hermitian(rng, 6) for _ in range(4)])
+    b = random_hermitian(rng, 6)
+    stacked = linalg.trace_distance(a, b)
+    assert stacked.shape == (4,)
+    singles = [linalg.trace_distance(m, b) for m in a]
+    assert all(type(s) is float for s in singles)
+    assert stacked.tolist() == singles
+    assert linalg.trace_norm(a).tolist() == [linalg.trace_norm(m) for m in a]
+    perm = linalg.permute_registers(a, (2, 3), [1, 0])
+    for m, p in zip(a, perm):
+        assert np.array_equal(p, linalg.permute_registers(m, (2, 3), [1, 0]))
+
+
+def test_stacked_trace_distance_names_non_hermitian_entry(rng):
+    a = np.stack([random_hermitian(rng, 3) for _ in range(3)])
+    a[1, 0, 1] += 1e-6
+    with pytest.raises(linalg.StackError, match="entry 1: matrix is not Hermitian"):
+        linalg.trace_distance(a, np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="^matrix is not Hermitian"):
+        linalg.trace_distance(a[1], np.zeros((3, 3)))
+
+
+def test_chunks_cover_the_stack_within_the_budget():
+    assert list(linalg.chunks(0, 4)) == []
+    ranges = list(linalg.chunks(600, 2))
+    assert ranges == [(0, 256), (256, 512), (512, 600)]
+    big = list(linalg.chunks(5, 1024))
+    assert big == [(i, i + 1) for i in range(5)]

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from ctcsim import linalg
 from ctcsim.cloning import build_mixed_cloner, run_clone
@@ -8,7 +9,7 @@ from ctcsim.nosignal import (
     check_channel_invariance,
     run_entangled_clone,
 )
-from ctcsim.quantum import DensityMatrix, PureState
+from ctcsim.quantum import Alphabet, DensityMatrix, PureState
 from ctcsim.sampling import random_kraus_channel
 
 
@@ -84,3 +85,67 @@ class TestChannelInvariance:
         import pytest
         with pytest.raises(ValueError, match="trace-preserving"):
             apply_spectator_channel(bell_input(), [np.eye(2) * 0.5], 2)
+
+
+def channel_invariance_oracle(cloner, joint, channels):
+    """The per-channel loop: one entangled clone run per spectator channel."""
+    base = run_entangled_clone(cloner, joint)
+    return [linalg.trace_distance(
+        run_entangled_clone(
+            cloner, apply_spectator_channel(joint, kraus, cloner.n)
+        ).reduced_ab.mat,
+        base.reduced_ab.mat,
+    ) for kraus in channels]
+
+
+def ragged_channels(rng, count, dim):
+    # one, two and three Kraus operators in rotation; the identity channel
+    # keeps a rank-one input at rank one beside higher-rank members
+    channels = []
+    for i in range(count):
+        if i % 3 == 2:
+            channels.append([np.eye(dim, dtype=complex)])
+        else:
+            channels.append(random_kraus_channel(rng, dim, 2 + i % 3))
+    return channels
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+@pytest.mark.parametrize("n, count", [(2, 7), (2, 300), (3, 7)])
+def test_stacked_invariance_equals_per_channel_oracle(kind, n, count, rng):
+    from ctcsim.cloning import build_pure_cloner
+    from ctcsim.sampling import random_pure
+
+    if kind == "pure":
+        cloner = build_pure_cloner(
+            Alphabet(tuple(random_pure(rng, n) for _ in range(n))))
+    else:
+        cloner = build_mixed_cloner(n)
+    psi = random_pure(rng, n * n)
+    joint = DensityMatrix(psi.projector(), (n, n))
+    channels = ragged_channels(rng, count, n)
+    devs = check_channel_invariance(cloner, joint, channels)
+    assert devs == channel_invariance_oracle(cloner, joint, channels)
+    assert max(devs) <= 1e-9
+
+
+def test_channel_errors_name_the_channel():
+    good = [np.eye(2, dtype=complex)]
+    with pytest.raises(ValueError, match="entry 1: channel is not trace-preserving"):
+        check_channel_invariance(build_mixed_cloner(2), bell_input(),
+                                 [good, [0.5 * np.eye(2)], good])
+    with pytest.raises(ValueError, match=r"entry 2: Kraus operator shape \(3, 3\)"):
+        check_channel_invariance(build_mixed_cloner(2), bell_input(),
+                                 [good, good, [np.eye(3)]])
+
+
+def test_pure_demo_reference_is_the_clone_of_the_reduced_input():
+    # the basis-alphabet cloner clones rho_A = I/2 to diag(1/2, 0, 0, 1/2),
+    # not to the broadcast I/4, and the entangled run must match that
+    from ctcsim.cloning import build_pure_cloner
+
+    cloner = build_pure_cloner(Alphabet((PureState.basis(2, 0), PureState.basis(2, 1))))
+    report = run_entangled_clone(cloner, bell_input())
+    reference = run_clone(cloner, DensityMatrix.maximally_mixed(2)).output.mat
+    assert np.max(np.abs(reference - np.diag([0.5, 0, 0, 0.5]))) <= 1e-12
+    assert linalg.trace_distance(report.reduced_ab.mat, reference) <= 1e-9

@@ -108,3 +108,38 @@ def test_non_psd_density_member_is_named(monkeypatch, capsys):
                        lambda n: np.diag([1.5, -0.5] + [0.0] * (n - 2)))
     argv = ["sweep", "fidelity-props", "--trials", str(cli.CHUNK_TRIALS + 20)]
     assert_trial_error(argv, cli.CHUNK_TRIALS + 10, "not PSD", capsys)
+
+
+def fixed_points_oracle(rng, trials, dim):
+    """The per-trial loop of the fixed-points sweep, one public solve each."""
+    from ctcsim.engine import DeutschProblem, solve_fixed_point
+    from ctcsim.quantum import Layout
+
+    layout = Layout((("CR", dim), ("CTC", dim)), ctc_index=1)
+    rows = []
+    for t in range(trials):
+        u = sampling.haar_unitary(rng, dim * dim)
+        cr = sampling.random_density(rng, dim)
+        fp = solve_fixed_point(DeutschProblem(layout, u, cr))
+        rows.append({"trial": t, "residual": fp.residual,
+                     "multiplicity": fp.multiplicity})
+    return rows
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_stacked_fixed_points_sweep_equals_oracle(dim, seed, capsys):
+    report = sweep_report("fixed-points", TRIALS, dim, seed, capsys)
+    rows = fixed_points_oracle(np.random.default_rng(seed), TRIALS, dim)
+    assert report["per_trial"] == rows
+    assert report["summary"] == {"residual": max(r["residual"] for r in rows)}
+    assert report["ok"] is True
+
+
+def test_kraus_check_failure_names_the_trial(monkeypatch, capsys):
+    # let a non-unitary Haar member past the sweep's unitarity check, so the
+    # engine's sum K^dag K check is the one that must name it
+    monkeypatch.setattr(cli, "check_unitary", lambda m: None)
+    corrupt_last_stack(monkeypatch, "haar_from_ginibre", 5, lambda n: 1.1 * np.eye(n))
+    assert_trial_error(["sweep", "fixed-points", "--trials", "20"], 5,
+                       "induced map is not trace preserving", capsys)
