@@ -15,7 +15,6 @@ from .cloning import (
 from .engine import (
     DeutschProblem,
     FixedPointResult,
-    SolverOptions,
     build_superoperator,
     deutsch_map,
     evolve,
@@ -50,7 +49,6 @@ __all__ = [
     "Layout",
     "NoSignalReport",
     "PureState",
-    "SolverOptions",
     "Unitary",
     "basis_mapper",
     "build_mixed_cloner",

@@ -24,7 +24,7 @@ from .cloning import (
     build_pure_cloner,
     run_clone,
 )
-from .engine import SolverOptions, evolve, kraus_stack, solve_stack
+from .engine import evolve, kraus_stack, solve_stack
 from .fidelity import fidelities, monotonicity_margins, multiplicativity_defects
 from .linalg import CHUNK_TRIALS, chunks  # noqa: F401 (the sweeps' chunk size)
 from .nosignal import run_entangled_clone
@@ -34,20 +34,22 @@ FORMAT_VERSION = 1
 PASS_TOL = 1e-9
 
 
+def _positive_tol(value, name: str) -> float:
+    """``value`` as a finite positive float; a ValueError naming ``name``
+    otherwise (NaN would accept every residual, and neither NaN nor inf is
+    strict JSON)."""
+    try:
+        tol = float(value)
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise ValueError(f"{name} must be a positive number, got {value!r}")
+    return tol
+
+
 def _default_tol() -> float:
     env = os.environ.get("CTCSIM_DEFAULT_TOL")
-    if not env:
-        return 1e-12
-    try:
-        tol = float(env)
-        valid = 0 < tol < float("inf")
-    except ValueError:
-        valid = False
-    if not valid:
-        raise ValueError(
-            f"CTCSIM_DEFAULT_TOL must be a positive number, got {env!r}"
-        )
-    return tol
+    return _positive_tol(env, "CTCSIM_DEFAULT_TOL") if env else 1e-12
 
 
 def matrix_doc(m: np.ndarray) -> dict:
@@ -87,23 +89,6 @@ def _dump_report(report: dict, fmt: str, out: str | None) -> int:
     return 0
 
 
-def _solver_options(args) -> SolverOptions:
-    return SolverOptions(
-        method=args.solver,
-        tol_residual=args.tol,
-        max_iter=args.max_iter,
-    )
-
-
-def _options_doc(opts: SolverOptions) -> dict:
-    return {
-        "method": opts.method,
-        "tol_residual": opts.tol_residual,
-        "max_iter": opts.max_iter,
-        "eig_one_window": opts.eig_one_window,
-    }
-
-
 def _fixed_point_doc(fp) -> dict:
     return {
         "matrix": matrix_doc(fp.rho_ctc.mat),
@@ -113,6 +98,7 @@ def _fixed_point_doc(fp) -> dict:
 
 
 def cmd_run(args) -> int:
+    tol = _positive_tol(args.tol, "--tol")
     try:
         text = Path(args.circuit).read_text(encoding="utf-8")
     except OSError as exc:
@@ -128,9 +114,8 @@ def cmd_run(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    opts = _solver_options(args)
-    output, fp = evolve(problem, opts)
-    if fp.residual > opts.tol_residual:
+    output, fp = evolve(problem)
+    if fp.residual > tol:
         print(
             f"error: solver did not converge (residual {fp.residual:.3e})",
             file=sys.stderr,
@@ -150,12 +135,11 @@ def cmd_run(args) -> int:
     report = {
         "format_version": FORMAT_VERSION,
         "command": "run",
-        "solver_options": _options_doc(opts),
-        "fixed_point": {
-            **_fixed_point_doc(fp),
-            "method": fp.method_used,
-            "iterations": fp.iterations,
+        "solver_options": {
+            "tol_residual": tol,
+            "eig_one_window": linalg.tolerances.eig_one_window,
         },
+        "fixed_point": _fixed_point_doc(fp),
         "output": matrix_doc(output.mat),
         "marginals": marginals,
         "fidelities": {},
@@ -179,7 +163,6 @@ def _load_alphabet(arg: str) -> Alphabet:
 
 
 def cmd_demo(args) -> int:
-    opts = _solver_options(args)
     if args.name == "clone-pure":
         try:
             alphabet = _load_alphabet(args.alphabet)
@@ -191,7 +174,7 @@ def cmd_demo(args) -> int:
             return 1
         cloner = build_pure_cloner(alphabet)
         target = alphabet.states[args.index].density()
-        rep = run_clone(cloner, target, opts)
+        rep = run_clone(cloner, target)
         expected = linalg.kron(target.mat, target.mat)
         dist = linalg.trace_distance(rep.output.mat, expected)
         passed = dist <= PASS_TOL
@@ -221,7 +204,7 @@ def cmd_demo(args) -> int:
         n = len(probs)
         cloner = build_mixed_cloner(n)
         target = DensityMatrix(np.diag(np.array(probs, dtype=complex)))
-        rep = run_clone(cloner, target, opts)
+        rep = run_clone(cloner, target)
         expected = linalg.kron(target.mat, target.mat)
         dist = linalg.trace_distance(rep.output.mat, expected)
         passed = dist <= PASS_TOL
@@ -242,13 +225,13 @@ def cmd_demo(args) -> int:
             cloner = build_pure_cloner(
                 Alphabet((PureState.basis(2, 0), PureState.basis(2, 1)))
             )
-        rep = run_entangled_clone(cloner, bell, opts)
+        rep = run_entangled_clone(cloner, bell)
         expected, deviation = rep.expected_ab.mat, rep.deviation
         if args.cloner == "pure":
             # the basis-alphabet cloner does not broadcast the mixed rho_A;
             # no signalling means the local output equals the clone of rho_A
             rho_a = DensityMatrix(linalg.partial_trace(bell.mat, (2, 2), [0]))
-            expected = run_clone(cloner, rho_a, opts).output.mat
+            expected = run_clone(cloner, rho_a).output.mat
             deviation = linalg.trace_distance(rep.reduced_ab.mat, expected)
         passed = deviation <= PASS_TOL
         report = {
@@ -402,11 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_solver_flags(p):
-        p.add_argument("--solver", choices=["auto", "eig", "cesaro"],
-                       default="auto")
-        p.add_argument("--tol", type=float, default=_default_tol())
-        p.add_argument("--max-iter", type=int, default=100000)
+    def add_output_flags(p):
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", default=None)
 
@@ -414,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("circuit")
     run.add_argument("--trace-out", default=None,
                      help="comma-separated registers to keep as a marginal")
-    add_solver_flags(run)
+    run.add_argument("--tol", type=float, default=_default_tol(),
+                     help="largest fixed-point residual accepted")
+    add_output_flags(run)
     run.set_defaults(func=cmd_run)
 
     demo = sub.add_parser("demo", help="run a canned experiment")
@@ -423,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--index", type=int, default=0)
     demo.add_argument("--probs", default="0.25,0.75")
     demo.add_argument("--cloner", choices=["mixed", "pure"], default="mixed")
-    add_solver_flags(demo)
+    add_output_flags(demo)
     demo.set_defaults(func=cmd_demo)
 
     sweep = sub.add_parser("sweep", help="seeded property sweep")
@@ -432,8 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", type=int, default=1000)
     sweep.add_argument("--dim", type=int, default=2)
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--format", choices=["json", "csv"], default="json")
-    sweep.add_argument("--out", default=None)
+    add_output_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
     return parser
 

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg, quantum
-from .engine import DeutschProblem, FixedPointResult, SolverOptions, evolve
+from .engine import DeutschProblem, FixedPointResult, evolve
 from .fidelity import fidelities, fidelity
 from .quantum import (
     Alphabet,
@@ -123,11 +123,7 @@ def make_problem(cloner: ClonerCircuit, target: DensityMatrix) -> DeutschProblem
     return DeutschProblem(cloner.layout, cloner.total, cr)
 
 
-def run_clone(
-    cloner: ClonerCircuit,
-    target: DensityMatrix,
-    opts: SolverOptions | None = None,
-) -> CloneReport:
+def run_clone(cloner: ClonerCircuit, target: DensityMatrix) -> CloneReport:
     """Clone one target through the circuit and report clones and fidelities."""
     n = cloner.n
     if target.side != n:
@@ -140,7 +136,7 @@ def run_clone(
                 f"computational basis (off-diagonal magnitude {off_diag:.3e}); "
                 "conjugate into the eigenbasis first"
             )
-    output, fp = evolve(make_problem(cloner, target), opts)
+    output, fp = evolve(make_problem(cloner, target))
     dims = (n, n)
     clone_a = DensityMatrix.sanitize(linalg.partial_trace(output.mat, dims, [0]))
     clone_b = DensityMatrix.sanitize(linalg.partial_trace(output.mat, dims, [1]))

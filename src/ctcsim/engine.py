@@ -1,6 +1,6 @@
 """The Deutsch fixed-point engine: the induced map on the time-travelling
-register, its linearization as a superoperator, fixed-point solvers with
-multiplicity diagnostics, and the visible output state.
+register, its linearization as a superoperator, the exact fixed-point
+solve with its multiplicity, and the visible output state.
 
 The induced map M(sigma) = Tr_CR[U (rho_CR x sigma) U^dag] is handled in
 operator-sum form. With rho_CR = sum_k l_k |phi_k><phi_k| (one eigh; only
@@ -32,17 +32,18 @@ API (``DeutschProblem.kraus``, ``solve_fixed_point``, ``deutsch_map``,
 ``output_state``, ``build_superoperator``) runs the same kernels on a stack
 of one, with the single-problem error messages.
 
-Two solver methods exist. ``eig`` takes the null space of S - I from one
-SVD per member, its last right singular vector when the null space is at
-most one-dimensional, otherwise (a per-member branch) the least-squares
-projection of the maximally mixed state onto it. ``cesaro`` iterates the
-averaged map rho -> (rho + M(rho)) / 2 from the maximally mixed state, which
-converges geometrically to the time-averaged limit even when plain
-iteration cycles; it runs member by member, until the Cesaro path is
-replaced by one exact solver (ROADMAP item 2). Both return the unique fixed
-point when there is only one (multiplicity 1). With several fixed points
-they may select different ones, because ``eig`` projects the maximally
-mixed state orthogonally rather than taking its averaged limit.
+The canonical fixed point is P1(I/d): the projection of the maximally
+mixed state onto the fixed space of the induced map along its other
+eigenspaces, which is the limit of the averaged iteration
+rho -> (rho + M(rho)) / 2 from I/d even where plain iteration cycles
+(Deutsch 1991). It is taken from one SVD S - I = U Sigma V^dag per member.
+The multiplicity, the dimension of the fixed space, is the number of
+singular values at most ``tolerances.eig_one_window`` (or at rounding level
+of the largest). With one null vector the fixed point is that last right
+singular vector, normalized; with m > 1 (a per-member branch) it is
+R (L^dag R)^-1 L^dag vec(I/d), the columns of R and L being the last m right
+and left singular vectors, which span the fixed space of S and that of its
+adjoint.
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ import numpy as np
 
 from . import linalg
 from .quantum import DensityMatrix, GateList, Layout, Unitary, _sanitize
-
-EIG_DIM_CUTOFF = 8  # largest CTC dimension still solved by dense eigendecomposition
 
 
 def _kraus_blocks(interaction, lam, phi, d: int, r: int) -> np.ndarray:
@@ -93,8 +92,7 @@ def kraus_stack(
 
     Raises ``linalg.StackError`` for the first member whose sum K^dag K is
     not the identity (times the weight of its kept eigenvalues) within
-    ``tolerances.unitary``: the trace preservation every solver path
-    relies on.
+    ``tolerances.unitary``: the trace preservation the solve relies on.
     """
     d = layout.ctc_dim
     b, cr_dim = cr.shape[0], cr.shape[-1]
@@ -171,28 +169,10 @@ class DeutschProblem:
 
 
 @dataclass
-class SolverOptions:
-    method: str = "auto"  # auto | eig | cesaro
-    tol_residual: float = 1e-12
-    max_iter: int = 100000
-    eig_one_window: float = 1e-8
-
-    def __post_init__(self):
-        if self.method not in ("auto", "eig", "cesaro"):
-            raise ValueError(f"unknown solver method {self.method!r}")
-        if self.tol_residual <= 0:
-            raise ValueError("tol_residual must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-
-
-@dataclass
 class FixedPointResult:
     rho_ctc: DensityMatrix
     residual: float
     multiplicity: int
-    method_used: str
-    iterations: int
 
 
 @dataclass
@@ -203,16 +183,12 @@ class FixedPoints:
     rho_ctc: np.ndarray       # (B, d, d), density matrices by construction
     residual: np.ndarray      # (B,)
     multiplicity: np.ndarray  # (B,)
-    method_used: str
-    iterations: np.ndarray    # (B,)
 
     def __getitem__(self, i: int) -> FixedPointResult:
         return FixedPointResult(
             rho_ctc=DensityMatrix._trusted(self.rho_ctc[i]),
             residual=float(self.residual[i]),
             multiplicity=int(self.multiplicity[i]),
-            method_used=self.method_used,
-            iterations=int(self.iterations[i]),
         )
 
 
@@ -276,81 +252,40 @@ def build_superoperator(problem: DeutschProblem) -> np.ndarray:
     return _superoperators(problem.kraus[None])[0]
 
 
-def _solve_eig(s: np.ndarray, opts: SolverOptions) -> np.ndarray:
-    """Unnormalized fixed-point candidates of a (B, d^2, d^2) stack."""
-    b, dd, _ = s.shape
-    d = math.isqrt(dd)
+def solve_stack(kraus: np.ndarray) -> FixedPoints:
+    """The canonical fixed point P1(I/d) of each member of a (B, n, d, d)
+    Kraus stack, solved together. Raises ``linalg.StackError`` naming the
+    first member whose candidate is traceless or not PSD."""
+    b, d = kraus.shape[0], kraus.shape[-1]
     # fixed points = null space of S - I; SVD keeps this robust for
     # non-normal superoperators. Singular values descend, so the null
-    # space is spanned by the last rows of vh.
-    _, sv, vh = np.linalg.svd(s - np.eye(dd))
-    nulls = np.sum(sv <= np.maximum(opts.eig_one_window, sv[:, :1] * 1e-14), axis=1)
+    # space is spanned by the last columns of u and rows of vh.
+    u, sv, vh = np.linalg.svd(_superoperators(kraus) - np.eye(d * d))
+    window = np.maximum(linalg.tolerances.eig_one_window, sv[:, :1] * 1e-14)
+    multiplicity = np.sum(sv <= window, axis=1)
     # at most one null vector: take it, or the smallest singular vector
     candidate = vh[:, -1].conj().reshape(b, d, d)
     seed = (np.eye(d, dtype=complex) / d).reshape(-1)
-    for i in np.flatnonzero(nulls > 1):
-        basis = vh[i, -nulls[i]:].conj().T  # columns span the fixed subspace
-        coeff, *_ = np.linalg.lstsq(basis, seed, rcond=None)
-        candidate[i] = (basis @ coeff).reshape(d, d)
-    return candidate
+    for i in np.flatnonzero(multiplicity > 1):
+        m = multiplicity[i]
+        right = vh[i, -m:].conj().T  # columns span the fixed space of S
+        left_h = u[i, :, -m:].conj().T  # rows span that of S^dag
+        coeff = np.linalg.solve(left_h @ right, left_h @ seed)
+        candidate[i] = (right @ coeff).reshape(d, d)
+    tr = np.trace(candidate, axis1=1, axis2=2)
+    linalg.reject((np.abs(tr) < 1e-12, np.abs(tr),
+                   "eigensolver produced a traceless fixed-point candidate"))
+    rho = _sanitize(candidate / tr[:, None, None])
+    return FixedPoints(rho, _residuals(kraus, rho), multiplicity)
 
 
-def _solve_cesaro(k: np.ndarray, opts: SolverOptions):
-    """The averaged iteration for a stack of one member."""
-    d = k.shape[-1]
-    rho = np.eye(d, dtype=complex) / d
-    best = rho
-    best_res = _residuals(k, rho[None])[0]
-    iterations = 0
-    while best_res > opts.tol_residual and iterations < opts.max_iter:
-        rho = 0.5 * (rho + _maps(k, rho[None])[0])
-        rho = (rho + rho.conj().T) / 2
-        iterations += 1
-        res = _residuals(k, rho[None])[0]
-        if res < best_res:
-            best, best_res = rho, res
-    return best, iterations
-
-
-def solve_stack(kraus: np.ndarray, opts: SolverOptions | None = None) -> FixedPoints:
-    """The canonical fixed point of each member of a (B, n, d, d) Kraus
-    stack, solved together. Raises ``linalg.StackError`` naming the first
-    member whose candidate is traceless or not PSD."""
-    opts = opts or SolverOptions()
-    b, d = kraus.shape[0], kraus.shape[-1]
-    method = opts.method
-    if method == "auto":
-        method = "eig" if d <= EIG_DIM_CUTOFF else "cesaro"
-    s = _superoperators(kraus)
-    eigvals = np.linalg.eigvals(s)
-    multiplicity = np.sum(np.abs(eigvals - 1.0) <= opts.eig_one_window, axis=1)
-    iterations = np.zeros(b, dtype=int)
-    if method == "eig":
-        candidate = _solve_eig(s, opts)
-        tr = np.trace(candidate, axis1=1, axis2=2)
-        linalg.reject((np.abs(tr) < 1e-12, np.abs(tr),
-                       "eigensolver produced a traceless fixed-point candidate"))
-        candidate = candidate / tr[:, None, None]
-    else:
-        candidate = np.empty((b, d, d), dtype=complex)
-        for i in range(b):
-            with linalg.entries_from(i):
-                candidate[i], iterations[i] = _solve_cesaro(kraus[i:i + 1], opts)
-    rho = _sanitize(candidate)
-    return FixedPoints(rho, _residuals(kraus, rho), multiplicity, method, iterations)
-
-
-def solve_fixed_point(
-    problem: DeutschProblem, opts: SolverOptions | None = None
-) -> FixedPointResult:
+def solve_fixed_point(problem: DeutschProblem) -> FixedPointResult:
     """Find the canonical fixed point of the self-consistency condition."""
     with linalg.single_entry():
-        return solve_stack(problem.kraus[None], opts)[0]
+        return solve_stack(problem.kraus[None])[0]
 
 
-def evolve(
-    problem: DeutschProblem, opts: SolverOptions | None = None
-) -> tuple[DensityMatrix, FixedPointResult]:
+def evolve(problem: DeutschProblem) -> tuple[DensityMatrix, FixedPointResult]:
     """Solve the fixed point, then return (visible output, solver result)."""
-    fp = solve_fixed_point(problem, opts)
+    fp = solve_fixed_point(problem)
     return output_state(problem, fp.rho_ctc), fp

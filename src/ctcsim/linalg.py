@@ -29,6 +29,7 @@ class Tolerances:
     psd: float = 1e-10         # eigenvalue floor; more negative means not PSD
     reconstruction: float = 1e-9
     unitary: float = 1e-10     # max |U^dag U - I| accepted as unitary
+    eig_one_window: float = 1e-8  # singular values of S - I counted as null
 
 
 tolerances = Tolerances()

@@ -19,7 +19,6 @@ from .cloning import ClonerCircuit, blank_state
 from .engine import (
     DeutschProblem,
     FixedPointResult,
-    SolverOptions,
     kraus_stack,
     output_stack,
     solve_stack,
@@ -72,34 +71,28 @@ def _extended_problem(
     )
 
 
-def _entangled_runs(
-    cloner: ClonerCircuit, joints: np.ndarray, r_dim: int, opts: SolverOptions | None
-):
+def _entangled_runs(cloner: ClonerCircuit, joints: np.ndarray, r_dim: int):
     """Clone the A side of each (A, R) input of a (B, n * r, n * r) stack,
     solved and evolved together: the joint outputs on (A, B, R), their
     sanitized Tr_R and the solver results."""
     n = cloner.n
     layout, interaction, cr = _extended(cloner, joints, r_dim)
     kraus = kraus_stack(layout, interaction, cr)
-    fps = solve_stack(kraus, opts)
+    fps = solve_stack(kraus)
     rho_tot = output_stack(kraus, fps.rho_ctc, cr.shape[-1])
     reduced = _sanitize(linalg.partial_trace(rho_tot, (n, n, r_dim), [0, 1]))
     return rho_tot, reduced, fps
 
 
 def run_entangled_clone(
-    cloner: ClonerCircuit,
-    joint_input: DensityMatrix,
-    opts: SolverOptions | None = None,
+    cloner: ClonerCircuit, joint_input: DensityMatrix
 ) -> NoSignalReport:
     """Clone the A side of a joint (A, R) input and compare Tr_R of the
     result against the broadcast of rho_A = Tr_R(input)."""
     n = cloner.n
     r_dim = _spectator_dim(cloner, joint_input)
     with linalg.single_entry():
-        rho_tot, reduced, fps = _entangled_runs(
-            cloner, joint_input.mat[None], r_dim, opts
-        )
+        rho_tot, reduced, fps = _entangled_runs(cloner, joint_input.mat[None], r_dim)
     reduced_ab = DensityMatrix._trusted(reduced[0], (n, n))
     rho_a = DensityMatrix.sanitize(
         linalg.partial_trace(joint_input.mat, (n, r_dim), [0])
@@ -158,7 +151,6 @@ def check_channel_invariance(
     cloner: ClonerCircuit,
     joint_input: DensityMatrix,
     channels: Sequence[Sequence[np.ndarray]],
-    opts: SolverOptions | None = None,
 ) -> list:
     """Trace distance of the local clone output from the unmodified run, for
     each trace-preserving spectator channel. All deviations should vanish.
@@ -177,7 +169,7 @@ def check_channel_invariance(
         if lo == 0:
             joints = np.concatenate([joint_input.mat[None], joints])
         with linalg.entries_from(lo):
-            reduced = _entangled_runs(cloner, joints, r_dim, opts)[1]
+            reduced = _entangled_runs(cloner, joints, r_dim)[1]
         if lo == 0:
             base, reduced = reduced[0], reduced[1:]
         deviations.extend(linalg.trace_distance(reduced, base).tolist())

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from ctcsim import linalg
+from ctcsim.engine import build_superoperator
 from ctcsim.quantum import Alphabet, PureState
 from ctcsim.sampling import random_pure
 
@@ -20,3 +22,23 @@ def random_alphabet(rng, n: int) -> Alphabet:
             return Alphabet(tuple(random_pure(rng, n) for _ in range(n)))
         except ValueError:
             continue  # rare near-coincident draw
+
+
+def cesaro_fixed_point(problem, tol=1e-12, max_iter=100000):
+    """Reference solver: iterate the averaged map rho -> (rho + M(rho)) / 2
+    from I/d, which tends to the canonical fixed point P1(I/d) even where
+    plain iteration cycles. Returns the iterate of least residual and that
+    residual, stopping once it is at most ``tol``."""
+    s, d = build_superoperator(problem), problem.ctc_dim
+    rho = np.eye(d, dtype=complex) / d
+    best, best_res = rho, np.inf
+    for _ in range(max_iter):
+        mapped = (s @ rho.reshape(-1)).reshape(d, d)
+        res = linalg.trace_distance(mapped, rho)
+        if res < best_res:
+            best, best_res = rho, res
+        if res <= tol:
+            break
+        rho = (rho + mapped) / 2
+        rho = (rho + rho.conj().T) / 2
+    return best, best_res

@@ -63,6 +63,26 @@ class TestRun:
         assert out.startswith("key,value")
         assert "fixed_point.multiplicity,1" in out
 
+    def test_report_contract(self, tmp_path, capsys):
+        # perfbench's checks read these keys; with one exact solve there is
+        # no solver method, iteration count or iteration limit to report
+        assert main(["run", write_circuit(tmp_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert set(report["solver_options"]) == {"tol_residual", "eig_one_window"}
+        assert set(report["fixed_point"]) == {"matrix", "residual", "multiplicity"}
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{circuit}", "--solver", "eig"],
+        ["run", "{circuit}", "--max-iter", "10"],
+        ["demo", "clone-pure", "--tol", "1e-9"],
+    ])
+    def test_removed_solver_flags_are_usage_errors(self, argv, tmp_path, capsys):
+        circuit = write_circuit(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(circuit=circuit) for a in argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestDemo:
     def test_clone_pure_passes(self, capsys):
@@ -164,7 +184,8 @@ def test_bad_default_tol_env_is_usage_error(value, monkeypatch, tmp_path, capsys
 
 @pytest.mark.parametrize("argv", [
     ["run", "{circuit}", "--tol", "0"],
-    ["run", "{circuit}", "--max-iter", "0"],
+    ["run", "{circuit}", "--tol", "nan"],
+    ["run", "{circuit}", "--tol", "inf"],
     ["sweep", "fixed-points", "--dim", "1"],
     ["demo", "clone-mixed", "--probs", "1"],
     ["sweep", "fixed-points", "--trials", "-3"],

@@ -113,6 +113,14 @@ class TestRunClone:
         assert rep.joint_fid < 1
         assert abs(rep.joint_fid - OFF_ALPHABET_MINUS_JOINT_FID) <= 1e-9
 
+    def test_large_pure_cloner_is_exact(self, rng):
+        # at d = 12 a solve that stops at a residual, not an exact one,
+        # leaves 1 - joint fidelity near 1e-11
+        alphabet = random_alphabet(rng, 12)
+        rep = run_clone(build_pure_cloner(alphabet), alphabet.states[0].density())
+        assert rep.fixed_point.multiplicity == 1
+        assert 1 - rep.joint_fid <= 1e-12
+
 
 class TestCloningCondition:
     def test_zero_plus_case(self):

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_alphabet, zero_plus_alphabet
+from conftest import cesaro_fixed_point, random_alphabet, zero_plus_alphabet
 from ctcsim import linalg
 from ctcsim.cloning import build_mixed_cloner, build_pure_cloner, make_problem, run_clone
 from ctcsim.engine import (
     DeutschProblem,
-    SolverOptions,
     build_superoperator,
     deutsch_map,
     evolve,
@@ -94,6 +93,15 @@ def rank_two_problem(rng):
 def nosignal_problem(rng):
     joint = DensityMatrix(random_density(rng, 4).mat, (2, 2))
     return _extended_problem(build_pure_cloner(random_alphabet(rng, 2)), joint, 2)
+
+
+def x_conjugation_problem():
+    # the CTC qubit is conjugated by X whatever the CR state: the map cycles
+    # |0><0| and |1><1|, and its fixed space is spanned by I and X
+    layout = Layout((("CR", 2), ("CTC", 2)), ctc_index=1)
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    inter = Unitary(linalg.kron(np.eye(2), x))
+    return DeutschProblem(layout, inter, DensityMatrix.maximally_mixed(2))
 
 
 def multiplicity_four_problem(rng):
@@ -266,19 +274,25 @@ class TestSolve:
     def test_eig_cesaro_agreement(self, rng):
         for _ in range(20):
             prob = two_register_problem(haar_unitary(rng, 4), random_density(rng, 2))
-            a = solve_fixed_point(prob, SolverOptions(method="eig"))
-            b = solve_fixed_point(prob, SolverOptions(method="cesaro"))
+            a = solve_fixed_point(prob)
+            b, _ = cesaro_fixed_point(prob)
             if a.multiplicity == 1:
-                assert linalg.trace_distance(a.rho_ctc.mat, b.rho_ctc.mat) <= 1e-8
+                assert linalg.trace_distance(a.rho_ctc.mat, b) <= 1e-8
+        # with several fixed points both select P1(I/d), the averaged limit
+        for prob, multiplicity, expected in [
+            (multiplicity_four_problem(rng), 4, np.diag([2 / 3, 1 / 3, 0])),
+            (x_conjugation_problem(), 2, np.eye(2) / 2),
+        ]:
+            a = solve_fixed_point(prob)
+            b, _ = cesaro_fixed_point(prob)
+            assert a.multiplicity == multiplicity
+            assert np.max(np.abs(a.rho_ctc.mat - expected)) <= 1e-12
+            assert linalg.trace_distance(a.rho_ctc.mat, b) <= 1e-8
 
     def test_cesaro_handles_cycling_map(self):
         # X-conjugation on the CTC: plain iteration cycles, averaging settles
-        layout = Layout((("CR", 2), ("CTC", 2)), ctc_index=1)
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        inter = Unitary(linalg.kron(np.eye(2), x))
-        prob = DeutschProblem(layout, inter, DensityMatrix.maximally_mixed(2))
-        fp = solve_fixed_point(prob, SolverOptions(method="cesaro"))
-        assert fp.residual <= 1e-10
+        _, residual = cesaro_fixed_point(x_conjugation_problem())
+        assert residual <= 1e-10
 
     def test_spectator_extension(self, rng):
         for _ in range(10):
@@ -359,7 +373,7 @@ def test_stack_of_mixed_ranks_equals_single_solves(rng):
 
 def test_stack_with_multiplicity_four_member(rng):
     # the multiplicity-4 permutation repro beside Haar problems on its
-    # layout: only that member takes the least-squares branch
+    # layout: only that member takes the projection branch
     repro = multiplicity_four_problem(rng)
     layout = repro.layout
     unitaries = [haar_unitary(rng, 6), repro.interaction, haar_unitary(rng, 6)]
