@@ -8,6 +8,8 @@ failure or non-convergence, or property violation, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import os
@@ -31,7 +33,6 @@ from .nosignal import run_entangled_clone
 from .quantum import DensityMatrix, Layout, PureState, check_density, check_unitary
 
 FORMAT_VERSION = 1
-PASS_TOL = 1e-9
 
 
 def _positive_tol(value, name: str) -> float:
@@ -57,13 +58,98 @@ def matrix_doc(m: np.ndarray) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "entries": [[float(v.real), float(v.imag)] for v in m.reshape(-1)],
+        "entries": np.stack((m.real, m.imag), -1).reshape(-1, 2).tolist(),
     }
+
+
+_escape = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar_text(node) -> str | None:
+    """The JSON text of a scalar, tested in json's order (bool before int),
+    or None for a container."""
+    if isinstance(node, str):
+        return _escape(node)
+    if node is None:
+        return "null"
+    if node is True:
+        return "true"
+    if node is False:
+        return "false"
+    if isinstance(node, int):
+        return int.__repr__(node)
+    if isinstance(node, float):
+        # float.__repr__, not repr: numpy 2 scalars repr as np.float64(...)
+        text = float.__repr__(node)
+        return _NON_FINITE.get(text, text)
+    return None
+
+
+def _pairs_text(pairs: list, nl: str) -> str | None:
+    """A list of [float, float] pairs, a matrix's entries, written at once;
+    None for any other list."""
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    flat = list(itertools.chain.from_iterable(pairs))
+    if set(map(type, flat)) != {float}:
+        return None
+    texts = list(map(float.__repr__, flat))
+    if not all(map(math.isfinite, flat)):
+        texts = [_NON_FINITE.get(t, t) for t in texts]
+    inner, inner2 = nl + "  ", nl + "    "
+    between = f"{inner}],{inner}[{inner2}"
+    body = between.join(map(f",{inner2}".join, zip(texts[::2], texts[1::2])))
+    return f"[{inner}[{inner2}{body}{inner}]{nl}]"
+
+
+def _encode(node, nl: str, parts: list) -> None:
+    """Append the text of ``node``, whose line is indented as ``nl`` ends."""
+    text = _scalar_text(node)
+    if text is not None:
+        parts.append(text)
+        return
+    inner = nl + "  "
+    if isinstance(node, dict):
+        if not node:
+            parts.append("{}")
+            return
+        sep = "{" + inner
+        for key in sorted(node):
+            parts.append(f"{sep}{_escape(key)}: ")
+            _encode(node[key], inner, parts)
+            sep = "," + inner
+        parts.append(nl + "}")
+    elif isinstance(node, (list, tuple)):
+        if not node:
+            parts.append("[]")
+            return
+        text = _pairs_text(node, nl)
+        if text is not None:
+            parts.append(text)
+            return
+        sep = "[" + inner
+        for item in node:
+            parts.append(sep)
+            _encode(item, inner, parts)
+            sep = "," + inner
+        parts.append(nl + "]")
+    else:
+        raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+
+
+def report_json(report: dict) -> str:
+    """Exactly ``json.dumps(report, indent=2, sort_keys=True)`` for a report
+    (str-keyed dicts, lists, strings, numbers, bools and None), without the
+    pure-Python indent encoder's per-value generator chain."""
+    parts = []
+    _encode(report, "\n", parts)
+    return "".join(parts)
 
 
 def _dump_report(report: dict, fmt: str, out: str | None) -> int:
     if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = report_json(report) + "\n"
     else:  # csv flattens scalar fields only
         lines = ["key,value"]
 
@@ -98,7 +184,8 @@ def _fixed_point_doc(fp) -> dict:
 
 
 def cmd_run(args) -> int:
-    tol = _positive_tol(args.tol, "--tol")
+    # the environment is read per call: the parser is built once per process
+    tol = _default_tol() if args.tol is None else _positive_tol(args.tol, "--tol")
     try:
         text = Path(args.circuit).read_text(encoding="utf-8")
     except OSError as exc:
@@ -177,7 +264,7 @@ def cmd_demo(args) -> int:
         rep = run_clone(cloner, target)
         expected = linalg.kron(target.mat, target.mat)
         dist = linalg.trace_distance(rep.output.mat, expected)
-        passed = dist <= PASS_TOL
+        passed = dist <= linalg.tolerances.demo_pass
         report = {
             "format_version": FORMAT_VERSION,
             "command": "demo clone-pure",
@@ -207,7 +294,7 @@ def cmd_demo(args) -> int:
         rep = run_clone(cloner, target)
         expected = linalg.kron(target.mat, target.mat)
         dist = linalg.trace_distance(rep.output.mat, expected)
-        passed = dist <= PASS_TOL
+        passed = dist <= linalg.tolerances.demo_pass
         report = {
             "format_version": FORMAT_VERSION,
             "command": "demo clone-mixed",
@@ -233,7 +320,7 @@ def cmd_demo(args) -> int:
             rho_a = DensityMatrix(linalg.partial_trace(bell.mat, (2, 2), [0]))
             expected = run_clone(cloner, rho_a).output.mat
             deviation = linalg.trace_distance(rep.reduced_ab.mat, expected)
-        passed = deviation <= PASS_TOL
+        passed = deviation <= linalg.tolerances.demo_pass
         report = {
             "format_version": FORMAT_VERSION,
             "command": "demo nosignal",
@@ -378,7 +465,10 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared: parsing does not
+    change it, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="ctcsim",
         description="Deutsch closed-timelike-curve circuit simulator",
@@ -393,8 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("circuit")
     run.add_argument("--trace-out", default=None,
                      help="comma-separated registers to keep as a marginal")
-    run.add_argument("--tol", type=float, default=_default_tol(),
-                     help="largest fixed-point residual accepted")
+    run.add_argument("--tol", type=float, default=None,
+                     help="largest fixed-point residual accepted "
+                          "(default: $CTCSIM_DEFAULT_TOL or 1e-12)")
     add_output_flags(run)
     run.set_defaults(func=cmd_run)
 
@@ -419,8 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # a ValueError that escapes a command (or a malformed CTCSIM_DEFAULT_TOL)
-    # is a usage or solver error: one line and exit 2, never a traceback
+    # a ValueError that escapes a command (a malformed CTCSIM_DEFAULT_TOL
+    # among them) is a usage or solver error: one line and exit 2, never a
+    # traceback
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

@@ -432,8 +432,8 @@ def lower(spec: CircuitSpec, base_dir=".") -> DeutschProblem:
                 raise ValueError(f"{name}: {exc}") from None
         return families[name]
 
-    gates = []
-    for g in spec.gates:
+    def local_gates(g):
+        """The validated local gates of one gate line."""
         if g.kind == "swap":
             gate = swap_gate(layout, g.regs[0], g.regs[1])
         elif g.kind == "csum":
@@ -454,7 +454,17 @@ def lower(spec: CircuitSpec, base_dir=".") -> DeutschProblem:
             gate = embed_unitary(layout, g.regs[0], fam[0])
         else:  # pragma: no cover - parser rejects unknown kinds
             raise ValueError(f"unknown gate kind {g.kind!r}")
-        gates.extend(gate.gates)
+        return gate.gates
+
+    # long circuits repeat a few gate lines many times: build and validate
+    # each distinct line once, and reuse its (immutable) gates
+    lowered = {}
+    gates = []
+    for g in spec.gates:
+        key = (g.kind, g.regs, g.file)
+        if key not in lowered:
+            lowered[key] = local_gates(g)
+        gates.extend(lowered[key])
     interaction = GateList(layout, tuple(gates))
 
     # assemble the CR input: kron the groups in declaration order, then

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ctcsim import cli
 from ctcsim.cli import main
 
 SMALLEST = """\
@@ -172,6 +173,24 @@ def test_default_tol_env_override(monkeypatch, tmp_path, capsys):
     assert report["solver_options"]["tol_residual"] == 1e-9
 
 
+def test_default_tol_env_is_read_per_call(monkeypatch, tmp_path, capsys):
+    # the parser is built once per process; the default must not be frozen in it
+    circuit = write_circuit(tmp_path)
+    tols = []
+    for value in ("1e-9", "1e-11"):
+        monkeypatch.setenv("CTCSIM_DEFAULT_TOL", value)
+        assert main(["run", circuit]) == 0
+        tols.append(json.loads(capsys.readouterr().out)["solver_options"]["tol_residual"])
+    assert tols == [1e-9, 1e-11]
+
+
+def test_bad_default_tol_env_fails_only_run(monkeypatch, capsys):
+    # only run has --tol, so only run reads the variable
+    monkeypatch.setenv("CTCSIM_DEFAULT_TOL", "abc")
+    assert main(["sweep", "fixed-points", "--trials", "3"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-1e-9", "nan"])
 def test_bad_default_tol_env_is_usage_error(value, monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("CTCSIM_DEFAULT_TOL", value)
@@ -253,3 +272,53 @@ def test_module_entry_point_exit_code():
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
+
+
+REPORT_ARGVS = [
+    ["run", "{circuit}"],
+    ["run", "{circuit}", "--trace-out", "A"],
+    ["demo", "clone-pure", "--index", "1"],
+    ["demo", "clone-mixed", "--probs", "0.2,0.3,0.5"],
+    ["demo", "nosignal", "--cloner", "pure"],
+    ["sweep", "fidelity-props", "--trials", "5", "--seed", "3"],
+    ["sweep", "fixed-points", "--trials", "5", "--dim", "3"],
+    ["sweep", "no-cloning-baseline", "--trials", "5"],
+    ["sweep", "fixed-points", "--trials", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", REPORT_ARGVS, ids=" ".join)
+def test_report_writer_matches_json_dumps(argv, tmp_path, monkeypatch, capsys):
+    # json.dumps(indent=2, sort_keys=True) is the oracle for every report shape
+    written = []
+    write = cli.report_json
+    monkeypatch.setattr(cli, "report_json",
+                        lambda report: written.append(report) or write(report))
+    circuit = write_circuit(tmp_path)
+    assert main([a.format(circuit=circuit) for a in argv]) == 0
+    (report,) = written
+    assert capsys.readouterr().out.startswith(
+        json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+
+def test_report_writer_edge_values():
+    doc = {
+        "empty": {"dict": {}, "list": [], "tuple": ()},
+        "none": None,
+        "bools": [True, False, [True, 1, 1.0]],
+        "ints": [0, -7, 2**70, -(2**64)],
+        "floats": [-0.0, 5e-324, 1e308, 0.1, np.float64(1 / 3), float("nan"),
+                   float("inf"), -float("inf")],
+        "text": ["", "caf\u00e9 \u2603 \U0001f600", "quote \" back \\ tab \t nl \n",
+                 "\x00\x1f"],
+        "\u00e9 key \"q\"": 1,
+        "entries": [[0.5, -0.0], [1e-300, float("nan")], [float("inf"), 2.0]],
+        "not pairs": [[1.0, 2], [np.float64(0.5), 1.0], [1.0], [1.0, 2.0, 3.0],
+                      [[1.0, 2.0], (3.0, 4.0)], [(1.0, 2.0)]],
+        "one pair": [[1.0, 2.0]],
+        "nested": {"b": [{"z": [], "a": {}}], "a": [[[]]]},
+    }
+    assert cli.report_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    for value in (np.int64(3), {1: 2.0}, {"x": {1, 2}}):
+        with pytest.raises(TypeError):
+            cli.report_json(value)

@@ -4,6 +4,7 @@ import pytest
 from ctcsim import dsl, linalg
 from ctcsim.dsl import CircuitSyntaxError, parse, serialize
 from ctcsim.engine import evolve
+from ctcsim.quantum import GateList
 from ctcsim.sampling import haar_unitary, random_pure
 
 SMALLEST = """\
@@ -217,6 +218,50 @@ class TestLower:
         for m in steps:
             expected = m @ expected
         assert np.max(np.abs(problem.interaction.mat - expected)) <= 1e-12
+
+    def test_repeated_lines_lower_as_separate_lines(self, tmp_path, rng):
+        # each distinct gate line is built once and reused; the result must
+        # equal lowering every line on its own and chaining the gates
+        fam = [haar_unitary(rng, 2).mat for _ in range(2)]
+        (tmp_path / "fam.mat").write_text(dsl.format_matrix_file(fam))
+        for name in ("u.mat", "v.mat"):
+            (tmp_path / name).write_text(
+                dsl.format_matrix_file([haar_unitary(rng, 2).mat]))
+        head = ("system A 2\nsystem B 2\nsystem CTC 2\n"
+                "input pure A : 1 0\ninput pure B : 0 1\n")
+        lines = ["gate swap A CTC", "gate csum A B", "gate select_adj B CTC @fam.mat",
+                 "gate unitary A @u.mat", "gate select A B @fam.mat",
+                 "gate csum B A", "gate unitary CTC @u.mat", "gate unitary A @v.mat",
+                 "gate select_adj CTC B @fam.mat"]
+        body = [lines[i] for i in (0, 1, 2, 3, 0, 4, 1, 2, 5, 3, 6, 0, 7, 2, 8, 3)]
+        problem = dsl.lower(parse(head + "\n".join(body) + "\n"), tmp_path)
+        separate = [dsl.lower(parse(head + line + "\n"), tmp_path).interaction
+                    for line in body]
+        gates = problem.interaction.gates
+        assert len(gates) == len(body)
+        for (regs, u), one in zip(gates, separate):
+            ((one_regs, one_u),) = one.gates
+            assert regs == one_regs and np.array_equal(u.mat, one_u.mat)
+        chained = GateList(problem.layout, tuple(g for one in separate for g in one.gates))
+        assert np.array_equal(problem.interaction.mat, chained.mat)
+        # a repeated line reuses the gate built for its first occurrence
+        assert gates[0][1] is gates[4][1] and gates[2][1] is gates[7][1]
+
+    @pytest.mark.parametrize("lines", [
+        ["gate select A B @fam.mat", "gate select A B @fam.mat"],
+        ["gate select B CTC @fam.mat", "gate select B CTC @fam.mat",
+         "gate select A B @fam.mat"],
+    ])
+    def test_repeated_select_with_wrong_family_size(self, lines, tmp_path, rng):
+        # a family of 2 fits the qubit B but not the qutrit A, however often
+        # the lines repeat
+        fam = [haar_unitary(rng, 2).mat for _ in range(2)]
+        (tmp_path / "fam.mat").write_text(dsl.format_matrix_file(fam))
+        text = ("system A 3\nsystem B 2\nsystem CTC 2\n"
+                "input pure A : 1 0 0\ninput pure B : 0 1\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="fam.mat: select family size 2 "
+                                             "does not match control dim 3"):
+            dsl.lower(parse(text), tmp_path)
 
     def test_shared_bad_file_is_named(self, tmp_path):
         (tmp_path / "bad.mat").write_text("matrix 2 1\n1 1 ;\n0 1 ;\n")

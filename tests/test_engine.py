@@ -104,6 +104,17 @@ def x_conjugation_problem():
     return DeutschProblem(layout, inter, DensityMatrix.maximally_mixed(2))
 
 
+def cycling_problem():
+    # CR qubit in |0>, CTC qutrit, the permutation |0,0> -> |0,1> -> |0,0>,
+    # |0,2> -> |1,0> -> |1,1> -> |1,2> -> |0,2>: a map that is not unital,
+    # whose orbit from I/3 alternates between diag(2/3, 1/3, 0) and
+    # diag(1/3, 2/3, 0) (S has eigenvalue -1); its fixed space has dimension 2
+    layout = Layout((("CR", 2), ("CTC", 3)), ctc_index=1)
+    perm = np.zeros((6, 6), dtype=complex)
+    perm[[1, 0, 3, 4, 5, 2], range(6)] = 1.0
+    return DeutschProblem(layout, Unitary(perm), PureState.basis(2, 0).density())
+
+
 def multiplicity_four_problem(rng):
     # CR qubit in |0>, CTC qutrit, permutation swapping |0,2> and |1,0>
     layout = Layout((("CR", 2), ("CTC", 3)), ctc_index=1)
@@ -282,6 +293,7 @@ class TestSolve:
         for prob, multiplicity, expected in [
             (multiplicity_four_problem(rng), 4, np.diag([2 / 3, 1 / 3, 0])),
             (x_conjugation_problem(), 2, np.eye(2) / 2),
+            (cycling_problem(), 2, np.diag([1 / 2, 1 / 2, 0])),
         ]:
             a = solve_fixed_point(prob)
             b, _ = cesaro_fixed_point(prob)
@@ -290,9 +302,21 @@ class TestSolve:
             assert linalg.trace_distance(a.rho_ctc.mat, b) <= 1e-8
 
     def test_cesaro_handles_cycling_map(self):
-        # X-conjugation on the CTC: plain iteration cycles, averaging settles
-        _, residual = cesaro_fixed_point(x_conjugation_problem())
+        # plain iteration from I/3 cycles between two states; averaging settles
+        prob = cycling_problem()
+        s = build_superoperator(prob)
+        assert np.min(np.abs(np.linalg.eigvals(s) + 1)) <= 1e-12
+        orbit = [np.eye(3) / 3]
+        for _ in range(4):
+            orbit.append(deutsch_map(prob, DensityMatrix(orbit[-1])).mat)
+        for rho, p in zip(orbit[1:], [2 / 3, 1 / 3, 2 / 3, 1 / 3]):
+            assert np.max(np.abs(rho - np.diag([p, 1 - p, 0]))) <= 1e-12
+        # one averaged step leaves the residual of I/3; the iteration goes on
+        _, first = cesaro_fixed_point(prob, max_iter=1)
+        assert abs(first - 1 / 3) <= 1e-12
+        rho, residual = cesaro_fixed_point(prob)
         assert residual <= 1e-10
+        assert np.max(np.abs(rho - np.diag([1 / 2, 1 / 2, 0]))) <= 1e-9
 
     def test_spectator_extension(self, rng):
         for _ in range(10):
