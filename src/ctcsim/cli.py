@@ -33,6 +33,7 @@ from .nosignal import run_entangled_clone
 from .quantum import DensityMatrix, Layout, PureState, check_density, check_unitary
 
 FORMAT_VERSION = 1
+PASS_TOL = 1e-9
 
 
 def _positive_tol(value, name: str) -> float:
@@ -264,7 +265,7 @@ def cmd_demo(args) -> int:
         rep = run_clone(cloner, target)
         expected = linalg.kron(target.mat, target.mat)
         dist = linalg.trace_distance(rep.output.mat, expected)
-        passed = dist <= linalg.tolerances.demo_pass
+        passed = dist <= PASS_TOL
         report = {
             "format_version": FORMAT_VERSION,
             "command": "demo clone-pure",
@@ -294,7 +295,7 @@ def cmd_demo(args) -> int:
         rep = run_clone(cloner, target)
         expected = linalg.kron(target.mat, target.mat)
         dist = linalg.trace_distance(rep.output.mat, expected)
-        passed = dist <= linalg.tolerances.demo_pass
+        passed = dist <= PASS_TOL
         report = {
             "format_version": FORMAT_VERSION,
             "command": "demo clone-mixed",
@@ -320,7 +321,7 @@ def cmd_demo(args) -> int:
             rho_a = DensityMatrix(linalg.partial_trace(bell.mat, (2, 2), [0]))
             expected = run_clone(cloner, rho_a).output.mat
             deviation = linalg.trace_distance(rep.reduced_ab.mat, expected)
-        passed = deviation <= linalg.tolerances.demo_pass
+        passed = deviation <= PASS_TOL
         report = {
             "format_version": FORMAT_VERSION,
             "command": "demo nosignal",

@@ -461,10 +461,9 @@ def lower(spec: CircuitSpec, base_dir=".") -> DeutschProblem:
     lowered = {}
     gates = []
     for g in spec.gates:
-        key = (g.kind, g.regs, g.file)
-        if key not in lowered:
-            lowered[key] = local_gates(g)
-        gates.extend(lowered[key])
+        if g not in lowered:  # a GateDecl compares by kind, regs and file
+            lowered[g] = local_gates(g)
+        gates.extend(lowered[g])
     interaction = GateList(layout, tuple(gates))
 
     # assemble the CR input: kron the groups in declaration order, then

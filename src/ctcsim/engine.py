@@ -38,10 +38,10 @@ eigenspaces, which is the limit of the averaged iteration
 rho -> (rho + M(rho)) / 2 from I/d even where plain iteration cycles
 (Deutsch 1991). It is taken from one SVD S - I = U Sigma V^dag per member.
 The multiplicity, the dimension of the fixed space, is the number of
-singular values at most ``tolerances.eig_one_window`` (or
-``tolerances.eig_one_relative`` times the largest, its rounding level).
-With one null vector the fixed point is that last right singular vector,
-normalized; with m > 1 (a per-member branch) it is
+singular values at most ``tolerances.eig_one_window`` (or ``_SVD_FLOOR``
+times the largest, its rounding level). With one null vector the fixed
+point is that last right singular vector, normalized; with m > 1 (a
+per-member branch) it is
 R (L^dag R)^-1 L^dag vec(I/d), the columns of R and L being the last m right
 and left singular vectors, which span the fixed space of S and that of its
 adjoint.
@@ -57,6 +57,12 @@ import numpy as np
 
 from . import linalg
 from .quantum import DensityMatrix, GateList, Layout, Unitary, _sanitize
+
+# singular values of S - I up to this fraction of the largest are rounding
+# noise and count as null
+_SVD_FLOOR = 1e-14
+# a fixed-point candidate whose |trace| is below this cannot be normalized
+_TRACELESS = 1e-12
 
 
 def _kraus_blocks(interaction, lam, phi, d: int, r: int) -> np.ndarray:
@@ -262,8 +268,7 @@ def solve_stack(kraus: np.ndarray) -> FixedPoints:
     # non-normal superoperators. Singular values descend, so the null
     # space is spanned by the last columns of u and rows of vh.
     u, sv, vh = np.linalg.svd(_superoperators(kraus) - np.eye(d * d))
-    tols = linalg.tolerances
-    window = np.maximum(tols.eig_one_window, sv[:, :1] * tols.eig_one_relative)
+    window = np.maximum(linalg.tolerances.eig_one_window, sv[:, :1] * _SVD_FLOOR)
     multiplicity = np.sum(sv <= window, axis=1)
     # at most one null vector: take it, or the smallest singular vector
     candidate = vh[:, -1].conj().reshape(b, d, d)
@@ -275,7 +280,7 @@ def solve_stack(kraus: np.ndarray) -> FixedPoints:
         coeff = np.linalg.solve(left_h @ right, left_h @ seed)
         candidate[i] = (right @ coeff).reshape(d, d)
     tr = np.trace(candidate, axis1=1, axis2=2)
-    linalg.reject((np.abs(tr) < tols.traceless, np.abs(tr),
+    linalg.reject((np.abs(tr) < _TRACELESS, np.abs(tr),
                    "eigensolver produced a traceless fixed-point candidate"))
     rho = _sanitize(candidate / tr[:, None, None])
     return FixedPoints(rho, _residuals(kraus, rho), multiplicity)

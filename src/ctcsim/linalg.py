@@ -30,9 +30,6 @@ class Tolerances:
     reconstruction: float = 1e-9
     unitary: float = 1e-10     # max |U^dag U - I| accepted as unitary
     eig_one_window: float = 1e-8  # singular values of S - I counted as null
-    eig_one_relative: float = 1e-14  # ... or this fraction of the largest
-    traceless: float = 1e-12   # |tr| below this rejects a fixed-point candidate
-    demo_pass: float = 1e-9    # max distance or deviation a CLI demo passes
 
 
 tolerances = Tolerances()
