@@ -29,9 +29,12 @@ from .quantum import (
     DensityMatrix,
     GateList,
     Layout,
+    Permutation,
     PureState,
+    Select,
     Unitary,
     basis_mapper,
+    basis_mappers,
     csum_gate,
     embed_unitary,
     select_gate,
@@ -48,9 +51,12 @@ __all__ = [
     "GateList",
     "Layout",
     "NoSignalReport",
+    "Permutation",
     "PureState",
+    "Select",
     "Unitary",
     "basis_mapper",
+    "basis_mappers",
     "build_mixed_cloner",
     "build_pure_cloner",
     "build_superoperator",

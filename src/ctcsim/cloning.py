@@ -15,7 +15,7 @@ actually reproduced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ from .quantum import (
     Layout,
     PureState,
     Unitary,
-    basis_mapper,
+    basis_mappers,
     csum_gate,
     select_gate,
     swap_gate,
@@ -58,7 +58,7 @@ class ClonerCircuit:
     @cached_property
     def total(self) -> GateList:
         """The interaction: every gate's local gates, in application order."""
-        return reduce(lambda acc, g: g[1] @ acc, self.gates, GateList(self.layout))
+        return GateList(self.layout, tuple(g for _, gl in self.gates for g in gl.gates))
 
     @property
     def n(self) -> int:
@@ -90,12 +90,13 @@ def build_pure_cloner(alphabet: Alphabet) -> ClonerCircuit:
     """
     n = alphabet.dim
     layout = _cloner_layout(n)
-    mappers = [basis_mapper(alphabet.states[k], k) for k in range(n)]
+    mappers = basis_mappers(alphabet)
+    inverses = mappers.dagger()
     w = swap_gate(layout, "A", "CTC")
     v = csum_gate(layout, "A", "B")
     s = select_gate(layout, "B", "CTC", mappers)
-    t1 = select_gate(layout, "A", "B", mappers, adjoint=True)
-    t2 = select_gate(layout, "CTC", "A", mappers, adjoint=True)
+    t1 = select_gate(layout, "A", "B", inverses)
+    t2 = select_gate(layout, "CTC", "A", inverses)
     gates = (("W", w), ("V", v), ("S", s), ("T1", t1), ("T2", t2))
     return ClonerCircuit(layout, gates, "pure_alphabet", alphabet)
 
@@ -113,7 +114,8 @@ def build_mixed_cloner(n: int) -> ClonerCircuit:
 
 
 def blank_state(n: int) -> DensityMatrix:
-    return PureState.basis(n, 0).density()
+    # a basis projector is a density matrix by construction
+    return DensityMatrix._trusted(PureState.basis(n, 0).projector())
 
 
 def make_problem(cloner: ClonerCircuit, target: DensityMatrix) -> DeutschProblem:

@@ -33,6 +33,7 @@ from .quantum import (
     GateList,
     Layout,
     PureState,
+    Select,
     Unitary,
     csum_gate,
     embed_unitary,
@@ -373,8 +374,9 @@ def serialize(spec: CircuitSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_matrix_file(path) -> list:
-    """Read a ``matrix <side> <count>`` file into a list of complex arrays."""
+def load_matrix_file(path) -> np.ndarray:
+    """Read a ``matrix <side> <count>`` file into a complex (count, side,
+    side) array."""
     text = Path(path).read_text(encoding="utf-8")
     body = []
     header = None
@@ -388,6 +390,8 @@ def load_matrix_file(path) -> list:
                     or not parts[2].isdigit():
                 raise ValueError(f"{path}: expected header 'matrix <side> <count>'")
             header = (int(parts[1]), int(parts[2]))
+            if header[0] == 0:
+                raise ValueError(f"{path}: matrix side must be at least 1, got 0")
             continue
         body.extend(t for t in re.split(r"[\s;]+", line) if t)
     if header is None:
@@ -398,8 +402,7 @@ def load_matrix_file(path) -> list:
             f"{path}: expected {side * side * count} entries, got {len(body)}"
         )
     values = np.array([parse_complex(t) for t in body], dtype=complex)
-    return [values[k * side * side:(k + 1) * side * side].reshape(side, side)
-            for k in range(count)]
+    return values.reshape(count, side, side)
 
 
 def format_matrix_file(mats) -> str:
@@ -422,15 +425,20 @@ def lower(spec: CircuitSpec, base_dir=".") -> DeutschProblem:
 
     families = {}
 
-    def family(name):
-        """The matrices of one @file as unitaries, read and parsed once."""
-        if name not in families:
-            mats = load_matrix_file(base / name)
-            try:
-                families[name] = [Unitary(m) for m in mats]
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from None
-        return families[name]
+    def family(name, adjoint=False):
+        """The matrices of one @file as a ``Select`` block stack, or its
+        adjoint: read, parsed and checked (one stacked check) once."""
+        key = (name, adjoint)
+        if key not in families:
+            if adjoint:
+                families[key] = family(name).dagger()
+            else:
+                stack = load_matrix_file(base / name)
+                try:
+                    families[key] = Select(stack)
+                except linalg.StackError as exc:
+                    raise ValueError(f"{name}: {exc.message}") from None
+        return families[key]
 
     def local_gates(g):
         """The validated local gates of one gate line."""
@@ -439,25 +447,24 @@ def lower(spec: CircuitSpec, base_dir=".") -> DeutschProblem:
         elif g.kind == "csum":
             gate = csum_gate(layout, g.regs[0], g.regs[1])
         elif g.kind in ("select", "select_adj"):
-            fam = family(g.file)
+            fam = family(g.file, adjoint=(g.kind == "select_adj"))
             if len(fam) != layout.dim(g.regs[0]):
                 raise ValueError(
                     f"{g.file}: select family size {len(fam)} does not match "
                     f"control dim {layout.dim(g.regs[0])}"
                 )
-            gate = select_gate(layout, g.regs[0], g.regs[1], fam,
-                               adjoint=(g.kind == "select_adj"))
+            gate = select_gate(layout, g.regs[0], g.regs[1], fam)
         elif g.kind == "unitary":
             fam = family(g.file)
             if len(fam) != 1:
                 raise ValueError(f"{g.file}: expected a single matrix")
-            gate = embed_unitary(layout, g.regs[0], fam[0])
+            gate = embed_unitary(layout, g.regs[0], Unitary._trusted(fam.blocks[0]))
         else:  # pragma: no cover - parser rejects unknown kinds
             raise ValueError(f"unknown gate kind {g.kind!r}")
         return gate.gates
 
-    # long circuits repeat a few gate lines many times: build and validate
-    # each distinct line once, and reuse its (immutable) gates
+    # long circuits repeat a few gate lines many times: build each distinct
+    # line once, and reuse its (immutable) gates
     lowered = {}
     gates = []
     for g in spec.gates:

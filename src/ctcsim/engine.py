@@ -9,18 +9,21 @@ K_(k,a) = sqrt(l_k) (<a| x I) U (|phi_k> x I), one d x d block for each
 eigenvector k and each CR output basis state a. Only the r*d columns
 U (|phi_k> x I) of the interaction enter, r being the rank of rho_CR; they
 come from pushing the input columns |phi_k> x |c> through the interaction's
-local gates, or through a dense unitary, so no path forms rho_CR x sigma or a
-D x D conjugation. The superoperator is S = sum K x conj(K), the map and the
+local gates (``quantum.apply_local``: a dense product, an index gather or
+per-slice block products), so no path forms rho_CR x sigma or a D x D
+conjugation. A dense ``Unitary`` interaction is the one local gate over
+every register. The superoperator is S = sum K x conj(K), the map and the
 residual apply sum K X K^dag, and the visible output traces the CTC out of
 the same blocks applied to sigma.
 
 Every kernel acts on a stack of B problems on one layout. ``kraus_stack``
 takes the CR inputs as a (B, D_cr, D_cr) array and the interaction as one
-shared ``GateList`` or ``Unitary`` or as a (B, D, D) stack of dense
-unitaries; the input columns of all members of one kept rank go through the
-interaction in one ``GateList.apply`` or one batched product. It returns the
-(B, r * D_cr, d, d) Kraus stack, r being the largest kept rank in the
-stack: a member of lower rank ends in exactly-zero blocks, which add nothing.
+shared ``GateList`` or ``Unitary`` (wrapped as a one-gate ``GateList``) or
+as a (B, D, D) stack of dense unitaries; the input columns of all members of
+one kept rank go through the interaction in one ``GateList.apply`` or one
+batched product. It returns the (B, r * D_cr, d, d) Kraus stack, r being
+the largest kept rank in the stack: a member of lower rank ends in
+exactly-zero blocks, which add nothing.
 Each member's products keep the shapes of its own stack of one, so a stacked
 solve gives every member the bits of its single solve. Sum K^dag K = I is
 checked once per stack. ``solve_stack`` builds the (B, d^2, d^2)
@@ -78,8 +81,6 @@ def _kraus_blocks(interaction, lam, phi, d: int, r: int) -> np.ndarray:
     inputs = inputs.reshape(b, cr_dim * d, r * d)
     if isinstance(interaction, GateList):
         out = interaction.apply(inputs)
-    elif isinstance(interaction, Unitary):
-        out = interaction.mat @ inputs
     else:
         out = interaction @ inputs
     return out.reshape(b, cr_dim, d, r, d).transpose(0, 3, 1, 2, 4)
@@ -103,6 +104,9 @@ def kraus_stack(
     """
     d = layout.ctc_dim
     b, cr_dim = cr.shape[0], cr.shape[-1]
+    if isinstance(interaction, Unitary):
+        # one gate over every register: the same product as U @ columns
+        interaction = GateList(layout, ((layout.names, interaction),))
     lam, phi = np.linalg.eigh(cr)
     # eigenvalues at rounding level carry no weight; dropping them keeps
     # the stack at the true rank of rho_CR

@@ -2,18 +2,32 @@
 used by the cloning circuits: SWAP, CSUM, controlled-select blocks, basis
 mappers, and register embeddings.
 
-Every gate is local: a tuple of register names plus a small ``Unitary`` on
-those registers, validated when the gate is built. The gate constructors
-return a ``GateList``, the local gates of an interaction in application
-order on one ``Layout``; gate lists compose with ``@``. One kernel,
-``apply_local``, applies a local gate to a (..., dims..., m) tensor of m
-column vectors (a leading axis batches independent column sets) with one
-s x s matrix product per batch member between two transposes, so a gate of
-side s costs O(D * m * s) on m columns of total dimension D and no D x D
-matrix is formed. A batch member's product has the shape it would have
-alone, so its bits do not depend on the batch.
-The dense interaction is built only on request (``GateList.mat``): the
-kernel applied to the identity, still checked by ``Unitary``.
+Every gate is local: a tuple of register names plus a small gate on those
+registers. A local gate is one of three kinds, each validated once, when it
+is built:
+
+- ``Unitary``, a dense matrix, checked by U^dag U;
+- ``Permutation`` (``swap_gate``, ``csum_gate``), a map of basis indices,
+  unitary by construction and never checked by a matrix product;
+- ``Select`` (``select_gate``), the (nc, nt, nt) stack of the blocks U_k of
+  sum_k |k><k| x U_k, checked by one ``check_unitary`` on the stack: the
+  diagonal blocks the dense check would see, at O(nc * nt^3) instead of
+  O((nc * nt)^3). A family of already checked ``Unitary`` members is not
+  checked again.
+
+The gate constructors return a ``GateList``, the local gates of an
+interaction in application order on one ``Layout``; gate lists compose with
+``@``, and their register check is memoised per (layout, registers). One
+kernel, ``apply_local``, applies a local gate to a (..., dims..., m) tensor
+of m column vectors (a leading axis batches independent column sets): it
+moves the gate's registers to the front, lets the gate act on the
+(..., s, rest) view with its own ``apply`` (one s x s product, an index
+gather, or one nt x nt product per control slice), and moves them back, so
+no D x D matrix is formed. A batch member's products have the shapes they
+would have alone, so its bits do not depend on the batch. Each kind's dense
+matrix is built only on request (``.mat``), as is the dense interaction
+(``GateList.mat``: the kernel applied to the identity, checked by
+``Unitary``).
 
 Tensor convention: registers appear in declaration order, the CTC register
 (when present) last, and a basis state |i0, i1, ...> has flat index
@@ -234,6 +248,8 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Unitary:
+    """A dense unitary; as a local gate, one product on its registers."""
+
     mat: np.ndarray
 
     def __post_init__(self):
@@ -241,15 +257,119 @@ class Unitary:
         check_unitary(m)
         object.__setattr__(self, "mat", m)
 
+    @classmethod
+    def _trusted(cls, mat: np.ndarray) -> "Unitary":
+        """Wrap a complex (n, n) array that is unitary by construction or
+        was checked as part of a stack."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "mat", mat)
+        return u
+
     @property
     def side(self) -> int:
         return self.mat.shape[0]
 
+    def fits(self, dims: tuple) -> bool:
+        return self.side == math.prod(dims)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The gate on each column of a (..., side, m) array."""
+        return self.mat @ x
+
     def dagger(self) -> "Unitary":
-        return Unitary(self.mat.conj().T)
+        return Unitary._trusted(self.mat.conj().T)
 
     def __matmul__(self, other: "Unitary") -> "Unitary":
         return Unitary(self.mat @ other.mat)
+
+
+@dataclass(frozen=True, eq=False)
+class Permutation:
+    """A permutation of the basis of registers of dims ``dims``: output
+    basis index i is input index ``source[i]``. Unitary by construction."""
+
+    source: np.ndarray
+    dims: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        if not np.array_equal(np.sort(self.source), np.arange(math.prod(self.dims))):
+            raise ValueError(f"source is not a permutation of dims {self.dims}")
+
+    @property
+    def side(self) -> int:
+        return self.source.size
+
+    def fits(self, dims: tuple) -> bool:
+        return self.dims == dims
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The gate on each column of a (..., side, m) array: a gather."""
+        return x[..., self.source, :]
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        m = np.zeros((self.side, self.side), dtype=complex)
+        m[np.arange(self.side), self.source] = 1.0
+        return m
+
+    def dagger(self) -> "Permutation":
+        inverse = np.empty_like(self.source)
+        inverse[self.source] = np.arange(self.side)
+        return Permutation(inverse, self.dims)
+
+
+@dataclass(frozen=True, eq=False)
+class Select:
+    """The controlled-select gate sum_k |k><k| x blocks[k] on (control,
+    target), kept as its (nc, nt, nt) block stack. The public constructor
+    checks the stack with one ``check_unitary``."""
+
+    blocks: np.ndarray
+
+    def __post_init__(self):
+        b = linalg.as_stack(self.blocks)
+        if b.ndim != 3:
+            raise ValueError(f"expected an (nc, nt, nt) block stack, got shape {b.shape}")
+        check_unitary(b)
+        object.__setattr__(self, "blocks", b)
+
+    @classmethod
+    def _trusted(cls, blocks: np.ndarray) -> "Select":
+        """Wrap an (nc, nt, nt) stack of blocks already checked as unitary."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "blocks", blocks)
+        return s
+
+    @property
+    def dims(self) -> tuple:
+        return self.blocks.shape[:2]
+
+    @property
+    def side(self) -> int:
+        return self.dims[0] * self.dims[1]
+
+    def __len__(self) -> int:
+        return self.dims[0]
+
+    def fits(self, dims: tuple) -> bool:
+        return self.dims == dims
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The gate on each column of a (..., side, m) array: one block
+        product per control slice."""
+        y = x.reshape(x.shape[:-2] + self.dims + x.shape[-1:])
+        return (self.blocks @ y).reshape(x.shape)
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        nc, nt = self.dims
+        m = np.zeros((nc, nt, nc, nt), dtype=complex)
+        m[np.arange(nc), :, np.arange(nc), :] = self.blocks
+        return m.reshape(nc * nt, nc * nt)
+
+    def dagger(self) -> "Select":
+        return Select._trusted(np.ascontiguousarray(dagger(self.blocks)))
 
 
 @dataclass(frozen=True)
@@ -318,16 +438,27 @@ def _gate_axes(layout: Layout, regs: tuple, ndim: int) -> tuple:
     return lead, tuple(order), tuple(order.index(a) for a in range(ndim))
 
 
+@lru_cache(maxsize=1024)
+def _gate_dims(layout: Layout, regs: tuple) -> tuple:
+    """The dims of the distinct registers ``regs`` of ``layout``. Cached,
+    so composing or re-wrapping gate lists does not scan the layout again;
+    a failure is not cached and raises on every call."""
+    positions = [layout.index(r) for r in regs]
+    if len(set(positions)) != len(positions):
+        raise ValueError(f"registers {list(regs)} must be distinct")
+    return tuple(layout.dims[p] for p in positions)
+
+
 def apply_local(layout: Layout, gate, tensor: np.ndarray) -> np.ndarray:
-    """Apply one local gate, a pair (register names, Unitary on those
-    registers in that order), to a tensor of shape (..., dims..., m): move
-    the named axes to the front of the register axes, multiply by the gate's
-    matrix, and move them back into their places. Leading axes are a batch;
-    each member gets its own matrix product."""
+    """Apply one local gate, a pair (register names, gate on those registers
+    in that order), to a tensor of shape (..., dims..., m): move the named
+    axes to the front of the register axes, let the gate act on the
+    (..., side, rest) view, and move them back into their places. Leading
+    axes are a batch; each member gets its own products."""
     regs, u = gate
-    lead, order, inverse = _gate_axes(layout, tuple(regs), tensor.ndim)
+    lead, order, inverse = _gate_axes(layout, regs, tensor.ndim)
     moved = tensor.transpose(order)
-    out = u.mat @ moved.reshape(moved.shape[:lead] + (u.side, -1))
+    out = u.apply(moved.reshape(moved.shape[:lead] + (u.side, -1)))
     return out.reshape(moved.shape).transpose(inverse)
 
 
@@ -335,9 +466,10 @@ def apply_local(layout: Layout, gate, tensor: np.ndarray) -> np.ndarray:
 class GateList:
     """An interaction as local gates on one layout, in application order.
 
-    Each gate is a pair (register names, Unitary on those registers); every
-    other register sees the identity. U x I is unitary exactly when U is, so
-    validating each small matrix validates the whole interaction.
+    Each gate is a pair (register names, ``Unitary``, ``Permutation`` or
+    ``Select`` on those registers); every other register sees the identity.
+    U x I is unitary exactly when U is, so validating each small gate
+    validates the whole interaction.
     """
 
     layout: Layout
@@ -345,15 +477,12 @@ class GateList:
 
     def __post_init__(self):
         gates = tuple((tuple(regs), u) for regs, u in self.gates)
-        dims = self.layout.dims
         for regs, u in gates:
-            positions = [self.layout.index(r) for r in regs]
-            if len(set(positions)) != len(positions):
-                raise ValueError(f"registers {list(regs)} must be distinct")
-            side = math.prod(dims[p] for p in positions)
-            if u.side != side:
+            dims = _gate_dims(self.layout, regs)
+            if not u.fits(dims):
                 raise ValueError(
-                    f"unitary side {u.side} does not match registers {list(regs)}"
+                    f"gate of side {u.side} does not fit registers {list(regs)} "
+                    f"of dims {dims}"
                 )
         object.__setattr__(self, "gates", gates)
 
@@ -390,55 +519,55 @@ class GateList:
         return self.unitary.mat
 
 
-def _local_gate(layout: Layout, regs: Sequence[str], mat: np.ndarray) -> GateList:
-    return GateList(layout, ((tuple(regs), Unitary(mat)),))
+def _pair_dim(layout: Layout, r1: str, r2: str, same_error: str, name: str) -> int:
+    """The common dim of two distinct registers of equal dims."""
+    if layout.index(r1) == layout.index(r2):
+        raise ValueError(same_error)
+    n = layout.dim(r1)
+    if layout.dim(r2) != n:
+        raise ValueError(f"{name} needs equal dims, got {n} and {layout.dim(r2)}")
+    return n
 
 
 def swap_gate(layout: Layout, r1: str, r2: str) -> GateList:
     """Exchange the basis indices of two equal-dimension registers."""
-    if layout.index(r1) == layout.index(r2):
-        raise ValueError("cannot swap a register with itself")
-    n = layout.dim(r1)
-    if layout.dim(r2) != n:
-        raise ValueError(f"swap needs equal dims, got {n} and {layout.dim(r2)}")
-    # |i, j> -> |j, i>: exchange the two output indices of the identity
-    perm = np.eye(n * n, dtype=complex).reshape(n, n, n * n).transpose(1, 0, 2)
-    return _local_gate(layout, (r1, r2), perm.reshape(n * n, n * n))
+    n = _pair_dim(layout, r1, r2, "cannot swap a register with itself", "swap")
+    # output |i, j> reads input |j, i>
+    source = np.arange(n * n).reshape(n, n).T.reshape(-1)
+    return GateList(layout, (((r1, r2), Permutation(source, (n, n))),))
 
 
 def csum_gate(layout: Layout, ctrl: str, tgt: str) -> GateList:
     """Generalized controlled sum: |i>|j> -> |i>|j + i mod N| on (ctrl, tgt)."""
-    if layout.index(ctrl) == layout.index(tgt):
-        raise ValueError("control and target must differ")
-    n = layout.dim(ctrl)
-    if layout.dim(tgt) != n:
-        raise ValueError(f"csum needs equal dims, got {n} and {layout.dim(tgt)}")
+    n = _pair_dim(layout, ctrl, tgt, "control and target must differ", "csum")
+    # output |i, j> reads input |i, j - i mod N>
     i, j = np.indices((n, n)).reshape(2, -1)
-    perm = np.zeros((n * n, n * n), dtype=complex)
-    perm[i * n + (i + j) % n, i * n + j] = 1.0
-    return _local_gate(layout, (ctrl, tgt), perm)
+    return GateList(layout, (((ctrl, tgt), Permutation(i * n + (j - i) % n, (n, n))),))
 
 
 def select_gate(
     layout: Layout,
     ctrl: str,
     tgt: str,
-    family: Sequence[Unitary],
+    family: Select | Sequence[Unitary],
     adjoint: bool = False,
 ) -> GateList:
-    """Controlled-select block sum_k |k><k|_ctrl x (U_k or U_k^dag)_tgt."""
+    """Controlled-select block sum_k |k><k|_ctrl x (U_k or U_k^dag)_tgt.
+
+    ``family`` is a ``Select`` or a sequence of ``Unitary`` members; either
+    was checked when built, so the block stack is not checked again."""
     nc = layout.dim(ctrl)
     nt = layout.dim(tgt)
     if layout.index(ctrl) == layout.index(tgt):
         raise ValueError("control and target must differ")
     if len(family) != nc:
         raise ValueError(f"family size {len(family)} must equal control dim {nc}")
-    blocks = np.zeros((nc, nt, nc, nt), dtype=complex)
-    for k, u in enumerate(family):
-        if u.side != nt:
-            raise ValueError(f"family member {k} has side {u.side}, target dim {nt}")
-        blocks[k, :, k, :] = u.mat.conj().T if adjoint else u.mat
-    return _local_gate(layout, (ctrl, tgt), blocks.reshape(nc * nt, nc * nt))
+    blocks = family.blocks if isinstance(family, Select) else [u.mat for u in family]
+    for k, b in enumerate(blocks):
+        if len(b) != nt:
+            raise ValueError(f"family member {k} has side {len(b)}, target dim {nt}")
+    select = family if isinstance(family, Select) else Select._trusted(np.array(blocks))
+    return GateList(layout, (((ctrl, tgt), select.dagger() if adjoint else select),))
 
 
 def embed_unitary(layout: Layout, reg: str, u: Unitary) -> GateList:
@@ -452,26 +581,43 @@ def embed_on_registers(layout: Layout, regs: Sequence[str], u: Unitary) -> GateL
     return GateList(layout, ((tuple(regs), u),))
 
 
+def _mapper_stack(amps: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """(B, n, n), unchecked: member b sends the unit vector ``amps[b]`` to
+    e_{js[b]}. Each step is the elementwise or per-member operation of one
+    mapper, so every member has the bits of its own stack of one."""
+    b, n = amps.shape
+    rows = np.arange(b)
+    eye = np.eye(n, dtype=complex)
+    overlap = amps[rows, js]
+    theta = np.where(np.abs(overlap) > 1e-14, np.angle(overlap), 0.0)
+    v = amps - np.exp(1j * theta)[:, None] * eye[js]
+    # np.vdot per row: a stacked reduction rounds differently
+    vv = np.array([np.vdot(row, row).real for row in v])
+    reflect = vv >= 1e-24
+    outer = v[:, :, None] * v.conj()[:, None, :]
+    h = eye - 2.0 * outer / np.where(reflect, vv, 1.0)[:, None, None]
+    h[~reflect] = eye
+    phase_fix = np.repeat(eye[None], b, axis=0)
+    phase_fix[rows, js, js] = np.exp(-1j * theta)
+    return phase_fix @ h
+
+
 def basis_mapper(psi: PureState, j: int) -> Unitary:
     """Unitary sending ``psi`` exactly to the computational basis vector e_j.
 
     Householder reflection through psi - e^{i theta} e_j, with theta the phase
     of <e_j|psi>, followed by a diagonal phase fix so the image carries no
-    residual global phase.
+    residual global phase: ``basis_mappers`` on a stack of one.
     """
     n = psi.dim
     if not 0 <= j < n:
         raise ValueError(f"basis index {j} out of range for dimension {n}")
-    overlap = psi.amps[j]
-    theta = float(np.angle(overlap)) if abs(overlap) > 1e-14 else 0.0
-    ej = np.zeros(n, dtype=complex)
-    ej[j] = 1.0
-    v = psi.amps - np.exp(1j * theta) * ej
-    vv = float(np.real(np.vdot(v, v)))
-    if vv < 1e-24:
-        h = np.eye(n, dtype=complex)
-    else:
-        h = np.eye(n, dtype=complex) - 2.0 * np.outer(v, v.conj()) / vv
-    phase_fix = np.eye(n, dtype=complex)
-    phase_fix[j, j] = np.exp(-1j * theta)
-    return Unitary(phase_fix @ h)
+    return Unitary(_mapper_stack(psi.amps[None], np.array([j]))[0])
+
+
+def basis_mappers(alphabet: Alphabet) -> Select:
+    """The basis mappers U_k sending state k of ``alphabet`` to e_k, built
+    as one stack and checked by one ``check_unitary``; block k equals
+    ``basis_mapper(alphabet.states[k], k).mat``."""
+    amps = np.array([s.amps for s in alphabet.states])
+    return Select(_mapper_stack(amps, np.arange(len(alphabet))))

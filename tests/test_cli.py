@@ -40,6 +40,13 @@ class TestRun:
         assert "line 3" in captured.err
         assert "column" in captured.err
 
+    def test_zero_side_matrix_file_is_one_line_error(self, tmp_path, capsys):
+        (tmp_path / "z.mat").write_text("matrix 0 3\n")
+        circuit = write_circuit(tmp_path, SMALLEST + "gate unitary A @z.mat\n")
+        assert main(["run", circuit]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'z.mat'}: matrix side must be at least 1, got 0\n"
+
     def test_missing_file_is_io_error(self, capsys):
         assert main(["run", "/nonexistent/x.ctc"]) == 3
 

@@ -4,6 +4,7 @@ import pytest
 from conftest import random_alphabet, zero_plus_alphabet
 from ctcsim import linalg
 from ctcsim.cloning import (
+    ClonerCircuit,
     build_mixed_cloner,
     build_pure_cloner,
     check_cloning_condition,
@@ -12,7 +13,7 @@ from ctcsim.cloning import (
     run_clone,
 )
 from ctcsim.fidelity import fidelity
-from ctcsim.quantum import Alphabet, DensityMatrix, PureState
+from ctcsim.quantum import Alphabet, DensityMatrix, GateList, PureState, Unitary
 from ctcsim.sampling import haar_unitary
 
 # pinned by the pre-build brute-force oracle (scipy sqrtm + null-space solver)
@@ -120,6 +121,33 @@ class TestRunClone:
         rep = run_clone(build_pure_cloner(alphabet), alphabet.states[0].density())
         assert rep.fixed_point.multiplicity == 1
         assert 1 - rep.joint_fid <= 1e-12
+
+
+def dense_twin(cloner):
+    """The same cloner with every local gate wrapped as a dense Unitary."""
+    gates = tuple(
+        (label, GateList(cloner.layout, tuple((regs, Unitary(u.mat)) for regs, u in g.gates)))
+        for label, g in cloner.gates)
+    return ClonerCircuit(cloner.layout, gates, cloner.kind, cloner.alphabet)
+
+
+@pytest.mark.parametrize("kind, n", [("pure", n) for n in range(2, 13)]
+                         + [("mixed", n) for n in range(2, 9)])
+def test_structured_gates_keep_the_bits_of_dense_gates(kind, n, rng):
+    if kind == "pure":
+        alphabet = random_alphabet(rng, n)
+        cloner = build_pure_cloner(alphabet)
+        target = alphabet.states[int(rng.integers(n))].density()
+    else:
+        cloner = build_mixed_cloner(n)
+        target = DensityMatrix(np.diag(rng.dirichlet(np.ones(n)) + 0j))
+    twin = dense_twin(cloner)
+    assert all(type(u) is Unitary for _, g in twin.gates for _, u in g.gates)
+    a, b = run_clone(cloner, target), run_clone(twin, target)
+    assert np.array_equal(a.output.mat, b.output.mat)
+    assert np.array_equal(a.fixed_point.rho_ctc.mat, b.fixed_point.rho_ctc.mat)
+    assert a.fixed_point.residual == b.fixed_point.residual
+    assert (a.fid_a, a.fid_b, a.joint_fid) == (b.fid_a, b.fid_b, b.joint_fid)
 
 
 class TestCloningCondition:

@@ -269,6 +269,39 @@ class TestLower:
         with pytest.raises(ValueError, match="bad.mat: not unitary"):
             dsl.lower(parse(text), tmp_path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("gate select B B @fam.mat", "control and target must differ"),
+        ("gate select_adj B A @fam.mat", "family member 0 has side 2, target dim 3"),
+        ("gate select A B @fam.mat", "fam.mat: select family size 2 does not match "
+                                     "control dim 3"),
+    ])
+    def test_lines_sharing_a_file_select_keep_their_errors(self, line, message,
+                                                           tmp_path, rng):
+        fam = [haar_unitary(rng, 2).mat for _ in range(2)]
+        (tmp_path / "fam.mat").write_text(dsl.format_matrix_file(fam))
+        text = ("system A 3\nsystem B 2\nsystem CTC 2\n"
+                "input pure A : 1 0 0\ninput pure B : 0 1\n"
+                "gate select B CTC @fam.mat\ngate select_adj CTC B @fam.mat\n"
+                + line + "\n")
+        with pytest.raises(ValueError, match=message):
+            dsl.lower(parse(text), tmp_path)
+
+    def test_one_select_per_file_and_adjoint(self, tmp_path, rng):
+        fam = [haar_unitary(rng, 2).mat for _ in range(2)]
+        (tmp_path / "fam.mat").write_text(dsl.format_matrix_file(fam))
+        text = (SMALLEST.replace("gate swap A CTC\n", "")
+                + "gate select A CTC @fam.mat\ngate select CTC A @fam.mat\n"
+                "gate select_adj A CTC @fam.mat\ngate select_adj CTC A @fam.mat\n")
+        gates = [u for _, u in dsl.lower(parse(text), tmp_path).interaction.gates]
+        assert gates[0] is gates[1] and gates[2] is gates[3]
+        assert np.array_equal(gates[0].blocks, np.array(fam))
+        assert np.array_equal(gates[2].blocks, np.array(fam).conj().swapaxes(1, 2))
+
+    def test_zero_side_matrix_file_rejected_at_header(self, tmp_path):
+        (tmp_path / "z.mat").write_text("matrix 0 1\n")
+        with pytest.raises(ValueError, match="z.mat: matrix side must be at least 1"):
+            dsl.load_matrix_file(tmp_path / "z.mat")
+
     def test_missing_file(self, tmp_path):
         text = SMALLEST + "gate unitary A @missing.mat\n"
         with pytest.raises(OSError):

@@ -168,8 +168,8 @@ def test_kraus_rejects_gate_corrupted_after_validation(rng):
     alphabet = random_alphabet(rng, 3)
     cloner = build_pure_cloner(alphabet)
     problem = make_problem(cloner, alphabet.states[0].density())
-    _, select_block = cloner.gates[2][1].gates[0]  # S, checked when built
-    select_block.mat[:] *= 1.001
+    _, select = cloner.gates[2][1].gates[0]  # S, checked when built
+    select.blocks[:] *= 1.001  # the stack the kernel applies
     with pytest.raises(ValueError, match="not trace preserving"):
         problem.kraus
 

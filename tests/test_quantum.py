@@ -11,9 +11,12 @@ from ctcsim.quantum import (
     DensityMatrix,
     GateList,
     Layout,
+    Permutation,
     PureState,
+    Select,
     Unitary,
     basis_mapper,
+    basis_mappers,
     check_density,
     csum_gate,
     embed_on_registers,
@@ -75,6 +78,21 @@ def oracle_embed_on_registers(layout, regs, u):
     return linalg.permute_registers(full, [layout.dims[i] for i in order], inverse)
 
 
+def oracle_basis_mapper(psi, j):
+    """One Householder reflection and phase fix, built for one state alone."""
+    n = psi.dim
+    overlap = psi.amps[j]
+    theta = float(np.angle(overlap)) if abs(overlap) > 1e-14 else 0.0
+    v = psi.amps - np.exp(1j * theta) * np.eye(n, dtype=complex)[j]
+    vv = float(np.real(np.vdot(v, v)))
+    h = np.eye(n, dtype=complex)
+    if vv >= 1e-24:
+        h = h - 2.0 * np.outer(v, v.conj()) / vv
+    phase_fix = np.eye(n, dtype=complex)
+    phase_fix[j, j] = np.exp(-1j * theta)
+    return phase_fix @ h
+
+
 MIXED = Layout((("A", 2), ("B", 3), ("C", 3), ("CTC", 2)), ctc_index=3)
 
 
@@ -116,6 +134,66 @@ def test_composition_and_dagger_match_dense_products(rng):
         dense = oracle @ dense
     assert np.max(np.abs(total.mat - dense)) <= 1e-12
     assert np.max(np.abs(total.dagger().mat - dense.conj().T)) <= 1e-12
+
+
+def test_structured_gates_match_dense_oracles_and_invert(rng):
+    fam = [haar_unitary(rng, 3) for _ in range(2)]
+    cases = [(swap_gate(MIXED, "B", "C"), oracle_swap(MIXED, "B", "C"), Permutation),
+             (csum_gate(MIXED, "C", "B"), oracle_csum(MIXED, "C", "B"), Permutation),
+             (select_gate(MIXED, "A", "B", fam), oracle_select(MIXED, "A", "B", fam), Select),
+             (select_gate(MIXED, "A", "C", fam, adjoint=True),
+              oracle_select(MIXED, "A", "C", fam, adjoint=True), Select)]
+    for gate, oracle, kind in cases:
+        ((regs, local),) = gate.gates
+        assert type(local) is kind
+        # the local gate's own matrix, embedded by the embedding oracle
+        assert np.array_equal(oracle_embed_on_registers(MIXED, regs, local), oracle)
+        assert np.array_equal(local.dagger().mat, local.mat.conj().T)
+        inverse = GateList(MIXED, ((regs, local.dagger()),))
+        assert np.max(np.abs((inverse @ gate).mat - np.eye(MIXED.total_dim))) <= 1e-12
+
+
+def test_permutation_rejects_a_non_permutation():
+    with pytest.raises(ValueError, match="not a permutation"):
+        Permutation(np.array([0, 0, 1, 2]), (2, 2))
+
+
+def test_select_checks_its_stack_once_and_names_the_member(rng):
+    blocks = np.array([haar_unitary(rng, 2).mat for _ in range(3)])
+    blocks[1, 0, 0] += 0.1
+    with pytest.raises(linalg.StackError, match="not unitary") as info:
+        Select(blocks)
+    assert info.value.index == 1
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_basis_mappers_equal_basis_mapper(n, rng):
+    alphabet = random_alphabet(rng, n)
+    mappers = basis_mappers(alphabet)
+    assert mappers.blocks.shape == (n, n, n)
+    for k, state in enumerate(alphabet.states):
+        assert np.array_equal(mappers.blocks[k], basis_mapper(state, k).mat)
+        assert np.array_equal(mappers.blocks[k], oracle_basis_mapper(state, k))
+    # a basis state is its own image: the identity, without a reflection
+    basis = Alphabet(tuple(PureState.basis(n, k) for k in range(n)))
+    assert np.array_equal(basis_mappers(basis).blocks, np.array([np.eye(n)] * n))
+
+
+def test_memoised_register_check_rejects_on_every_construction():
+    lay = Layout((("A", 2), ("B", 3), ("CTC", 2)), ctc_index=2)
+    x = X
+    for _ in range(3):
+        with pytest.raises(ValueError, match="must be distinct"):
+            GateList(lay, ((("A", "A"), Unitary(np.eye(4, dtype=complex))),))
+        with pytest.raises(ValueError, match="does not fit registers"):
+            GateList(lay, ((("B",), x),))
+        with pytest.raises(ValueError, match="does not fit registers"):
+            # side 6 matches, but a (3, 2) select does not fit dims (2, 3)
+            GateList(lay, ((("A", "B"), Select(np.array([x.mat] * 3))),))
+        with pytest.raises(ValueError, match="does not fit registers"):
+            GateList(lay, ((("A", "CTC"), swap_gate(lay, "A", "CTC").gates[0][1].dagger()),
+                           (("A", "B"), Permutation(np.arange(4), (2, 2)))))
+        assert GateList(lay, ((("A",), x),)).side == 12
 
 
 def oracle_cloner_total(cloner):
