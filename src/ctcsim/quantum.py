@@ -314,9 +314,7 @@ class Permutation:
         return m
 
     def dagger(self) -> "Permutation":
-        inverse = np.empty_like(self.source)
-        inverse[self.source] = np.arange(self.side)
-        return Permutation(inverse, self.dims)
+        return Permutation(np.argsort(self.source), self.dims)
 
 
 @dataclass(frozen=True, eq=False)
