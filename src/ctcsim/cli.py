@@ -199,7 +199,10 @@ def cmd_run(args) -> int:
         for err in exc.errors:
             print(f"{args.circuit}:{err}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except OSError as exc:  # a matrix file that cannot be read
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     output, fp = evolve(problem)
@@ -254,7 +257,10 @@ def cmd_demo(args) -> int:
     if args.name == "clone-pure":
         try:
             alphabet = _load_alphabet(args.alphabet)
-        except (OSError, ValueError) as exc:
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         if not 0 <= args.index < len(alphabet):
@@ -287,6 +293,10 @@ def cmd_demo(args) -> int:
         if (any(not math.isfinite(p) or p < 0 for p in probs)
                 or abs(sum(probs) - 1.0) > 1e-9):
             print("error: probabilities must be nonnegative and sum to 1",
+                  file=sys.stderr)
+            return 1
+        if len(probs) < 2:
+            print("error: --probs needs at least two probabilities",
                   file=sys.stderr)
             return 1
         n = len(probs)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg, quantum
 from .engine import DeutschProblem, FixedPointResult, evolve
-from .fidelity import fidelities, fidelity
+from .fidelity import factor_fidelities
 from .quantum import (
     Alphabet,
     DensityMatrix,
@@ -142,16 +142,20 @@ def run_clone(cloner: ClonerCircuit, target: DensityMatrix) -> CloneReport:
     dims = (n, n)
     clone_a = DensityMatrix.sanitize(linalg.partial_trace(output.mat, dims, [0]))
     clone_b = DensityMatrix.sanitize(linalg.partial_trace(output.mat, dims, [1]))
-    joint_target = DensityMatrix._trusted(linalg.kron(target.mat, target.mat))
+    # the target's factor at its kept rank r, and its kron for the joint
+    # target: each fidelity is an r x r (r^2 x r^2 for the joint) problem
+    lam, vec = np.linalg.eigh(target.mat)
+    keep = linalg.above_rounding(lam)
+    w = vec[:, keep] * np.sqrt(lam[keep])
     return CloneReport(
         input_state=target,
         fixed_point=fp,
         output=output,
         clone_a=clone_a,
         clone_b=clone_b,
-        fid_a=fidelity(clone_a, target),
-        fid_b=fidelity(clone_b, target),
-        joint_fid=fidelity(output, joint_target),
+        fid_a=float(factor_fidelities(clone_a.mat, w)),
+        fid_b=float(factor_fidelities(clone_b.mat, w)),
+        joint_fid=float(factor_fidelities(output.mat, np.kron(w, w))),
     )
 
 
@@ -208,7 +212,9 @@ def baseline_infidelities(
         full = linalg.kron_all(rho_s, sigma.mat, ancilla.mat)
         evolved = interactions @ full @ u_dag
         out = quantum._sanitize(linalg.partial_trace(evolved, dims, [0, 1]))
-        worst = np.minimum(worst, fidelities(out, linalg.kron(rho_s, rho_s)))
+        # psi x psi is the factor of the pure joint target
+        pair = np.kron(state.amps, state.amps)[:, None]
+        worst = np.minimum(worst, factor_fidelities(out, pair))
     return 1.0 - worst
 
 

@@ -16,6 +16,15 @@ every register. The superoperator is S = sum K x conj(K), the map and the
 residual apply sum K X K^dag, and the visible output traces the CTC out of
 the same blocks applied to sigma.
 
+The visible output is a valid density matrix by construction, with no
+eigendecomposition of its D_cr x D_cr matrix and no clamping. The solve
+returns a PSD sigma, which one d x d eigh factors as V V^dag. Entry (a, c)
+of the output is sum_k Tr(K_(k,a) V (K_(k,c) V)^dag), so the output is the
+Gram matrix E E^dag of the rows E_a = (K_(k,a) V for every k), and a Gram
+matrix is PSD. Its trace is Tr(sum K^dag K sigma) = 1, because
+sum K^dag K = I is checked in ``kraus_stack``; dividing by the computed
+trace removes the rounding.
+
 Every kernel acts on a stack of B problems on one layout. ``kraus_stack``
 takes the CR inputs as a (B, D_cr, D_cr) array and the interaction as one
 shared ``GateList`` or ``Unitary`` (wrapped as a one-gate ``GateList``) or
@@ -29,7 +38,7 @@ solve gives every member the bits of its single solve. Sum K^dag K = I is
 checked once per stack. ``solve_stack`` builds the (B, d^2, d^2)
 superoperators and solves them together into ``FixedPoints`` (CTC states
 (B, d, d), residuals and multiplicities (B,)); ``output_stack`` gives the
-(B, D_cr, D_cr) visible outputs. A failing member raises
+(B, D_cr, D_cr) visible outputs in Gram form. A failing member raises
 ``linalg.StackError`` naming its position in the stack. The single-problem
 API (``DeutschProblem.kraus``, ``solve_fixed_point``, ``deutsch_map``,
 ``output_state``, ``build_superoperator``) runs the same kernels on a stack
@@ -110,7 +119,7 @@ def kraus_stack(
     lam, phi = np.linalg.eigh(cr)
     # eigenvalues at rounding level carry no weight; dropping them keeps
     # the stack at the true rank of rho_CR
-    keep = lam > lam[:, -1:] * cr_dim * np.finfo(float).eps
+    keep = linalg.above_rounding(lam)
     ranks = keep.sum(axis=1)
     # members of one rank go through the interaction together, in products
     # of the width their own stacks would have (a wider product can round a
@@ -233,15 +242,21 @@ def deutsch_map(problem: DeutschProblem, rho_ctc: DensityMatrix) -> DensityMatri
 
 
 def output_stack(k: np.ndarray, rho_ctc: np.ndarray, cr_dim: int) -> np.ndarray:
-    """Visible outputs of a stack: trace the CTC register out of each
-    member's evolved joint state, sanitized, (B, D_cr, D_cr)."""
-    # blocks[b, a, k] is Kraus operator (k, a); entry (a, c) of the output
-    # sums the row products of blocks[b, a, k] sigma and conj(blocks[b, c, k])
+    """Visible outputs of a stack, (B, D_cr, D_cr): trace the CTC register
+    out of each member's evolved joint state, formed as the Gram matrix
+    E E^dag of E = blocks V, V V^dag = rho_CTC, so each output is PSD by
+    construction. Raises ``linalg.StackError`` for the first member whose
+    CTC state is not PSD."""
+    # blocks[b, a, k] is Kraus operator (k, a); row a of E holds the
+    # products blocks[b, a, k] V over every k, and entry (a, c) of the
+    # output is the product of rows a and c. V keeps the full width d, so a
+    # member's products do not depend on the others in its stack.
     b, _, d, _ = k.shape
     blocks = k.reshape(b, -1, cr_dim, d, d).transpose(0, 2, 1, 3, 4)
-    evolved = (blocks @ rho_ctc[:, None, None]).reshape(b, cr_dim, -1)
-    reduced = evolved @ linalg.dagger(blocks.reshape(b, cr_dim, -1))
-    return _sanitize(reduced)
+    e = (blocks @ linalg.psd_factor(rho_ctc)[:, None, None]).reshape(b, cr_dim, -1)
+    gram = e @ linalg.dagger(e)
+    gram = (gram + linalg.dagger(gram)) / 2
+    return gram / np.real(np.trace(gram, axis1=1, axis2=2))[:, None, None]
 
 
 def output_state(problem: DeutschProblem, rho_ctc: DensityMatrix) -> DensityMatrix:

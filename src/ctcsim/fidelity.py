@@ -1,12 +1,18 @@
 """Uhlmann fidelity and executable checkers for its algebraic properties
 (multiplicativity over tensor products, monotonicity under partial trace).
 
-Each property has one kernel over plain (..., n, n) arrays that broadcasts
-over leading axes: ``fidelities``, ``multiplicativity_defects`` and
-``monotonicity_margins``. The functions on ``DensityMatrix`` arguments call
-them with no batch axis, and the property sweeps call them once per stack of
-trials. The kernels trust their inputs to be density matrices (validated
-where they entered the program) and do not check Hermiticity again.
+The fidelity has one kernel over a factor of its second argument:
+F(rho, W W^dag) = Tr sqrt(W^dag rho W) (Jozsa 1994), which needs only the
+r x r operator W^dag rho W for an n x r factor W. A caller that knows a
+factor passes it to ``factor_fidelities``: the ket of a pure state makes
+each fidelity a 1 x 1 problem. ``fidelities`` factors its second argument
+at full width with one eigendecomposition (``linalg.psd_factor``), and the
+property checkers ``multiplicativity_defects`` and ``monotonicity_margins``
+call it. Every kernel works on plain (..., n, n) arrays and broadcasts over
+leading axes. The functions on ``DensityMatrix`` arguments call them with no
+batch axis, and the property sweeps call them once per stack of trials. The
+kernels trust their inputs to be density matrices (validated where they
+entered the program) and do not check Hermiticity again.
 """
 
 from __future__ import annotations
@@ -19,27 +25,38 @@ from . import linalg
 from .linalg import dagger, reject
 from .quantum import DensityMatrix
 
+# eigenvalues of W^dag rho W below this fraction of the largest (or of 1)
+# are rounding noise, which would contribute sqrt(eps) after the square root
+_EIG_FLOOR = 1e-13
+# a fidelity further than this outside [0, 1] is an error, not rounding
+_RANGE_SLACK = 1e-9
 
-def fidelities(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Tr sqrt(rho^{1/2} sigma rho^{1/2}) of each pair of (..., n, n)
-    density matrices, clamped to [0, 1].
 
-    Computed by eigendecomposing the (symmetrized) sandwiched operator and
-    summing the square roots of its (clamped) eigenvalues.
+def factor_fidelities(rho: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """F(rho, W W^dag) = Tr sqrt(W^dag rho W) of each (..., n, n) density
+    matrix rho and (..., n, r) factor W of a density matrix, clamped to
+    [0, 1].
+
+    Computed from the eigenvalues of the (symmetrized) r x r sandwiched
+    operator, with those at the noise floor taken as zero.
     """
-    root = linalg._psd_sqrt(rho)
-    sandwich = root @ sigma @ root
-    w, _ = np.linalg.eigh((sandwich + dagger(sandwich)) / 2)
-    reject((w[..., 0] < -linalg.tolerances.psd, w[..., 0],
+    sandwich = dagger(w) @ rho @ w
+    ev = np.linalg.eigvalsh((sandwich + dagger(sandwich)) / 2)
+    reject((ev[..., 0] < -linalg.tolerances.psd, ev[..., 0],
             "sandwiched operator not PSD: {:.3e}"))
-    # eigenvalues at the numerical noise floor would contribute sqrt(eps)
-    # after the square root; floor them to zero first
-    cut = 1e-13 * np.maximum(w[..., -1], 1.0)
-    w = np.where(w < cut[..., None], 0.0, w)
-    f = np.sqrt(w).sum(axis=-1)
-    reject(((f < -1e-9) | (f > 1 + 1e-9), f,
+    cut = _EIG_FLOOR * np.maximum(ev[..., -1], 1.0)
+    ev = np.where(ev < cut[..., None], 0.0, ev)
+    f = np.sqrt(ev).sum(axis=-1)
+    reject(((f < -_RANGE_SLACK) | (f > 1 + _RANGE_SLACK), f,
             "fidelity {} outside [0,1] beyond tolerance"))
     return np.minimum(np.maximum(f, 0.0), 1.0)
+
+
+def fidelities(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Tr sqrt(sigma^{1/2} rho sigma^{1/2}) of each pair of (..., n, n)
+    density matrices, clamped to [0, 1]: ``factor_fidelities`` against the
+    full-width factor of sigma."""
+    return factor_fidelities(rho, linalg.psd_factor(sigma))
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -1,14 +1,15 @@
 """Dense complex matrix primitives: Kronecker products, partial traces,
-Hermitian eigendecomposition, PSD square roots and trace distances.
+Hermitian eigendecomposition, PSD square roots and factors, and trace
+distances.
 
 All operators are plain square ``numpy`` arrays of ``complex128``, stored
 row-major. ``kron``, ``partial_trace``, ``permute_registers``,
-``hermiticity_defect``, ``psd_sqrt``, ``trace_norm`` and ``trace_distance``
-are shape-generic: they act on the last two axes of an (..., n, n) stack and
-broadcast over the leading ones, so one matrix and a stack of them take the
-same code. Checks on a stack go through ``reject``, which names the first
-failing entry; ``chunks`` splits a long stack so its memory stays bounded.
-Tolerances live in ``tolerances``.
+``hermiticity_defect``, ``psd_sqrt``, ``psd_factor``, ``trace_norm`` and
+``trace_distance`` are shape-generic: they act on the last two axes of an
+(..., n, n) stack and broadcast over the leading ones, so one matrix and a
+stack of them take the same code. Checks on a stack go through ``reject``,
+which names the first failing entry; ``chunks`` splits a long stack so its
+memory stays bounded. Tolerances live in ``tolerances``.
 """
 
 from __future__ import annotations
@@ -226,18 +227,29 @@ def psd_sqrt(h) -> np.ndarray:
     defect = hermiticity_defect(h)
     reject((defect > tolerances.herm, defect,
             "matrix is not Hermitian: max |h - h^dag| = {:.3e}"))
-    return _psd_sqrt(h)
-
-
-def _psd_sqrt(h: np.ndarray) -> np.ndarray:
-    """``psd_sqrt`` of the Hermitian part, for input already known to be
-    Hermitian (a validated state); the PSD check stays."""
     w, v = np.linalg.eigh((h + dagger(h)) / 2)
     reject((w[..., 0] < -tolerances.psd, w[..., 0],
             "matrix is not PSD: min eigenvalue {:.3e}"))
     # np.maximum gives np.clip(w, 0, None)'s values without its wrapper cost
-    w = np.sqrt(np.maximum(w, 0.0))
-    return (v * w[..., None, :]) @ dagger(v)
+    return (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ dagger(v)
+
+
+def psd_factor(h: np.ndarray) -> np.ndarray:
+    """A full-width factor W = v sqrt(w) with W W^dag = h of each (..., n, n)
+    entry, from one eigendecomposition of its Hermitian part, for input
+    already known to be Hermitian (a validated state). Eigenvalues within
+    ``tolerances.psd`` of zero are clamped; anything more negative rejects."""
+    w, v = np.linalg.eigh((h + dagger(h)) / 2)
+    reject((w[..., 0] < -tolerances.psd, w[..., 0],
+            "matrix is not PSD: min eigenvalue {:.3e}"))
+    return v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+
+
+def above_rounding(w: np.ndarray) -> np.ndarray:
+    """Which ascending eigenvalues of each (..., n) row carry weight: those
+    above the largest times n * eps, the rounding level of an n x n
+    eigendecomposition."""
+    return w > w[..., -1:] * w.shape[-1] * np.finfo(float).eps
 
 
 def trace_norm(h):

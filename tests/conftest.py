@@ -42,3 +42,16 @@ def cesaro_fixed_point(problem, tol=1e-12, max_iter=100000):
         rho = (rho + mapped) / 2
         rho = (rho + rho.conj().T) / 2
     return best, best_res
+
+
+def sandwich_fidelity(rho, sigma):
+    """Dense oracle for the Uhlmann fidelity of two density matrices:
+    Tr sqrt(rho^{1/2} sigma rho^{1/2}) from two eigendecompositions, with
+    eigenvalues below 1e-13 (times the largest, at least 1) taken as zero
+    and the result clamped to [0, 1]."""
+    w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
+    root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+    sandwich = root @ sigma @ root
+    w = np.linalg.eigvalsh((sandwich + sandwich.conj().T) / 2)
+    w = np.where(w < 1e-13 * max(w[-1], 1.0), 0.0, w)
+    return float(min(max(np.sqrt(w).sum(), 0.0), 1.0))

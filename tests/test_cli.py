@@ -213,7 +213,6 @@ def test_bad_default_tol_env_is_usage_error(value, monkeypatch, tmp_path, capsys
     ["run", "{circuit}", "--tol", "nan"],
     ["run", "{circuit}", "--tol", "inf"],
     ["sweep", "fixed-points", "--dim", "1"],
-    ["demo", "clone-mixed", "--probs", "1"],
     ["sweep", "fixed-points", "--trials", "-3"],
 ])
 def test_invalid_values_are_one_line_usage_errors(argv, tmp_path, capsys):
@@ -250,6 +249,35 @@ def test_clone_mixed_rejects_non_finite_probs(probs, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: probabilities must be nonnegative and sum to 1\n"
+
+
+def test_clone_mixed_rejects_a_single_probability(capsys):
+    # one probability is an invalid --probs value, not a cloner of side 1
+    code = main(["demo", "clone-mixed", "--probs", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: --probs needs at least two probabilities\n"
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("via", ["circuit", "alphabet"])
+def test_unreadable_matrix_file_is_io_error(via, kind, tmp_path, capsys):
+    # a matrix file named by a circuit's gate line or by --alphabet that
+    # does not exist, or is a directory
+    path = tmp_path / "u.mat"
+    if kind == "directory":
+        path.mkdir()
+    if via == "circuit":
+        argv = ["run", write_circuit(tmp_path, SMALLEST + "gate unitary A @u.mat\n")]
+    else:
+        argv = ["demo", "clone-pure", "--alphabet", f"@{path}"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_nosignal_pure_cloner_passes(capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_alphabet, zero_plus_alphabet
+from conftest import random_alphabet, sandwich_fidelity, zero_plus_alphabet
 from ctcsim import linalg
 from ctcsim.cloning import (
     ClonerCircuit,
@@ -9,12 +9,13 @@ from ctcsim.cloning import (
     build_pure_cloner,
     check_cloning_condition,
     classical_copy_circuit,
+    make_problem,
     no_ctc_baseline,
     run_clone,
 )
 from ctcsim.fidelity import fidelity
 from ctcsim.quantum import Alphabet, DensityMatrix, GateList, PureState, Unitary
-from ctcsim.sampling import haar_unitary
+from ctcsim.sampling import haar_unitary, random_pure
 
 # pinned by the pre-build brute-force oracle (scipy sqrtm + null-space solver)
 OFF_ALPHABET_MINUS_JOINT_FID = 0.5
@@ -121,6 +122,57 @@ class TestRunClone:
         rep = run_clone(build_pure_cloner(alphabet), alphabet.states[0].density())
         assert rep.fixed_point.multiplicity == 1
         assert 1 - rep.joint_fid <= 1e-12
+
+
+def clone_targets(kind, n, rng):
+    """A cloner and targets for it: an alphabet member and a pure state off
+    the alphabet for the pure cloner; a full-rank and a rank-deficient
+    diagonal state for the mixed one."""
+    if kind == "pure":
+        alphabet = random_alphabet(rng, n)
+        member = alphabet.states[int(rng.integers(n))].density()
+        return build_pure_cloner(alphabet), [member, random_pure(rng, n).density()]
+    deficient = np.concatenate([rng.dirichlet(np.ones(n - 1)), [0.0]])
+    return build_mixed_cloner(n), [
+        DensityMatrix(np.diag(rng.dirichlet(np.ones(n)) + 0j)),
+        DensityMatrix(np.diag(rng.permutation(deficient) + 0j))]
+
+
+@pytest.mark.parametrize("kind, n", [("pure", n) for n in range(2, 9)]
+                         + [("mixed", n) for n in range(2, 8)])
+def test_clone_fidelities_match_the_dense_oracle(kind, n, rng):
+    cloner, targets = clone_targets(kind, n, rng)
+    for target in targets:
+        rep = run_clone(cloner, target)
+        joint = linalg.kron(target.mat, target.mat)
+        assert abs(rep.fid_a - sandwich_fidelity(rep.clone_a.mat, target.mat)) <= 1e-12
+        assert abs(rep.fid_b - sandwich_fidelity(rep.clone_b.mat, target.mat)) <= 1e-12
+        assert abs(rep.joint_fid - sandwich_fidelity(rep.output.mat, joint)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind, n", [("pure", n) for n in range(2, 6)]
+                         + [("mixed", n) for n in range(2, 5)])
+def test_clone_eigendecomposes_one_cr_sized_matrix(kind, n, rng, monkeypatch):
+    # the output is a Gram matrix and each fidelity is taken against the
+    # target's factor: of side n * n only the CR input's eigh remains. A
+    # pure target keeps the joint fidelity a 1 x 1 problem (a full-rank
+    # mixed one makes it r^2 x r^2, the rank of the joint target).
+    cloner, _ = clone_targets(kind, n, rng)
+    target = (cloner.alphabet.states[0].density() if kind == "pure"
+              else PureState.basis(n, n - 1).density())
+    seen = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        def counted(m, *args, _name=name, _real=getattr(np.linalg, name), **kw):
+            if m.shape[-1] == n * n:
+                seen.append((_name, np.array(m)))
+            return _real(m, *args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    rep = run_clone(cloner, target)
+    assert rep.joint_fid >= 1 - 1e-9
+    assert len(seen) == 1
+    name, mat = seen[0]
+    assert name == "eigh"
+    assert np.array_equal(mat, make_problem(cloner, target).cr_input.mat[None])
 
 
 def dense_twin(cloner):

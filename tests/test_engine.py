@@ -17,6 +17,7 @@ from ctcsim.engine import (
 )
 from ctcsim.nosignal import _extended_problem, run_entangled_clone
 from ctcsim.quantum import (
+    TRACE_TOL,
     DensityMatrix,
     GateList,
     Layout,
@@ -378,6 +379,39 @@ def assert_members_equal_single_solves(layout, interactions, crs):
         assert fps[i].multiplicity == fp.multiplicity
         assert np.array_equal(outputs[i], out.mat)
     return fps
+
+
+def output_cases(rng):
+    """(layout, interaction, CR input stack) triples: cloner stacks of pure
+    and mixed targets, and Haar stacks with full-rank and pure CR inputs."""
+    cases = []
+    for n in (3, 5, 6):
+        alphabet = random_alphabet(rng, n)
+        cloner = build_pure_cloner(alphabet)
+        targets = [s.density() for s in alphabet.states[:2]] + [random_density(rng, n)]
+        crs = [make_problem(cloner, t).cr_input.mat for t in targets]
+        cases.append((cloner.layout, cloner.total, np.stack(crs)))
+    for n in (3, 5):
+        cloner = build_mixed_cloner(n)
+        targets = [DensityMatrix(np.diag(rng.dirichlet(np.ones(n)) + 0j)) for _ in range(3)]
+        crs = [make_problem(cloner, t).cr_input.mat for t in targets]
+        cases.append((cloner.layout, cloner.total, np.stack(crs)))
+    for cr_dim, d in ((2, 2), (3, 2), (2, 3), (4, 3)):
+        layout = Layout((("CR", cr_dim), ("CTC", d)), ctc_index=1)
+        u = np.stack([haar_unitary(rng, cr_dim * d).mat for _ in range(4)])
+        crs = np.stack([random_density(rng, cr_dim).mat for _ in range(2)]
+                       + [random_pure(rng, cr_dim).projector() for _ in range(2)])
+        cases.append((layout, u, crs))
+    return cases
+
+
+def test_outputs_are_density_matrices_by_construction(rng):
+    for layout, interaction, crs in output_cases(rng):
+        kraus = kraus_stack(layout, interaction, crs)
+        out = output_stack(kraus, solve_stack(kraus).rho_ctc, crs.shape[-1])
+        assert np.all(linalg.hermiticity_defect(out) == 0)
+        assert np.all(np.abs(np.trace(out, axis1=1, axis2=2) - 1) <= TRACE_TOL)
+        assert np.linalg.eigvalsh(out)[:, 0].min() >= -linalg.tolerances.psd
 
 
 def test_stack_of_mixed_ranks_equals_single_solves(rng):

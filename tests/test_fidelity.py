@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import sandwich_fidelity
 from ctcsim import linalg
-from ctcsim.fidelity import check_monotonicity, check_multiplicativity, fidelity
+from ctcsim.fidelity import (
+    check_monotonicity,
+    check_multiplicativity,
+    factor_fidelities,
+    fidelities,
+    fidelity,
+)
 from ctcsim.quantum import DensityMatrix, PureState
 from ctcsim.sampling import haar_unitary, random_density, random_pure
 
@@ -62,6 +69,47 @@ def test_one_iff_equal(rng):
             assert d <= 1e-8
         if d <= 1e-12:
             assert f >= 1 - 1e-8
+
+
+def rank_deficient_density(rng, n, rank):
+    """A random density matrix of side n and the given rank."""
+    z = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    m = z @ z.conj().T
+    return m / np.trace(m).real
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_fidelities_match_the_dense_oracle(n, rng):
+    # full-rank and rank-deficient sigma, as one stack and one by one
+    rhos = np.stack([random_density(rng, n).mat for _ in range(6)]
+                    + [rank_deficient_density(rng, n, r) for r in (1, 2, 1)])
+    sigmas = np.stack([random_density(rng, n).mat for _ in range(3)]
+                      + [rank_deficient_density(rng, n, r) for r in (1, 2, n - 1)]
+                      + [random_density(rng, n).mat for _ in range(3)])
+    stacked = fidelities(rhos, sigmas)
+    for rho, sigma, f in zip(rhos, sigmas, stacked):
+        oracle = sandwich_fidelity(rho, sigma)
+        assert abs(f - oracle) <= 1e-12
+        assert abs(fidelity(DensityMatrix(rho), DensityMatrix(sigma)) - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4, 7])
+def test_pure_pairs_give_the_overlap(n, rng):
+    for _ in range(10):
+        p, q = random_pure(rng, n), random_pure(rng, n)
+        overlap = abs(np.vdot(p.amps, q.amps))
+        rho, sigma = p.projector(), q.projector()
+        assert abs(float(fidelities(rho, sigma)) - overlap) <= 1e-12
+        assert abs(float(factor_fidelities(rho, q.amps[:, None])) - overlap) <= 1e-12
+        assert abs(sandwich_fidelity(rho, sigma) - overlap) <= 1e-12
+
+
+def test_factor_kernel_rejects_what_the_dense_path_rejects():
+    # a sandwiched operator with a negative eigenvalue, and a fidelity above 1
+    with pytest.raises(ValueError, match="sandwiched operator not PSD"):
+        factor_fidelities(np.diag([1.0, -1.0]).astype(complex), np.eye(2)[:, 1:])
+    with pytest.raises(ValueError, match="outside \\[0,1\\]"):
+        factor_fidelities(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
 
 
 class TestMultiplicativity:
