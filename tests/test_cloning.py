@@ -157,9 +157,11 @@ def test_clone_eigendecomposes_one_cr_sized_matrix(kind, n, rng, monkeypatch):
     # target's factor: of side n * n only the CR input's eigh remains. A
     # pure target keeps the joint fidelity a 1 x 1 problem (a full-rank
     # mixed one makes it r^2 x r^2, the rank of the joint target).
-    cloner, _ = clone_targets(kind, n, rng)
-    target = (cloner.alphabet.states[0].density() if kind == "pure"
-              else PureState.basis(n, n - 1).density())
+    if kind == "pure":
+        alphabet = random_alphabet(rng, n)
+        cloner, target = build_pure_cloner(alphabet), alphabet.states[0].density()
+    else:
+        cloner, target = build_mixed_cloner(n), PureState.basis(n, n - 1).density()
     seen = []
     for name in ("eig", "eigh", "eigvals", "eigvalsh"):
         def counted(m, *args, _name=name, _real=getattr(np.linalg, name), **kw):
