@@ -214,6 +214,7 @@ def test_bad_default_tol_env_is_usage_error(value, monkeypatch, tmp_path, capsys
     ["run", "{circuit}", "--tol", "inf"],
     ["sweep", "fixed-points", "--dim", "1"],
     ["sweep", "fixed-points", "--trials", "-3"],
+    ["sweep", "fidelity-props", "--trials", "-1"],
 ])
 def test_invalid_values_are_one_line_usage_errors(argv, tmp_path, capsys):
     circuit = write_circuit(tmp_path)
