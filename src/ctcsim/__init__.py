@@ -36,7 +36,7 @@ from .quantum import (
     basis_mapper,
     basis_mappers,
     csum_gate,
-    embed_unitary,
+    embed_on_registers,
     select_gate,
     swap_gate,
 )
@@ -66,7 +66,7 @@ __all__ = [
     "check_multiplicativity",
     "csum_gate",
     "deutsch_map",
-    "embed_unitary",
+    "embed_on_registers",
     "evolve",
     "fidelity",
     "kron",

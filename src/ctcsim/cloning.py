@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import linalg, quantum
+from . import linalg
 from .engine import DeutschProblem, FixedPointResult, evolve
 from .fidelity import factor_fidelities
 from .quantum import (
@@ -140,8 +140,9 @@ def run_clone(cloner: ClonerCircuit, target: DensityMatrix) -> CloneReport:
             )
     output, fp = evolve(make_problem(cloner, target))
     dims = (n, n)
-    clone_a = DensityMatrix.sanitize(linalg.partial_trace(output.mat, dims, [0]))
-    clone_b = DensityMatrix.sanitize(linalg.partial_trace(output.mat, dims, [1]))
+    # partial traces of the Gram output: density matrices by construction
+    clone_a = DensityMatrix._trusted(linalg.partial_trace(output.mat, dims, [0]))
+    clone_b = DensityMatrix._trusted(linalg.partial_trace(output.mat, dims, [1]))
     # the target's factor at its kept rank r, and its kron for the joint
     # target: each fidelity is an r x r (r^2 x r^2 for the joint) problem
     lam, vec = np.linalg.eigh(target.mat)
@@ -211,7 +212,7 @@ def baseline_infidelities(
         rho_s = state.density().mat
         full = linalg.kron_all(rho_s, sigma.mat, ancilla.mat)
         evolved = interactions @ full @ u_dag
-        out = quantum._sanitize(linalg.partial_trace(evolved, dims, [0, 1]))
+        out = linalg.partial_trace(evolved, dims, [0, 1])
         # psi x psi is the factor of the pure joint target
         pair = np.kron(state.amps, state.amps)[:, None]
         worst = np.minimum(worst, factor_fidelities(out, pair))

@@ -36,7 +36,7 @@ from .quantum import (
     Select,
     Unitary,
     csum_gate,
-    embed_unitary,
+    embed_on_registers,
     select_gate,
     swap_gate,
 )
@@ -458,7 +458,7 @@ def lower(spec: CircuitSpec, base_dir=".") -> DeutschProblem:
             fam = family(g.file)
             if len(fam) != 1:
                 raise ValueError(f"{g.file}: expected a single matrix")
-            gate = embed_unitary(layout, g.regs[0], Unitary._trusted(fam.blocks[0]))
+            gate = embed_on_registers(layout, g.regs, Unitary._trusted(fam.blocks[0]))
         else:  # pragma: no cover - parser rejects unknown kinds
             raise ValueError(f"unknown gate kind {g.kind!r}")
         return gate.gates

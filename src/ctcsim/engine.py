@@ -238,7 +238,9 @@ def deutsch_map(problem: DeutschProblem, rho_ctc: DensityMatrix) -> DensityMatri
         raise ValueError(
             f"CTC state side {rho_ctc.side} does not match dim {problem.ctc_dim}"
         )
-    return DensityMatrix.sanitize(_maps(problem.kraus[None], rho_ctc.mat[None])[0])
+    # sum K rho K^dag is PSD by construction
+    out = linalg.unit_trace_hermitian(_maps(problem.kraus[None], rho_ctc.mat[None]))
+    return DensityMatrix._trusted(out[0])
 
 
 def output_stack(k: np.ndarray, rho_ctc: np.ndarray, cr_dim: int) -> np.ndarray:
@@ -254,9 +256,7 @@ def output_stack(k: np.ndarray, rho_ctc: np.ndarray, cr_dim: int) -> np.ndarray:
     b, _, d, _ = k.shape
     blocks = k.reshape(b, -1, cr_dim, d, d).transpose(0, 2, 1, 3, 4)
     e = (blocks @ linalg.psd_factor(rho_ctc)[:, None, None]).reshape(b, cr_dim, -1)
-    gram = e @ linalg.dagger(e)
-    gram = (gram + linalg.dagger(gram)) / 2
-    return gram / np.real(np.trace(gram, axis1=1, axis2=2))[:, None, None]
+    return linalg.unit_trace_hermitian(e @ linalg.dagger(e))
 
 
 def output_state(problem: DeutschProblem, rho_ctc: DensityMatrix) -> DensityMatrix:

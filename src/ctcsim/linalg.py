@@ -4,8 +4,9 @@ distances.
 
 All operators are plain square ``numpy`` arrays of ``complex128``, stored
 row-major. ``kron``, ``partial_trace``, ``permute_registers``,
-``hermiticity_defect``, ``psd_sqrt``, ``psd_factor``, ``trace_norm`` and
-``trace_distance`` are shape-generic: they act on the last two axes of an
+``hermiticity_defect``, ``psd_sqrt``, ``psd_factor``,
+``unit_trace_hermitian``, ``trace_norm`` and ``trace_distance`` are
+shape-generic: they act on the last two axes of an
 (..., n, n) stack and broadcast over the leading ones, so one matrix and a
 stack of them take the same code. Checks on a stack go through ``reject``,
 which names the first failing entry; ``chunks`` splits a long stack so its
@@ -28,7 +29,6 @@ class Tolerances:
 
     herm: float = 1e-12        # max |h - h^dag| accepted as Hermitian
     psd: float = 1e-10         # eigenvalue floor; more negative means not PSD
-    reconstruction: float = 1e-9
     unitary: float = 1e-10     # max |U^dag U - I| accepted as unitary
     eig_one_window: float = 1e-8  # singular values of S - I counted as null
 
@@ -243,6 +243,14 @@ def psd_factor(h: np.ndarray) -> np.ndarray:
     reject((w[..., 0] < -tolerances.psd, w[..., 0],
             "matrix is not PSD: min eigenvalue {:.3e}"))
     return v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+
+
+def unit_trace_hermitian(m: np.ndarray) -> np.ndarray:
+    """The Hermitian part of each (..., n, n) entry divided by its trace:
+    removes the rounding from a matrix that is PSD by construction, with no
+    eigendecomposition."""
+    m = (m + dagger(m)) / 2
+    return m / np.real(np.trace(m, axis1=-2, axis2=-1))[..., None, None]
 
 
 def above_rounding(w: np.ndarray) -> np.ndarray:

@@ -143,7 +143,7 @@ class PureState:
         tr = float(np.real(np.trace(p)))
         if abs(tr - 1.0) > TRACE_TOL:
             p = p / tr
-        return DensityMatrix(p)
+        return DensityMatrix._trusted(p)
 
 
 def check_density(m: np.ndarray) -> None:
@@ -180,9 +180,7 @@ def _sanitize(m: np.ndarray) -> np.ndarray:
             "not PSD even before clamping: {:.3e}"))
     # np.maximum gives np.clip(w, 0, None)'s values without its wrapper cost
     w = np.maximum(w, 0.0)
-    m = (v * w[..., None, :]) @ dagger(v)
-    m = (m + dagger(m)) / 2
-    return m / np.real(np.trace(m, axis1=-2, axis2=-1))[..., None, None]
+    return linalg.unit_trace_hermitian((v * w[..., None, :]) @ dagger(v))
 
 
 def _register_dims(side: int, dims) -> tuple:
@@ -198,12 +196,14 @@ class DensityMatrix:
 
     The public constructor validates its input (one eigendecomposition): use
     it for anything arriving from outside, the API, a DSL file or the CLI.
-    Results that are density matrices by construction from validated inputs
-    (``sanitize`` output, the kron of two states, a reordering of their
-    tensor factors, ``sampling.random_density``) are wrapped by the internal
-    ``_trusted`` constructor, which checks only the register dims.
-    ``check_density`` runs the same validation on an (..., n, n) stack at
-    once.
+    States built from validated or solved ones are density matrices by
+    construction and wrapped by the internal ``_trusted``, which checks only
+    the register dims: ``PureState.density``, I/d, krons and reorderings of
+    states, partial traces of states, the solved CTC state, the Gram-form
+    output, ``deutsch_map`` output, ``random_density`` and ``sanitize``
+    output. Only ``engine.solve_stack`` clamps (``_sanitize``); map outputs
+    are made exactly Hermitian and of unit trace by
+    ``linalg.unit_trace_hermitian``. ``check_density`` validates a stack.
     """
 
     mat: np.ndarray
@@ -233,13 +233,14 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim, dtype=complex) / dim)
+        return cls._trusted(np.eye(dim, dtype=complex) / dim)
 
     @classmethod
     def sanitize(cls, m, dims=None) -> "DensityMatrix":
         """Symmetrize, clamp small negative eigenvalues, renormalize.
 
-        Guards solver output against numerical drift; anything beyond the PSD
+        The clamp the solve applies to its fixed-point candidate, for a
+        caller's matrix with numerical drift; anything beyond the PSD
         tolerance still rejects. The result is a density matrix by
         construction and is not checked again.
         """
@@ -278,9 +279,6 @@ class Unitary:
 
     def dagger(self) -> "Unitary":
         return Unitary._trusted(self.mat.conj().T)
-
-    def __matmul__(self, other: "Unitary") -> "Unitary":
-        return Unitary(self.mat @ other.mat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -566,11 +564,6 @@ def select_gate(
             raise ValueError(f"family member {k} has side {len(b)}, target dim {nt}")
     select = family if isinstance(family, Select) else Select._trusted(np.array(blocks))
     return GateList(layout, (((ctrl, tgt), select.dagger() if adjoint else select),))
-
-
-def embed_unitary(layout: Layout, reg: str, u: Unitary) -> GateList:
-    """Place a single-register unitary into the full layout."""
-    return GateList(layout, (((reg,), u),))
 
 
 def embed_on_registers(layout: Layout, regs: Sequence[str], u: Unitary) -> GateList:

@@ -12,6 +12,19 @@ def rng():
     return np.random.default_rng(20260823)
 
 
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """(name, argument) of every numpy eigendecomposition made from here on;
+    clear it before the call under test."""
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        def recorded(m, *args, _name=name, _real=getattr(np.linalg, name), **kw):
+            calls.append((_name, np.array(m)))
+            return _real(m, *args, **kw)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
 def zero_plus_alphabet() -> Alphabet:
     return Alphabet((PureState.basis(2, 0), PureState.normalized([1, 1])))
 

@@ -252,6 +252,16 @@ def test_clone_mixed_rejects_non_finite_probs(probs, capsys):
     assert captured.err == "error: probabilities must be nonnegative and sum to 1\n"
 
 
+def test_clone_mixed_rejects_a_sum_off_by_more_than_the_trace_tolerance(capsys):
+    # a sum within the CLI's check but not within TRACE_TOL used to reach
+    # the DensityMatrix constructor and exit 2
+    code = main(["demo", "clone-mixed", "--probs", "0.5,0.5000000005"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: probabilities must be nonnegative and sum to 1\n"
+
+
 def test_clone_mixed_rejects_a_single_probability(capsys):
     # one probability is an invalid --probs value, not a cloner of side 1
     code = main(["demo", "clone-mixed", "--probs", "1"])

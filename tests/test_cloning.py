@@ -5,6 +5,7 @@ from conftest import random_alphabet, sandwich_fidelity, zero_plus_alphabet
 from ctcsim import linalg
 from ctcsim.cloning import (
     ClonerCircuit,
+    baseline_infidelities,
     build_mixed_cloner,
     build_pure_cloner,
     check_cloning_condition,
@@ -14,7 +15,14 @@ from ctcsim.cloning import (
     run_clone,
 )
 from ctcsim.fidelity import fidelity
-from ctcsim.quantum import Alphabet, DensityMatrix, GateList, PureState, Unitary
+from ctcsim.quantum import (
+    Alphabet,
+    DensityMatrix,
+    GateList,
+    PureState,
+    Unitary,
+    check_density,
+)
 from ctcsim.sampling import haar_unitary, random_pure
 
 # pinned by the pre-build brute-force oracle (scipy sqrtm + null-space solver)
@@ -144,6 +152,8 @@ def test_clone_fidelities_match_the_dense_oracle(kind, n, rng):
     cloner, targets = clone_targets(kind, n, rng)
     for target in targets:
         rep = run_clone(cloner, target)
+        check_density(rep.clone_a.mat)
+        check_density(rep.clone_b.mat)
         joint = linalg.kron(target.mat, target.mat)
         assert abs(rep.fid_a - sandwich_fidelity(rep.clone_a.mat, target.mat)) <= 1e-12
         assert abs(rep.fid_b - sandwich_fidelity(rep.clone_b.mat, target.mat)) <= 1e-12
@@ -152,7 +162,7 @@ def test_clone_fidelities_match_the_dense_oracle(kind, n, rng):
 
 @pytest.mark.parametrize("kind, n", [("pure", n) for n in range(2, 6)]
                          + [("mixed", n) for n in range(2, 5)])
-def test_clone_eigendecomposes_one_cr_sized_matrix(kind, n, rng, monkeypatch):
+def test_clone_eigendecomposes_one_cr_sized_matrix(kind, n, rng, eig_calls):
     # the output is a Gram matrix and each fidelity is taken against the
     # target's factor: of side n * n only the CR input's eigh remains. A
     # pure target keeps the joint fidelity a 1 x 1 problem (a full-rank
@@ -162,19 +172,40 @@ def test_clone_eigendecomposes_one_cr_sized_matrix(kind, n, rng, monkeypatch):
         cloner, target = build_pure_cloner(alphabet), alphabet.states[0].density()
     else:
         cloner, target = build_mixed_cloner(n), PureState.basis(n, n - 1).density()
-    seen = []
-    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
-        def counted(m, *args, _name=name, _real=getattr(np.linalg, name), **kw):
-            if m.shape[-1] == n * n:
-                seen.append((_name, np.array(m)))
-            return _real(m, *args, **kw)
-        monkeypatch.setattr(np.linalg, name, counted)
+    eig_calls.clear()
     rep = run_clone(cloner, target)
     assert rep.joint_fid >= 1 - 1e-9
+    seen = [(name, m) for name, m in eig_calls if m.shape[-1] == n * n]
     assert len(seen) == 1
     name, mat = seen[0]
     assert name == "eigh"
     assert np.array_equal(mat, make_problem(cloner, target).cr_input.mat[None])
+
+
+@pytest.mark.parametrize("kind, n", [("pure", 5), ("pure", 8), ("mixed", 5)])
+def test_clone_eigendecomposes_no_partial_trace(kind, n, rng, eig_calls):
+    # the clones are partial traces of the Gram output, states by
+    # construction: one run's eigh calls are the CR input's and four of side
+    # n -- the solve's clamp, its residual, rho_CTC's factor for the output
+    # and the target's factor
+    cloner, targets = clone_targets(kind, n, rng)
+    eig_calls.clear()
+    run_clone(cloner, targets[0])
+    sides = [m.shape[-1] for name, m in eig_calls if name == "eigh"]
+    assert sorted(sides) == [n] * 4 + [n * n]
+
+
+def test_baseline_eigendecomposes_no_partial_trace(rng, eig_calls):
+    # each trial's Tr_C of U (rho x blank x ancilla) U^dag is a state by
+    # construction and only enters 1 x 1 fidelity sandwiches
+    n = 3
+    alphabet = random_alphabet(rng, n)
+    ancilla = PureState.basis(2, 0).density()
+    u = np.array([haar_unitary(rng, n * n * 2).mat for _ in range(4)])
+    eig_calls.clear()
+    infid = baseline_infidelities(alphabet, u, ancilla)
+    assert infid.shape == (4,)
+    assert [(name, m.shape) for name, m in eig_calls] == [("eigvalsh", (4, 1, 1))] * n
 
 
 def dense_twin(cloner):

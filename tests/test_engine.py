@@ -23,6 +23,7 @@ from ctcsim.quantum import (
     Layout,
     PureState,
     Unitary,
+    check_density,
     embed_on_registers,
     swap_gate,
 )
@@ -211,6 +212,7 @@ class TestDeutschMap:
             prob = two_register_problem(haar_unitary(rng, d * d), random_density(rng, d), d)
             rho = random_density(rng, d)
             out = deutsch_map(prob, rho)
+            check_density(out.mat)
             assert abs(np.trace(out.mat) - 1.0) <= 1e-12
             w, _ = linalg.hermitian_eig(out.mat)
             assert w[0] >= -1e-10

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
+from conftest import random_alphabet
 from ctcsim import linalg
-from ctcsim.cloning import build_mixed_cloner, run_clone
+from ctcsim.cloning import build_mixed_cloner, build_pure_cloner, run_clone
 from ctcsim.engine import solve_fixed_point
 from ctcsim.nosignal import (
     apply_spectator_channel,
     check_channel_invariance,
     run_entangled_clone,
 )
-from ctcsim.quantum import Alphabet, DensityMatrix, PureState
-from ctcsim.sampling import random_kraus_channel
+from ctcsim.quantum import Alphabet, DensityMatrix, PureState, check_density
+from ctcsim.sampling import random_density, random_kraus_channel, random_pure
 
 
 def bell_input():
@@ -61,6 +62,25 @@ def test_trace_over_spectator_commutes_with_evolution():
     ) <= 1e-10
 
 
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_entangled_clone_matches_the_clone_of_the_reduced_input(kind, n, rng):
+    # no signalling: Tr_R of the output is the cloner's output on rho_A
+    # alone, which is the broadcast rho_A x rho_A only for the mixed cloner
+    # on a diagonal rho_A
+    if kind == "pure":
+        cloner = build_pure_cloner(random_alphabet(rng, n))
+    else:
+        cloner = build_mixed_cloner(n)
+    for r_dim in (2, 3):
+        for joint in (random_pure(rng, n * r_dim).projector(),
+                      random_density(rng, n * r_dim).mat):
+            report = run_entangled_clone(cloner, DensityMatrix(joint, (n, r_dim)))
+            assert report.deviation <= 1e-9
+            check_density(report.reduced_ab.mat)
+            check_density(report.expected_ab.mat)
+
+
 class TestChannelInvariance:
     def test_identity_channel(self):
         devs = check_channel_invariance(
@@ -80,6 +100,24 @@ class TestChannelInvariance:
         channels = [random_kraus_channel(rng, 2) for _ in range(20)]
         devs = check_channel_invariance(build_mixed_cloner(2), bell_input(), channels)
         assert max(devs) <= 1e-9
+
+    def test_spectator_channel_outputs_are_states(self, rng):
+        joint = DensityMatrix(random_pure(rng, 6).projector(), (2, 3))
+        for i in range(20):
+            kraus = random_kraus_channel(rng, 3, 1 + i % 3)
+            check_density(apply_spectator_channel(joint, kraus, 2).mat)
+
+    def test_chunk_eigendecomposes_no_channel_output(self, rng, eig_calls):
+        # with n = 2 and r = 3 the channel outputs on (A, R) have side 6 and
+        # their Tr_R side 4: the outputs enter only the CR inputs' eigh (side
+        # 12), and of side 4 only the trace distances are taken
+        joint = DensityMatrix(random_pure(rng, 6).projector(), (2, 3))
+        channels = [random_kraus_channel(rng, 3) for _ in range(20)]
+        eig_calls.clear()
+        check_channel_invariance(build_mixed_cloner(2), joint, channels)
+        shapes = [m.shape for name, m in eig_calls if name == "eigh"]
+        assert all(shape[-1] != 6 for shape in shapes)
+        assert [shape for shape in shapes if shape[-1] == 4] == [(20, 4, 4)]
 
     def test_non_trace_preserving_rejected(self):
         import pytest

@@ -20,7 +20,6 @@ from ctcsim.quantum import (
     check_density,
     csum_gate,
     embed_on_registers,
-    embed_unitary,
     select_gate,
     swap_gate,
 )
@@ -110,7 +109,7 @@ def gate_cases(rng):
             cases[f"select-{c}{t}-{adj}"] = (select_gate(MIXED, c, t, fam, adj),
                                              oracle_select(MIXED, c, t, fam, adj))
     for reg, u in (("C", u3), ("CTC", u2)):
-        cases[f"embed-{reg}"] = (embed_unitary(MIXED, reg, u),
+        cases[f"embed-{reg}"] = (embed_on_registers(MIXED, [reg], u),
                                  oracle_embed_on_registers(MIXED, [reg], u))
     for regs, u in ((["CTC", "A"], u4), (["C", "A"], u6), (["A", "C"], u6)):
         cases["embed-" + "".join(regs)] = (embed_on_registers(MIXED, regs, u),
@@ -426,19 +425,19 @@ class TestBasisMapper:
 class TestEmbed:
     def test_identity(self):
         lay = Layout((("A", 2), ("B", 2)))
-        g = embed_unitary(lay, "B", Unitary(np.eye(2, dtype=complex)))
+        g = embed_on_registers(lay, ["B"], Unitary(np.eye(2, dtype=complex)))
         assert np.allclose(g.mat, np.eye(4))
 
     def test_x_on_b(self):
         lay = Layout((("A", 2), ("B", 2)))
-        g = embed_unitary(lay, "B", X)
+        g = embed_on_registers(lay, ["B"], X)
         assert np.allclose(g.mat @ basis_vec(lay, 0, 0), basis_vec(lay, 0, 1))
 
     def test_disjoint_embeddings_commute(self, rng):
         from ctcsim.sampling import haar_unitary
         lay = Layout((("A", 2), ("B", 3), ("C", 2)))
-        u = embed_unitary(lay, "A", haar_unitary(rng, 2))
-        v = embed_unitary(lay, "C", haar_unitary(rng, 2))
+        u = embed_on_registers(lay, ["A"], haar_unitary(rng, 2))
+        v = embed_on_registers(lay, ["C"], haar_unitary(rng, 2))
         assert np.max(np.abs(u.mat @ v.mat - v.mat @ u.mat)) <= 1e-12
 
     def test_multi_register_embedding(self, rng):
@@ -447,7 +446,7 @@ class TestEmbed:
         sub = haar_unitary(rng, 8)
         g = embed_on_registers(lay, ["A", "B", "CTC"], sub)
         # must commute with anything acting only on R
-        r_op = embed_unitary(lay, "R", haar_unitary(rng, 3))
+        r_op = embed_on_registers(lay, ["R"], haar_unitary(rng, 3))
         assert np.max(np.abs(g.mat @ r_op.mat - r_op.mat @ g.mat)) <= 1e-10
         # reduces to the plain kron when R is traced away conceptually:
         # check action on a product basis vector

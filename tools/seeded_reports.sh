@@ -6,7 +6,7 @@
 #
 # The commands are the seeded sweeps and demos and `ctcsim run` on the 11
 # seed-0 circuits of perfbench's dsl-run workload, with and without
-# --trace-out: 33 in all. The circuits are generated into <outdir>/circuits
+# --trace-out: 34 in all. The circuits are generated into <outdir>/circuits
 # by the checkout's perfbench/workloads.py, which is only read. Two checkouts
 # give byte-identical results exactly when
 #
@@ -38,6 +38,7 @@ seeded fixed-points-dim4-60-5 sweep fixed-points --dim 4 --trials 60 --seed 5
 seeded fixed-points-0 sweep fixed-points --trials 0
 seeded fidelity-props-1000-0 sweep fidelity-props --trials 1000 --seed 0
 seeded no-cloning-baseline-1000-0 sweep no-cloning-baseline --trials 1000 --seed 0
+seeded no-cloning-baseline-dim3-200-4 sweep no-cloning-baseline --dim 3 --trials 200 --seed 4
 seeded clone-pure demo clone-pure
 seeded clone-mixed demo clone-mixed
 seeded clone-mixed-csv demo clone-mixed --format csv
