@@ -407,9 +407,9 @@ def _sweep_fixed_points(rng, trials, dim):
         z_u, z_cr = sampling.ginibre_trials(rng, hi - lo, (dim * dim, dim))
         u = sampling.haar_from_ginibre(z_u)
         _check_trials(lo, [(check_unitary, u)])
-        cr = sampling.density_from_ginibre(z_cr)
+        # the CR states Z Z^dag / Tr(Z Z^dag), given by their factors
         try:
-            fps = solve_stack(kraus_stack(layout, u, cr))
+            fps = solve_stack(kraus_stack(layout, u, linalg.unit_factor(z_cr)))
         except linalg.StackError as exc:
             raise _trial_error(lo, exc) from None
         for t in range(hi - lo):

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
-
 import numpy as np
 
 from . import linalg
@@ -113,14 +111,11 @@ def build_mixed_cloner(n: int) -> ClonerCircuit:
     return ClonerCircuit(layout, gates, "mixed_diagonal")
 
 
-def blank_state(n: int) -> DensityMatrix:
-    # a basis projector is a density matrix by construction
-    return DensityMatrix._trusted(PureState.basis(n, 0).projector())
-
-
 def make_problem(cloner: ClonerCircuit, target: DensityMatrix) -> DeutschProblem:
+    blank = PureState.basis(cloner.n, 0).density()
     cr = DensityMatrix._trusted(
-        linalg.kron(target.mat, blank_state(cloner.n).mat), (cloner.n, cloner.n)
+        linalg.kron(target.mat, blank.mat), (cloner.n, cloner.n),
+        np.kron(target.factor, blank.factor),
     )
     return DeutschProblem(cloner.layout, cloner.total, cr)
 
@@ -145,9 +140,7 @@ def run_clone(cloner: ClonerCircuit, target: DensityMatrix) -> CloneReport:
     clone_b = DensityMatrix._trusted(linalg.partial_trace(output.mat, dims, [1]))
     # the target's factor at its kept rank r, and its kron for the joint
     # target: each fidelity is an r x r (r^2 x r^2 for the joint) problem
-    lam, vec = np.linalg.eigh(target.mat)
-    keep = linalg.above_rounding(lam)
-    w = vec[:, keep] * np.sqrt(lam[keep])
+    w = target.factor
     return CloneReport(
         input_state=target,
         fixed_point=fp,
@@ -204,15 +197,14 @@ def baseline_infidelities(
     """``no_ctc_baseline`` for a (..., D, D) stack of dense interactions,
     each a validated unitary on A x B x C."""
     n = alphabet.dim
-    dims = (n, n, ancilla.side)
-    sigma = blank_state(n)
-    u_dag = linalg.dagger(interactions)
+    # the factor psi x 0 x W_C of each input, evolved; its rows (a, b) and
+    # columns (c, k) give Tr_C of the evolved state as a Gram matrix
+    tail = np.kron(PureState.basis(n, 0).amps[:, None], ancilla.factor)
     worst = np.ones(interactions.shape[:-2])
     for state in alphabet.states:
-        rho_s = state.density().mat
-        full = linalg.kron_all(rho_s, sigma.mat, ancilla.mat)
-        evolved = interactions @ full @ u_dag
-        out = linalg.partial_trace(evolved, dims, [0, 1])
+        evolved = interactions @ np.kron(state.amps[:, None], tail)
+        e = evolved.reshape(evolved.shape[:-2] + (n * n, -1))
+        out = e @ linalg.dagger(e)
         # psi x psi is the factor of the pure joint target
         pair = np.kron(state.amps, state.amps)[:, None]
         worst = np.minimum(worst, factor_fidelities(out, pair))

@@ -3,46 +3,45 @@ register, its linearization as a superoperator, the exact fixed-point
 solve with its multiplicity, and the visible output state.
 
 The induced map M(sigma) = Tr_CR[U (rho_CR x sigma) U^dag] is handled in
-operator-sum form. With rho_CR = sum_k l_k |phi_k><phi_k| (one eigh; only
-eigenvalues above rounding level are kept), its Kraus operators are
-K_(k,a) = sqrt(l_k) (<a| x I) U (|phi_k> x I), one d x d block for each
-eigenvector k and each CR output basis state a. Only the r*d columns
-U (|phi_k> x I) of the interaction enter, r being the rank of rho_CR; they
-come from pushing the input columns |phi_k> x |c> through the interaction's
-local gates (``quantum.apply_local``: a dense product, an index gather or
-per-slice block products), so no path forms rho_CR x sigma or a D x D
-conjugation. A dense ``Unitary`` interaction is the one local gate over
-every register. The superoperator is S = sum K x conj(K), the map and the
-residual apply sum K X K^dag, and the visible output traces the CTC out of
-the same blocks applied to sigma.
+operator-sum form, from the factor W W^dag = rho_CR that the CR input
+carries (``DensityMatrix.factor``); by the unitary freedom of a state's
+factors any W gives the same map. Its Kraus operators are
+K_(k,a) = (<a| x I) U (|w_k> x I), one d x d block for each column w_k of W
+and each CR output basis state a. Only the r*d columns U (|w_k> x I) of the
+interaction enter; they come from pushing the input columns |w_k> x |c>
+through the interaction's local gates (``quantum.apply_local``: a dense
+product, an index gather or per-slice block products), so the engine forms
+no rho_CR x sigma, no D x D conjugation and no D_cr-sized eigh. The
+superoperator is S = sum K x conj(K), the map and the residual apply
+sum K X K^dag, and the visible output traces the CTC out of the same blocks
+applied to sigma.
 
 The visible output is a valid density matrix by construction, with no
-eigendecomposition of its D_cr x D_cr matrix and no clamping. The solve
-returns a PSD sigma, which one d x d eigh factors as V V^dag. Entry (a, c)
-of the output is sum_k Tr(K_(k,a) V (K_(k,c) V)^dag), so the output is the
-Gram matrix E E^dag of the rows E_a = (K_(k,a) V for every k), and a Gram
-matrix is PSD. Its trace is Tr(sum K^dag K sigma) = 1, because
-sum K^dag K = I is checked in ``kraus_stack``; dividing by the computed
-trace removes the rounding.
+eigendecomposition and no clamping. The solve's clamp returns sigma with its
+factor V V^dag = sigma. Entry (a, c) of the output is
+sum_k Tr(K_(k,a) V (K_(k,c) V)^dag), so the output is the Gram matrix
+E E^dag of the rows E_a = (K_(k,a) V for every k), and a Gram matrix is
+PSD. Its trace is Tr(sum K^dag K sigma) = 1, because sum K^dag K = I is
+checked in ``kraus_stack``; dividing by the computed trace removes the
+rounding.
 
 Every kernel acts on a stack of B problems on one layout. ``kraus_stack``
-takes the CR inputs as a (B, D_cr, D_cr) array and the interaction as one
-shared ``GateList`` or ``Unitary`` (wrapped as a one-gate ``GateList``) or
-as a (B, D, D) stack of dense unitaries; the input columns of all members of
-one kept rank go through the interaction in one ``GateList.apply`` or one
-batched product. It returns the (B, r * D_cr, d, d) Kraus stack, r being
-the largest kept rank in the stack: a member of lower rank ends in
-exactly-zero blocks, which add nothing.
-Each member's products keep the shapes of its own stack of one, so a stacked
-solve gives every member the bits of its single solve. Sum K^dag K = I is
-checked once per stack. ``solve_stack`` builds the (B, d^2, d^2)
+takes the CR inputs as a (B, D_cr, r) stack of factors and the interaction
+as one shared ``GateList`` or ``Unitary`` (wrapped as a one-gate
+``GateList``) or as a (B, D, D) stack of dense unitaries; the input columns
+of all members of one width go through the interaction in one
+``GateList.apply`` or one batched product, and a narrower member ends in
+exactly-zero blocks, which add nothing. Each member's products keep the
+shapes of its own stack of one, so a stacked solve gives every member the
+bits of its single solve. ``solve_stack`` builds the (B, d^2, d^2)
 superoperators and solves them together into ``FixedPoints`` (CTC states
-(B, d, d), residuals and multiplicities (B,)); ``output_stack`` gives the
-(B, D_cr, D_cr) visible outputs in Gram form. A failing member raises
-``linalg.StackError`` naming its position in the stack. The single-problem
-API (``DeutschProblem.kraus``, ``solve_fixed_point``, ``deutsch_map``,
-``output_state``, ``build_superoperator``) runs the same kernels on a stack
-of one, with the single-problem error messages.
+and their factors (B, d, d), residuals and multiplicities (B,));
+``output_stack`` gives the (B, D_cr, D_cr) visible outputs in Gram form. A
+failing member raises ``linalg.StackError`` naming its position in the
+stack. The single-problem API (``DeutschProblem.kraus``,
+``solve_fixed_point``, ``deutsch_map``, ``output_state``,
+``build_superoperator``) runs the same kernels on a stack of one, with the
+single-problem error messages.
 
 The canonical fixed point is P1(I/d): the projection of the maximally
 mixed state onto the fixed space of the induced map along its other
@@ -68,7 +67,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .quantum import DensityMatrix, GateList, Layout, Unitary, _sanitize
+from .quantum import DensityMatrix, GateList, Layout, Unitary
 
 # singular values of S - I up to this fraction of the largest are rounding
 # noise and count as null
@@ -77,16 +76,14 @@ _SVD_FLOOR = 1e-14
 _TRACELESS = 1e-12
 
 
-def _kraus_blocks(interaction, lam, phi, d: int, r: int) -> np.ndarray:
-    """The Kraus operators of members whose kept rank is r, from their r
-    largest eigenpairs: (B, r, D_cr, d, d), entry (b, k, a) the block of
-    Kraus operator (k, a)."""
-    b, cr_dim = phi.shape[0], phi.shape[1]
-    cols = phi[:, :, -r:] * np.sqrt(lam[:, -r:])[:, None, :]  # (B, D_cr, r)
-    # the r * d input columns |phi_k> x |c> of each member, column (k, c)
+def _kraus_blocks(interaction, w, d: int) -> np.ndarray:
+    """The Kraus operators of members with (B, D_cr, r) factors w:
+    (B, r, D_cr, d, d), entry (b, k, a) the block of Kraus operator (k, a)."""
+    b, cr_dim, r = w.shape
+    # the r * d input columns |w_k> x |c> of each member, column (k, c)
     diag = np.arange(d)
     inputs = np.zeros((b, cr_dim, d, r, d), dtype=complex)
-    inputs[:, :, diag, :, diag] = cols
+    inputs[:, :, diag, :, diag] = w
     inputs = inputs.reshape(b, cr_dim * d, r * d)
     if isinstance(interaction, GateList):
         out = interaction.apply(inputs)
@@ -96,47 +93,39 @@ def _kraus_blocks(interaction, lam, phi, d: int, r: int) -> np.ndarray:
 
 
 def kraus_stack(
-    layout: Layout, interaction: GateList | Unitary | np.ndarray, cr: np.ndarray
+    layout: Layout, interaction: GateList | Unitary | np.ndarray, w: np.ndarray
 ) -> np.ndarray:
     """Kraus operators of B induced CTC maps on ``layout``, shape
-    (B, r * D_cr, d, d): entry (b, (k, a)) is sqrt(l_k) (<a| x I) U (|phi_k> x I)
-    for the eigenpairs (l_k, phi_k) of ``cr[b]``.
-
-    ``cr`` is a (B, D_cr, D_cr) stack of CR inputs; ``interaction`` is one
-    ``GateList`` or ``Unitary`` shared by the stack, or a (B, D, D) array of
-    dense unitaries. r is the largest kept rank in the stack; a member of
-    lower rank ends in zero blocks.
+    (B, r * D_cr, d, d): entry (b, (k, a)) is (<a| x I) U (|w_k> x I) for
+    the columns w_k of ``w[b]``, a (B, D_cr, r) stack of CR input factors.
+    A member's width ends at its last nonzero column: trailing zero columns
+    pad a narrower one. ``interaction`` is one ``GateList`` or ``Unitary``
+    shared by the stack, or a (B, D, D) array of dense unitaries.
 
     Raises ``linalg.StackError`` for the first member whose sum K^dag K is
-    not the identity (times the weight of its kept eigenvalues) within
-    ``tolerances.unitary``: the trace preservation the solve relies on.
+    not the identity (times sum |w|^2) within ``tolerances.unitary``: the
+    trace preservation the solve relies on.
     """
     d = layout.ctc_dim
-    b, cr_dim = cr.shape[0], cr.shape[-1]
+    b, cr_dim, width = w.shape
     if isinstance(interaction, Unitary):
         # one gate over every register: the same product as U @ columns
         interaction = GateList(layout, ((layout.names, interaction),))
-    lam, phi = np.linalg.eigh(cr)
-    # eigenvalues at rounding level carry no weight; dropping them keeps
-    # the stack at the true rank of rho_CR
-    keep = linalg.above_rounding(lam)
-    ranks = keep.sum(axis=1)
-    # members of one rank go through the interaction together, in products
+    nonzero = np.any(w != 0, axis=1)
+    ranks = width - np.argmax(nonzero[:, ::-1], axis=1)
+    # members of one width go through the interaction together, in products
     # of the width their own stacks would have (a wider product can round a
     # column differently), and zero blocks add nothing to a sum over the
     # Kraus index, so each member keeps the bits of its own stack
     groups = sorted(set(ranks.tolist()))
-    if len(groups) == 1:
-        k = _kraus_blocks(interaction, lam, phi, d, groups[0])
-    else:
-        k = np.zeros((b, groups[-1], cr_dim, d, d), dtype=complex)
-        for rank in groups:
-            m = ranks == rank
-            u = interaction[m] if isinstance(interaction, np.ndarray) else interaction
-            k[m, :rank] = _kraus_blocks(u, lam[m], phi[m], d, rank)
+    k = np.zeros((b, groups[-1], cr_dim, d, d), dtype=complex)
+    for rank in groups:
+        m = ranks == rank
+        u = interaction[m] if isinstance(interaction, np.ndarray) else interaction
+        k[m, :rank] = _kraus_blocks(u, w[m, :, :rank], d)
     k = k.reshape(b, -1, d, d)
     flat = k.reshape(b, -1, d)
-    total = np.where(keep, lam, 0.0).sum(axis=1)[:, None, None] * np.eye(d)
+    total = np.sum(np.abs(w) ** 2, axis=(1, 2))[:, None, None] * np.eye(d)
     defect = np.abs(linalg.dagger(flat) @ flat - total).max(axis=(1, 2))
     linalg.reject((defect > linalg.tolerances.unitary, defect,
                    "induced map is not trace preserving: "
@@ -184,7 +173,7 @@ class DeutschProblem:
         ``kraus_stack`` on a stack of one. Raises ``ValueError`` unless
         sum K^dag K is the identity within ``tolerances.unitary``."""
         with linalg.single_entry():
-            k = kraus_stack(self.layout, self.interaction, self.cr_input.mat[None])
+            k = kraus_stack(self.layout, self.interaction, self.cr_input.factor[None])
         return k[0]
 
 
@@ -201,12 +190,13 @@ class FixedPoints:
     ``FixedPointResult``."""
 
     rho_ctc: np.ndarray       # (B, d, d), density matrices by construction
+    factor: np.ndarray        # (B, d, d), factor @ factor^dag = rho_ctc
     residual: np.ndarray      # (B,)
     multiplicity: np.ndarray  # (B,)
 
     def __getitem__(self, i: int) -> FixedPointResult:
         return FixedPointResult(
-            rho_ctc=DensityMatrix._trusted(self.rho_ctc[i]),
+            rho_ctc=DensityMatrix._trusted(self.rho_ctc[i], factor=self.factor[i]),
             residual=float(self.residual[i]),
             multiplicity=int(self.multiplicity[i]),
         )
@@ -243,19 +233,18 @@ def deutsch_map(problem: DeutschProblem, rho_ctc: DensityMatrix) -> DensityMatri
     return DensityMatrix._trusted(out[0])
 
 
-def output_stack(k: np.ndarray, rho_ctc: np.ndarray, cr_dim: int) -> np.ndarray:
+def output_stack(k: np.ndarray, factor: np.ndarray, cr_dim: int) -> np.ndarray:
     """Visible outputs of a stack, (B, D_cr, D_cr): trace the CTC register
     out of each member's evolved joint state, formed as the Gram matrix
-    E E^dag of E = blocks V, V V^dag = rho_CTC, so each output is PSD by
-    construction. Raises ``linalg.StackError`` for the first member whose
-    CTC state is not PSD."""
+    E E^dag of E = blocks V for the (B, d, r) factors V V^dag = rho_CTC, so
+    each output is PSD by construction."""
     # blocks[b, a, k] is Kraus operator (k, a); row a of E holds the
     # products blocks[b, a, k] V over every k, and entry (a, c) of the
-    # output is the product of rows a and c. V keeps the full width d, so a
-    # member's products do not depend on the others in its stack.
+    # output is the product of rows a and c. The solve's V has full width d,
+    # so no member's products depend on the others in its stack.
     b, _, d, _ = k.shape
     blocks = k.reshape(b, -1, cr_dim, d, d).transpose(0, 2, 1, 3, 4)
-    e = (blocks @ linalg.psd_factor(rho_ctc)[:, None, None]).reshape(b, cr_dim, -1)
+    e = (blocks @ factor[:, None, None]).reshape(b, cr_dim, -1)
     return linalg.unit_trace_hermitian(e @ linalg.dagger(e))
 
 
@@ -267,7 +256,7 @@ def output_state(problem: DeutschProblem, rho_ctc: DensityMatrix) -> DensityMatr
         )
     with linalg.single_entry():
         out = output_stack(
-            problem.kraus[None], rho_ctc.mat[None], problem.cr_input.side
+            problem.kraus[None], rho_ctc.factor[None], problem.cr_input.side
         )
     return DensityMatrix._trusted(out[0], problem.layout.cr_dims)
 
@@ -280,8 +269,9 @@ def build_superoperator(problem: DeutschProblem) -> np.ndarray:
 
 def solve_stack(kraus: np.ndarray) -> FixedPoints:
     """The canonical fixed point P1(I/d) of each member of a (B, n, d, d)
-    Kraus stack, solved together. Raises ``linalg.StackError`` naming the
-    first member whose candidate is traceless or not PSD."""
+    Kraus stack and its full-width factor, solved together. Raises
+    ``linalg.StackError`` naming the first member whose candidate is
+    traceless or not PSD."""
     b, d = kraus.shape[0], kraus.shape[-1]
     # fixed points = null space of S - I; SVD keeps this robust for
     # non-normal superoperators. Singular values descend, so the null
@@ -301,8 +291,10 @@ def solve_stack(kraus: np.ndarray) -> FixedPoints:
     tr = np.trace(candidate, axis1=1, axis2=2)
     linalg.reject((np.abs(tr) < _TRACELESS, np.abs(tr),
                    "eigensolver produced a traceless fixed-point candidate"))
-    rho = _sanitize(candidate / tr[:, None, None])
-    return FixedPoints(rho, _residuals(kraus, rho), multiplicity)
+    # the one clamp: rho's factor, scaled to unit trace
+    factor = linalg.unit_factor(linalg.psd_factor(candidate / tr[:, None, None]))
+    rho = linalg.unit_trace_hermitian(factor @ linalg.dagger(factor))
+    return FixedPoints(rho, factor, _residuals(kraus, rho), multiplicity)
 
 
 def solve_fixed_point(problem: DeutschProblem) -> FixedPointResult:

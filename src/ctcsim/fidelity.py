@@ -4,9 +4,11 @@
 The fidelity has one kernel over a factor of its second argument:
 F(rho, W W^dag) = Tr sqrt(W^dag rho W) (Jozsa 1994), which needs only the
 r x r operator W^dag rho W for an n x r factor W. A caller that knows a
-factor passes it to ``factor_fidelities``: the ket of a pure state makes
-each fidelity a 1 x 1 problem. ``fidelities`` factors its second argument
-at full width with one eigendecomposition (``linalg.psd_factor``), and the
+factor passes it to ``factor_fidelities``, as ``run_clone`` passes its
+target's ``DensityMatrix.factor``: the ket of a pure state makes each
+fidelity a 1 x 1 problem. ``fidelities`` factors its second argument at
+full width with the program's one clamp, ``linalg.psd_factor`` (one
+eigendecomposition), and the
 property checkers ``multiplicativity_defects`` and ``monotonicity_margins``
 call it. Every kernel works on plain (..., n, n) arrays and broadcasts over
 leading axes. The functions on ``DensityMatrix`` arguments call them with no

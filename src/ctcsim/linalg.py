@@ -6,11 +6,12 @@ All operators are plain square ``numpy`` arrays of ``complex128``, stored
 row-major. ``kron``, ``partial_trace``, ``permute_registers``,
 ``hermiticity_defect``, ``psd_sqrt``, ``psd_factor``,
 ``unit_trace_hermitian``, ``trace_norm`` and ``trace_distance`` are
-shape-generic: they act on the last two axes of an
-(..., n, n) stack and broadcast over the leading ones, so one matrix and a
-stack of them take the same code. Checks on a stack go through ``reject``,
-which names the first failing entry; ``chunks`` splits a long stack so its
-memory stays bounded. Tolerances live in ``tolerances``.
+shape-generic: they act on the last two axes of an (..., n, n) stack and
+broadcast over the leading ones, so one matrix and a stack of them take the
+same code; ``unit_factor`` does the same for (..., n, r) factors. A state
+is clamped in one place, ``psd_factor``. Checks on a stack go through
+``reject``, which names the first failing entry; ``chunks`` splits a long
+stack so its memory stays bounded. Tolerances live in ``tolerances``.
 """
 
 from __future__ import annotations
@@ -237,12 +238,20 @@ def psd_sqrt(h) -> np.ndarray:
 def psd_factor(h: np.ndarray) -> np.ndarray:
     """A full-width factor W = v sqrt(w) with W W^dag = h of each (..., n, n)
     entry, from one eigendecomposition of its Hermitian part, for input
-    already known to be Hermitian (a validated state). Eigenvalues within
-    ``tolerances.psd`` of zero are clamped; anything more negative rejects."""
+    already known to be Hermitian up to rounding (a validated state, a
+    solve's candidate). Eigenvalues within ``tolerances.psd`` of zero are
+    clamped; anything more negative rejects. The one clamp of the program."""
     w, v = np.linalg.eigh((h + dagger(h)) / 2)
     reject((w[..., 0] < -tolerances.psd, w[..., 0],
-            "matrix is not PSD: min eigenvalue {:.3e}"))
+            "not PSD even before clamping: {:.3e}"))
     return v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+
+
+def unit_factor(w: np.ndarray) -> np.ndarray:
+    """Each (..., n, r) factor over its Frobenius norm, summed along one
+    flat axis so a stack member has the bits of its own stack of one."""
+    flat = w.reshape(w.shape[:-2] + (-1,))
+    return w / np.sqrt(np.sum(flat.real**2 + flat.imag**2, axis=-1))[..., None, None]
 
 
 def unit_trace_hermitian(m: np.ndarray) -> np.ndarray:
@@ -251,13 +260,6 @@ def unit_trace_hermitian(m: np.ndarray) -> np.ndarray:
     eigendecomposition."""
     m = (m + dagger(m)) / 2
     return m / np.real(np.trace(m, axis1=-2, axis2=-1))[..., None, None]
-
-
-def above_rounding(w: np.ndarray) -> np.ndarray:
-    """Which ascending eigenvalues of each (..., n) row carry weight: those
-    above the largest times n * eps, the rounding level of an n x n
-    eigendecomposition."""
-    return w > w[..., -1:] * w.shape[-1] * np.finfo(float).eps
 
 
 def trace_norm(h):

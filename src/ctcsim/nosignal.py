@@ -9,15 +9,14 @@ can move the local clone statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import linalg
-from .cloning import ClonerCircuit, blank_state, make_problem
+from .cloning import ClonerCircuit, make_problem
 from .engine import (
-    DeutschProblem,
     FixedPointResult,
     evolve,
     kraus_stack,
@@ -34,22 +33,21 @@ class NoSignalReport:
     expected_ab: DensityMatrix      # the cloner's output on rho_A = Tr_R(input)
     deviation: float                # trace distance between the two
     fixed_point: FixedPointResult
-    channel_invariance: list = field(default_factory=list)
 
 
-def _spectator_dim(cloner: ClonerCircuit, joint_input: DensityMatrix) -> int:
-    n = cloner.n
-    if joint_input.side % n != 0:
+def _spectator_dim(joint_input: DensityMatrix, a_dim: int) -> int:
+    if a_dim < 1 or joint_input.side % a_dim != 0:
         raise ValueError(
             f"joint input side {joint_input.side} is not divisible by the "
-            f"cloner dimension {n}"
+            f"cloner dimension {a_dim}"
         )
-    return joint_input.side // n
+    return joint_input.side // a_dim
 
 
 def _extended(cloner: ClonerCircuit, joints: np.ndarray, r_dim: int):
-    """Layout, interaction and CR input stack of the extended problems on
-    [A, B, R, CTC], for a (B, n * r, n * r) stack of (A, R) inputs."""
+    """Layout, interaction and CR input factor stack of the extended
+    problems on [A, B, R, CTC], for a (B, n * r, k) stack of factors of
+    (A, R) inputs."""
     n = cloner.n
     layout = Layout(
         (("A", n), ("B", n), ("R", r_dim), ("CTC", n)), ctc_index=3
@@ -57,30 +55,22 @@ def _extended(cloner: ClonerCircuit, joints: np.ndarray, r_dim: int):
     # the cloner's gates address registers by name, so on the extended
     # layout they leave R alone
     interaction = GateList(layout, cloner.total.gates)
-    # input given on (A, R); insert the blank B and reorder to (A, B, R)
-    big = linalg.kron(joints, blank_state(n).mat)  # order (A, R, B)
-    cr = linalg.permute_registers(big, (n, r_dim, n), [0, 2, 1])
-    return layout, interaction, cr
-
-
-def _extended_problem(
-    cloner: ClonerCircuit, joint_input: DensityMatrix, r_dim: int
-) -> DeutschProblem:
-    layout, interaction, cr = _extended(cloner, joint_input.mat[None], r_dim)
-    return DeutschProblem(
-        layout, interaction, DensityMatrix._trusted(cr[0], layout.cr_dims)
-    )
+    # insert the blank B = |0> between A and R: rows (a, 0, r) of the factor
+    b, _, k = joints.shape
+    cr = np.zeros((b, n, n, r_dim, k), dtype=complex)
+    cr[:, :, 0] = joints.reshape(b, n, r_dim, k)
+    return layout, interaction, cr.reshape(b, -1, k)
 
 
 def _entangled_runs(cloner: ClonerCircuit, joints: np.ndarray, r_dim: int):
-    """Clone the A side of each (A, R) input of a (B, n * r, n * r) stack,
-    solved and evolved together: the joint outputs on (A, B, R), their
-    Tr_R and the solver results."""
+    """Clone the A side of each (A, R) input of a (B, n * r, k) stack of
+    factors, solved and evolved together: the joint outputs on (A, B, R),
+    their Tr_R and the solver results."""
     n = cloner.n
     layout, interaction, cr = _extended(cloner, joints, r_dim)
     kraus = kraus_stack(layout, interaction, cr)
     fps = solve_stack(kraus)
-    rho_tot = output_stack(kraus, fps.rho_ctc, cr.shape[-1])
+    rho_tot = output_stack(kraus, fps.factor, cr.shape[1])
     reduced = linalg.partial_trace(rho_tot, (n, n, r_dim), [0, 1])
     return rho_tot, reduced, fps
 
@@ -92,9 +82,9 @@ def run_entangled_clone(
     result against the cloner's output on rho_A = Tr_R(input) alone, which
     is what no signalling requires it to equal."""
     n = cloner.n
-    r_dim = _spectator_dim(cloner, joint_input)
+    r_dim = _spectator_dim(joint_input, n)
     with linalg.single_entry():
-        rho_tot, reduced, fps = _entangled_runs(cloner, joint_input.mat[None], r_dim)
+        rho_tot, reduced, fps = _entangled_runs(cloner, joint_input.factor[None], r_dim)
     reduced_ab = DensityMatrix._trusted(reduced[0], (n, n))
     rho_a = linalg.partial_trace(joint_input.mat, (n, r_dim), [0])
     expected_ab = evolve(make_problem(cloner, DensityMatrix._trusted(rho_a)))[0]
@@ -128,24 +118,25 @@ def _kraus_lists(channels: Sequence[Sequence[np.ndarray]], r_dim: int) -> np.nda
     return out
 
 
-def _spectator_channels(joint: np.ndarray, kraus: np.ndarray, a_dim: int) -> np.ndarray:
+def _spectator_channels(w: np.ndarray, kraus: np.ndarray, a_dim: int) -> np.ndarray:
     """Each channel of a (C, m, r, r) Kraus stack applied to the R side of
-    one (A, R) state: the (C, a * r, a * r) outputs, PSD by construction."""
-    big = linalg.kron(np.eye(a_dim, dtype=complex), kraus)  # I_A x K
-    total = np.zeros((len(kraus),) + joint.shape, dtype=complex)
-    for j in range(kraus.shape[1]):
-        total += big[:, j] @ joint @ linalg.dagger(big[:, j])
-    return linalg.unit_trace_hermitian(total)
+    one (A, R) state of (a * r, k) factor W: the (C, a * r, m * k) factors
+    of the outputs, the blocks (I_A x K_j) W side by side."""
+    c, m, r_dim, _ = kraus.shape
+    k = w.shape[-1]
+    blocks = kraus[:, :, None] @ w.reshape(a_dim, r_dim, k)  # (C, m, a, r, k)
+    return blocks.transpose(0, 2, 3, 1, 4).reshape(c, a_dim * r_dim, m * k)
 
 
 def apply_spectator_channel(
     joint_input: DensityMatrix, kraus: Sequence[np.ndarray], a_dim: int
 ) -> DensityMatrix:
     """Apply a Kraus channel to the R side of an (A, R) state."""
-    r_dim = joint_input.side // a_dim
+    r_dim = _spectator_dim(joint_input, a_dim)
     with linalg.single_entry():
-        out = _spectator_channels(joint_input.mat, _kraus_lists([kraus], r_dim), a_dim)
-    return DensityMatrix._trusted(out[0], (a_dim, r_dim))
+        w = _spectator_channels(joint_input.factor, _kraus_lists([kraus], r_dim), a_dim)[0]
+    rho = linalg.unit_trace_hermitian(w @ linalg.dagger(w))
+    return DensityMatrix._trusted(rho, (a_dim, r_dim), w)
 
 
 def check_channel_invariance(
@@ -157,18 +148,19 @@ def check_channel_invariance(
     each trace-preserving spectator channel. All deviations should vanish.
 
     The unmodified input and the input after each channel are cloned as one
-    stack (in chunks): member 0 is the unmodified input, member j the input
-    after channel j - 1. A channel that is not trace preserving is named by
-    its position in ``channels``, a failing solve by its member.
+    stack (in chunks): member 0 is the unmodified input, the output of the
+    identity channel, and member j the input after channel j - 1. A channel
+    that is not trace preserving is named by its position in ``channels``, a
+    failing solve by its member.
     """
     n = cloner.n
-    r_dim = _spectator_dim(cloner, joint_input)
-    kraus = _kraus_lists(channels, r_dim)
+    r_dim = _spectator_dim(joint_input, n)
+    # the identity's blocks are the factor itself, bit for bit
+    with linalg.entries_from(-1):
+        kraus = _kraus_lists([[np.eye(r_dim)]] + list(channels), r_dim)
     deviations, base = [], None
-    for lo, hi in linalg.chunks(len(channels) + 1, n**3 * r_dim):
-        joints = _spectator_channels(joint_input.mat, kraus[max(lo - 1, 0):hi - 1], n)
-        if lo == 0:
-            joints = np.concatenate([joint_input.mat[None], joints])
+    for lo, hi in linalg.chunks(len(kraus), n**3 * r_dim):
+        joints = _spectator_channels(joint_input.factor, kraus[lo:hi], n)
         with linalg.entries_from(lo):
             reduced = _entangled_runs(cloner, joints, r_dim)[1]
         if lo == 0:

@@ -1,6 +1,7 @@
-"""Register layouts, validated state/unitary wrappers, and the qudit gates
-used by the cloning circuits: SWAP, CSUM, controlled-select blocks, basis
-mappers, and register embeddings.
+"""Register layouts, validated state/unitary wrappers (a state carries its
+factor W W^dag = rho), and the qudit gates used by the cloning circuits:
+SWAP, CSUM, controlled-select blocks, basis mappers, and register
+embeddings.
 
 Every gate is local: a tuple of register names plus a small gate on those
 registers. A local gate is one of three kinds, each validated once, when it
@@ -138,12 +139,13 @@ class PureState:
 
     def density(self) -> "DensityMatrix":
         p = self.projector()
+        ket = self.amps[:, None]
         # the norm tolerance admits a trace of 1 +- 2e-10, beyond TRACE_TOL;
         # renormalise only then, so a projector of valid trace keeps its bits
         tr = float(np.real(np.trace(p)))
         if abs(tr - 1.0) > TRACE_TOL:
-            p = p / tr
-        return DensityMatrix._trusted(p)
+            p, ket = p / tr, ket / np.sqrt(tr)
+        return DensityMatrix._trusted(p, factor=ket)
 
 
 def check_density(m: np.ndarray) -> None:
@@ -170,19 +172,6 @@ def check_unitary(m: np.ndarray) -> None:
             "not unitary: max |U^dag U - I| = {:.3e}"))
 
 
-def _sanitize(m: np.ndarray) -> np.ndarray:
-    """Symmetrize, clamp small negative eigenvalues and renormalize each
-    (..., n, n) entry with one eigendecomposition; an eigenvalue below
-    ``-tolerances.psd`` still rejects."""
-    m = (m + dagger(m)) / 2
-    w, v = np.linalg.eigh(m)
-    reject((w[..., 0] < -tolerances.psd, w[..., 0],
-            "not PSD even before clamping: {:.3e}"))
-    # np.maximum gives np.clip(w, 0, None)'s values without its wrapper cost
-    w = np.maximum(w, 0.0)
-    return linalg.unit_trace_hermitian((v * w[..., None, :]) @ dagger(v))
-
-
 def _register_dims(side: int, dims) -> tuple:
     dims = (side,) if dims is None else tuple(int(d) for d in dims)
     if math.prod(dims) != side:
@@ -198,11 +187,15 @@ class DensityMatrix:
     it for anything arriving from outside, the API, a DSL file or the CLI.
     States built from validated or solved ones are density matrices by
     construction and wrapped by the internal ``_trusted``, which checks only
-    the register dims: ``PureState.density``, I/d, krons and reorderings of
-    states, partial traces of states, the solved CTC state, the Gram-form
-    output, ``deutsch_map`` output, ``random_density`` and ``sanitize``
-    output. Only ``engine.solve_stack`` clamps (``_sanitize``); map outputs
-    are made exactly Hermitian and of unit trace by
+    the register dims, and attaches a factor W W^dag = rho where one is
+    known: ``PureState.density`` (its ket), the CR input of
+    ``cloning.make_problem`` (the kron of the factors), the solved CTC state
+    and ``sanitize`` output (the clamp's), ``random_density`` (its Ginibre
+    draw) and spectator-channel outputs (their blocks). I/d, partial traces,
+    the Gram-form output and ``deutsch_map`` output are trusted too, and
+    factored on first use if ever. Only
+    ``engine.solve_stack`` and ``sanitize`` clamp (``linalg.psd_factor``); map
+    outputs are made exactly Hermitian and of unit trace by
     ``linalg.unit_trace_hermitian``. ``check_density`` validates a stack.
     """
 
@@ -216,20 +209,31 @@ class DensityMatrix:
         check_density(m)
 
     @classmethod
-    def _trusted(cls, mat: np.ndarray, dims=None) -> "DensityMatrix":
+    def _trusted(cls, mat: np.ndarray, dims=None, factor=None) -> "DensityMatrix":
         """Wrap a complex (n, n) array that is a density matrix by
-        construction, skipping the eigendecomposition."""
+        construction, and its (n, r) ``factor`` when one is known."""
         rho = object.__new__(cls)
         object.__setattr__(rho, "mat", mat)
         object.__setattr__(rho, "dims", _register_dims(mat.shape[0], dims))
+        if factor is not None:
+            rho.__dict__["factor"] = factor
         return rho
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """An (n, r) W with W W^dag = rho, attached or from one eigh: the
+        eigenvectors times the roots of the eigenvalues above the largest
+        times n * eps, the rounding level of an n x n eigendecomposition."""
+        w, v = np.linalg.eigh(self.mat)
+        keep = w > w[-1] * w.size * np.finfo(float).eps
+        return v[:, keep] * np.sqrt(w[keep])
 
     @property
     def side(self) -> int:
         return self.mat.shape[0]
 
     def with_dims(self, dims: Sequence[int]) -> "DensityMatrix":
-        return DensityMatrix._trusted(self.mat, dims)
+        return DensityMatrix._trusted(self.mat, dims, self.__dict__.get("factor"))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
@@ -244,7 +248,8 @@ class DensityMatrix:
         tolerance still rejects. The result is a density matrix by
         construction and is not checked again.
         """
-        return cls._trusted(_sanitize(as_matrix(m)), dims)
+        w = linalg.unit_factor(linalg.psd_factor(as_matrix(m)))
+        return cls._trusted(linalg.unit_trace_hermitian(w @ dagger(w)), dims, w)
 
 
 @dataclass(frozen=True)
@@ -368,6 +373,15 @@ class Select:
         return Select._trusted(np.ascontiguousarray(dagger(self.blocks)))
 
 
+def ket_distances(amps: np.ndarray) -> np.ndarray:
+    """The (N, N) trace distances of the projectors of the unit kets in the
+    rows of ``amps``: ||b - <a|b> a|| for kets a and b, from one Gram matrix
+    (sqrt(1 - |<a|b>|^2) would cancel for near-parallel kets)."""
+    gram = amps.conj() @ amps.T  # gram[i, j] = <a_i|a_j>
+    diff = amps[None, :, :] - gram[:, :, None] * amps[:, None, :]
+    return np.linalg.norm(diff, axis=-1)
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """N distinct pure states in dimension N, the clone-target set."""
@@ -385,11 +399,11 @@ class Alphabet:
             raise ValueError(
                 f"alphabet size {len(states)} must equal the dimension {dim}"
             )
-        for i in range(len(states)):
-            for j in range(i + 1, len(states)):
-                d = linalg.trace_distance(states[i].projector(), states[j].projector())
-                if d <= 1e-8:
-                    raise ValueError(f"alphabet states {i} and {j} are not distinct")
+        dist = ket_distances(np.array([s.amps for s in states]))
+        bad = np.argwhere(np.triu(dist <= 1e-8, k=1))
+        if len(bad):
+            i, j = bad[0]  # the first pair in row-major order
+            raise ValueError(f"alphabet states {i} and {j} are not distinct")
         object.__setattr__(self, "states", states)
 
     @property

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import dagger
+from .linalg import dagger, unit_factor
 from .quantum import DensityMatrix, PureState, Unitary
 
 
@@ -72,8 +72,11 @@ def random_pure(rng: np.random.Generator, dim: int) -> PureState:
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
     """Full-rank random density matrix from a normalized Ginibre product; a
-    density matrix by construction, so it takes the trusted path."""
-    return DensityMatrix._trusted(density_from_ginibre(_ginibre(rng, dim)))
+    density matrix by construction, so it takes the trusted path, carrying
+    the factor Z / ||Z||_F (``linalg.unit_factor``) as the fixed-points
+    sweep draws it."""
+    z = _ginibre(rng, dim)
+    return DensityMatrix._trusted(density_from_ginibre(z), factor=unit_factor(z))
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

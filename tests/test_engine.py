@@ -15,7 +15,7 @@ from ctcsim.engine import (
     solve_fixed_point,
     solve_stack,
 )
-from ctcsim.nosignal import _extended_problem, run_entangled_clone
+from ctcsim.nosignal import _extended, run_entangled_clone
 from ctcsim.quantum import (
     TRACE_TOL,
     DensityMatrix,
@@ -93,8 +93,12 @@ def rank_two_problem(rng):
 
 
 def nosignal_problem(rng):
-    joint = DensityMatrix(random_density(rng, 4).mat, (2, 2))
-    return _extended_problem(build_pure_cloner(random_alphabet(rng, 2)), joint, 2)
+    # the [A, B, R, CTC] problem of a no-signalling run on a random (A, R) input
+    joint = random_density(rng, 4).factor
+    cloner = build_pure_cloner(random_alphabet(rng, 2))
+    layout, interaction, cr = _extended(cloner, joint[None], 2)
+    rho = DensityMatrix._trusted(cr[0] @ cr[0].conj().T, layout.cr_dims, cr[0])
+    return DeutschProblem(layout, interaction, rho)
 
 
 def x_conjugation_problem():
@@ -365,14 +369,24 @@ class TestOutputAndEvolve:
             deutsch_map(prob, DensityMatrix.maximally_mixed(3))
 
 
+def factor_stack(factors):
+    """A (B, n, r) stack of (n, r_b) factors, the narrower ones padded with
+    trailing zero columns."""
+    width = max(f.shape[1] for f in factors)
+    out = np.zeros((len(factors), factors[0].shape[0], width), dtype=complex)
+    for i, f in enumerate(factors):
+        out[i, :, :f.shape[1]] = f
+    return out
+
+
 def assert_members_equal_single_solves(layout, interactions, crs):
     """Each member of one stacked solve equals its own single solve, bit
     for bit: state, residual, multiplicity and visible output."""
     inter = interactions if isinstance(interactions, GateList) else np.stack(
         [u.mat for u in interactions])
-    kraus = kraus_stack(layout, inter, np.stack([cr.mat for cr in crs]))
+    kraus = kraus_stack(layout, inter, factor_stack([cr.factor for cr in crs]))
     fps = solve_stack(kraus)
-    outputs = output_stack(kraus, fps.rho_ctc, crs[0].side)
+    outputs = output_stack(kraus, fps.factor, crs[0].side)
     for i, cr in enumerate(crs):
         u = interactions if isinstance(interactions, GateList) else interactions[i]
         out, fp = evolve(DeutschProblem(layout, u, cr))
@@ -384,25 +398,26 @@ def assert_members_equal_single_solves(layout, interactions, crs):
 
 
 def output_cases(rng):
-    """(layout, interaction, CR input stack) triples: cloner stacks of pure
-    and mixed targets, and Haar stacks with full-rank and pure CR inputs."""
+    """(layout, interaction, CR input factor stack) triples: cloner stacks of
+    pure and mixed targets, and Haar stacks with full-rank and pure CR
+    inputs."""
     cases = []
     for n in (3, 5, 6):
         alphabet = random_alphabet(rng, n)
         cloner = build_pure_cloner(alphabet)
         targets = [s.density() for s in alphabet.states[:2]] + [random_density(rng, n)]
-        crs = [make_problem(cloner, t).cr_input.mat for t in targets]
-        cases.append((cloner.layout, cloner.total, np.stack(crs)))
+        crs = [make_problem(cloner, t).cr_input.factor for t in targets]
+        cases.append((cloner.layout, cloner.total, factor_stack(crs)))
     for n in (3, 5):
         cloner = build_mixed_cloner(n)
         targets = [DensityMatrix(np.diag(rng.dirichlet(np.ones(n)) + 0j)) for _ in range(3)]
-        crs = [make_problem(cloner, t).cr_input.mat for t in targets]
-        cases.append((cloner.layout, cloner.total, np.stack(crs)))
+        crs = [make_problem(cloner, t).cr_input.factor for t in targets]
+        cases.append((cloner.layout, cloner.total, factor_stack(crs)))
     for cr_dim, d in ((2, 2), (3, 2), (2, 3), (4, 3)):
         layout = Layout((("CR", cr_dim), ("CTC", d)), ctc_index=1)
         u = np.stack([haar_unitary(rng, cr_dim * d).mat for _ in range(4)])
-        crs = np.stack([random_density(rng, cr_dim).mat for _ in range(2)]
-                       + [random_pure(rng, cr_dim).projector() for _ in range(2)])
+        crs = factor_stack([random_density(rng, cr_dim).factor for _ in range(2)]
+                           + [random_pure(rng, cr_dim).density().factor for _ in range(2)])
         cases.append((layout, u, crs))
     return cases
 
@@ -410,7 +425,7 @@ def output_cases(rng):
 def test_outputs_are_density_matrices_by_construction(rng):
     for layout, interaction, crs in output_cases(rng):
         kraus = kraus_stack(layout, interaction, crs)
-        out = output_stack(kraus, solve_stack(kraus).rho_ctc, crs.shape[-1])
+        out = output_stack(kraus, solve_stack(kraus).factor, crs.shape[1])
         assert np.all(linalg.hermiticity_defect(out) == 0)
         assert np.all(np.abs(np.trace(out, axis1=1, axis2=2) - 1) <= TRACE_TOL)
         assert np.linalg.eigvalsh(out)[:, 0].min() >= -linalg.tolerances.psd
@@ -446,12 +461,12 @@ def test_stack_error_names_the_member(rng):
     layout = Layout((("CR", 2), ("CTC", 2)), ctc_index=1)
     u = np.stack([haar_unitary(rng, 4).mat for _ in range(3)])
     u[2] *= 1.1
-    crs = np.stack([random_density(rng, 2).mat for _ in range(3)])
+    crs = [random_density(rng, 2) for _ in range(3)]
     with pytest.raises(linalg.StackError, match="entry 2: induced map is not") as exc:
-        kraus_stack(layout, u, crs)
+        kraus_stack(layout, u, np.stack([cr.factor for cr in crs]))
     assert exc.value.index == 2
     # one problem keeps the single-problem message
     bad = Unitary(haar_unitary(rng, 4).mat)
     bad.mat[:] *= 1.1
     with pytest.raises(ValueError, match="^induced map is not trace preserving"):
-        DeutschProblem(layout, bad, DensityMatrix(crs[0])).kraus
+        DeutschProblem(layout, bad, crs[0]).kraus

@@ -109,15 +109,22 @@ class TestChannelInvariance:
 
     def test_chunk_eigendecomposes_no_channel_output(self, rng, eig_calls):
         # with n = 2 and r = 3 the channel outputs on (A, R) have side 6 and
-        # their Tr_R side 4: the outputs enter only the CR inputs' eigh (side
-        # 12), and of side 4 only the trace distances are taken
+        # their Tr_R side 4: the outputs and the CR inputs (side 12) are
+        # carried as factors, so of side 6 only the joint input's own factor
+        # is an eigh, and of side 4 only the trace distances are taken
         joint = DensityMatrix(random_pure(rng, 6).projector(), (2, 3))
         channels = [random_kraus_channel(rng, 3) for _ in range(20)]
         eig_calls.clear()
         check_channel_invariance(build_mixed_cloner(2), joint, channels)
         shapes = [m.shape for name, m in eig_calls if name == "eigh"]
-        assert all(shape[-1] != 6 for shape in shapes)
+        assert [shape for shape in shapes if shape[-1] in (6, 12)] == [(6, 6)]
         assert [shape for shape in shapes if shape[-1] == 4] == [(20, 4, 4)]
+
+    def test_a_dim_must_divide_the_joint_side(self, rng):
+        joint = random_density(rng, 6)
+        for a_dim in (4, 0):
+            with pytest.raises(ValueError, match="^joint input side 6 is not divisible"):
+                apply_spectator_channel(joint, [np.eye(1)], a_dim)
 
     def test_non_trace_preserving_rejected(self):
         import pytest

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import random_alphabet
-from ctcsim import linalg, quantum
-from ctcsim.sampling import haar_unitary
+from ctcsim import linalg
+from ctcsim.sampling import haar_unitary, random_density, random_pure
 from ctcsim.cloning import build_mixed_cloner, build_pure_cloner, make_problem
-from ctcsim.engine import DeutschProblem
+from ctcsim.engine import DeutschProblem, solve_fixed_point
+from ctcsim.nosignal import apply_spectator_channel
 from ctcsim.quantum import (
     Alphabet,
     DensityMatrix,
@@ -20,6 +21,7 @@ from ctcsim.quantum import (
     check_density,
     csum_gate,
     embed_on_registers,
+    ket_distances,
     select_gate,
     swap_gate,
 )
@@ -278,9 +280,37 @@ class TestStates:
     def test_sanitized_stack_matches_single_matrices(self, rng):
         z = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
         m = z @ z.conj().swapaxes(-1, -2)
-        stacked = quantum._sanitize(m)
+        stacked = linalg.psd_factor(m)
         for k in range(5):
-            assert np.array_equal(stacked[k], DensityMatrix.sanitize(m[k]).mat)
+            assert np.array_equal(stacked[k], linalg.psd_factor(m[k]))
+
+    def test_attached_factors_reproduce_their_matrices(self, rng, eig_calls):
+        alphabet = random_alphabet(rng, 3)
+        target = alphabet.states[1].density()
+        mixed = random_density(rng, 3)
+        joint = random_pure(rng, 6).density().with_dims((2, 3))
+        states = [
+            random_pure(rng, 5).density(),
+            make_problem(build_pure_cloner(alphabet), target).cr_input,
+            make_problem(build_mixed_cloner(3), mixed).cr_input,
+            mixed,
+            apply_spectator_channel(joint, [np.sqrt(0.5) * np.eye(3),
+                                            np.sqrt(0.5) * np.diag([1, -1, 1])], 2),
+            solve_fixed_point(make_problem(build_pure_cloner(alphabet), mixed)).rho_ctc,
+            DensityMatrix.sanitize(np.diag([0.5 + 3e-11, 0.5, -3e-11])),
+        ]
+        # each factor was attached where the state was made, not computed
+        eig_calls.clear()
+        for rho in states:
+            w = rho.factor
+            assert np.max(np.abs(w @ w.conj().T - rho.mat)) <= 1e-14
+        assert eig_calls == []
+
+    def test_validated_state_factors_at_its_kept_rank(self, rng):
+        psi, phi = random_pure(rng, 4), random_pure(rng, 4)
+        rho = DensityMatrix(0.3 * psi.projector() + 0.7 * phi.projector())
+        assert rho.factor.shape == (4, 2)
+        assert np.max(np.abs(rho.factor @ rho.factor.conj().T - rho.mat)) <= 1e-14
 
     def test_density_of_every_accepted_pure_state(self):
         # the norm tolerance admits a projector trace of 1 + 1.8e-10
@@ -468,6 +498,34 @@ class TestAlphabet:
     def test_distinctness(self):
         with pytest.raises(ValueError, match="distinct"):
             Alphabet((PureState.basis(2, 0), PureState.basis(2, 0)))
+
+    def test_distinctness_names_the_first_pair_in_row_major_order(self, rng):
+        a, b = random_pure(rng, 4), random_pure(rng, 4)
+        states = (a, b, PureState(a.amps.copy()), PureState(b.amps.copy()))
+        with pytest.raises(ValueError, match="^alphabet states 0 and 2 are not distinct$"):
+            Alphabet(states)
+
+    def test_distinctness_takes_no_eigendecomposition(self, rng, eig_calls):
+        states = tuple(random_pure(rng, 24) for _ in range(24))
+        eig_calls.clear()
+        Alphabet(states)
+        assert eig_calls == []
+
+    def test_ket_distances_equal_projector_trace_distances(self, rng):
+        pairs = [(random_pure(rng, n), random_pure(rng, n)) for n in (2, 5, 24)]
+        for n, dist in ((2, 3e-9), (5, 2e-8), (24, 3e-9)):
+            # b at trace distance sin(t) = dist from a, along a unit vector
+            # orthogonal to a
+            a, z = random_pure(rng, n).amps, random_pure(rng, n).amps
+            perp = z - np.vdot(a, z) * a
+            perp /= np.linalg.norm(perp)
+            t = np.arcsin(dist)
+            pairs.append((PureState(a), PureState(np.cos(t) * a + np.sin(t) * perp)))
+        for a, b in pairs:
+            got = ket_distances(np.array([a.amps, b.amps]))
+            want = linalg.trace_distance(a.projector(), b.projector())
+            assert abs(got[0, 1] - want) <= 1e-15
+            assert abs(got[1, 0] - want) <= 1e-15
 
     def test_padding(self):
         alpha = Alphabet.padded([PureState.basis(3, 0)], 3)

@@ -6,7 +6,7 @@
 #
 # The commands are the seeded sweeps and demos and `ctcsim run` on the 11
 # seed-0 circuits of perfbench's dsl-run workload, with and without
-# --trace-out: 34 in all. The circuits are generated into <outdir>/circuits
+# --trace-out: 36 in all. The circuits are generated into <outdir>/circuits
 # by the checkout's perfbench/workloads.py, which is only read. Two checkouts
 # give byte-identical results exactly when
 #
@@ -40,7 +40,18 @@ seeded fidelity-props-1000-0 sweep fidelity-props --trials 1000 --seed 0
 seeded no-cloning-baseline-1000-0 sweep no-cloning-baseline --trials 1000 --seed 0
 seeded no-cloning-baseline-dim3-200-4 sweep no-cloning-baseline --dim 3 --trials 200 --seed 4
 seeded clone-pure demo clone-pure
+# a non-orthogonal N = 4 alphabet, one state per column
+cat >"$out/alphabet4.txt" <<'MAT'
+matrix 4 1
+1.0 0.6 0.5 0.0 ;
+0.0 0.8 0.0+0.5i 0.6 ;
+0.0 0.0 0.5 0.0 ;
+0.0 0.0 -0.5 0.0+0.8i ;
+MAT
+seeded clone-pure-n4 demo clone-pure --alphabet "@$out/alphabet4.txt" --index 2
 seeded clone-mixed demo clone-mixed
+# a rank-2 target: its kept factor is narrower than N
+seeded clone-mixed-rank2 demo clone-mixed --probs 0.5,0.5,0
 seeded clone-mixed-csv demo clone-mixed --format csv
 seeded nosignal-mixed demo nosignal --cloner mixed
 seeded nosignal-pure demo nosignal --cloner pure
