@@ -113,11 +113,7 @@ def build_mixed_cloner(n: int) -> ClonerCircuit:
 
 def make_problem(cloner: ClonerCircuit, target: DensityMatrix) -> DeutschProblem:
     blank = PureState.basis(cloner.n, 0).density()
-    cr = DensityMatrix._trusted(
-        linalg.kron(target.mat, blank.mat), (cloner.n, cloner.n),
-        np.kron(target.factor, blank.factor),
-    )
-    return DeutschProblem(cloner.layout, cloner.total, cr)
+    return DeutschProblem(cloner.layout, cloner.total, DensityMatrix.product((target, blank)))
 
 
 def run_clone(cloner: ClonerCircuit, target: DensityMatrix) -> CloneReport:

@@ -12,7 +12,9 @@ Directives: ``system <name> <dim>``, ``input pure <reg>... : <complex>...``,
 ``input mixed <reg>... : <row> ; <row> ; ...``, ``gate swap|csum <r1> <r2>``,
 ``gate select|select_adj <ctrl> <tgt> @<file>``, ``gate unitary <reg> @<file>``.
 Gates apply in file order, top first. Complex literals are ``<float>``,
-``<float>+<float>i`` or ``<float>-<float>i`` with no interior spaces.
+``<float>+<float>i`` or ``<float>-<float>i`` with no interior spaces, and
+must be finite. Each input line is a state of its own registers, validated
+once when it is lowered; the CR input is the product of the lines.
 
 Matrix files referenced with ``@`` carry a ``matrix <side> <count>`` header
 followed by whitespace/";"-separated complex literals in row-major order.
@@ -20,6 +22,7 @@ followed by whitespace/";"-separated complex literals in row-major order.
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,6 +50,11 @@ _COMPLEX_RE = re.compile(
 )
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _TOKEN_RE = re.compile(r"[:;]|[^\s:;]+")
+
+INPUT_NORM_TOL = 1e-6  # max |norm - 1| of a pure input line's amplitudes
+# a pure line nearer unit norm is not divided by its norm, so that
+# parse/serialize round-trips are exact
+RENORM_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -113,11 +121,11 @@ def parse_complex(text: str) -> complex:
     m = _COMPLEX_RE.match(text)
     if m is None:
         raise ValueError(f"malformed complex literal {text!r}")
-    re_part = float(m.group("re"))
-    if m.group("im") is None:
-        return complex(re_part, 0.0)
-    im = float(m.group("im"))
-    return complex(re_part, -im if m.group("sign") == "-" else im)
+    im = float(m.group("im") or 0.0)
+    z = complex(float(m.group("re")), -im if m.group("sign") == "-" else im)
+    if not cmath.isfinite(z):  # a literal such as 1e999 overflows to inf
+        raise ValueError(f"complex literal {text!r} is not finite")
+    return z
 
 
 def format_complex(z: complex) -> str:
@@ -138,6 +146,7 @@ class _LineParser:
         self.errors = []
         self.systems = []
         self.inputs = []
+        self.claimed = set()  # registers named by an input line
         self.gates = []
 
     def error(self, line, col, message, expected=""):
@@ -201,42 +210,24 @@ class _LineParser:
                        "input pure|mixed <reg>... : <values>")
             return
         i += 1  # skip ':'
-        if kind == "pure":
-            amps = []
-            ok = True
-            for text, col in toks[i:]:
-                if text in (":", ";"):
-                    self.error(lineno, col, f"unexpected {text!r} in pure input",
-                               "complex literal")
-                    ok = False
-                    continue
-                try:
-                    amps.append(parse_complex(text))
-                except ValueError:
-                    self.error(lineno, col, f"malformed complex literal {text!r}",
-                               "<float>, <float>+<float>i or <float>-<float>i")
-                    ok = False
-            if ok:
-                self.inputs.append(InputDecl(tuple(regs), "pure",
-                                             amps=tuple(amps), span=span))
-        else:
-            rows, row = [], []
-            ok = True
-            for text, col in toks[i:]:
-                if text == ";":
-                    rows.append(tuple(row))
-                    row = []
-                    continue
-                try:
-                    row.append(parse_complex(text))
-                except ValueError:
-                    self.error(lineno, col, f"malformed complex literal {text!r}",
-                               "<float>, <float>+<float>i or <float>-<float>i")
-                    ok = False
-            rows.append(tuple(row))
-            if ok:
-                self.inputs.append(InputDecl(tuple(regs), "mixed",
-                                             rows=tuple(rows), span=span))
+        # a line with a well-formed head claims its registers even if a
+        # value fails, so the failure is its only error
+        self.claimed.update(regs)
+        rows, ok = [[]], True
+        for text, col in toks[i:]:
+            if text == ";" and kind == "mixed":
+                rows.append([])
+                continue
+            try:
+                rows[-1].append(parse_complex(text))
+            except ValueError as exc:
+                self.error(lineno, col, str(exc),
+                           "<float>, <float>+<float>i or <float>-<float>i")
+                ok = False
+        if ok:
+            values = ({"amps": tuple(rows[0])} if kind == "pure"
+                      else {"rows": tuple(map(tuple, rows))})
+            self.inputs.append(InputDecl(tuple(regs), kind, span=span, **values))
 
     def _parse_gate(self, lineno, toks, span):
         if len(toks) < 2:
@@ -307,14 +298,12 @@ def _structural_check(p: _LineParser):
                     f"pure input needs {side} amplitudes, got {len(decl.amps)}"))
                 continue
             norm = float(np.linalg.norm(decl.amps))
-            if abs(norm - 1.0) > 1e-6:
+            if abs(norm - 1.0) > INPUT_NORM_TOL:
                 p.errors.append(ParseError(
                     decl.span.line, decl.span.column,
-                    f"pure input norm {norm:.8f} is not 1 within 1e-6"))
+                    f"pure input norm {norm:.8f} is not 1 within {INPUT_NORM_TOL}"))
                 continue
-            # skip the division when the norm is already 1 to double
-            # precision, so parse/serialize round-trips are exact
-            if abs(norm - 1.0) > 1e-12:
+            if abs(norm - 1.0) > RENORM_FLOOR:
                 amps = tuple(a / norm for a in decl.amps)
             else:
                 amps = decl.amps
@@ -328,7 +317,7 @@ def _structural_check(p: _LineParser):
                 continue
             normalized_inputs.append(decl)
     for s in p.systems:
-        if s.name != "CTC" and s.name not in covered:
+        if s.name != "CTC" and s.name not in p.claimed:
             p.errors.append(ParseError(s.span.line, s.span.column,
                                        f"register {s.name!r} has no input directive"))
     for g in p.gates:
@@ -401,7 +390,10 @@ def load_matrix_file(path) -> np.ndarray:
         raise ValueError(
             f"{path}: expected {side * side * count} entries, got {len(body)}"
         )
-    values = np.array([parse_complex(t) for t in body], dtype=complex)
+    try:
+        values = np.array([parse_complex(t) for t in body], dtype=complex)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return values.reshape(count, side, side)
 
 
@@ -417,7 +409,12 @@ def format_matrix_file(mats) -> str:
 
 def lower(spec: CircuitSpec, base_dir=".") -> DeutschProblem:
     """Build a solvable problem: canonical CTC-last layout, the interaction
-    as a gate list, and the tensor-assembled CR input state."""
+    as a gate list, and the CR input. Each input line becomes a state of its
+    registers: a pure line ``PureState(...).density()``, a mixed line the
+    validating ``DensityMatrix(...)``, which raises ``ValueError`` naming the
+    line. The CR input is ``DensityMatrix.product`` of the lines in layout
+    order, as in ``cloning.make_problem``: no matrix of its size is checked
+    or eigendecomposed."""
     base = Path(base_dir)
     dims = spec.system_dims()
     order = [s.name for s in spec.systems if s.name != "CTC"] + ["CTC"]
@@ -473,22 +470,17 @@ def lower(spec: CircuitSpec, base_dir=".") -> DeutschProblem:
         gates.extend(lowered[g])
     interaction = GateList(layout, tuple(gates))
 
-    # assemble the CR input: kron the groups in declaration order, then
-    # permute the flattened register list into canonical layout order
-    group_regs, group_mats, group_dims = [], [], []
+    # the CR input: each line a state of its own registers, validated once
+    # here, and the product of the lines in layout order
+    parts, regs = [], []
     for d in spec.inputs:
-        if d.kind == "pure":
-            state = PureState(np.array(d.amps, dtype=complex))
-            group_mats.append(state.projector())
-        else:
-            group_mats.append(np.array(d.rows, dtype=complex))
-        group_regs.extend(d.regs)
-        group_dims.extend(dims[r] for r in d.regs)
-    big = linalg.kron_all(*group_mats) if group_mats else np.array([[1.0 + 0j]])
-    cr_order = [n for n in order if n != "CTC"]
-    perm = [group_regs.index(n) for n in cr_order]
-    # register-level permutation needs per-register dims, so expand groups
-    reg_dims = [dims[r] for r in group_regs]
-    cr_mat = linalg.permute_registers(big, reg_dims, perm)
-    cr_input = DensityMatrix(cr_mat, tuple(dims[n] for n in cr_order))
+        line_dims = tuple(dims[r] for r in d.regs)
+        try:
+            state = (PureState(np.array(d.amps, dtype=complex)).density()
+                     if d.kind == "pure" else DensityMatrix(d.rows, line_dims))
+        except ValueError as exc:
+            raise ValueError(f"input on line {d.span.line}: {exc}") from None
+        parts.append(state.with_dims(line_dims))
+        regs.extend(d.regs)
+    cr_input = DensityMatrix.product(parts, [regs.index(n) for n in order[:-1]])
     return DeutschProblem(layout, interaction, cr_input)

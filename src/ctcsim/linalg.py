@@ -68,13 +68,15 @@ def reject(*checks) -> None:
     Each check is a triple (bad, values, message) of numpy arrays of one
     batch shape and a format string: ``bad`` marks the failing entries and
     ``message.format(value)`` describes one. An entry failing several checks
-    is described by the first of them.
+    is described by the first of them. An entry whose value is NaN fails
+    too: NaN compares false with every bound.
     """
+    bads = [bad | (values != values) for bad, values, _ in checks]  # NaN != NaN
     # a 0-d result (one matrix) is tested by truth value, much cheaper than
     # a reduction
-    if not any(bad.any() if bad.ndim else bad for bad, _, _ in checks):
+    if not any(bad.any() if bad.ndim else bad for bad in bads):
         return
-    bads = [np.asarray(bad) for bad, _, _ in checks]
+    bads = [np.asarray(bad) for bad in bads]
     first = int(np.flatnonzero(np.logical_or.reduce(bads))[0])
     index = None if bads[0].ndim == 0 else first
     for bad, (_, values, message) in zip(bads, checks):

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -188,8 +188,9 @@ class DensityMatrix:
     States built from validated or solved ones are density matrices by
     construction and wrapped by the internal ``_trusted``, which checks only
     the register dims, and attaches a factor W W^dag = rho where one is
-    known: ``PureState.density`` (its ket), the CR input of
-    ``cloning.make_problem`` (the kron of the factors), the solved CTC state
+    known: ``PureState.density`` (its ket), ``product`` (the kron of its
+    parts' factors: the CR input of ``cloning.make_problem`` and of
+    ``dsl.lower``, whose input lines are each validated), the solved CTC state
     and ``sanitize`` output (the clamp's), ``random_density`` (its Ginibre
     draw) and spectator-channel outputs (their blocks). I/d, partial traces,
     the Gram-form output and ``deutsch_map`` output are trusted too, and
@@ -227,6 +228,19 @@ class DensityMatrix:
         w, v = np.linalg.eigh(self.mat)
         keep = w > w[-1] * w.size * np.finfo(float).eps
         return v[:, keep] * np.sqrt(w[keep])
+
+    @classmethod
+    def product(cls, parts: Sequence["DensityMatrix"], order=None) -> "DensityMatrix":
+        """The product state of ``parts`` on their registers (each part's
+        ``dims`` in turn), reordered so that register i of the result is
+        register ``order[i]`` of that list (default: unchanged). Its factor
+        is the kron of the parts' factors with the rows moved into that
+        order, and the state is W W^dag: no eigendecomposition of its size."""
+        dims = tuple(d for p in parts for d in p.dims)
+        order = tuple(range(len(dims))) if order is None else tuple(order)
+        w = reduce(np.kron, [p.factor for p in parts] or [np.ones((1, 1), dtype=complex)])
+        w = w.reshape(dims + (-1,)).transpose(order + (len(dims),)).reshape(w.shape)
+        return cls._trusted(w @ dagger(w), tuple(dims[i] for i in order), w)
 
     @property
     def side(self) -> int:

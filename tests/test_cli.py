@@ -291,6 +291,54 @@ def test_unreadable_matrix_file_is_io_error(via, kind, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+# each line is not a state, but the kron of the two lines is |00><00|
+NON_STATE_PRODUCTS = {
+    "negative": ("-1 0 ; 0 0", "-1 0 ; 0 0", "not PSD: min eigenvalue -1.000e+00"),
+    "traces": ("2 0 ; 0 0", "0.5 0 ; 0 0", "trace 2.0 is not 1 within 1e-10"),
+    "conjugates": ("0+1i 0 ; 0 0", "0-1i 0 ; 0 0",
+                   "matrix is not Hermitian: max |h - h^dag| = 2.000e+00"),
+}
+
+
+@pytest.mark.parametrize("a, b, message", NON_STATE_PRODUCTS.values(),
+                         ids=list(NON_STATE_PRODUCTS))
+def test_input_lines_whose_product_is_a_state_are_rejected(a, b, message, tmp_path,
+                                                           capsys):
+    text = (f"system A 2\nsystem B 2\nsystem CTC 2\ninput mixed A : {a}\n"
+            f"input mixed B : {b}\ngate swap A CTC\n")
+    assert main(["run", write_circuit(tmp_path, text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: input on line 4: {message}\n"
+
+
+def test_single_bad_mixed_line_keeps_its_message(tmp_path, capsys):
+    text = "system A 2\nsystem CTC 2\ninput mixed A : 0.6 0.5 ; 0.5 0.4\ngate swap A CTC\n"
+    assert main(["run", write_circuit(tmp_path, text)]) == 1
+    assert capsys.readouterr().err == "error: input on line 3: not PSD: min eigenvalue -9.902e-03\n"
+
+
+@pytest.mark.parametrize("via", ["input", "gate", "alphabet"])
+def test_non_finite_literal_is_one_line_error(via, tmp_path, capsys, recwarn):
+    path = tmp_path / "u.mat"
+    path.write_text("matrix 2 1\n1e999 0 ;\n0 1 ;\n")
+    expected = f"error: {path}: complex literal '1e999' is not finite"
+    if via == "input":
+        mixed = SMALLEST.replace("input pure A : 1 0", "input mixed A : 1e999 0 ; 0 0")
+        argv = ["run", write_circuit(tmp_path, mixed)]
+        expected = f"{argv[1]}:line 3, column 17: complex literal '1e999' is not finite"
+    elif via == "gate":
+        argv = ["run", write_circuit(tmp_path, SMALLEST + "gate unitary A @u.mat\n")]
+    else:
+        argv = ["demo", "clone-pure", "--alphabet", f"@{path}"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(expected)
+    assert captured.err.count("\n") == 1
+    assert recwarn.list == []
+
+
 def test_nosignal_pure_cloner_passes(capsys):
     code = main(["demo", "nosignal", "--cloner", "pure"])
     captured = capsys.readouterr()

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from conftest import random_alphabet
 from ctcsim import dsl, linalg
+from ctcsim.cli import main
+from ctcsim.cloning import build_pure_cloner, make_problem
 from ctcsim.dsl import CircuitSyntaxError, parse, serialize
 from ctcsim.engine import evolve
-from ctcsim.quantum import GateList
-from ctcsim.sampling import haar_unitary, random_pure
+from ctcsim.quantum import GateList, basis_mappers
+from ctcsim.sampling import haar_unitary, random_density, random_pure
 
 SMALLEST = """\
 system A 2
@@ -123,6 +126,11 @@ class TestComplexLiterals:
     @pytest.mark.parametrize("text", ["i", "1+i", "2j", "1 + 2i", "1+2", "--1", ""])
     def test_invalid(self, text):
         with pytest.raises(ValueError):
+            dsl.parse_complex(text)
+
+    @pytest.mark.parametrize("text", ["1e999", "-1e999", "0-1e999i", "1e400+1i"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(ValueError, match="is not finite"):
             dsl.parse_complex(text)
 
     def test_format_roundtrip(self, rng):
@@ -306,6 +314,87 @@ class TestLower:
         text = SMALLEST + "gate unitary A @missing.mat\n"
         with pytest.raises(OSError):
             dsl.lower(parse(text), tmp_path)
+
+
+def write_pure_cloner(tmp_path, alphabet, k):
+    """The pure cloner of ``alphabet`` on target k as a circuit file."""
+    (tmp_path / "uk.mat").write_text(dsl.format_matrix_file(basis_mappers(alphabet).blocks))
+    n = alphabet.dim
+    amps = " ".join(dsl.format_complex(a) for a in alphabet.states[k].amps)
+    blank = " ".join(["1"] + ["0"] * (n - 1))
+    path = tmp_path / "cloner.ctc"
+    path.write_text(
+        f"system A {n}\nsystem B {n}\nsystem CTC {n}\n"
+        f"input pure A : {amps}\ninput pure B : {blank}\n"
+        "gate swap A CTC\ngate csum A B\ngate select B CTC @uk.mat\n"
+        "gate select_adj A B @uk.mat\ngate select_adj CTC A @uk.mat\n")
+    return path
+
+
+def rows_text(m):
+    return " ; ".join(" ".join(dsl.format_complex(v) for v in row) for row in m)
+
+
+class TestInputLines:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_pure_cloner_file_has_the_bits_of_the_api(self, n, tmp_path, rng):
+        alphabet = random_alphabet(rng, n)
+        k = int(rng.integers(n))
+        path = write_pure_cloner(tmp_path, alphabet, k)
+        out, fp = evolve(dsl.lower(parse(path.read_text()), tmp_path))
+        api_out, api_fp = evolve(
+            make_problem(build_pure_cloner(alphabet), alphabet.states[k].density()))
+        assert np.array_equal(fp.rho_ctc.mat, api_fp.rho_ctc.mat)
+        assert np.array_equal(out.mat, api_out.mat)
+        assert fp.residual == api_fp.residual
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_run_eigendecomposes_nothing_above_the_ctc_side(self, n, tmp_path, rng,
+                                                            eig_calls, capsys):
+        # the CR input is the kron of the lines' kets: nothing of side n * n
+        path = write_pure_cloner(tmp_path, random_alphabet(rng, n), 0)
+        eig_calls.clear()
+        assert main(["run", str(path)]) == 0
+        sides = [m.shape[-1] for name, m in eig_calls if name in ("eigh", "eigvalsh")]
+        assert sides and max(sides) <= n
+
+    def test_multi_register_line_out_of_layout_order(self, tmp_path, rng):
+        rho_ba, psi_c = random_density(rng, 6), random_pure(rng, 2)
+        text = ("system A 2\nsystem B 3\nsystem C 2\nsystem CTC 2\n"
+                f"input mixed B A : {rows_text(rho_ba.mat)}\n"
+                "input pure C : " + " ".join(dsl.format_complex(a) for a in psi_c.amps)
+                + "\ngate swap A CTC\n")
+        cr = dsl.lower(parse(text), tmp_path).cr_input
+        # registers [B, A, C] of the kron, moved into layout order [A, B, C]
+        oracle = linalg.permute_registers(
+            linalg.kron_all(rho_ba.mat, psi_c.projector()), [3, 2, 2], [1, 0, 2])
+        assert cr.dims == (2, 3, 2)
+        assert np.max(np.abs(cr.mat - oracle)) <= 1e-15
+
+    def test_only_the_ctc_register(self, tmp_path):
+        cr = dsl.lower(parse("system CTC 2\n"), tmp_path).cr_input
+        oracle = linalg.permute_registers(linalg.kron_all(), [], [])
+        assert cr.dims == ()
+        assert np.max(np.abs(cr.mat - oracle)) <= 1e-15
+
+    def test_each_line_is_validated_and_named(self, tmp_path):
+        # the kron of the two lines is |00><00|, but neither line is a state
+        text = ("system A 2\nsystem B 2\nsystem CTC 2\n"
+                "input mixed A : -1 0 ; 0 0\ninput mixed B : -1 0 ; 0 0\n")
+        with pytest.raises(ValueError, match="^input on line 4: not PSD"):
+            dsl.lower(parse(text), tmp_path)
+
+    def test_non_finite_literal_in_a_matrix_file_is_named(self, tmp_path):
+        (tmp_path / "u.mat").write_text("matrix 2 1\n1e999 0 ;\n0 1 ;\n")
+        with pytest.raises(ValueError, match="u.mat: complex literal '1e999' is not finite"):
+            dsl.load_matrix_file(tmp_path / "u.mat")
+
+    def test_bad_literal_is_the_only_error_of_its_line(self):
+        with pytest.raises(CircuitSyntaxError) as exc:
+            parse("system A 2\nsystem CTC 2\ninput mixed A : 1e999 0 ; 0 0\n")
+        (err,) = exc.value.errors
+        assert (err.line, err.column) == (3, 17)
+        assert err.message == "complex literal '1e999' is not finite"
 
 
 def test_fuzz_never_crashes(rng):

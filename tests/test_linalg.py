@@ -166,6 +166,18 @@ class TestPsdSqrt:
         assert info.value.index == 1
 
 
+def test_reject_fails_a_nan_value():
+    # NaN compares false with every bound, so a comparison alone passes it
+    values = np.array([0.0, np.nan, 0.0])
+    with pytest.raises(linalg.StackError, match="value nan") as info:
+        linalg.reject((values > 1.0, values, "value {}"))
+    assert info.value.index == 1
+    with pytest.raises(linalg.StackError, match="value nan") as info:
+        linalg.reject((values[1] > 1.0, values[1], "value {}"))
+    assert info.value.index is None
+    linalg.reject((values[::2] > 1.0, values[::2], "value {}"))
+
+
 class TestTraceDistance:
     def test_self_is_zero(self, rng):
         h = random_hermitian(rng, 3)

@@ -330,6 +330,42 @@ class TestStates:
         assert info.value.index == 2
         check_density(stack[:2])
 
+    def test_stack_check_names_a_nan_entry(self):
+        stack = np.array([np.eye(2) / 2] * 4, dtype=complex)
+        stack[2, 1, 1] = np.nan
+        with pytest.raises(linalg.StackError, match="nan") as info:
+            check_density(stack)
+        assert info.value.index == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    @pytest.mark.parametrize("build", [
+        DensityMatrix, Unitary, lambda m: Select(np.array([np.eye(2), m]))],
+        ids=["DensityMatrix", "Unitary", "Select"])
+    def test_non_finite_entries_rejected(self, build, entry):
+        with pytest.raises(ValueError, match="nan"):
+            build(np.array([[entry, 0], [0, 1]], dtype=complex))
+
+    @pytest.mark.parametrize("dims, order", [
+        ((2, 3, 2), (1, 2, 0)), ((3, 2), (0, 1)), ((2, 2, 3), (2, 0, 1)), ((), ())])
+    def test_product_matches_permuted_kron(self, dims, order, rng):
+        # one part per register but the last two, which share a part
+        parts = [random_density(rng, d).with_dims((d,)) for d in dims[:-2]]
+        if len(dims) >= 2:
+            parts.append(random_pure(rng, dims[-2] * dims[-1]).density().with_dims(dims[-2:]))
+        rho = DensityMatrix.product(parts, order)
+        oracle = linalg.permute_registers(
+            linalg.kron_all(*(p.mat for p in parts)), dims, order)
+        assert rho.dims == tuple(dims[i] for i in order)
+        assert np.max(np.abs(rho.mat - oracle)) <= 1e-15
+        assert np.array_equal(rho.factor @ rho.factor.conj().T, rho.mat)
+
+    def test_product_keeps_the_kron_of_factors(self, rng):
+        target, blank = random_density(rng, 3), PureState.basis(3, 0).density()
+        rho = DensityMatrix.product((target, blank))
+        assert rho.dims == (3, 3)
+        assert np.array_equal(rho.factor, np.kron(target.factor, blank.factor))
+
 
 class TestSwap:
     def test_two_register_exchange(self):

@@ -4,11 +4,13 @@
 #
 #   tools/seeded_reports.sh <checkout> <outdir>
 #
-# The commands are the seeded sweeps and demos and `ctcsim run` on the 11
+# The commands are the seeded sweeps and demos, `ctcsim run` on the 11
 # seed-0 circuits of perfbench's dsl-run workload, with and without
-# --trace-out: 36 in all. The circuits are generated into <outdir>/circuits
-# by the checkout's perfbench/workloads.py, which is only read. Two checkouts
-# give byte-identical results exactly when
+# --trace-out, and on two written circuits (a two-register input line
+# declared out of layout order, with and without --trace-out, and a circuit
+# with only the CTC register): 39 in all. The dsl-run circuits are generated
+# into <outdir>/circuits by the checkout's perfbench/workloads.py, which is
+# only read. Two checkouts give byte-identical results exactly when
 #
 #   diff -r <outdir of one> <outdir of the other>
 #
@@ -72,3 +74,34 @@ while read -r name keep; do
     seeded "run-${name%.ctc}" run "$out/circuits/$name"
     seeded "run-${name%.ctc}-trace-out" run "$out/circuits/$name" --trace-out "$keep"
 done <<<"$circuits"
+
+# the mixed line declares its registers as B A; the layout's order is A, B, C
+cat >"$out/circuits/input-order.ctc" <<'CTC'
+system A 2
+system B 3
+system C 2
+system CTC 2
+input mixed B A : 0.25 0.05+0.05i 0 0+0.08i 0 0 ; 0.05-0.05i 0.15 0 0 0 0 ; 0 0 0.2 0 0 0.1 ; 0-0.08i 0 0 0.1 0 0 ; 0 0 0 0 0.2 0 ; 0 0 0.1 0 0 0.1
+input pure C : 0.6 0+0.8i
+gate swap A CTC
+gate csum C CTC
+gate select B CTC @input-order.mat
+CTC
+cat >"$out/circuits/input-order.mat" <<'MAT'
+matrix 2 3
+1 0 ; 0 1 ;
+0 1 ; 1 0 ;
+0.6 -0.8 ; 0.8 0.6 ;
+MAT
+seeded run-input-order run "$out/circuits/input-order.ctc"
+seeded run-input-order-trace-out run "$out/circuits/input-order.ctc" --trace-out B
+# no CR register: the CR input is the empty product [[1]]
+cat >"$out/circuits/ctc-only.ctc" <<'CTC'
+system CTC 2
+gate unitary CTC @ctc-only.mat
+CTC
+cat >"$out/circuits/ctc-only.mat" <<'MAT'
+matrix 2 1
+0.6 -0.8 ; 0.8 0.6 ;
+MAT
+seeded run-ctc-only run "$out/circuits/ctc-only.ctc"
