@@ -34,6 +34,8 @@ from .quantum import DensityMatrix, Layout, PureState, check_density, check_unit
 
 FORMAT_VERSION = 1
 PASS_TOL = 1e-9
+RESIDUAL_TOL = 1e-10  # sweep fixed-points passes when no residual is above this
+MIN_INFIDELITY = 1e-6  # sweep no-cloning-baseline passes when every trial is above this
 
 
 def _positive_tol(value, name: str) -> float:
@@ -392,8 +394,8 @@ def _sweep_fidelity(rng, trials, dim):
             worst["symmetry"] = max(worst["symmetry"], row["symmetry"])
             worst["unitary_invariance"] = max(worst["unitary_invariance"],
                                               row["unitary_invariance"])
-    ok = (worst["multiplicativity"] <= 1e-9 and worst["monotonicity"] >= -1e-9
-          and worst["symmetry"] <= 1e-9 and worst["unitary_invariance"] <= 1e-9)
+    ok = (worst["multiplicativity"] <= PASS_TOL and worst["monotonicity"] >= -PASS_TOL
+          and worst["symmetry"] <= PASS_TOL and worst["unitary_invariance"] <= PASS_TOL)
     return rows, worst, ok
 
 
@@ -417,7 +419,7 @@ def _sweep_fixed_points(rng, trials, dim):
             rows.append({"trial": lo + t, "residual": residual,
                          "multiplicity": int(fps.multiplicity[t])})
             worst["residual"] = max(worst["residual"], residual)
-    return rows, worst, worst["residual"] <= 1e-10
+    return rows, worst, worst["residual"] <= RESIDUAL_TOL
 
 
 def _sweep_baseline(rng, trials, dim):
@@ -435,7 +437,7 @@ def _sweep_baseline(rng, trials, dim):
         for t in range(hi - lo):
             rows.append({"trial": lo + t, "worst_pair_infidelity": float(infid[t])})
             worst["min_infidelity"] = min(worst["min_infidelity"], float(infid[t]))
-    return rows, worst, worst["min_infidelity"] > 1e-6
+    return rows, worst, worst["min_infidelity"] > MIN_INFIDELITY
 
 
 def cmd_sweep(args) -> int:

@@ -34,6 +34,9 @@ from .quantum import (
     swap_gate,
 )
 
+DIAGONAL_TOL = 1e-10  # max off-diagonal magnitude of a mixed-diagonal target
+FIDELITY_SLACK = 1e-9  # rounding allowed outside [0, 1] and below a zero margin
+
 
 @dataclass(frozen=True)
 class ClonerCircuit:
@@ -123,7 +126,7 @@ def run_clone(cloner: ClonerCircuit, target: DensityMatrix) -> CloneReport:
         raise ValueError(f"target side {target.side} does not match cloner dim {n}")
     if cloner.kind == "mixed_diagonal":
         off_diag = np.max(np.abs(target.mat - np.diag(np.diag(target.mat))))
-        if off_diag > 1e-10:
+        if off_diag > DIAGONAL_TOL:
             raise ValueError(
                 "mixed-diagonal cloner requires a target diagonal in the "
                 f"computational basis (off-diagonal magnitude {off_diag:.3e}); "
@@ -155,15 +158,16 @@ def check_cloning_condition(fid_cr: float, fid_ctc: float):
     Inputs are F(rho_i, rho_j) for the CR targets and F between the two solved
     CTC fixed points. Returns (ineq_cr_ok, ineq_ctc_ok, (margin_cr, margin_ctc))
     where margin_cr = F_cr^2 - F_cr F_ctc and margin_ctc = F_ctc - F_cr F_ctc;
-    both must be >= -1e-9.
+    both must be >= -FIDELITY_SLACK.
     """
     for name, f in (("fid_cr", fid_cr), ("fid_ctc", fid_ctc)):
-        if not -1e-9 <= f <= 1 + 1e-9:
+        if not -FIDELITY_SLACK <= f <= 1 + FIDELITY_SLACK:
             raise ValueError(f"{name} = {f} outside [0, 1]")
     product = fid_cr * fid_ctc
     margin_cr = fid_cr**2 - product
     margin_ctc = fid_ctc - product
-    return margin_cr >= -1e-9, margin_ctc >= -1e-9, (margin_cr, margin_ctc)
+    floor = -FIDELITY_SLACK
+    return margin_cr >= floor, margin_ctc >= floor, (margin_cr, margin_ctc)
 
 
 def no_ctc_baseline(

@@ -297,7 +297,8 @@ def _structural_check(p: _LineParser):
                     decl.span.line, decl.span.column,
                     f"pure input needs {side} amplitudes, got {len(decl.amps)}"))
                 continue
-            norm = float(np.linalg.norm(decl.amps))
+            with np.errstate(over="ignore"):  # huge amplitudes: the norm is inf
+                norm = float(np.linalg.norm(decl.amps))
             if abs(norm - 1.0) > INPUT_NORM_TOL:
                 p.errors.append(ParseError(
                     decl.span.line, decl.span.column,

@@ -47,15 +47,16 @@ The canonical fixed point is P1(I/d): the projection of the maximally
 mixed state onto the fixed space of the induced map along its other
 eigenspaces, which is the limit of the averaged iteration
 rho -> (rho + M(rho)) / 2 from I/d even where plain iteration cycles
-(Deutsch 1991). It is taken from one SVD S - I = U Sigma V^dag per member.
-The multiplicity, the dimension of the fixed space, is the number of
-singular values at most ``tolerances.eig_one_window`` (or ``_SVD_FLOOR``
-times the largest, its rounding level). With one null vector the fixed
-point is that last right singular vector, normalized; with m > 1 (a
-per-member branch) it is
-R (L^dag R)^-1 L^dag vec(I/d), the columns of R and L being the last m right
-and left singular vectors, which span the fixed space of S and that of its
-adjoint.
+(Deutsch 1991). The multiplicity m, the dimension of the fixed space, is the
+number of singular values of S - I (a values-only SVD) at most
+``tolerances.eig_one_window`` (or ``_SVD_FLOOR`` times the largest, its
+rounding level). For m = 1, P1(I/d) is the one unit-trace solution of
+(S - I) x = 0, taken from one LU of [[S - I, vec(I)], [vec(I)^dag, 0]]
+(Stewart 1994, ch. 2). Any other member takes a full SVD S - I = U Sigma V^dag
+of its own: for m > 1 the fixed point is R (L^dag R)^-1 L^dag vec(I/d), the
+columns of R and L being the last m right and left singular vectors, which
+span the fixed space of S and that of its adjoint; for m = 0 it is the last
+right singular vector.
 """
 
 from __future__ import annotations
@@ -269,25 +270,36 @@ def build_superoperator(problem: DeutschProblem) -> np.ndarray:
 
 def solve_stack(kraus: np.ndarray) -> FixedPoints:
     """The canonical fixed point P1(I/d) of each member of a (B, n, d, d)
-    Kraus stack and its full-width factor, solved together. Raises
+    Kraus stack and its full-width factor, solved together: one bordered LU
+    for a member with multiplicity 1, a full SVD for any other. Raises
     ``linalg.StackError`` naming the first member whose candidate is
     traceless or not PSD."""
     b, d = kraus.shape[0], kraus.shape[-1]
-    # fixed points = null space of S - I; SVD keeps this robust for
-    # non-normal superoperators. Singular values descend, so the null
-    # space is spanned by the last columns of u and rows of vh.
-    u, sv, vh = np.linalg.svd(_superoperators(kraus) - np.eye(d * d))
+    n = d * d
+    a = _superoperators(kraus) - np.eye(n)
+    # singular values count the fixed points robustly for a non-normal S
+    sv = np.linalg.svd(a, compute_uv=False)
     window = np.maximum(linalg.tolerances.eig_one_window, sv[:, :1] * _SVD_FLOOR)
     multiplicity = np.sum(sv <= window, axis=1)
-    # at most one null vector: take it, or the smallest singular vector
-    candidate = vh[:, -1].conj().reshape(b, d, d)
+    candidate = np.empty((b, n), dtype=complex)
+    one = multiplicity == 1
+    # vec(I)^dag (S - I) = 0 by trace preservation, so the bordered matrix is
+    # nonsingular exactly for one fixed point; x[:n] is it, at unit trace
+    bordered = np.zeros((np.count_nonzero(one), n + 1, n + 1), dtype=complex)
+    bordered[:, :n, :n] = a[one]
+    bordered[:, :n:d + 1, n] = bordered[:, n, :n:d + 1] = 1  # vec(I) is 1 at i * (d + 1)
+    candidate[one] = np.linalg.solve(bordered, np.eye(n + 1)[n])[:, :n]
     seed = (np.eye(d, dtype=complex) / d).reshape(-1)
-    for i in np.flatnonzero(multiplicity > 1):
+    for i in np.flatnonzero(~one):
+        u, _, vh = np.linalg.svd(a[i])
         m = multiplicity[i]
-        right = vh[i, -m:].conj().T  # columns span the fixed space of S
-        left_h = u[i, :, -m:].conj().T  # rows span that of S^dag
-        coeff = np.linalg.solve(left_h @ right, left_h @ seed)
-        candidate[i] = (right @ coeff).reshape(d, d)
+        if m == 0:
+            candidate[i] = vh[-1].conj()  # the smallest singular vector
+            continue
+        right = vh[-m:].conj().T  # columns span the fixed space of S (last m)
+        left_h = u[:, -m:].conj().T  # rows span that of S^dag
+        candidate[i] = right @ np.linalg.solve(left_h @ right, left_h @ seed)
+    candidate = candidate.reshape(b, d, d)
     tr = np.trace(candidate, axis1=1, axis2=2)
     linalg.reject((np.abs(tr) < _TRACELESS, np.abs(tr),
                    "eigensolver produced a traceless fixed-point candidate"))

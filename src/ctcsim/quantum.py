@@ -48,6 +48,7 @@ from . import linalg
 from .linalg import as_matrix, dagger, reject, tolerances
 
 TRACE_TOL = 1e-10  # max |Tr rho - 1| accepted for a density matrix
+NORM_TOL = 1e-10  # max |norm - 1| accepted for a pure state's amplitudes
 
 
 @dataclass(frozen=True)
@@ -114,9 +115,10 @@ class PureState:
 
     def __post_init__(self):
         a = np.asarray(self.amps, dtype=complex).reshape(-1)
-        norm = float(np.linalg.norm(a))
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"state norm {norm} is not 1 within 1e-10")
+        with np.errstate(over="ignore"):  # huge amplitudes: the norm is inf
+            norm = float(np.linalg.norm(a))
+        if abs(norm - 1.0) > NORM_TOL:
+            raise ValueError(f"state norm {norm} is not 1 within {NORM_TOL}")
         object.__setattr__(self, "amps", a)
 
     @property
@@ -152,9 +154,12 @@ def check_density(m: np.ndarray) -> None:
     """Raise ``ValueError`` unless every (..., n, n) entry of ``m`` is
     Hermitian, PSD and of unit trace within the tolerances; for a stack the
     error (a ``linalg.StackError``) names the first failing entry."""
-    defect = linalg.hermiticity_defect(m)
-    w = np.linalg.eigvalsh((m + dagger(m)) / 2)[..., 0]
-    tr = np.real(np.trace(m, axis1=-2, axis2=-1))
+    # huge entries overflow here into inf or NaN values, which fail the checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = linalg.hermiticity_defect(m)
+        h = m / 2  # h + h^dag does not overflow where m is Hermitian
+        w = np.linalg.eigvalsh(h + dagger(h))[..., 0]
+        tr = np.real(np.trace(m, axis1=-2, axis2=-1))
     reject(
         (defect > tolerances.herm, defect,
          "matrix is not Hermitian: max |h - h^dag| = {:.3e}"),
@@ -167,7 +172,8 @@ def check_unitary(m: np.ndarray) -> None:
     """Raise ``ValueError`` unless every (..., n, n) entry of ``m`` has
     max |U^dag U - I| within ``tolerances.unitary``; for a stack the error
     (a ``linalg.StackError``) names the first failing entry."""
-    defect = np.abs(dagger(m) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in check_density
+        defect = np.abs(dagger(m) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1))
     reject((defect > tolerances.unitary, defect,
             "not unitary: max |U^dag U - I| = {:.3e}"))
 

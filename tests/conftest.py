@@ -25,6 +25,20 @@ def eig_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """(compute_uv, argument) of every numpy SVD made from here on; clear it
+    before the call under test."""
+    calls, real = [], np.linalg.svd
+
+    def recorded(m, *args, compute_uv=True, **kw):
+        calls.append((compute_uv, np.array(m)))
+        return real(m, *args, compute_uv=compute_uv, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return calls
+
+
 def zero_plus_alphabet() -> Alphabet:
     return Alphabet((PureState.basis(2, 0), PureState.normalized([1, 1])))
 
@@ -55,6 +69,16 @@ def cesaro_fixed_point(problem, tol=1e-12, max_iter=100000):
         rho = (rho + mapped) / 2
         rho = (rho + rho.conj().T) / 2
     return best, best_res
+
+
+def svd_fixed_point(problem):
+    """Reference solver for a problem with one fixed point: the last right
+    singular vector of S - I, the null vector of a full SVD, scaled to unit
+    trace."""
+    s, d = build_superoperator(problem), problem.ctc_dim
+    _, _, vh = np.linalg.svd(s - np.eye(d * d))
+    v = vh[-1].conj().reshape(d, d)
+    return v / np.trace(v)
 
 
 def sandwich_fidelity(rho, sigma):

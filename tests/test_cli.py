@@ -339,6 +339,32 @@ def test_non_finite_literal_is_one_line_error(via, tmp_path, capsys, recwarn):
     assert recwarn.list == []
 
 
+@pytest.mark.parametrize("via", ["mixed", "pure", "gate", "alphabet"])
+def test_huge_finite_entries_are_one_line_error(via, tmp_path, capsys, recwarn):
+    # entries near the float limit overflow inside the checks, which must
+    # report the overflowed value and print no numpy warning
+    path = tmp_path / "u.mat"
+    path.write_text("matrix 2 1\n1e308 0 ;\n1e308 1 ;\n")
+    if via == "mixed":
+        argv = ["run", write_circuit(tmp_path, SMALLEST.replace(
+            "input pure A : 1 0", "input mixed A : 1e308 0 ; 0 1e308"))]
+        expected = "error: input on line 3: trace inf is not 1 within 1e-10\n"
+    elif via == "pure":
+        argv = ["run", write_circuit(tmp_path, SMALLEST.replace("1 0", "1e308 1e308"))]
+        expected = f"{argv[1]}:line 3, column 1: pure input norm inf is not 1 within 1e-06\n"
+    elif via == "gate":
+        argv = ["run", write_circuit(tmp_path, SMALLEST + "gate unitary A @u.mat\n")]
+        expected = "error: u.mat: not unitary: max |U^dag U - I| = inf\n"
+    else:
+        argv = ["demo", "clone-pure", "--alphabet", f"@{path}"]
+        expected = "error: state norm inf is not 1 within 1e-10\n"
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == expected
+    assert recwarn.list == []
+
+
 def test_nosignal_pure_cloner_passes(capsys):
     code = main(["demo", "nosignal", "--cloner", "pure"])
     captured = capsys.readouterr()

@@ -192,6 +192,19 @@ def test_clone_eigendecomposes_no_partial_trace(kind, n, rng, eig_calls):
     assert sides == [n] * (2 if kind == "pure" else 3)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pure_clone_takes_only_singular_values(n, rng, svd_calls):
+    # a pure cloner's map has one fixed point, which the bordered solve
+    # finds: S - I gives its singular values and no singular vectors
+    alphabet = random_alphabet(rng, n)
+    cloner = build_pure_cloner(alphabet)
+    svd_calls.clear()
+    rep = run_clone(cloner, alphabet.states[0].density())
+    assert rep.fixed_point.multiplicity == 1
+    assert [m.shape for _, m in svd_calls] == [(1, n * n, n * n)]
+    assert [compute_uv for compute_uv, _ in svd_calls] == [False]
+
+
 def test_baseline_eigendecomposes_no_partial_trace(rng, eig_calls):
     # each trial's Tr_C of U (rho x blank x ancilla) U^dag is a state by
     # construction and only enters 1 x 1 fidelity sandwiches

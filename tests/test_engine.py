@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import cesaro_fixed_point, random_alphabet, zero_plus_alphabet
+from conftest import (
+    cesaro_fixed_point,
+    random_alphabet,
+    svd_fixed_point,
+    zero_plus_alphabet,
+)
 from ctcsim import linalg
 from ctcsim.cloning import build_mixed_cloner, build_pure_cloner, make_problem, run_clone
 from ctcsim.engine import (
@@ -308,6 +313,21 @@ class TestSolve:
             assert np.max(np.abs(a.rho_ctc.mat - expected)) <= 1e-12
             assert linalg.trace_distance(a.rho_ctc.mat, b) <= 1e-8
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_bordered_solve_matches_svd_oracle_on_haar_problems(self, d, rng):
+        for _ in range(50):
+            prob = haar_problem(rng, 3, d)
+            fp = solve_fixed_point(prob)
+            assert fp.multiplicity == 1
+            assert np.max(np.abs(fp.rho_ctc.mat - svd_fixed_point(prob))) <= 1e-13
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_bordered_solve_matches_svd_oracle_on_cloners(self, n, rng):
+        for prob in (pure_cloner_problem(rng, n), mixed_cloner_problem(rng, n)):
+            fp = solve_fixed_point(prob)
+            assert fp.multiplicity == 1
+            assert np.max(np.abs(fp.rho_ctc.mat - svd_fixed_point(prob))) <= 1e-13
+
     def test_cesaro_handles_cycling_map(self):
         # plain iteration from I/3 cycles between two states; averaging settles
         prob = cycling_problem()
@@ -455,6 +475,22 @@ def test_stack_with_multiplicity_four_member(rng):
     crs = [random_density(rng, 2), repro.cr_input, random_density(rng, 2)]
     fps = assert_members_equal_single_solves(layout, unitaries, crs)
     assert fps.multiplicity.tolist() == [1, 4, 1]
+
+
+def test_stack_makes_a_full_svd_only_for_its_multiple_member(rng, svd_calls):
+    # the multiplicity-1 members take singular values and a bordered solve;
+    # only the multiplicity-4 repro decomposes its S - I with vectors
+    repro = multiplicity_four_problem(rng)
+    unitaries = np.stack([haar_unitary(rng, 6).mat, repro.interaction.mat,
+                          haar_unitary(rng, 6).mat])
+    crs = [random_density(rng, 2), repro.cr_input, random_density(rng, 2)]
+    kraus = kraus_stack(repro.layout, unitaries, factor_stack([cr.factor for cr in crs]))
+    svd_calls.clear()
+    fps = solve_stack(kraus)
+    assert fps.multiplicity.tolist() == [1, 4, 1]
+    full = [m for compute_uv, m in svd_calls if compute_uv]
+    assert len(full) == 1
+    assert np.array_equal(full[0], build_superoperator(repro) - np.eye(9))
 
 
 def test_stack_error_names_the_member(rng):

@@ -346,6 +346,19 @@ class TestStates:
         with pytest.raises(ValueError, match="nan"):
             build(np.array([[entry, 0], [0, 1]], dtype=complex))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("build, entries, message", [
+        (DensityMatrix, [[1e308, 0], [0, 1e308]], "trace inf is not 1"),
+        (DensityMatrix, [[0, 1e308], [-1e308, 0]], "max |h - h^dag| = inf"),
+        (Unitary, [[1e308, 0], [0, 1]], "max |U^dag U - I| = inf"),
+        (PureState, [1e308, 1e308], "state norm inf is not 1"),
+    ], ids=["trace", "hermiticity", "unitary", "norm"])
+    def test_huge_finite_entries_fail_without_overflow_warnings(self, build, entries,
+                                                                message):
+        with pytest.raises(ValueError) as info:
+            build(np.array(entries, dtype=complex))
+        assert message in str(info.value)
+
     @pytest.mark.parametrize("dims, order", [
         ((2, 3, 2), (1, 2, 0)), ((3, 2), (0, 1)), ((2, 2, 3), (2, 0, 1)), ((), ())])
     def test_product_matches_permuted_kron(self, dims, order, rng):
