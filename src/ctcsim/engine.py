@@ -52,11 +52,11 @@ number of singular values of S - I (a values-only SVD) at most
 ``tolerances.eig_one_window`` (or ``_SVD_FLOOR`` times the largest, its
 rounding level). For m = 1, P1(I/d) is the one unit-trace solution of
 (S - I) x = 0, taken from one LU of [[S - I, vec(I)], [vec(I)^dag, 0]]
-(Stewart 1994, ch. 2). Any other member takes a full SVD S - I = U Sigma V^dag
-of its own: for m > 1 the fixed point is R (L^dag R)^-1 L^dag vec(I/d), the
-columns of R and L being the last m right and left singular vectors, which
-span the fixed space of S and that of its adjoint; for m = 0 it is the last
-right singular vector.
+(Stewart 1994, ch. 2); so is m = 0, which only a window below rounding
+gives. A member with m > 1 takes a full SVD S - I = U Sigma V^dag of its own,
+and its fixed point is R (L^dag R)^-1 L^dag vec(I/d), the columns of R and L
+being the last m right and left singular vectors, which span the fixed space
+of S and that of its adjoint.
 """
 
 from __future__ import annotations
@@ -271,8 +271,8 @@ def build_superoperator(problem: DeutschProblem) -> np.ndarray:
 def solve_stack(kraus: np.ndarray) -> FixedPoints:
     """The canonical fixed point P1(I/d) of each member of a (B, n, d, d)
     Kraus stack and its full-width factor, solved together: one bordered LU
-    for a member with multiplicity 1, a full SVD for any other. Raises
-    ``linalg.StackError`` naming the first member whose candidate is
+    for a member with multiplicity 1 (or 0), a full SVD for one with more.
+    Raises ``linalg.StackError`` naming the first member whose candidate is
     traceless or not PSD."""
     b, d = kraus.shape[0], kraus.shape[-1]
     n = d * d
@@ -282,20 +282,19 @@ def solve_stack(kraus: np.ndarray) -> FixedPoints:
     window = np.maximum(linalg.tolerances.eig_one_window, sv[:, :1] * _SVD_FLOOR)
     multiplicity = np.sum(sv <= window, axis=1)
     candidate = np.empty((b, n), dtype=complex)
-    one = multiplicity == 1
+    one = multiplicity <= 1
     # vec(I)^dag (S - I) = 0 by trace preservation, so the bordered matrix is
     # nonsingular exactly for one fixed point; x[:n] is it, at unit trace
     bordered = np.zeros((np.count_nonzero(one), n + 1, n + 1), dtype=complex)
     bordered[:, :n, :n] = a[one]
     bordered[:, :n:d + 1, n] = bordered[:, n, :n:d + 1] = 1  # vec(I) is 1 at i * (d + 1)
-    candidate[one] = np.linalg.solve(bordered, np.eye(n + 1)[n])[:, :n]
+    # e_last as a (1, n + 1, 1) column: numpy 1 and 2 both read a right-hand
+    # side with the stack's ndim as matrices, where they differ on fewer axes
+    candidate[one] = np.linalg.solve(bordered, np.eye(n + 1)[None, :, n:])[:, :n, 0]
     seed = (np.eye(d, dtype=complex) / d).reshape(-1)
     for i in np.flatnonzero(~one):
         u, _, vh = np.linalg.svd(a[i])
         m = multiplicity[i]
-        if m == 0:
-            candidate[i] = vh[-1].conj()  # the smallest singular vector
-            continue
         right = vh[-m:].conj().T  # columns span the fixed space of S (last m)
         left_h = u[:, -m:].conj().T  # rows span that of S^dag
         candidate[i] = right @ np.linalg.solve(left_h @ right, left_h @ seed)

@@ -7,7 +7,7 @@ from conftest import (
     svd_fixed_point,
     zero_plus_alphabet,
 )
-from ctcsim import linalg
+from ctcsim import engine, linalg
 from ctcsim.cloning import build_mixed_cloner, build_pure_cloner, make_problem, run_clone
 from ctcsim.engine import (
     DeutschProblem,
@@ -491,6 +491,39 @@ def test_stack_makes_a_full_svd_only_for_its_multiple_member(rng, svd_calls):
     full = [m for compute_uv, m in svd_calls if compute_uv]
     assert len(full) == 1
     assert np.array_equal(full[0], build_superoperator(repro) - np.eye(9))
+
+
+def test_solves_read_alike_in_numpy_1_and_2(rng, monkeypatch):
+    # numpy 1 reads b as vectors when b.ndim == a.ndim - 1, numpy 2 when
+    # b.ndim == 1; each solve must fall on the same side of both rules
+    calls, real = [], np.linalg.solve
+
+    def recorded(a, b):
+        calls.append((np.ndim(a), np.ndim(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    repro = multiplicity_four_problem(rng)
+    unitaries = np.stack([haar_unitary(rng, 6).mat, repro.interaction.mat])
+    crs = [random_density(rng, 2), repro.cr_input]
+    solve_stack(kraus_stack(repro.layout, unitaries, factor_stack([cr.factor for cr in crs])))
+    assert len(calls) == 2  # the bordered stack and the multiplicity-4 projection
+    assert all((nb == 1) == (nb == na - 1) for na, nb in calls)
+
+
+def test_multiplicity_zero_takes_the_bordered_solve(rng, monkeypatch, svd_calls):
+    # an empty window counts no rounding-level singular value as null; the
+    # bordered matrix still gives the unit-trace fixed point, with no full SVD
+    problem = DeutschProblem(Layout((("CR", 2), ("CTC", 2)), ctc_index=1),
+                             haar_unitary(rng, 4), random_density(rng, 2))
+    reference = solve_fixed_point(problem)
+    monkeypatch.setattr(linalg.tolerances, "eig_one_window", 0.0)
+    monkeypatch.setattr(engine, "_SVD_FLOOR", 0.0)
+    svd_calls.clear()
+    fp = solve_fixed_point(problem)
+    assert fp.multiplicity == 0
+    assert all(not compute_uv for compute_uv, _ in svd_calls)
+    assert np.array_equal(fp.rho_ctc.mat, reference.rho_ctc.mat)
 
 
 def test_stack_error_names_the_member(rng):
