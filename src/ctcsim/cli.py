@@ -218,12 +218,20 @@ def cmd_run(args) -> int:
     if args.trace_out:
         keep_names = [n for n in args.trace_out.split(",") if n]
         cr_names = [n for n, _ in problem.layout.registers[:-1]]
-        for name in keep_names:
+        for i, name in enumerate(keep_names):
             if name not in cr_names:
                 print(f"error: unknown register {name!r}", file=sys.stderr)
                 return 1
+            if name in keep_names[:i]:
+                print(f"error: register {name!r} named twice", file=sys.stderr)
+                return 1
         keep = [cr_names.index(n) for n in keep_names]
-        reduced = linalg.partial_trace(output.mat, problem.layout.cr_dims, keep)
+        dims = problem.layout.cr_dims
+        reduced = linalg.partial_trace(output.mat, dims, keep)
+        # partial_trace keeps layout order; the marginal follows the order named
+        order = sorted(keep)
+        reduced = linalg.permute_registers(
+            reduced, [dims[k] for k in order], [order.index(k) for k in keep])
         marginals[",".join(keep_names)] = matrix_doc(reduced)
     report = {
         "format_version": FORMAT_VERSION,
@@ -255,69 +263,34 @@ def _load_alphabet(arg: str) -> Alphabet:
     raise ValueError(f"unknown alphabet {arg!r}; use preset:zero-plus or @file")
 
 
-def cmd_demo(args) -> int:
+def _clone_case(args):
+    """The cloner and target of demo clone-pure or clone-mixed, and a function
+    from the run to the report fields that demo alone writes. Raises
+    ValueError for an invalid option value, OSError for an alphabet file that
+    cannot be read."""
     if args.name == "clone-pure":
-        try:
-            alphabet = _load_alphabet(args.alphabet)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        alphabet = _load_alphabet(args.alphabet)
         if not 0 <= args.index < len(alphabet):
-            print(f"error: index {args.index} out of range", file=sys.stderr)
-            return 1
-        cloner = build_pure_cloner(alphabet)
-        target = alphabet.states[args.index].density()
-        rep = run_clone(cloner, target)
-        expected = linalg.kron(target.mat, target.mat)
-        dist = linalg.trace_distance(rep.output.mat, expected)
-        passed = dist <= PASS_TOL
-        report = {
-            "format_version": FORMAT_VERSION,
-            "command": "demo clone-pure",
-            "index": args.index,
-            "joint_fidelity": rep.joint_fid,
-            "fid_a": rep.fid_a,
-            "fid_b": rep.fid_b,
-            "distance_to_broadcast": dist,
-            "fixed_point": _fixed_point_doc(rep.fixed_point),
-            "output": matrix_doc(rep.output.mat),
-        }
-    elif args.name == "clone-mixed":
-        try:
-            probs = [float(p) for p in args.probs.split(",")]
-        except ValueError:
-            print(f"error: invalid probabilities {args.probs!r}", file=sys.stderr)
-            return 1
-        # NaN passes the sign and sum comparisons, so test finiteness first
-        if (any(not math.isfinite(p) or p < 0 for p in probs)
-                or abs(sum(probs) - 1.0) > quantum.TRACE_TOL):
-            print("error: probabilities must be nonnegative and sum to 1",
-                  file=sys.stderr)
-            return 1
-        if len(probs) < 2:
-            print("error: --probs needs at least two probabilities",
-                  file=sys.stderr)
-            return 1
-        n = len(probs)
-        cloner = build_mixed_cloner(n)
-        target = DensityMatrix(np.diag(np.array(probs, dtype=complex)))
-        rep = run_clone(cloner, target)
-        expected = linalg.kron(target.mat, target.mat)
-        dist = linalg.trace_distance(rep.output.mat, expected)
-        passed = dist <= PASS_TOL
-        report = {
-            "format_version": FORMAT_VERSION,
-            "command": "demo clone-mixed",
-            "probs": probs,
-            "joint_fidelity": rep.joint_fid,
-            "distance_to_broadcast": dist,
-            "fixed_point": _fixed_point_doc(rep.fixed_point),
-            "output": matrix_doc(rep.output.mat),
-        }
-    else:  # nosignal
+            raise ValueError(f"index {args.index} out of range")
+        return (build_pure_cloner(alphabet), alphabet.states[args.index].density(),
+                lambda rep: {"index": args.index, "fid_a": rep.fid_a, "fid_b": rep.fid_b})
+    try:
+        probs = [float(p) for p in args.probs.split(",")]
+    except ValueError:
+        raise ValueError(f"invalid probabilities {args.probs!r}") from None
+    # NaN passes the sign and sum comparisons, so test finiteness first
+    if (any(not math.isfinite(p) or p < 0 for p in probs)
+            or abs(sum(probs) - 1.0) > quantum.TRACE_TOL):
+        raise ValueError("probabilities must be nonnegative and sum to 1")
+    if len(probs) < 2:
+        raise ValueError("--probs needs at least two probabilities")
+    return (build_mixed_cloner(len(probs)),
+            DensityMatrix(np.diag(np.array(probs, dtype=complex))),
+            lambda rep: {"probs": probs})
+
+
+def cmd_demo(args) -> int:
+    if args.name == "nosignal":
         bell = PureState.normalized([0, 1, 1, 0]).density().with_dims((2, 2))
         if args.cloner == "mixed":
             cloner = build_mixed_cloner(2)
@@ -328,14 +301,31 @@ def cmd_demo(args) -> int:
         rep = run_entangled_clone(cloner, bell)
         passed = rep.deviation <= PASS_TOL
         report = {
-            "format_version": FORMAT_VERSION,
-            "command": "demo nosignal",
             "cloner": args.cloner,
             "deviation": rep.deviation,
             "reduced_AB": matrix_doc(rep.reduced_ab.mat),
             "expected_AB": matrix_doc(rep.expected_ab.mat),
-            "fixed_point": _fixed_point_doc(rep.fixed_point),
         }
+    else:
+        try:
+            cloner, target, own_fields = _clone_case(args)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        rep = run_clone(cloner, target)
+        dist = linalg.trace_distance(rep.output.mat, linalg.kron(target.mat, target.mat))
+        passed = dist <= PASS_TOL
+        report = {
+            "joint_fidelity": rep.joint_fid,
+            "distance_to_broadcast": dist,
+            "output": matrix_doc(rep.output.mat),
+            **own_fields(rep),
+        }
+    report.update(format_version=FORMAT_VERSION, command=f"demo {args.name}",
+                  fixed_point=_fixed_point_doc(rep.fixed_point))
     code = _dump_report(report, args.format, args.out)
     if code != 0:
         return code
@@ -343,14 +333,9 @@ def cmd_demo(args) -> int:
     return 0 if passed else 2
 
 
-def _trial_error(lo, exc: linalg.StackError) -> ValueError:
-    """The error of a stack over trials lo, lo + 1, ..., naming the trial."""
-    return ValueError(f"trial {lo + exc.index}: {exc.message}")
-
-
-def _check_trials(lo, checks):
-    """Run each (check, stack) pair over trials lo, lo + 1, ... and raise one
-    ValueError naming the first trial that fails any check."""
+def _check_trials(checks) -> None:
+    """Run each (check, stack) pair over a chunk of trials and raise the
+    StackError of the first trial that fails any check."""
     failures = []
     for check, stack in checks:
         try:
@@ -358,107 +343,106 @@ def _check_trials(lo, checks):
         except linalg.StackError as exc:
             failures.append(exc)
     if failures:
-        raise _trial_error(lo, min(failures, key=lambda exc: exc.index))
+        raise min(failures, key=lambda exc: exc.index)
 
 
-def _sweep_fidelity(rng, trials, dim):
-    rows = []
-    worst = {"multiplicativity": 0.0, "monotonicity": np.inf,
-             "symmetry": 0.0, "unitary_invariance": 0.0}
-    for lo, hi in chunks(trials, dim * dim):
-        # per trial: four states a, b, c, d, two states on dim x dim and a
-        # Haar unitary, the order of the per-trial generators
-        *draws, z_u = sampling.ginibre_trials(
-            rng, hi - lo, (dim,) * 4 + (dim * dim,) * 2 + (dim,))
-        a, b, c, d, big_a, big_b = map(sampling.density_from_ginibre, draws)
-        u = sampling.haar_from_ginibre(z_u)
-        rot_a = u @ a @ linalg.dagger(u)
-        rot_b = u @ b @ linalg.dagger(u)
-        reduced = [linalg.partial_trace(s, (dim, dim), [0]) for s in (big_a, big_b)]
-        derived = [linalg.kron(a, c), linalg.kron(b, d), *reduced, rot_a, rot_b]
-        _check_trials(lo, [(check_unitary, u)] + [
-            (check_density, s) for s in (a, b, c, d, big_a, big_b, *derived)])
-        f_ab = fidelities(a, b)
-        mult = multiplicativity_defects(a, c, b, d)
-        mono = monotonicity_margins(big_a, big_b, (dim, dim), {1})
-        sym = np.abs(f_ab - fidelities(b, a))
-        inv = np.abs(fidelities(rot_a, rot_b) - f_ab)
-        for t in range(hi - lo):
-            row = {"trial": lo + t, "multiplicativity": float(mult[t]),
-                   "monotonicity": float(mono[t]), "symmetry": float(sym[t]),
-                   "unitary_invariance": float(inv[t])}
-            rows.append(row)
-            worst["multiplicativity"] = max(worst["multiplicativity"],
-                                            row["multiplicativity"])
-            worst["monotonicity"] = min(worst["monotonicity"], row["monotonicity"])
-            worst["symmetry"] = max(worst["symmetry"], row["symmetry"])
-            worst["unitary_invariance"] = max(worst["unitary_invariance"],
-                                              row["unitary_invariance"])
-    ok = (worst["multiplicativity"] <= PASS_TOL and worst["monotonicity"] >= -PASS_TOL
-          and worst["symmetry"] <= PASS_TOL and worst["unitary_invariance"] <= PASS_TOL)
-    return rows, worst, ok
+def _fidelity_chunk(rng, count, dim):
+    # per trial: four states a, b, c, d, two states on dim x dim and a
+    # Haar unitary, the order of the per-trial generators
+    *draws, z_u = sampling.ginibre_trials(
+        rng, count, (dim,) * 4 + (dim * dim,) * 2 + (dim,))
+    a, b, c, d, big_a, big_b = map(sampling.density_from_ginibre, draws)
+    u = sampling.haar_from_ginibre(z_u)
+    rot_a = u @ a @ linalg.dagger(u)
+    rot_b = u @ b @ linalg.dagger(u)
+    reduced = [linalg.partial_trace(s, (dim, dim), [0]) for s in (big_a, big_b)]
+    derived = [linalg.kron(a, c), linalg.kron(b, d), *reduced, rot_a, rot_b]
+    _check_trials([(check_unitary, u)] + [
+        (check_density, s) for s in (a, b, c, d, big_a, big_b, *derived)])
+    f_ab = fidelities(a, b)
+    return {
+        "multiplicativity": multiplicativity_defects(a, c, b, d),
+        "monotonicity": monotonicity_margins(big_a, big_b, (dim, dim), {1}),
+        "symmetry": np.abs(f_ab - fidelities(b, a)),
+        "unitary_invariance": np.abs(fidelities(rot_a, rot_b) - f_ab),
+    }
 
 
-def _sweep_fixed_points(rng, trials, dim):
-    rows = []
-    worst = {"residual": 0.0}
+def _fixed_points_chunk(rng, count, dim):
     layout = Layout((("CR", dim), ("CTC", dim)), ctc_index=1)
-    # the largest matrix per trial is the d^2 x d^2 superoperator
-    for lo, hi in chunks(trials, dim * dim):
-        # per trial: a Haar unitary on CR x CTC, then the CR state
-        z_u, z_cr = sampling.ginibre_trials(rng, hi - lo, (dim * dim, dim))
-        u = sampling.haar_from_ginibre(z_u)
-        _check_trials(lo, [(check_unitary, u)])
-        # the CR states Z Z^dag / Tr(Z Z^dag), given by their factors
-        try:
-            fps = solve_stack(kraus_stack(layout, u, linalg.unit_factor(z_cr)))
-        except linalg.StackError as exc:
-            raise _trial_error(lo, exc) from None
-        for t in range(hi - lo):
-            residual = float(fps.residual[t])
-            rows.append({"trial": lo + t, "residual": residual,
-                         "multiplicity": int(fps.multiplicity[t])})
-            worst["residual"] = max(worst["residual"], residual)
-    return rows, worst, worst["residual"] <= RESIDUAL_TOL
+    # per trial: a Haar unitary on CR x CTC, then the CR state
+    z_u, z_cr = sampling.ginibre_trials(rng, count, (dim * dim, dim))
+    u = sampling.haar_from_ginibre(z_u)
+    check_unitary(u)
+    # the CR states Z Z^dag / Tr(Z Z^dag), given by their factors
+    fps = solve_stack(kraus_stack(layout, u, linalg.unit_factor(z_cr)))
+    return {"residual": fps.residual, "multiplicity": fps.multiplicity}
 
 
-def _sweep_baseline(rng, trials, dim):
+def _baseline_chunk(rng, count, dim):
     zero = PureState.basis(dim, 0)
     plus = PureState.normalized([1, 1] + [0] * (dim - 2))
     alphabet = Alphabet.padded([zero, plus], dim)
-    ancilla = PureState.basis(dim, 0).density()
-    rows = []
-    worst = {"min_infidelity": np.inf}
-    for lo, hi in chunks(trials, dim**3):
-        (z,) = sampling.ginibre_trials(rng, hi - lo, (dim**3,))
-        u = sampling.haar_from_ginibre(z)
-        _check_trials(lo, [(check_unitary, u)])
-        infid = baseline_infidelities(alphabet, u, ancilla)
-        for t in range(hi - lo):
-            rows.append({"trial": lo + t, "worst_pair_infidelity": float(infid[t])})
-            worst["min_infidelity"] = min(worst["min_infidelity"], float(infid[t]))
-    return rows, worst, worst["min_infidelity"] > MIN_INFIDELITY
+    (z,) = sampling.ginibre_trials(rng, count, (dim**3,))
+    u = sampling.haar_from_ginibre(z)
+    check_unitary(u)
+    infid = baseline_infidelities(alphabet, u, PureState.basis(dim, 0).density())
+    return {"worst_pair_infidelity": infid}
+
+
+# per sweep kind: its chunk kernel, which draws and checks count trials and
+# returns their per-trial columns as arrays; the side of the largest matrix a
+# trial holds; the summary as (key, column, max or min); and the pass rule on
+# that summary
+SWEEPS = {
+    "fidelity-props": (
+        _fidelity_chunk, lambda dim: dim * dim,
+        [("multiplicativity", "multiplicativity", max),
+         ("monotonicity", "monotonicity", min),
+         ("symmetry", "symmetry", max),
+         ("unitary_invariance", "unitary_invariance", max)],
+        lambda s: (s["multiplicativity"] <= PASS_TOL and s["monotonicity"] >= -PASS_TOL
+                   and s["symmetry"] <= PASS_TOL and s["unitary_invariance"] <= PASS_TOL)),
+    "fixed-points": (
+        _fixed_points_chunk, lambda dim: dim * dim,
+        [("residual", "residual", max)],
+        lambda s: s["residual"] <= RESIDUAL_TOL),
+    "no-cloning-baseline": (
+        _baseline_chunk, lambda dim: dim**3,
+        [("min_infidelity", "worst_pair_infidelity", min)],
+        lambda s: s["min_infidelity"] > MIN_INFIDELITY),
+}
 
 
 def cmd_sweep(args) -> int:
-    if args.trials < 0:
-        raise ValueError(f"--trials must be >= 0, got {args.trials}")
-    if args.dim < 2:
-        raise ValueError(f"--dim must be >= 2, got {args.dim}")
+    for flag, value, low in (("--trials", args.trials, 0), ("--dim", args.dim, 2),
+                             ("--seed", args.seed, 0)):
+        if value < low:
+            raise ValueError(f"{flag} must be >= {low}, got {value}")
+    chunk, side, worst_of, passes = SWEEPS[args.kind]
     rng = np.random.default_rng(args.seed)
-    if args.kind == "fidelity-props":
-        rows, worst, ok = _sweep_fidelity(rng, args.trials, args.dim)
-    elif args.kind == "fixed-points":
-        rows, worst, ok = _sweep_fixed_points(rng, args.trials, args.dim)
-    else:
-        rows, worst, ok = _sweep_baseline(rng, args.trials, args.dim)
+    rows = []
+    for lo, hi in chunks(args.trials, side(args.dim)):
+        try:
+            with linalg.entries_from(lo):
+                columns = chunk(rng, hi - lo, args.dim)
+        except linalg.StackError as exc:
+            raise ValueError(f"trial {exc.index}: {exc.message}") from None
+        keys = ("trial", *columns)
+        values = zip(range(lo, hi), *(c.tolist() for c in columns.values()))
+        rows += [dict(zip(keys, v)) for v in values]
+    if rows:
+        summary = {key: worst(row[col] for row in rows) for key, col, worst in worst_of}
+        ok = passes(summary)
+    else:  # no trial: no worst value, and nothing violated
+        summary, ok = dict.fromkeys(key for key, _, _ in worst_of), True
     report = {
         "format_version": FORMAT_VERSION,
         "command": f"sweep {args.kind}",
         "seed": args.seed,
         "trials": args.trials,
         "dim": args.dim,
-        "summary": worst if rows else dict.fromkeys(worst),
+        "summary": summary,
         "per_trial": rows,
         "ok": ok,
     }
@@ -505,8 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.set_defaults(func=cmd_demo)
 
     sweep = sub.add_parser("sweep", help="seeded property sweep")
-    sweep.add_argument("kind", choices=["fidelity-props", "fixed-points",
-                                        "no-cloning-baseline"])
+    sweep.add_argument("kind", choices=list(SWEEPS))
     sweep.add_argument("--trials", type=int, default=1000)
     sweep.add_argument("--dim", type=int, default=2)
     sweep.add_argument("--seed", type=int, default=0)

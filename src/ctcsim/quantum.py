@@ -49,6 +49,10 @@ from .linalg import as_matrix, dagger, reject, tolerances
 
 TRACE_TOL = 1e-10  # max |Tr rho - 1| accepted for a density matrix
 NORM_TOL = 1e-10  # max |norm - 1| accepted for a pure state's amplitudes
+DISTINCT_TOL = 1e-8  # alphabet states this close in trace distance are not distinct
+PAD_FLOOR = 1e-6  # Alphabet.padded keeps a candidate only with residual norm above this
+PHASE_FLOOR = 1e-14  # a basis mapper takes no phase from an overlap this small
+REFLECT_FLOOR = 1e-24  # a basis mapper reflects only when |v|^2 reaches this
 
 
 @dataclass(frozen=True)
@@ -420,7 +424,7 @@ class Alphabet:
                 f"alphabet size {len(states)} must equal the dimension {dim}"
             )
         dist = ket_distances(np.array([s.amps for s in states]))
-        bad = np.argwhere(np.triu(dist <= 1e-8, k=1))
+        bad = np.argwhere(np.triu(dist <= DISTINCT_TOL, k=1))
         if len(bad):
             i, j = bad[0]  # the first pair in row-major order
             raise ValueError(f"alphabet states {i} and {j} are not distinct")
@@ -448,7 +452,7 @@ class Alphabet:
             for b in basis:
                 v = v - b * (np.vdot(b, v))
             n = np.linalg.norm(v)
-            if n > 1e-6:
+            if n > PAD_FLOOR:
                 basis.append(v / n)
                 states.append(PureState(v / n))
         if len(states) != dim:
@@ -614,11 +618,11 @@ def _mapper_stack(amps: np.ndarray, js: np.ndarray) -> np.ndarray:
     rows = np.arange(b)
     eye = np.eye(n, dtype=complex)
     overlap = amps[rows, js]
-    theta = np.where(np.abs(overlap) > 1e-14, np.angle(overlap), 0.0)
+    theta = np.where(np.abs(overlap) > PHASE_FLOOR, np.angle(overlap), 0.0)
     v = amps - np.exp(1j * theta)[:, None] * eye[js]
     # np.vdot per row: a stacked reduction rounds differently
     vv = np.array([np.vdot(row, row).real for row in v])
-    reflect = vv >= 1e-24
+    reflect = vv >= REFLECT_FLOOR
     outer = v[:, :, None] * v.conj()[:, None, :]
     h = eye - 2.0 * outer / np.where(reflect, vv, 1.0)[:, None, None]
     h[~reflect] = eye

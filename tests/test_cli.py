@@ -3,13 +3,23 @@ import json
 import numpy as np
 import pytest
 
-from ctcsim import cli
+from ctcsim import cli, linalg
 from ctcsim.cli import main
 
 SMALLEST = """\
 system A 2
 system CTC 2
 input pure A : 1 0
+gate swap A CTC
+"""
+
+# A and B of different sizes in distinct basis states, so A x B and B x A differ
+TWO_REGISTERS = """\
+system A 2
+system B 3
+system CTC 2
+input pure A : 1 0
+input pure B : 0 0.6 0.8
 gate swap A CTC
 """
 
@@ -64,6 +74,26 @@ class TestRun:
         assert "A" in report["marginals"]
         assert report["marginals"]["A"]["rows"] == 2
 
+    def test_trace_out_marginal_follows_the_order_named(self, tmp_path, capsys):
+        circuit = write_circuit(tmp_path, TWO_REGISTERS)
+        marginals = {}
+        for keep in ("A,B", "B,A"):
+            assert main(["run", circuit, "--trace-out", keep]) == 0
+            doc = json.loads(capsys.readouterr().out)["marginals"]
+            assert list(doc) == [keep]
+            entries = np.array(doc[keep]["entries"])
+            marginals[keep] = (entries[:, 0] + 1j * entries[:, 1]).reshape(6, 6)
+        swapped = linalg.permute_registers(marginals["A,B"], (2, 3), (1, 0))
+        assert not np.array_equal(marginals["B,A"], marginals["A,B"])
+        assert np.array_equal(marginals["B,A"], swapped)
+
+    def test_trace_out_register_named_twice_is_one_line_error(self, tmp_path, capsys):
+        circuit = write_circuit(tmp_path, TWO_REGISTERS)
+        assert main(["run", circuit, "--trace-out", "A,B,A"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: register 'A' named twice\n"
+
     def test_csv_format_flattens_scalars(self, tmp_path, capsys):
         code = main(["run", write_circuit(tmp_path), "--format", "csv"])
         assert code == 0
@@ -111,6 +141,12 @@ class TestDemo:
     def test_clone_mixed_rejects_bad_probs(self, capsys):
         assert main(["demo", "clone-mixed", "--probs", "0.5,0.6"]) == 1
         assert main(["demo", "clone-mixed", "--probs=-0.5,1.5"]) == 1
+
+    def test_clone_pure_index_out_of_range_is_one_line_error(self, capsys):
+        assert main(["demo", "clone-pure", "--index", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: index 2 out of range\n"
 
     def test_nosignal_passes(self, capsys):
         code = main(["demo", "nosignal"])
@@ -215,6 +251,7 @@ def test_bad_default_tol_env_is_usage_error(value, monkeypatch, tmp_path, capsys
     ["sweep", "fixed-points", "--dim", "1"],
     ["sweep", "fixed-points", "--trials", "-3"],
     ["sweep", "fidelity-props", "--trials", "-1"],
+    ["sweep", "fixed-points", "--seed", "-1"],
 ])
 def test_invalid_values_are_one_line_usage_errors(argv, tmp_path, capsys):
     circuit = write_circuit(tmp_path)
@@ -222,7 +259,7 @@ def test_invalid_values_are_one_line_usage_errors(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith(f"error: {argv[-2]} ")  # names its flag
     assert captured.err.count("\n") == 1
 
 

@@ -103,6 +103,14 @@ def test_non_unitary_haar_member_is_named(kind, monkeypatch, capsys):
     assert_trial_error(["sweep", kind, "--trials", "20"], 5, "not unitary", capsys)
 
 
+@pytest.mark.parametrize("kind", ["fixed-points", "no-cloning-baseline"])
+def test_non_unitary_haar_member_past_the_first_chunk_is_named(kind, monkeypatch,
+                                                               capsys):
+    corrupt_last_stack(monkeypatch, "haar_from_ginibre", 3, lambda n: 1.1 * np.eye(n))
+    argv = ["sweep", kind, "--trials", str(cli.CHUNK_TRIALS + 20)]
+    assert_trial_error(argv, cli.CHUNK_TRIALS + 3, "not unitary", capsys)
+
+
 def test_non_psd_density_member_is_named(monkeypatch, capsys):
     corrupt_last_stack(monkeypatch, "density_from_ginibre", 10,
                        lambda n: np.diag([1.5, -0.5] + [0.0] * (n - 2)))
@@ -142,4 +150,12 @@ def test_kraus_check_failure_names_the_trial(monkeypatch, capsys):
     monkeypatch.setattr(cli, "check_unitary", lambda m: None)
     corrupt_last_stack(monkeypatch, "haar_from_ginibre", 5, lambda n: 1.1 * np.eye(n))
     assert_trial_error(["sweep", "fixed-points", "--trials", "20"], 5,
+                       "induced map is not trace preserving", capsys)
+
+
+def test_kraus_check_failure_past_the_first_chunk_names_the_trial(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "check_unitary", lambda m: None)
+    corrupt_last_stack(monkeypatch, "haar_from_ginibre", 3, lambda n: 1.1 * np.eye(n))
+    argv = ["sweep", "fixed-points", "--trials", str(cli.CHUNK_TRIALS + 20)]
+    assert_trial_error(argv, cli.CHUNK_TRIALS + 3,
                        "induced map is not trace preserving", capsys)

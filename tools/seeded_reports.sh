@@ -7,8 +7,9 @@
 # The commands are the seeded sweeps and demos, `ctcsim run` on the 11
 # seed-0 circuits of perfbench's dsl-run workload, with and without
 # --trace-out, and on two written circuits (a two-register input line
-# declared out of layout order, with and without --trace-out, and a circuit
-# with only the CTC register): 39 in all. The dsl-run circuits are generated
+# declared out of layout order, with no --trace-out, with --trace-out B and
+# with --trace-out C,A, against layout order, and a circuit with only the CTC
+# register): 43 in all. The dsl-run circuits are generated
 # into <outdir>/circuits by the checkout's perfbench/workloads.py, which is
 # only read. Two checkouts give byte-identical results exactly when
 #
@@ -38,9 +39,12 @@ seeded fixed-points-50-7 sweep fixed-points --trials 50 --seed 7
 seeded fixed-points-dim3-300-11 sweep fixed-points --dim 3 --trials 300 --seed 11
 seeded fixed-points-dim4-60-5 sweep fixed-points --dim 4 --trials 60 --seed 5
 seeded fixed-points-0 sweep fixed-points --trials 0
+seeded fixed-points-5-csv sweep fixed-points --trials 5 --format csv
 seeded fidelity-props-1000-0 sweep fidelity-props --trials 1000 --seed 0
+seeded fidelity-props-0 sweep fidelity-props --trials 0
 seeded no-cloning-baseline-1000-0 sweep no-cloning-baseline --trials 1000 --seed 0
 seeded no-cloning-baseline-dim3-200-4 sweep no-cloning-baseline --dim 3 --trials 200 --seed 4
+seeded no-cloning-baseline-0 sweep no-cloning-baseline --trials 0
 seeded clone-pure demo clone-pure
 # a non-orthogonal N = 4 alphabet, one state per column
 cat >"$out/alphabet4.txt" <<'MAT'
@@ -95,6 +99,7 @@ matrix 2 3
 MAT
 seeded run-input-order run "$out/circuits/input-order.ctc"
 seeded run-input-order-trace-out run "$out/circuits/input-order.ctc" --trace-out B
+seeded run-input-order-trace-out-CA run "$out/circuits/input-order.ctc" --trace-out C,A
 # no CR register: the CR input is the empty product [[1]]
 cat >"$out/circuits/ctc-only.ctc" <<'CTC'
 system CTC 2
