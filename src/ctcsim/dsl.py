@@ -9,12 +9,12 @@ One directive per line, ``#`` starts a comment, blank lines are ignored::
     gate swap A CTC
 
 Directives: ``system <name> <dim>``, ``input pure <reg>... : <complex>...``,
-``input mixed <reg>... : <row> ; <row> ; ...``, ``gate swap|csum <r1> <r2>``,
-``gate select|select_adj <ctrl> <tgt> @<file>``, ``gate unitary <reg> @<file>``.
-Gates apply in file order, top first. Complex literals are ``<float>``,
-``<float>+<float>i`` or ``<float>-<float>i`` with no interior spaces, and
-must be finite. Each input line is a state of its own registers, validated
-once when it is lowered; the CR input is the product of the lines.
+``input mixed <reg>... : <row> ; <row> ; ...`` and ``gate <kind> <operands>``,
+with the kinds and their operands in ``GATE_KINDS``. Gates apply in file
+order, top first. Complex literals are ``<float>``, ``<float>+<float>i`` or
+``<float>-<float>i`` with no interior spaces, and must be finite. Each input
+line is a state of its own registers, validated once when it is lowered; the
+CR input is the product of the lines.
 
 Matrix files referenced with ``@`` carry a ``matrix <side> <count>`` header
 followed by whitespace/";"-separated complex literals in row-major order.
@@ -23,9 +23,12 @@ followed by whitespace/";"-separated complex literals in row-major order.
 from __future__ import annotations
 
 import cmath
+import functools
 import re
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -101,7 +104,7 @@ class InputDecl:
 
 @dataclass(frozen=True)
 class GateDecl:
-    kind: str  # swap | csum | select | select_adj | unitary
+    kind: str  # a key of GATE_KINDS
     regs: tuple
     file: str | None = None
     span: SourceSpan = field(compare=False, default=SourceSpan(0, 1))
@@ -115,6 +118,43 @@ class CircuitSpec:
 
     def system_dims(self) -> dict:
         return {s.name: s.dim for s in self.systems}
+
+
+def _select_line(layout, g, family):
+    """A select or select_adj line: one member of its family per control value."""
+    if len(family) != layout.dim(g.regs[0]):
+        raise ValueError(f"{g.file}: select family size {len(family)} does not match "
+                         f"control dim {layout.dim(g.regs[0])}")
+    return select_gate(layout, g.regs[0], g.regs[1], family)
+
+
+def _unitary_line(layout, g, family):
+    """A unitary line: the one matrix of its file on its register."""
+    if len(family) != 1:
+        raise ValueError(f"{g.file}: expected a single matrix")
+    return embed_on_registers(layout, g.regs, Unitary._trusted(family.blocks[0]))
+
+
+class GateKind(NamedTuple):
+    """A gate kind's operands, its registers as the usage hint names them and
+    then a ``@<file>`` when ``file``, and its builder of a line's ``GateList``:
+    ``build(layout, *regs)``, or ``build(layout, decl, family)`` with the file's
+    ``Select`` stack (its adjoint when ``adjoint``)."""
+
+    regs: tuple
+    build: Callable
+    file: bool = False
+    adjoint: bool = False
+
+
+GATE_KINDS = {
+    "swap": GateKind(("r1", "r2"), swap_gate),
+    "csum": GateKind(("r1", "r2"), csum_gate),
+    "select": GateKind(("ctrl", "tgt"), _select_line, file=True),
+    "select_adj": GateKind(("ctrl", "tgt"), _select_line, file=True, adjoint=True),
+    "unitary": GateKind(("reg",), _unitary_line, file=True),
+}
+_KIND_NAMES = f"{', '.join(list(GATE_KINDS)[:-1])} or {list(GATE_KINDS)[-1]}"
 
 
 def parse_complex(text: str) -> complex:
@@ -136,11 +176,6 @@ def format_complex(z: complex) -> str:
     return f"{repr(z.real)}{sign}{repr(abs(z.imag))}i"
 
 
-def _tokens(line: str):
-    """(text, 1-based column) pairs; ':' and ';' are standalone tokens."""
-    return [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
-
-
 class _LineParser:
     def __init__(self):
         self.errors = []
@@ -153,21 +188,18 @@ class _LineParser:
         self.errors.append(ParseError(line, col, message, expected))
 
     def parse_line(self, lineno, raw):
-        text = raw.split("#", 1)[0]
-        toks = _tokens(text)
+        # (text, 1-based column) pairs; ':' and ';' are standalone tokens
+        toks = [(m.group(0), m.start() + 1)
+                for m in _TOKEN_RE.finditer(raw.split("#", 1)[0])]
         if not toks:
             return
         head, col = toks[0]
-        span = SourceSpan(lineno, col)
-        if head == "system":
-            self._parse_system(lineno, toks, span)
-        elif head == "input":
-            self._parse_input(lineno, toks, span)
-        elif head == "gate":
-            self._parse_gate(lineno, toks, span)
-        else:
+        directive = self.DIRECTIVES.get(head)
+        if directive is None:
             self.error(lineno, col, f"unknown directive {head!r}",
                        "system, input or gate")
+            return
+        directive(self, lineno, toks, SourceSpan(lineno, col))
 
     def _parse_system(self, lineno, toks, span):
         if len(toks) != 3:
@@ -180,7 +212,7 @@ class _LineParser:
             self.error(lineno, ncol, f"invalid register name {name!r}",
                        "identifier")
             return
-        if not dim_text.isdigit() or int(dim_text) < 2:
+        if not dim_text.isdecimal() or int(dim_text) < 2:  # '²' is a digit, not a decimal
             self.error(lineno, dcol, f"invalid dimension {dim_text!r}",
                        "integer >= 2")
             return
@@ -231,101 +263,77 @@ class _LineParser:
 
     def _parse_gate(self, lineno, toks, span):
         if len(toks) < 2:
-            self.error(lineno, toks[0][1], "gate needs a kind",
-                       "swap, csum, select, select_adj or unitary")
+            self.error(lineno, toks[0][1], "gate needs a kind", _KIND_NAMES)
             return
-        kind, kcol = toks[1]
-        rest = toks[2:]
-        if kind in ("swap", "csum"):
-            if len(rest) != 2:
-                self.error(lineno, kcol, f"gate {kind} takes two registers",
-                           f"gate {kind} <r1> <r2>")
-                return
-            self.gates.append(GateDecl(kind, (rest[0][0], rest[1][0]), None, span))
-        elif kind in ("select", "select_adj"):
-            if len(rest) != 3 or not rest[2][0].startswith("@"):
-                self.error(lineno, kcol,
-                           f"gate {kind} takes two registers and a @file",
-                           f"gate {kind} <ctrl> <tgt> @<file>")
-                return
-            self.gates.append(
-                GateDecl(kind, (rest[0][0], rest[1][0]), rest[2][0][1:], span)
-            )
-        elif kind == "unitary":
-            if len(rest) != 2 or not rest[1][0].startswith("@"):
-                self.error(lineno, kcol, "gate unitary takes a register and a @file",
-                           "gate unitary <reg> @<file>")
-                return
-            self.gates.append(GateDecl(kind, (rest[0][0],), rest[1][0][1:], span))
-        else:
-            self.error(lineno, kcol, f"unknown gate kind {kind!r}",
-                       "swap, csum, select, select_adj or unitary")
+        name, kcol = toks[1]
+        kind = GATE_KINDS.get(name)
+        if kind is None:
+            self.error(lineno, kcol, f"unknown gate kind {name!r}", _KIND_NAMES)
+            return
+        operands = [text for text, _ in toks[2:]]
+        n = len(kind.regs)
+        if len(operands) != n + kind.file or (
+                kind.file and not operands[n].startswith("@")):
+            takes = ["a register", "two registers"][n - 1] + " and a @file" * kind.file
+            usage = [f"<{r}>" for r in kind.regs] + ["@<file>"] * kind.file
+            self.error(lineno, kcol, f"gate {name} takes {takes}",
+                       " ".join(["gate", name, *usage]))
+            return
+        file = operands[n][1:] if kind.file else None
+        self.gates.append(GateDecl(name, tuple(operands[:n]), file, span))
+
+    DIRECTIVES = {"system": _parse_system, "input": _parse_input, "gate": _parse_gate}
 
 
 def _structural_check(p: _LineParser):
+    def fail(span, message):
+        p.errors.append(ParseError(span.line, span.column, message))
+
     dims = {s.name: s.dim for s in p.systems}
     ctc_count = sum(1 for s in p.systems if s.name == "CTC")
     if ctc_count != 1:
-        line = p.systems[0].span.line if p.systems else 1
-        p.errors.append(ParseError(line, 1,
-                                   f"expected exactly one system named CTC, found {ctc_count}"))
+        fail(SourceSpan(p.systems[0].span.line if p.systems else 1, 1),
+             f"expected exactly one system named CTC, found {ctc_count}")
     covered = {}
     normalized_inputs = []
     for decl in p.inputs:
-        bad = False
+        before = len(p.errors)
         for r in decl.regs:
             if r not in dims:
-                p.errors.append(ParseError(decl.span.line, decl.span.column,
-                                           f"input references unknown register {r!r}"))
-                bad = True
+                fail(decl.span, f"input references unknown register {r!r}")
             elif r == "CTC":
-                p.errors.append(ParseError(decl.span.line, decl.span.column,
-                                           "CTC register takes no input; its state is solved"))
-                bad = True
+                fail(decl.span, "CTC register takes no input; its state is solved")
             elif r in covered:
-                p.errors.append(ParseError(decl.span.line, decl.span.column,
-                                           f"register {r!r} already has an input"))
-                bad = True
+                fail(decl.span, f"register {r!r} already has an input")
             else:
                 covered[r] = decl
-        if bad:
+        if len(p.errors) > before:
             continue
         side = int(np.prod([dims[r] for r in decl.regs]))
         if decl.kind == "pure":
             if len(decl.amps) != side:
-                p.errors.append(ParseError(
-                    decl.span.line, decl.span.column,
-                    f"pure input needs {side} amplitudes, got {len(decl.amps)}"))
+                fail(decl.span,
+                     f"pure input needs {side} amplitudes, got {len(decl.amps)}")
                 continue
             with np.errstate(over="ignore"):  # huge amplitudes: the norm is inf
                 norm = float(np.linalg.norm(decl.amps))
             if abs(norm - 1.0) > INPUT_NORM_TOL:
-                p.errors.append(ParseError(
-                    decl.span.line, decl.span.column,
-                    f"pure input norm {norm:.8f} is not 1 within {INPUT_NORM_TOL}"))
+                fail(decl.span,
+                     f"pure input norm {norm:.8f} is not 1 within {INPUT_NORM_TOL}")
                 continue
             if abs(norm - 1.0) > RENORM_FLOOR:
-                amps = tuple(a / norm for a in decl.amps)
-            else:
-                amps = decl.amps
-            normalized_inputs.append(InputDecl(decl.regs, "pure", amps=amps,
-                                               span=decl.span))
-        else:
-            if len(decl.rows) != side or any(len(r) != side for r in decl.rows):
-                p.errors.append(ParseError(
-                    decl.span.line, decl.span.column,
-                    f"mixed input needs a {side}x{side} matrix"))
-                continue
-            normalized_inputs.append(decl)
+                decl = replace(decl, amps=tuple(a / norm for a in decl.amps))
+        elif len(decl.rows) != side or any(len(r) != side for r in decl.rows):
+            fail(decl.span, f"mixed input needs a {side}x{side} matrix")
+            continue
+        normalized_inputs.append(decl)
     for s in p.systems:
         if s.name != "CTC" and s.name not in p.claimed:
-            p.errors.append(ParseError(s.span.line, s.span.column,
-                                       f"register {s.name!r} has no input directive"))
+            fail(s.span, f"register {s.name!r} has no input directive")
     for g in p.gates:
         for r in g.regs:
             if r not in dims:
-                p.errors.append(ParseError(g.span.line, g.span.column,
-                                           f"gate references unknown register {r!r}"))
+                fail(g.span, f"gate references unknown register {r!r}")
     return normalized_inputs
 
 
@@ -346,21 +354,12 @@ def serialize(spec: CircuitSpec) -> str:
     for s in spec.systems:
         lines.append(f"system {s.name} {s.dim}")
     for d in spec.inputs:
-        regs = " ".join(d.regs)
-        if d.kind == "pure":
-            vals = " ".join(format_complex(a) for a in d.amps)
-            lines.append(f"input pure {regs} : {vals}")
-        else:
-            rows = " ; ".join(
-                " ".join(format_complex(v) for v in row) for row in d.rows
-            )
-            lines.append(f"input mixed {regs} : {rows}")
+        rows = [d.amps] if d.kind == "pure" else d.rows  # a pure line is one row
+        values = " ; ".join(" ".join(map(format_complex, row)) for row in rows)
+        lines.append(f"input {d.kind} {' '.join(d.regs)} : {values}")
     for g in spec.gates:
-        regs = " ".join(g.regs)
-        if g.file is not None:
-            lines.append(f"gate {g.kind} {regs} @{g.file}")
-        else:
-            lines.append(f"gate {g.kind} {regs}")
+        file = [f"@{g.file}"] * GATE_KINDS[g.kind].file
+        lines.append(" ".join(["gate", g.kind, *g.regs, *file]))
     return "\n".join(lines) + "\n"
 
 
@@ -376,8 +375,8 @@ def load_matrix_file(path) -> np.ndarray:
             continue
         if header is None:
             parts = line.split()
-            if len(parts) != 3 or parts[0] != "matrix" or not parts[1].isdigit() \
-                    or not parts[2].isdigit():
+            if len(parts) != 3 or parts[0] != "matrix" or not parts[1].isdecimal() \
+                    or not parts[2].isdecimal():
                 raise ValueError(f"{path}: expected header 'matrix <side> <count>'")
             header = (int(parts[1]), int(parts[2]))
             if header[0] == 0:
@@ -408,58 +407,38 @@ def format_matrix_file(mats) -> str:
     return "\n".join(lines) + "\n"
 
 
+@contextmanager
+def _on_line(directive, line):
+    """Prefix a ``ValueError`` raised in the block with the line it lowers."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{directive} on line {line}: {exc}") from None
+
+
 def lower(spec: CircuitSpec, base_dir=".") -> DeutschProblem:
     """Build a solvable problem: canonical CTC-last layout, the interaction
     as a gate list, and the CR input. Each input line becomes a state of its
-    registers: a pure line ``PureState(...).density()``, a mixed line the
-    validating ``DensityMatrix(...)``, which raises ``ValueError`` naming the
-    line. The CR input is ``DensityMatrix.product`` of the lines in layout
-    order, as in ``cloning.make_problem``: no matrix of its size is checked
-    or eigendecomposed."""
-    base = Path(base_dir)
+    registers (a pure line ``PureState(...).density()``, a mixed line the
+    validating ``DensityMatrix(...)``), and the CR input is their
+    ``DensityMatrix.product`` in layout order, as in ``cloning.make_problem``:
+    no matrix of its size is checked or eigendecomposed. A ``ValueError``
+    from lowering a line starts ``input on line L: `` or ``gate on line L: ``,
+    where L is the first line of a repeated gate line."""
     dims = spec.system_dims()
     order = [s.name for s in spec.systems if s.name != "CTC"] + ["CTC"]
     layout = Layout(tuple((n, dims[n]) for n in order), ctc_index=len(order) - 1)
 
-    families = {}
-
-    def family(name, adjoint=False):
+    @functools.cache
+    def family(name, adjoint):
         """The matrices of one @file as a ``Select`` block stack, or its
         adjoint: read, parsed and checked (one stacked check) once."""
-        key = (name, adjoint)
-        if key not in families:
-            if adjoint:
-                families[key] = family(name).dagger()
-            else:
-                stack = load_matrix_file(base / name)
-                try:
-                    families[key] = Select(stack)
-                except linalg.StackError as exc:
-                    raise ValueError(f"{name}: {exc.message}") from None
-        return families[key]
-
-    def local_gates(g):
-        """The validated local gates of one gate line."""
-        if g.kind == "swap":
-            gate = swap_gate(layout, g.regs[0], g.regs[1])
-        elif g.kind == "csum":
-            gate = csum_gate(layout, g.regs[0], g.regs[1])
-        elif g.kind in ("select", "select_adj"):
-            fam = family(g.file, adjoint=(g.kind == "select_adj"))
-            if len(fam) != layout.dim(g.regs[0]):
-                raise ValueError(
-                    f"{g.file}: select family size {len(fam)} does not match "
-                    f"control dim {layout.dim(g.regs[0])}"
-                )
-            gate = select_gate(layout, g.regs[0], g.regs[1], fam)
-        elif g.kind == "unitary":
-            fam = family(g.file)
-            if len(fam) != 1:
-                raise ValueError(f"{g.file}: expected a single matrix")
-            gate = embed_on_registers(layout, g.regs, Unitary._trusted(fam.blocks[0]))
-        else:  # pragma: no cover - parser rejects unknown kinds
-            raise ValueError(f"unknown gate kind {g.kind!r}")
-        return gate.gates
+        if adjoint:
+            return family(name, False).dagger()
+        try:
+            return Select(load_matrix_file(Path(base_dir) / name))
+        except linalg.StackError as exc:
+            raise ValueError(f"{name}: {exc.message}") from None
 
     # long circuits repeat a few gate lines many times: build each distinct
     # line once, and reuse its (immutable) gates
@@ -467,7 +446,10 @@ def lower(spec: CircuitSpec, base_dir=".") -> DeutschProblem:
     gates = []
     for g in spec.gates:
         if g not in lowered:  # a GateDecl compares by kind, regs and file
-            lowered[g] = local_gates(g)
+            kind = GATE_KINDS[g.kind]
+            with _on_line("gate", g.span.line):
+                args = (g, family(g.file, kind.adjoint)) if kind.file else g.regs
+                lowered[g] = kind.build(layout, *args).gates
         gates.extend(lowered[g])
     interaction = GateList(layout, tuple(gates))
 
@@ -476,11 +458,9 @@ def lower(spec: CircuitSpec, base_dir=".") -> DeutschProblem:
     parts, regs = [], []
     for d in spec.inputs:
         line_dims = tuple(dims[r] for r in d.regs)
-        try:
+        with _on_line("input", d.span.line):
             state = (PureState(np.array(d.amps, dtype=complex)).density()
                      if d.kind == "pure" else DensityMatrix(d.rows, line_dims))
-        except ValueError as exc:
-            raise ValueError(f"input on line {d.span.line}: {exc}") from None
         parts.append(state.with_dims(line_dims))
         regs.extend(d.regs)
     cr_input = DensityMatrix.product(parts, [regs.index(n) for n in order[:-1]])

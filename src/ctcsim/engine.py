@@ -104,8 +104,10 @@ def kraus_stack(
     shared by the stack, or a (B, D, D) array of dense unitaries.
 
     Raises ``linalg.StackError`` for the first member whose sum K^dag K is
-    not the identity (times sum |w|^2) within ``tolerances.unitary``: the
-    trace preservation the solve relies on.
+    not the identity (times sum |w|^2) within the interaction's bound: the
+    trace preservation the solve relies on. A ``GateList``'s bound is its
+    ``tolerance``, which grows with its count of dense gates; a dense
+    unitary's is ``tolerances.unitary``.
     """
     d = layout.ctc_dim
     b, cr_dim, width = w.shape
@@ -128,7 +130,9 @@ def kraus_stack(
     flat = k.reshape(b, -1, d)
     total = np.sum(np.abs(w) ** 2, axis=(1, 2))[:, None, None] * np.eye(d)
     defect = np.abs(linalg.dagger(flat) @ flat - total).max(axis=(1, 2))
-    linalg.reject((defect > linalg.tolerances.unitary, defect,
+    bound = (interaction.tolerance if isinstance(interaction, GateList)
+             else linalg.tolerances.unitary)
+    linalg.reject((defect > bound, defect,
                    "induced map is not trace preserving: "
                    "max |sum K^dag K - I| = {:.3e}"))
     return k
@@ -172,7 +176,7 @@ class DeutschProblem:
     def kraus(self) -> np.ndarray:
         """Kraus operators of the induced CTC map, shape (r * D_cr, d, d):
         ``kraus_stack`` on a stack of one. Raises ``ValueError`` unless
-        sum K^dag K is the identity within ``tolerances.unitary``."""
+        sum K^dag K is the identity within the bound ``kraus_stack`` sets."""
         with linalg.single_entry():
             k = kraus_stack(self.layout, self.interaction, self.cr_input.factor[None])
         return k[0]

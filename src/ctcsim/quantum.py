@@ -172,13 +172,14 @@ def check_density(m: np.ndarray) -> None:
     )
 
 
-def check_unitary(m: np.ndarray) -> None:
+def check_unitary(m: np.ndarray, bound: float | None = None) -> None:
     """Raise ``ValueError`` unless every (..., n, n) entry of ``m`` has
-    max |U^dag U - I| within ``tolerances.unitary``; for a stack the error
-    (a ``linalg.StackError``) names the first failing entry."""
+    max |U^dag U - I| within ``bound``, by default ``tolerances.unitary``;
+    for a stack the error (a ``linalg.StackError``) names the first failing
+    entry."""
     with np.errstate(over="ignore", invalid="ignore"):  # as in check_density
         defect = np.abs(dagger(m) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1))
-    reject((defect > tolerances.unitary, defect,
+    reject((defect > (tolerances.unitary if bound is None else bound), defect,
             "not unitary: max |U^dag U - I| = {:.3e}"))
 
 
@@ -542,11 +543,22 @@ class GateList:
             self.layout, tuple((regs, u.dagger()) for regs, u in reversed(self.gates))
         )
 
+    @property
+    def tolerance(self) -> float:
+        """The bound on max |U^dag U - I| of the product. Each gate passed
+        its own check within ``tolerances.unitary``, and the product can add
+        up their defects: one ``tolerances.unitary`` per gate that is not a
+        ``Permutation`` (permutations are exact), and at least one."""
+        dense = sum(not isinstance(u, Permutation) for _, u in self.gates)
+        return tolerances.unitary * max(1, dense)
+
     @cached_property
     def unitary(self) -> Unitary:
         """The dense D x D interaction, built only on request: the gates
-        applied to the identity, checked by ``Unitary``."""
-        return Unitary(self.apply(np.eye(self.side, dtype=complex)))
+        applied to the identity, checked within ``tolerance``."""
+        m = self.apply(np.eye(self.side, dtype=complex))
+        check_unitary(m, self.tolerance)
+        return Unitary._trusted(m)
 
     @property
     def mat(self) -> np.ndarray:

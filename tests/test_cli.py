@@ -55,7 +55,15 @@ class TestRun:
         circuit = write_circuit(tmp_path, SMALLEST + "gate unitary A @z.mat\n")
         assert main(["run", circuit]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {tmp_path / 'z.mat'}: matrix side must be at least 1, got 0\n"
+        assert err == (f"error: gate on line 5: {tmp_path / 'z.mat'}: "
+                       "matrix side must be at least 1, got 0\n")
+
+    def test_unequal_dims_swap_names_its_line(self, tmp_path, capsys):
+        circuit = write_circuit(tmp_path, TWO_REGISTERS + "gate swap A B\n")
+        assert main(["run", circuit]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: gate on line 7: swap needs equal dims, got 2 and 3\n"
 
     def test_missing_file_is_io_error(self, capsys):
         assert main(["run", "/nonexistent/x.ctc"]) == 3
@@ -349,6 +357,28 @@ def test_input_lines_whose_product_is_a_state_are_rejected(a, b, message, tmp_pa
     assert captured.err == f"error: input on line 4: {message}\n"
 
 
+def test_long_circuit_of_accepted_gates_runs(tmp_path, capsys):
+    # 400 unitary lines of a Hadamard written to 10 digits (each within the
+    # unitarity bar) and 58 swaps: the product drifts by 1.5e-8, within the
+    # bar once per dense gate
+    (tmp_path / "h.mat").write_text(
+        "matrix 2 1\n0.7071067812 0.7071067812 ;\n0.7071067812 -0.7071067812 ;\n")
+    lines = SMALLEST.splitlines()[:3]
+    for k in range(400):
+        if k % 7 == 0:
+            lines.append("gate swap A CTC")
+        lines.append(f"gate unitary {('A', 'CTC')[k % 2]} @h.mat")
+    circuit = write_circuit(tmp_path, "\n".join(lines) + "\n")
+    assert main(["run", circuit]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver did not converge (residual ")
+    assert 7e-9 < float(err.rsplit(" ", 1)[1].rstrip(")\n")) < 8e-9
+    assert main(["run", circuit, "--tol", "1e-7"]) == 0
+    # the map drifts off trace preservation: no singular value of S - I falls
+    # in the multiplicity window
+    assert json.loads(capsys.readouterr().out)["fixed_point"]["multiplicity"] == 0
+
+
 def test_single_bad_mixed_line_keeps_its_message(tmp_path, capsys):
     text = "system A 2\nsystem CTC 2\ninput mixed A : 0.6 0.5 ; 0.5 0.4\ngate swap A CTC\n"
     assert main(["run", write_circuit(tmp_path, text)]) == 1
@@ -366,6 +396,7 @@ def test_non_finite_literal_is_one_line_error(via, tmp_path, capsys, recwarn):
         expected = f"{argv[1]}:line 3, column 17: complex literal '1e999' is not finite"
     elif via == "gate":
         argv = ["run", write_circuit(tmp_path, SMALLEST + "gate unitary A @u.mat\n")]
+        expected = f"error: gate on line 5: {path}: complex literal '1e999' is not finite"
     else:
         argv = ["demo", "clone-pure", "--alphabet", f"@{path}"]
     assert main(argv) == 1
@@ -391,7 +422,7 @@ def test_huge_finite_entries_are_one_line_error(via, tmp_path, capsys, recwarn):
         expected = f"{argv[1]}:line 3, column 1: pure input norm inf is not 1 within 1e-06\n"
     elif via == "gate":
         argv = ["run", write_circuit(tmp_path, SMALLEST + "gate unitary A @u.mat\n")]
-        expected = "error: u.mat: not unitary: max |U^dag U - I| = inf\n"
+        expected = "error: gate on line 5: u.mat: not unitary: max |U^dag U - I| = inf\n"
     else:
         argv = ["demo", "clone-pure", "--alphabet", f"@{path}"]
         expected = "error: state norm inf is not 1 within 1e-10\n"

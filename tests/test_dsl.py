@@ -105,10 +105,79 @@ class TestParse:
         with pytest.raises(CircuitSyntaxError):
             parse(base + "input pure A : 0.7 0.7\n")  # too far from unit norm
 
+    def test_superscript_dimension_is_a_parse_error(self):
+        # '²'.isdigit() holds, but int() cannot read it
+        with pytest.raises(CircuitSyntaxError) as exc:
+            parse("system A \u00b2\nsystem CTC 2\n")
+        (err,) = exc.value.errors
+        assert (err.line, err.column, err.message, err.expected) == (
+            1, 10, "invalid dimension '\u00b2'", "integer >= 2")
+
     def test_duplicate_system(self):
         with pytest.raises(CircuitSyntaxError) as exc:
             parse("system A 2\nsystem A 2\nsystem CTC 2\ninput pure A : 1 0\n")
         assert any("duplicate" in e.message for e in exc.value.errors)
+
+
+# one valid line of each gate kind, with the message and expected hint that
+# a line of that kind with the wrong operands gets
+GATE_LINES = {
+    "swap": ("gate swap A CTC", "gate swap takes two registers",
+             "gate swap <r1> <r2>"),
+    "csum": ("gate csum A CTC", "gate csum takes two registers",
+             "gate csum <r1> <r2>"),
+    "select": ("gate select A CTC @fam.mat",
+               "gate select takes two registers and a @file",
+               "gate select <ctrl> <tgt> @<file>"),
+    "select_adj": ("gate select_adj CTC A @fam.mat",
+                   "gate select_adj takes two registers and a @file",
+                   "gate select_adj <ctrl> <tgt> @<file>"),
+    "unitary": ("gate unitary A @u.mat", "gate unitary takes a register and a @file",
+                "gate unitary <reg> @<file>"),
+}
+GATE_HEAD = "# ctcsim v1\nsystem A 2\nsystem CTC 2\ninput pure A : 1.0 0.0\n"
+
+
+def _only_error(line):
+    with pytest.raises(CircuitSyntaxError) as exc:
+        parse(GATE_HEAD + line + "\n")
+    (err,) = exc.value.errors
+    return err
+
+
+@pytest.mark.parametrize("kind", GATE_LINES)
+class TestGateGrammar:
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_wrong_operand_count(self, kind, change):
+        line, message, expected = GATE_LINES[kind]
+        operands = line.split()[2:]
+        if change == "drop":
+            operands = operands[:-1]
+        else:
+            operands = operands[:-1] + ["B"] + operands[-1:]
+        err = _only_error(" ".join(["gate", kind] + operands))
+        assert (err.line, err.column) == (5, 6)
+        assert (err.message, err.expected) == (message, expected)
+
+    def test_file_operand_needs_at(self, kind):
+        # a file named without '@' is rejected; swap and csum take no file
+        line, message, expected = GATE_LINES[kind]
+        bare = line.replace("@", "") if "@" in line else line + " fam.mat"
+        err = _only_error(bare)
+        assert (err.line, err.column, err.message, err.expected) == (
+            5, 6, message, expected)
+
+    def test_roundtrip(self, kind):
+        text = GATE_HEAD + GATE_LINES[kind][0] + "\n"
+        assert serialize(parse(text)) == text
+
+
+def test_gate_kind_errors_list_the_kinds():
+    kinds = "swap, csum, select, select_adj or unitary"
+    for line, message in [("gate", "gate needs a kind"),
+                          ("gate swp A CTC", "unknown gate kind 'swp'")]:
+        err = _only_error(line)
+        assert (err.message, err.expected) == (message, kinds)
 
 
 class TestComplexLiterals:
@@ -310,10 +379,33 @@ class TestLower:
         with pytest.raises(ValueError, match="z.mat: matrix side must be at least 1"):
             dsl.load_matrix_file(tmp_path / "z.mat")
 
+    def test_superscript_header_is_named(self, tmp_path):
+        (tmp_path / "s.mat").write_text("matrix \u00b2 1\n1 0 ; 0 1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="s.mat: expected header 'matrix <side> <count>'"):
+            dsl.load_matrix_file(tmp_path / "s.mat")
+
     def test_missing_file(self, tmp_path):
         text = SMALLEST + "gate unitary A @missing.mat\n"
         with pytest.raises(OSError):
             dsl.lower(parse(text), tmp_path)
+
+    @pytest.mark.parametrize("lines, message", [
+        (["gate csum A A"], "gate on line 6: control and target must differ"),
+        (["gate swap A CTC", "gate swap A B", "gate swap A B"],
+         "gate on line 7: swap needs equal dims, got 2 and 3"),
+        # fam.mat fits its first line; the line that does not fit is named
+        (["gate select A CTC @fam.mat", "gate swap A CTC", "gate select B CTC @fam.mat"],
+         "gate on line 8: fam.mat: select family size 2 does not match control dim 3"),
+        (["gate unitary A @fam.mat"], "gate on line 6: fam.mat: expected a single matrix"),
+    ])
+    def test_lowering_errors_name_the_gate_line(self, lines, message, tmp_path, rng):
+        fam = [haar_unitary(rng, 2).mat for _ in range(2)]
+        (tmp_path / "fam.mat").write_text(dsl.format_matrix_file(fam))
+        text = ("system A 2\nsystem B 3\nsystem CTC 2\n"
+                "input pure A : 1 0\ninput pure B : 0 1 0\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            dsl.lower(parse(text), tmp_path)
+        assert str(exc.value) == message
 
 
 def write_pure_cloner(tmp_path, alphabet, k):

@@ -167,6 +167,25 @@ def test_select_checks_its_stack_once_and_names_the_member(rng):
     assert info.value.index == 1
 
 
+# a Hadamard written to 10 digits: max |H^dag H - I| = 3.8e-11, within the bar
+H10 = np.array([[1, 1], [1, -1]]) * 0.7071067812
+
+
+def test_product_bound_counts_the_dense_gates():
+    layout = Layout((("A", 2), ("CTC", 2)), ctc_index=1)
+    h = Unitary(H10)
+    swap = swap_gate(layout, "A", "CTC").gates
+    bar = linalg.tolerances.unitary
+    assert GateList(layout, swap * 3).tolerance == bar
+    assert GateList(layout, ((("A",), h),) * 4 + swap * 3).tolerance == 4 * bar
+    # 400 such gates drift by 1.5e-8: within 400 bars, not within one
+    long = GateList(layout, ((("A",), h), (("CTC",), h)) * 200 + swap * 58)
+    defect = np.abs(long.mat.conj().T @ long.mat - np.eye(4)).max()
+    assert bar < defect < long.tolerance
+    with pytest.raises(ValueError, match="not unitary"):
+        Unitary(long.mat)
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_basis_mappers_equal_basis_mapper(n, rng):
     alphabet = random_alphabet(rng, n)
