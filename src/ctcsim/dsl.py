@@ -275,12 +275,15 @@ class _LineParser:
         if len(operands) != n + kind.file or (
                 kind.file and not operands[n].startswith("@")):
             takes = ["a register", "two registers"][n - 1] + " and a @file" * kind.file
-            usage = [f"<{r}>" for r in kind.regs] + ["@<file>"] * kind.file
-            self.error(lineno, kcol, f"gate {name} takes {takes}",
-                       " ".join(["gate", name, *usage]))
+            col, message = kcol, f"gate {name} takes {takes}"
+        elif kind.file and operands[n] == "@":
+            col, message = toks[2 + n][1], f"gate {name}: @ needs a file name"
+        else:
+            file = operands[n][1:] if kind.file else None
+            self.gates.append(GateDecl(name, tuple(operands[:n]), file, span))
             return
-        file = operands[n][1:] if kind.file else None
-        self.gates.append(GateDecl(name, tuple(operands[:n]), file, span))
+        usage = [f"<{r}>" for r in kind.regs] + ["@<file>"] * kind.file
+        self.error(lineno, col, message, " ".join(["gate", name, *usage]))
 
     DIRECTIVES = {"system": _parse_system, "input": _parse_input, "gate": _parse_gate}
 

@@ -33,15 +33,27 @@ of all members of one width go through the interaction in one
 ``GateList.apply`` or one batched product, and a narrower member ends in
 exactly-zero blocks, which add nothing. Each member's products keep the
 shapes of its own stack of one, so a stacked solve gives every member the
-bits of its single solve. ``solve_stack`` builds the (B, d^2, d^2)
-superoperators and solves them together into ``FixedPoints`` (CTC states
-and their factors (B, d, d), residuals and multiplicities (B,));
-``output_stack`` gives the (B, D_cr, D_cr) visible outputs in Gram form. A
-failing member raises ``linalg.StackError`` naming its position in the
-stack. The single-problem API (``DeutschProblem.kraus``,
-``solve_fixed_point``, ``deutsch_map``, ``output_state``,
-``build_superoperator``) runs the same kernels on a stack of one, with the
-single-problem error messages.
+bits of its single solve.
+
+Kernels touch only live data. A block that is zero in every member of
+the stack adds exactly nothing to S, to a map or to a residual: the mixed
+cloner's rank-N target leaves N^3 - N^2 of its N^3 blocks zero. So
+``solve_stack`` keeps only the blocks that are nonzero in some member, in
+their order, before it forms S and the residuals; each member's sums run
+over its own nonzero blocks in the order of its single solve, with only
+exact zeros between them. The map, the residual and the visible output
+apply each member's blocks as one (n * d, d) column times the d x d
+operator or factor, one product instead of n batched d x d ones, and a
+stack of one rank group skips the zero-filled padding.
+
+``solve_stack`` builds the (B, d^2, d^2) superoperators and solves them
+together into ``FixedPoints`` (CTC states and their factors (B, d, d),
+residuals and multiplicities (B,)); ``output_stack`` gives the
+(B, D_cr, D_cr) visible outputs in Gram form. A failing member raises
+``linalg.StackError`` naming its position in the stack. The single-problem
+API (``DeutschProblem.kraus``, ``solve_fixed_point``, ``deutsch_map``,
+``output_state``, ``build_superoperator``) runs the same kernels on a stack
+of one, with the single-problem error messages.
 
 The canonical fixed point is P1(I/d): the projection of the maximally
 mixed state onto the fixed space of the induced map along its other
@@ -52,11 +64,14 @@ number of singular values of S - I (a values-only SVD) at most
 ``tolerances.eig_one_window`` (or ``_SVD_FLOOR`` times the largest, its
 rounding level). For m = 1, P1(I/d) is the one unit-trace solution of
 (S - I) x = 0, taken from one LU of [[S - I, vec(I)], [vec(I)^dag, 0]]
-(Stewart 1994, ch. 2); so is m = 0, which only a window below rounding
-gives. A member with m > 1 takes a full SVD S - I = U Sigma V^dag of its own,
-and its fixed point is R (L^dag R)^-1 L^dag vec(I/d), the columns of R and L
-being the last m right and left singular vectors, which span the fixed space
-of S and that of its adjoint.
+(Stewart 1994, ch. 2); so is m = 0, which the default window gives when a
+map is not trace preserving to its resolution: the product of a long
+circuit's gates, each within its check, can drift that far, as in a circuit
+of 400 Hadamards written to 10 digits. A member with m > 1 takes a full
+SVD S - I = U Sigma V^dag of its own, and its fixed point is
+R (L^dag R)^-1 L^dag vec(I/d), the columns of R and L being the last m
+right and left singular vectors, which span the fixed space of S and that
+of its adjoint.
 """
 
 from __future__ import annotations
@@ -121,11 +136,14 @@ def kraus_stack(
     # column differently), and zero blocks add nothing to a sum over the
     # Kraus index, so each member keeps the bits of its own stack
     groups = sorted(set(ranks.tolist()))
-    k = np.zeros((b, groups[-1], cr_dim, d, d), dtype=complex)
-    for rank in groups:
-        m = ranks == rank
-        u = interaction[m] if isinstance(interaction, np.ndarray) else interaction
-        k[m, :rank] = _kraus_blocks(u, w[m, :, :rank], d)
+    if len(groups) == 1:  # one width: no padding to fill
+        k = _kraus_blocks(interaction, w[:, :, :groups[0]], d)
+    else:
+        k = np.zeros((b, groups[-1], cr_dim, d, d), dtype=complex)
+        for rank in groups:
+            m = ranks == rank
+            u = interaction[m] if isinstance(interaction, np.ndarray) else interaction
+            k[m, :rank] = _kraus_blocks(u, w[m, :, :rank], d)
     k = k.reshape(b, -1, d, d)
     flat = k.reshape(b, -1, d)
     total = np.sum(np.abs(w) ** 2, axis=(1, 2))[:, None, None] * np.eye(d)
@@ -209,10 +227,14 @@ class FixedPoints:
 
 def _maps(k: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Apply each member's induced map to an arbitrary (B, d, d) operator
-    stack on the CTC register: sum_K K X K^dag."""
-    b, _, d, _ = k.shape
-    kx = (k @ x[:, None]).transpose(0, 2, 1, 3).reshape(b, d, -1)
-    return kx @ linalg.dagger(k.transpose(0, 2, 1, 3).reshape(b, d, -1))
+    stack on the CTC register: sum_K K X K^dag. The blocks, stacked as one
+    (n * d, d) column, take X in one product; the n products K X, laid side
+    by side, then take [K_1 ... K_n]^dag in another."""
+    b, n, d, _ = k.shape
+    kx = (k.reshape(b, n * d, d) @ x).reshape(b, n, d, d)
+    side = (0, 2, 1, 3)  # (B, n, d, d) -> (B, d, n * d): [K_1 ... K_n]
+    return (kx.transpose(side).reshape(b, d, -1)
+            @ linalg.dagger(k.transpose(side).reshape(b, d, -1)))
 
 
 def _residuals(k: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -243,13 +265,13 @@ def output_stack(k: np.ndarray, factor: np.ndarray, cr_dim: int) -> np.ndarray:
     out of each member's evolved joint state, formed as the Gram matrix
     E E^dag of E = blocks V for the (B, d, r) factors V V^dag = rho_CTC, so
     each output is PSD by construction."""
-    # blocks[b, a, k] is Kraus operator (k, a); row a of E holds the
-    # products blocks[b, a, k] V over every k, and entry (a, c) of the
-    # output is the product of rows a and c. The solve's V has full width d,
-    # so no member's products depend on the others in its stack.
-    b, _, d, _ = k.shape
-    blocks = k.reshape(b, -1, cr_dim, d, d).transpose(0, 2, 1, 3, 4)
-    e = (blocks @ factor[:, None, None]).reshape(b, cr_dim, -1)
+    # every block times V in one (n * d, d) product; kv[b, k, a] is
+    # K_(k,a) V, row a of E holds those products over every k, and entry
+    # (a, c) of the output is the product of rows a and c. The solve's V has
+    # full width d, so no member's products depend on the others in its stack.
+    b, n, d, _ = k.shape
+    kv = (k.reshape(b, n * d, d) @ factor).reshape(b, -1, cr_dim, d, d)
+    e = kv.transpose(0, 2, 1, 3, 4).reshape(b, cr_dim, -1)
     return linalg.unit_trace_hermitian(e @ linalg.dagger(e))
 
 
@@ -280,6 +302,10 @@ def solve_stack(kraus: np.ndarray) -> FixedPoints:
     traceless or not PSD."""
     b, d = kraus.shape[0], kraus.shape[-1]
     n = d * d
+    # a block that is zero in every member adds nothing to S or the residual
+    live = np.any(kraus != 0, axis=(0, 2, 3))
+    if not live.all():
+        kraus = kraus[:, live]
     a = _superoperators(kraus) - np.eye(n)
     # singular values count the fixed points robustly for a non-normal S
     sv = np.linalg.svd(a, compute_uv=False)

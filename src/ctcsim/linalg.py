@@ -1,6 +1,5 @@
 """Dense complex matrix primitives: Kronecker products, partial traces,
-Hermitian eigendecomposition, PSD square roots and factors, and trace
-distances.
+PSD square roots and factors, and trace distances.
 
 All operators are plain square ``numpy`` arrays of ``complex128``, stored
 row-major. ``kron``, ``partial_trace``, ``permute_registers``,
@@ -139,14 +138,6 @@ def kron(a, b) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (n * m, n * m))
 
 
-def kron_all(*mats) -> np.ndarray:
-    """Left-to-right Kronecker product of any number of square matrices."""
-    out = np.array([[1.0 + 0j]])
-    for m in mats:
-        out = kron(out, as_matrix(m))
-    return out
-
-
 def _check_dims(m: np.ndarray, dims: Sequence[int]) -> Tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
@@ -203,21 +194,6 @@ def hermiticity_defect(h):
     """max |h - h^dag| of each (..., n, n) entry."""
     h = as_stack(h)
     return np.abs(h - dagger(h)).max(axis=(-2, -1))
-
-
-def hermitian_eig(h, tol: float | None = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix; eigenvalues ascending.
-
-    Rejects inputs whose asymmetry exceeds the Hermiticity tolerance, reporting
-    the measured defect.
-    """
-    h = as_matrix(h)
-    tol = tolerances.herm if tol is None else tol
-    defect = float(hermiticity_defect(h))
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: max |h - h^dag| = {defect:.3e}")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
-    return w, v
 
 
 def psd_sqrt(h) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import dagger, unit_factor
-from .quantum import DensityMatrix, PureState, Unitary
+from .quantum import DensityMatrix, Unitary
 
 
 def ginibre_trials(
@@ -65,11 +65,6 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> Unitary:
     return Unitary(haar_from_ginibre(_ginibre(rng, dim)))
 
 
-def random_pure(rng: np.random.Generator, dim: int) -> PureState:
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState(z / np.linalg.norm(z))
-
-
 def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
     """Full-rank random density matrix from a normalized Ginibre product; a
     density matrix by construction, so it takes the trusted path, carrying
@@ -77,17 +72,3 @@ def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
     sweep draws it."""
     z = _ginibre(rng, dim)
     return DensityMatrix._trusted(density_from_ginibre(z), factor=unit_factor(z))
-
-
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    z = _ginibre(rng, dim)
-    return (z + z.conj().T) / 2
-
-
-def random_kraus_channel(rng: np.random.Generator, dim: int, n_kraus: int = 2):
-    """Random trace-preserving channel as a list of Kraus operators.
-
-    Built from the first block column of a Haar unitary on dim * n_kraus.
-    """
-    big = haar_unitary(rng, dim * n_kraus).mat
-    return [big[k * dim:(k + 1) * dim, :dim] for k in range(n_kraus)]

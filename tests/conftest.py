@@ -4,7 +4,7 @@ import pytest
 from ctcsim import linalg
 from ctcsim.engine import build_superoperator
 from ctcsim.quantum import Alphabet, PureState
-from ctcsim.sampling import random_pure
+from ctcsim.sampling import haar_unitary
 
 
 @pytest.fixture
@@ -37,6 +37,46 @@ def svd_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recorded)
     return calls
+
+
+def kron_all(*mats) -> np.ndarray:
+    """Left-to-right Kronecker product of any number of square matrices."""
+    out = np.array([[1.0 + 0j]])
+    for m in mats:
+        out = linalg.kron(out, linalg.as_matrix(m))
+    return out
+
+
+def hermitian_eig(h):
+    """Eigendecomposition of a Hermitian matrix; eigenvalues ascending.
+
+    Rejects inputs whose asymmetry exceeds the Hermiticity tolerance, reporting
+    the measured defect.
+    """
+    h = linalg.as_matrix(h)
+    defect = float(linalg.hermiticity_defect(h))
+    if defect > linalg.tolerances.herm:
+        raise ValueError(f"matrix is not Hermitian: max |h - h^dag| = {defect:.3e}")
+    return np.linalg.eigh((h + h.conj().T) / 2)
+
+
+def random_pure(rng, dim: int) -> PureState:
+    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return PureState(z / np.linalg.norm(z))
+
+
+def random_hermitian(rng, dim: int) -> np.ndarray:
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (z + z.conj().T) / 2
+
+
+def random_kraus_channel(rng, dim: int, n_kraus: int = 2):
+    """Random trace-preserving channel as a list of Kraus operators.
+
+    Built from the first block column of a Haar unitary on dim * n_kraus.
+    """
+    big = haar_unitary(rng, dim * n_kraus).mat
+    return [big[k * dim:(k + 1) * dim, :dim] for k in range(n_kraus)]
 
 
 def zero_plus_alphabet() -> Alphabet:

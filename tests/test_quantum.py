@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_alphabet
+from conftest import kron_all, random_alphabet, random_pure
 from ctcsim import linalg
-from ctcsim.sampling import haar_unitary, random_density, random_pure
+from ctcsim.sampling import haar_unitary, random_density
 from ctcsim.cloning import build_mixed_cloner, build_pure_cloner, make_problem
 from ctcsim.engine import DeutschProblem, solve_fixed_point
 from ctcsim.nosignal import apply_spectator_channel
@@ -65,7 +65,7 @@ def oracle_select(layout, ctrl, tgt, family, adjoint=False):
     for k, u in enumerate(family):
         parts = {ctrl: np.diag(np.eye(layout.dim(ctrl))[k]),
                  tgt: u.mat.conj().T if adjoint else u.mat}
-        total = total + linalg.kron_all(
+        total = total + kron_all(
             *(parts.get(name, np.eye(dim)) for name, dim in layout.registers))
     return total
 
@@ -387,7 +387,7 @@ class TestStates:
             parts.append(random_pure(rng, dims[-2] * dims[-1]).density().with_dims(dims[-2:]))
         rho = DensityMatrix.product(parts, order)
         oracle = linalg.permute_registers(
-            linalg.kron_all(*(p.mat for p in parts)), dims, order)
+            kron_all(*(p.mat for p in parts)), dims, order)
         assert rho.dims == tuple(dims[i] for i in order)
         assert np.max(np.abs(rho.mat - oracle)) <= 1e-15
         assert np.array_equal(rho.factor @ rho.factor.conj().T, rho.mat)
@@ -511,7 +511,6 @@ class TestBasisMapper:
         assert np.max(np.abs(img.imag)) <= 1e-12
 
     def test_random_states(self, rng):
-        from ctcsim.sampling import random_pure
         for _ in range(25):
             n = int(rng.integers(2, 5))
             j = int(rng.integers(0, n))
