@@ -215,8 +215,11 @@ def cmd_run(args) -> int:
         )
         return 2
     marginals = {}
-    if args.trace_out:
+    if args.trace_out is not None:
         keep_names = [n for n in args.trace_out.split(",") if n]
+        if not keep_names:
+            print("error: --trace-out names no register", file=sys.stderr)
+            return 1
         cr_names = [n for n, _ in problem.layout.registers[:-1]]
         for i, name in enumerate(keep_names):
             if name not in cr_names:

@@ -46,6 +46,14 @@ apply each member's blocks as one (n * d, d) column times the d x d
 operator or factor, one product instead of n batched d x d ones, and a
 stack of one rank group skips the zero-filled padding.
 
+The visible output takes only live rows. Entry (a, c) of E E^dag sums over
+the k at which both K_(k,a) and K_(k,c) are live, so the CR output rows
+fall into groups that share no live k, entries across groups are exactly
+zero, and each group's Gram matrix runs over the k live in it, in k order,
+padded with exact zeros. The mixed cloner's rows each have one live block
+of N, in N groups of N rows: at N = 7 the Gram product takes 7 x 49 rows
+instead of 49 x 343. With every block live, E is all of them.
+
 ``solve_stack`` builds the (B, d^2, d^2) superoperators and solves them
 together into ``FixedPoints`` (CTC states and their factors (B, d, d),
 residuals and multiplicities (B,)); ``output_stack`` gives the
@@ -59,26 +67,35 @@ The canonical fixed point is P1(I/d): the projection of the maximally
 mixed state onto the fixed space of the induced map along its other
 eigenspaces, which is the limit of the averaged iteration
 rho -> (rho + M(rho)) / 2 from I/d even where plain iteration cycles
-(Deutsch 1991). The multiplicity m, the dimension of the fixed space, is the
-number of singular values of S - I (a values-only SVD) at most
-``tolerances.eig_one_window`` (or ``_SVD_FLOOR`` times the largest, its
-rounding level). For m = 1, P1(I/d) is the one unit-trace solution of
-(S - I) x = 0, taken from one LU of [[S - I, vec(I)], [vec(I)^dag, 0]]
-(Stewart 1994, ch. 2); so is m = 0, which the default window gives when a
+(Deutsch 1991). The solve runs in real arithmetic. The induced map
+preserves Hermiticity, so in the orthonormal Hermitian basis
+{E_aa, (E_ab + E_ba)/sqrt2, i(E_ab - E_ba)/sqrt2} its matrix R = T S T^dag
+is real (Wolf 2012, *Quantum Channels & Operations*, ch. 1 and 6); T maps
+row-major vec(X) to the coordinates, and R comes from the Gram matrix of
+the live blocks, whose entries are those of S, by one cached index gather
+per d. T is unitary, so R - I has the singular values of S - I, and the
+multiplicity m, the dimension of the fixed space, is the number of them
+(a values-only SVD of R - I) at most ``tolerances.eig_one_window`` (or
+``_SVD_FLOOR`` times the largest, its rounding level). For m = 1, P1(I/d)
+is the one unit-trace solution of (R - I) x = 0, taken from one LU of
+[[R - I, t], [t^T, 0]] with t = T vec(I), which is 1 at the d diagonal
+coordinates (Stewart 1994, *Introduction to the Numerical Solution of
+Markov Chains*, ch. 2); so is m = 0, which the default window gives when a
 map is not trace preserving to its resolution: the product of a long
 circuit's gates, each within its check, can drift that far, as in a circuit
 of 400 Hadamards written to 10 digits. A member with m > 1 takes a full
-SVD S - I = U Sigma V^dag of its own, and its fixed point is
-R (L^dag R)^-1 L^dag vec(I/d), the columns of R and L being the last m
-right and left singular vectors, which span the fixed space of S and that
-of its adjoint.
+SVD R - I = U Sigma V^T of its own, and its fixed point is
+Q (L^T Q)^-1 L^T T vec(I/d), the columns of Q and L being the last m
+right and left singular vectors, which span the fixed space of R and that
+of its transpose. The state is T^dag x, Hermitian by construction.
+``build_superoperator`` still returns the complex S.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -241,12 +258,65 @@ def _residuals(k: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return linalg.trace_distance(_maps(k, rho), rho)
 
 
-def _superoperators(k: np.ndarray) -> np.ndarray:
-    """Row-major-vec linearizations S = sum_K K x conj(K), (B, d^2, d^2)."""
+def _gram(x: np.ndarray) -> np.ndarray:
+    """x x^dag of each (..., m, w) entry: the one Gram product of the
+    superoperator and of the visible output."""
+    return x @ linalg.dagger(x)
+
+
+def _kraus_gram(k: np.ndarray) -> np.ndarray:
+    """The entries of each member's superoperator, (B, d^2, d^2): G[(a, c),
+    (b, e)] = sum_K K[a, c] conj(K[b, e]), which is S[(a, b), (c, e)]."""
     b, n, d, _ = k.shape
-    flat = k.reshape(b, n, d * d)
-    s = flat.swapaxes(1, 2) @ flat.conj()  # indices (a, b), (c, e)
-    return s.reshape(b, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(b, d * d, d * d)
+    return _gram(k.reshape(b, n, d * d).swapaxes(1, 2))
+
+
+@lru_cache(maxsize=16)
+def _hermitian_basis(d: int):
+    """The orthonormal Hermitian basis of d x d matrices, as gathers. The
+    coordinates x = T vec(X) of row-major vec(X) are x[a, a] = X_aa and, for
+    a < b, x[a, b] = sqrt2 Re X_ab and x[b, a] = sqrt2 Im X_ab: the
+    coefficients of E_aa, (E_ab + E_ba)/sqrt2 and i(E_ab - E_ba)/sqrt2.
+
+    Returns (index, weight) and (back, scale). Row p of T is
+    alpha_p e_(a,b) + conj(alpha_p) e_(b,a) for its pair a <= b, alpha_p
+    being 1/2, 1/sqrt2 or -i/sqrt2, so R = T S T^dag has
+    R[p, q] = 2 Re(alpha_p conj(alpha_q) S[(a,b), (c,e)]
+    + alpha_p alpha_q S[(a,b), (e,c)]). Each coefficient is real or
+    imaginary, so R is sum_j weight[j] * f[index[j]] over the flat float view
+    f of the entries of S, with weights +-1/2, +-1/sqrt2 or +-1, exactly.
+    T^dag x has the float view scale * x[back]: X_ab and X_ba take
+    x[a, b] / sqrt2 as real part and +-x[b, a] / sqrt2 as imaginary part, so
+    it is Hermitian exactly."""
+    i, j = np.divmod(np.arange(d * d), d)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    diagonal = i == j
+    phase = np.where(i > j, -1j, 1)  # alpha_p over its magnitude
+    a, b = lo[:, None], hi[:, None]  # the pair of coordinate p (rows of R)
+    c, e = lo[None, :], hi[None, :]  # and of coordinate q (columns)
+    entry = np.stack([(a * d + c) * d * d + b * d + e,    # S[(a,b), (c,e)]
+                      (a * d + e) * d * d + b * d + c])   # S[(a,b), (e,c)]
+    coefficient = np.stack([phase[:, None] * phase.conj()[None, :],
+                            phase[:, None] * phase[None, :]])
+    imaginary = coefficient.imag != 0
+    ndiag = diagonal[:, None].astype(int) + diagonal[None, :]
+    magnitude = np.array([1.0, np.sqrt(0.5), 0.5])[ndiag]
+    index = 2 * entry + imaginary  # float view: real part, then imaginary
+    weight = magnitude * np.where(imaginary, -coefficient.imag, coefficient.real)
+    re = np.where(diagonal, 1.0, np.sqrt(0.5))
+    im = np.where(diagonal, 0.0, np.where(i < j, re, -re))
+    back = np.stack([lo * d + hi, hi * d + lo], axis=1).reshape(-1)
+    return (index, weight), (back, np.stack([re, im], axis=1).reshape(-1))
+
+
+def _real_forms(g: np.ndarray) -> np.ndarray:
+    """R = T S T^dag of each member, (B, d^2, d^2) float, from the entries
+    ``_kraus_gram`` gives: real, because the induced map preserves
+    Hermiticity (Wolf 2012, ch. 1)."""
+    b, n, _ = g.shape
+    (index, weight), _ = _hermitian_basis(math.isqrt(n))
+    f = g.reshape(b, -1).view(np.float64)
+    return (f.take(index, axis=1) * weight).sum(axis=1)
 
 
 def deutsch_map(problem: DeutschProblem, rho_ctc: DensityMatrix) -> DensityMatrix:
@@ -260,19 +330,63 @@ def deutsch_map(problem: DeutschProblem, rho_ctc: DensityMatrix) -> DensityMatri
     return DensityMatrix._trusted(out[0])
 
 
+@lru_cache(maxsize=64)
+def _row_groups(live: bytes, r: int, cr_dim: int):
+    """The rows of E in groups that share no live Kraus column, for the
+    (r, D_cr) mask ``live`` of the blocks K_(k,a) nonzero in some member:
+    rows a and c that are both live at some k are in one group, and entry
+    (a, c) of the output is exactly zero across groups.
+
+    Returns (blocks, dest, src). ``blocks`` (G, R, C) holds, for row i and
+    column j of group g, the flat index k * D_cr + a of its block: the rows
+    and the k live in the group, in order, padded with a dead block.
+    ``dest`` and ``src`` place entry (i, j) of group g's Gram matrix at
+    entry (a, c) of the flat output."""
+    live = np.frombuffer(live, dtype=bool).reshape(r, cr_dim)
+    owner = np.arange(r)  # each k's group, merged through the rows they share
+    for a in range(cr_dim):
+        ks = owner[live[:, a]]
+        if ks.size:
+            owner[np.isin(owner, ks)] = ks.min()
+    used = live.any(axis=1)
+    groups = [np.flatnonzero(used & (owner == g)) for g in np.unique(owner[used])]
+    groups = [(np.flatnonzero(live[ks].any(axis=0)), ks) for ks in groups]
+    width = max(len(rows) for rows, _ in groups)
+    dead = int(np.argmin(live.reshape(-1)))
+    blocks = np.full((len(groups), width, max(len(ks) for _, ks in groups)), dead)
+    dest, src = [], []
+    for g, (rows, ks) in enumerate(groups):
+        blocks[g, :len(rows), :len(ks)] = ks * cr_dim + rows[:, None]
+        i, j = np.divmod(np.arange(len(rows) ** 2), len(rows))
+        dest.append(rows[i] * cr_dim + rows[j])
+        src.append((g * width + i) * width + j)
+    return blocks, np.concatenate(dest), np.concatenate(src)
+
+
 def output_stack(k: np.ndarray, factor: np.ndarray, cr_dim: int) -> np.ndarray:
     """Visible outputs of a stack, (B, D_cr, D_cr): trace the CTC register
     out of each member's evolved joint state, formed as the Gram matrix
     E E^dag of E = blocks V for the (B, d, r) factors V V^dag = rho_CTC, so
     each output is PSD by construction."""
-    # every block times V in one (n * d, d) product; kv[b, k, a] is
-    # K_(k,a) V, row a of E holds those products over every k, and entry
-    # (a, c) of the output is the product of rows a and c. The solve's V has
-    # full width d, so no member's products depend on the others in its stack.
+    # row a of E holds the products K_(k,a) V over every k, and entry (a, c)
+    # of the output is the product of rows a and c: with every block live,
+    # E is every block times V in one (n * d, d) product. Rows that share no
+    # live k give exactly zero, so otherwise each group of rows
+    # (``_row_groups``) takes its own Gram matrix over the k live in it. The
+    # solve's V has full width d, so no member's products depend on the
+    # others in its stack.
     b, n, d, _ = k.shape
-    kv = (k.reshape(b, n * d, d) @ factor).reshape(b, -1, cr_dim, d, d)
-    e = kv.transpose(0, 2, 1, 3, 4).reshape(b, cr_dim, -1)
-    return linalg.unit_trace_hermitian(e @ linalg.dagger(e))
+    live = k.any(axis=(0, 2, 3))
+    if live.all():
+        kv = (k.reshape(b, n * d, d) @ factor).reshape(b, -1, cr_dim, d, d)
+        return linalg.unit_trace_hermitian(
+            _gram(kv.transpose(0, 2, 1, 3, 4).reshape(b, cr_dim, -1)))
+    blocks, dest, src = _row_groups(live.tobytes(), n // cr_dim, cr_dim)
+    kv = k[:, blocks.reshape(-1)].reshape(b, -1, d) @ factor
+    gram = _gram(kv.reshape((b,) + blocks.shape[:2] + (blocks.shape[2] * d * d,)))
+    out = np.zeros((b, cr_dim * cr_dim), dtype=complex)
+    out[:, dest] = gram.reshape(b, -1)[:, src]
+    return linalg.unit_trace_hermitian(out.reshape(b, cr_dim, cr_dim))
 
 
 def output_state(problem: DeutschProblem, rho_ctc: DensityMatrix) -> DensityMatrix:
@@ -291,45 +405,51 @@ def output_state(problem: DeutschProblem, rho_ctc: DensityMatrix) -> DensityMatr
 def build_superoperator(problem: DeutschProblem) -> np.ndarray:
     """Row-major-vec linearization of the CTC map: vec(M(rho)) = S vec(rho),
     with S = sum_K K x conj(K)."""
-    return _superoperators(problem.kraus[None])[0]
+    d = problem.ctc_dim
+    g = _kraus_gram(problem.kraus[None])[0]  # indices (a, c), (b, e)
+    return g.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def solve_stack(kraus: np.ndarray) -> FixedPoints:
     """The canonical fixed point P1(I/d) of each member of a (B, n, d, d)
-    Kraus stack and its full-width factor, solved together: one bordered LU
-    for a member with multiplicity 1 (or 0), a full SVD for one with more.
-    Raises ``linalg.StackError`` naming the first member whose candidate is
-    traceless or not PSD."""
+    Kraus stack and its full-width factor, solved together in real
+    arithmetic: one bordered LU for a member with multiplicity 1 (or 0), a
+    full SVD for one with more. Raises ``linalg.StackError`` naming the
+    first member whose candidate is traceless or not PSD."""
     b, d = kraus.shape[0], kraus.shape[-1]
     n = d * d
     # a block that is zero in every member adds nothing to S or the residual
-    live = np.any(kraus != 0, axis=(0, 2, 3))
+    live = kraus.any(axis=(0, 2, 3))
     if not live.all():
         kraus = kraus[:, live]
-    a = _superoperators(kraus) - np.eye(n)
-    # singular values count the fixed points robustly for a non-normal S
+    a = _real_forms(_kraus_gram(kraus)) - np.eye(n)
+    # singular values count the fixed points robustly for a non-normal S;
+    # R - I = T (S - I) T^dag has those of S - I, T being unitary
     sv = np.linalg.svd(a, compute_uv=False)
     window = np.maximum(linalg.tolerances.eig_one_window, sv[:, :1] * _SVD_FLOOR)
     multiplicity = np.sum(sv <= window, axis=1)
-    candidate = np.empty((b, n), dtype=complex)
+    x = np.empty((b, n))
     one = multiplicity <= 1
-    # vec(I)^dag (S - I) = 0 by trace preservation, so the bordered matrix is
-    # nonsingular exactly for one fixed point; x[:n] is it, at unit trace
-    bordered = np.zeros((np.count_nonzero(one), n + 1, n + 1), dtype=complex)
+    # t^T (R - I) = 0 for t = T vec(I) by trace preservation, so the bordered
+    # matrix is nonsingular exactly for one fixed point; x[:n] is it, at unit
+    # trace
+    bordered = np.zeros((np.count_nonzero(one), n + 1, n + 1))
     bordered[:, :n, :n] = a[one]
-    bordered[:, :n:d + 1, n] = bordered[:, n, :n:d + 1] = 1  # vec(I) is 1 at i * (d + 1)
+    bordered[:, :n:d + 1, n] = bordered[:, n, :n:d + 1] = 1  # t is 1 at i * (d + 1)
     # e_last as a (1, n + 1, 1) column: numpy 1 and 2 both read a right-hand
     # side with the stack's ndim as matrices, where they differ on fewer axes
-    candidate[one] = np.linalg.solve(bordered, np.eye(n + 1)[None, :, n:])[:, :n, 0]
-    seed = (np.eye(d, dtype=complex) / d).reshape(-1)
+    x[one] = np.linalg.solve(bordered, np.eye(n + 1)[None, :, n:])[:, :n, 0]
+    seed = np.eye(d).reshape(-1) / d  # T vec(I/d)
     for i in np.flatnonzero(~one):
         u, _, vh = np.linalg.svd(a[i])
         m = multiplicity[i]
-        right = vh[-m:].conj().T  # columns span the fixed space of S (last m)
-        left_h = u[:, -m:].conj().T  # rows span that of S^dag
-        candidate[i] = right @ np.linalg.solve(left_h @ right, left_h @ seed)
-    candidate = candidate.reshape(b, d, d)
-    tr = np.trace(candidate, axis1=1, axis2=2)
+        right = vh[-m:].T  # columns span the fixed space of R (last m)
+        left_h = u[:, -m:].T  # rows span that of R^T
+        x[i] = right @ np.linalg.solve(left_h @ right, left_h @ seed)
+    # the candidate T^dag x, Hermitian by construction
+    _, (back, scale) = _hermitian_basis(d)
+    candidate = (x.take(back, axis=1) * scale).view(complex).reshape(b, d, d)
+    tr = x[:, ::d + 1].sum(axis=1)
     linalg.reject((np.abs(tr) < _TRACELESS, np.abs(tr),
                    "eigensolver produced a traceless fixed-point candidate"))
     # the one clamp: rho's factor, scaled to unit trace

@@ -118,6 +118,13 @@ class TestRun:
         assert captured.out == ""
         assert captured.err == "error: register 'A' named twice\n"
 
+    @pytest.mark.parametrize("keep", [",", ",,", ""])
+    def test_trace_out_naming_no_register_is_one_line_error(self, keep, tmp_path, capsys):
+        assert main(["run", write_circuit(tmp_path), "--trace-out", keep]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --trace-out names no register\n"
+
     def test_csv_format_flattens_scalars(self, tmp_path, capsys):
         code = main(["run", write_circuit(tmp_path), "--format", "csv"])
         assert code == 0

@@ -130,6 +130,32 @@ def cycling_problem():
     return DeutschProblem(layout, Unitary(perm), PureState.basis(2, 0).density())
 
 
+def hermitian_basis(d):
+    """(T1, diagonal) with T = scale T1 the map from row-major vec(X) to the
+    coordinates of X on the orthonormal Hermitian basis: E_aa at position
+    (a, a), (E_ab + E_ba)/sqrt2 at (a, b) and i(E_ab - E_ba)/sqrt2 at (b, a),
+    for a < b. T1 has entries 0, 1 and +-i; the scale of a row is 1 where
+    ``diagonal`` marks it, else 1/sqrt2."""
+    t1 = np.zeros((d, d, d, d), dtype=complex)  # coordinate (a, b), entry (i, j)
+    for a in range(d):
+        t1[a, a, a, a] = 1
+        for b in range(a + 1, d):
+            t1[a, b, a, b] = t1[a, b, b, a] = 1  # conj of the basis element
+            t1[b, a, a, b], t1[b, a, b, a] = -1j, 1j
+    return t1.reshape(d * d, d * d), np.eye(d, dtype=bool).reshape(-1)
+
+
+def real_form(s):
+    """T S T^dag of a Hermiticity-preserving S, whose imaginary part must
+    vanish. T1 S T1^dag is exact for an integer-valued S, and each product
+    of two row scales is 1, 1/sqrt2 or 1/2 exactly, so the result is too."""
+    t1, diagonal = hermitian_basis(int(np.sqrt(s.shape[0])))
+    r = t1 @ s @ t1.conj().T
+    assert np.max(np.abs(r.imag)) <= 1e-13 * max(1.0, np.max(np.abs(r)))
+    ndiag = np.add.outer(diagonal.astype(int), diagonal.astype(int))
+    return r.real * np.array([0.5, np.sqrt(0.5), 1.0])[ndiag]
+
+
 def multiplicity_four_problem(rng):
     # CR qubit in |0>, CTC qutrit, permutation swapping |0,2> and |1,0>
     layout = Layout((("CR", 2), ("CTC", 3)), ctc_index=1)
@@ -505,13 +531,13 @@ def test_stack_of_different_live_blocks_equals_single_solves(kind, rng):
 def test_mixed_cloner_superoperator_takes_only_live_blocks(n, rng, monkeypatch):
     # a rank-n diagonal target gives n^3 Kraus blocks, of which the n^2
     # nonzero ones form S and the residual
-    seen, real = [], engine._superoperators
+    seen, real = [], engine._kraus_gram
 
     def recorded(k):
         seen.append(k.shape)
         return real(k)
 
-    monkeypatch.setattr(engine, "_superoperators", recorded)
+    monkeypatch.setattr(engine, "_kraus_gram", recorded)
     target = DensityMatrix(np.diag(rng.dirichlet(np.ones(n)) + 0j))
     problem = make_problem(build_mixed_cloner(n), target)
     assert problem.kraus.shape == (n ** 3, n, n)
@@ -545,7 +571,8 @@ def test_stack_makes_a_full_svd_only_for_its_multiple_member(rng, svd_calls):
     assert fps.multiplicity.tolist() == [1, 4, 1]
     full = [m for compute_uv, m in svd_calls if compute_uv]
     assert len(full) == 1
-    assert np.array_equal(full[0], build_superoperator(repro) - np.eye(9))
+    assert full[0].dtype == np.float64
+    assert np.array_equal(full[0], real_form(build_superoperator(repro) - np.eye(9)))
 
 
 def test_solves_read_alike_in_numpy_1_and_2(rng, monkeypatch):
@@ -594,3 +621,107 @@ def test_stack_error_names_the_member(rng):
     bad.mat[:] *= 1.1
     with pytest.raises(ValueError, match="^induced map is not trace preserving"):
         DeutschProblem(layout, bad, crs[0]).kraus
+
+
+def real_form_cases(rng):
+    """(layout, interaction, CR input factor stack, member problems): Haar
+    stacks with d = 2..5 and both cloners with N = 2..6."""
+    cases = []
+    for d in range(2, 6):
+        layout = Layout((("CR", 3), ("CTC", d)), ctc_index=1)
+        us = [haar_unitary(rng, 3 * d) for _ in range(3)]
+        crs = [random_density(rng, 3) for _ in range(3)]
+        cases.append((layout, np.stack([u.mat for u in us]),
+                      factor_stack([cr.factor for cr in crs]),
+                      [DeutschProblem(layout, u, cr) for u, cr in zip(us, crs)]))
+    for n in range(2, 7):
+        for problem in (pure_cloner_problem(rng, n), mixed_cloner_problem(rng, n)):
+            cases.append((problem.layout, problem.interaction,
+                          problem.cr_input.factor[None], [problem]))
+    return cases
+
+
+def test_solve_decomposes_the_real_form_with_the_singular_values_of_s(rng, svd_calls):
+    for layout, interaction, crs, problems in real_form_cases(rng):
+        kraus = kraus_stack(layout, interaction, crs)
+        svd_calls.clear()
+        fps = solve_stack(kraus)
+        assert np.all(fps.multiplicity == 1)
+        [(compute_uv, a)] = svd_calls
+        assert not compute_uv and a.dtype == np.float64
+        for member, problem in zip(a, problems):
+            s = build_superoperator(problem) - np.eye(problem.ctc_dim ** 2)
+            reference = np.linalg.svd(s, compute_uv=False)
+            scale = max(1.0, reference[0])
+            assert np.max(np.abs(np.linalg.svd(member, compute_uv=False) - reference)) \
+                <= 1e-13 * scale
+            assert np.max(np.abs(member - real_form(s))) <= 1e-13 * scale
+
+
+def test_fixed_point_candidates_are_hermitian_by_construction(rng, monkeypatch):
+    seen, real = [], linalg.psd_factor
+
+    def recorded(h):
+        seen.append(h)
+        return real(h)
+
+    monkeypatch.setattr(linalg, "psd_factor", recorded)
+    repro = multiplicity_four_problem(rng)
+    unitaries = np.stack([haar_unitary(rng, 6).mat, repro.interaction.mat])
+    crs = factor_stack([random_density(rng, 2).factor, repro.cr_input.factor])
+    assert solve_stack(kraus_stack(repro.layout, unitaries, crs)).multiplicity.tolist() == [1, 4]
+    cases = real_form_cases(rng)
+    for layout, interaction, crs, _ in cases:
+        solve_stack(kraus_stack(layout, interaction, crs))
+    assert len(seen) == 1 + len(cases)
+    for h in seen:
+        assert np.max(np.abs(h - linalg.dagger(h))) == 0
+
+
+def full_block_output(kraus, factor, cr_dim):
+    """The visible output from every Kraus block: E = [K_(k,a) V for every
+    k] in each row a, and E E^dag at unit trace."""
+    b, n, d, _ = kraus.shape
+    kv = (kraus.reshape(b, n * d, d) @ factor).reshape(b, -1, cr_dim, d, d)
+    e = kv.transpose(0, 2, 1, 3, 4).reshape(b, cr_dim, -1)
+    return linalg.unit_trace_hermitian(e @ linalg.dagger(e))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_mixed_cloner_output_takes_only_live_rows(n, rng, monkeypatch):
+    # each CR output row of the mixed cloner has one live block of n: the
+    # Gram product sees rows n^2 wide, and reads the full-block output's bits
+    cloner = build_mixed_cloner(n)
+    targets = [DensityMatrix(np.diag(rng.dirichlet(np.ones(n)) + 0j)) for _ in range(2)]
+    factors = [make_problem(cloner, t).cr_input.factor for t in targets]
+    widths, real = [], engine._gram
+
+    def recorded(x):
+        widths.append(x.shape[-1])
+        return real(x)
+
+    stacks = [(f[None], [t]) for f, t in zip(factors, targets)]
+    for crs, members in stacks + [(factor_stack(factors), targets)]:
+        kraus = kraus_stack(cloner.layout, cloner.total, crs)
+        factor = solve_stack(kraus).factor
+        monkeypatch.setattr(engine, "_gram", recorded)
+        out = output_stack(kraus, factor, n * n)
+        monkeypatch.setattr(engine, "_gram", real)
+        assert np.array_equal(out, full_block_output(kraus, factor, n * n))
+        for o, t in zip(out, members):
+            assert linalg.trace_distance(o, linalg.kron(t.mat, t.mat)) <= 1e-10
+    # a stack of one keeps one block per row; members whose factors order
+    # the target's eigenvectors differently share rows at more blocks
+    assert widths[:2] == [n * n, n * n] and n * n <= widths[2] <= n ** 3
+
+
+def test_rows_that_share_no_live_block_give_zero(rng):
+    # with U = I and a diagonal CR input, row a is live only at k = a: a
+    # product of rows 0 and 1 across different k would put a coherence
+    # between them, where the output is the CR input
+    probs = np.array([0.3, 0.7])
+    problem = two_register_problem(Unitary(np.eye(4, dtype=complex)),
+                                   DensityMatrix(np.diag(probs + 0j)))
+    out, _ = evolve(problem)
+    assert out.mat[0, 1] == 0 and out.mat[1, 0] == 0
+    assert np.max(np.abs(out.mat - np.diag(probs))) <= 1e-15
