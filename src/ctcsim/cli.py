@@ -190,7 +190,7 @@ def cmd_run(args) -> int:
     # the environment is read per call: the parser is built once per process
     tol = _default_tol() if args.tol is None else _positive_tol(args.tol, "--tol")
     try:
-        text = Path(args.circuit).read_text(encoding="utf-8")
+        text = Path(args.circuit).read_text(encoding="utf-8-sig")
     except OSError as exc:
         print(f"error: cannot read {args.circuit}: {exc}", file=sys.stderr)
         return 3
@@ -503,13 +503,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # a ValueError that escapes a command (a malformed CTCSIM_DEFAULT_TOL
-    # among them) is a usage or solver error: one line and exit 2, never a
-    # traceback
+    # among them) is a usage or solver error, and so is a MemoryError (a
+    # problem too large to solve): one line and exit 2, never a traceback
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:  # numpy's MemoryError names the array
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

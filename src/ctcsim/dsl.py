@@ -53,6 +53,8 @@ _COMPLEX_RE = re.compile(
 )
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _TOKEN_RE = re.compile(r"[:;]|[^\s:;]+")
+# a matrix file token: a complex literal's two parts, or the token if it is none
+_ENTRY_RE = re.compile(rf"([+-]?{_FLOAT})(?:([+-]{_FLOAT})i)?(?=[\s;]|$)|([^\s;]+)")
 
 INPUT_NORM_TOL = 1e-6  # max |norm - 1| of a pure input line's amplitudes
 # a pure line nearer unit norm is not divided by its norm, so that
@@ -125,21 +127,21 @@ def _select_line(layout, g, family):
     if len(family) != layout.dim(g.regs[0]):
         raise ValueError(f"{g.file}: select family size {len(family)} does not match "
                          f"control dim {layout.dim(g.regs[0])}")
-    return select_gate(layout, g.regs[0], g.regs[1], family)
+    return select_gate.local(layout, g.regs[0], g.regs[1], family)
 
 
 def _unitary_line(layout, g, family):
     """A unitary line: the one matrix of its file on its register."""
     if len(family) != 1:
         raise ValueError(f"{g.file}: expected a single matrix")
-    return embed_on_registers(layout, g.regs, Unitary._trusted(family.blocks[0]))
+    return embed_on_registers.local(layout, g.regs, Unitary._trusted(family.blocks[0]))
 
 
 class GateKind(NamedTuple):
     """A gate kind's operands, its registers as the usage hint names them and
-    then a ``@<file>`` when ``file``, and its builder of a line's ``GateList``:
-    ``build(layout, *regs)``, or ``build(layout, decl, family)`` with the file's
-    ``Select`` stack (its adjoint when ``adjoint``)."""
+    then a ``@<file>`` when ``file``, and its builder of a line's local gate
+    (registers, gate): ``build(layout, *regs)``, or ``build(layout, decl,
+    family)`` with the file's ``Select`` stack (its adjoint when ``adjoint``)."""
 
     regs: tuple
     build: Callable
@@ -148,8 +150,8 @@ class GateKind(NamedTuple):
 
 
 GATE_KINDS = {
-    "swap": GateKind(("r1", "r2"), swap_gate),
-    "csum": GateKind(("r1", "r2"), csum_gate),
+    "swap": GateKind(("r1", "r2"), swap_gate.local),
+    "csum": GateKind(("r1", "r2"), csum_gate.local),
     "select": GateKind(("ctrl", "tgt"), _select_line, file=True),
     "select_adj": GateKind(("ctrl", "tgt"), _select_line, file=True, adjoint=True),
     "unitary": GateKind(("reg",), _unitary_line, file=True),
@@ -188,9 +190,13 @@ class _LineParser:
         self.errors.append(ParseError(line, col, message, expected))
 
     def parse_line(self, lineno, raw):
-        # (text, 1-based column) pairs; ':' and ';' are standalone tokens
-        toks = [(m.group(0), m.start() + 1)
-                for m in _TOKEN_RE.finditer(raw.split("#", 1)[0])]
+        # (text, 1-based column) pairs; ':' and ';' are tokens of their own
+        line = raw.split("#", 1)[0]
+        texts = _TOKEN_RE.findall(line) if ":" in line or ";" in line else line.split()
+        toks, end = [], 0
+        for text in texts:
+            end = line.find(text, end) + len(text)
+            toks.append((text, end - len(text) + 1))
         if not toks:
             return
         head, col = toks[0]
@@ -368,36 +374,35 @@ def serialize(spec: CircuitSpec) -> str:
 
 def load_matrix_file(path) -> np.ndarray:
     """Read a ``matrix <side> <count>`` file into a complex (count, side,
-    side) array."""
-    text = Path(path).read_text(encoding="utf-8")
-    body = []
-    header = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header is None:
-            parts = line.split()
-            if len(parts) != 3 or parts[0] != "matrix" or not parts[1].isdecimal() \
-                    or not parts[2].isdecimal():
-                raise ValueError(f"{path}: expected header 'matrix <side> <count>'")
-            header = (int(parts[1]), int(parts[2]))
-            if header[0] == 0:
-                raise ValueError(f"{path}: matrix side must be at least 1, got 0")
-            continue
-        body.extend(t for t in re.split(r"[\s;]+", line) if t)
-    if header is None:
+    side) array: one regex pass over the body and one float conversion, and
+    ``parse_complex`` to name the first bad literal of a failing file."""
+    lines = [raw.split("#", 1)[0]
+             for raw in Path(path).read_text(encoding="utf-8-sig").splitlines()]
+    start = next((i for i, line in enumerate(lines) if line.strip()), None)
+    if start is None:
         raise ValueError(f"{path}: empty matrix file")
-    side, count = header
-    if len(body) != side * side * count:
+    parts = lines[start].split()
+    if len(parts) != 3 or parts[0] != "matrix" or not parts[1].isdecimal() \
+            or not parts[2].isdecimal():
+        raise ValueError(f"{path}: expected header 'matrix <side> <count>'")
+    side, count = int(parts[1]), int(parts[2])
+    if side == 0:
+        raise ValueError(f"{path}: matrix side must be at least 1, got 0")
+    # (real, imaginary, "") for a literal, ("", "", token) for anything else
+    entries = _ENTRY_RE.findall("\n".join(lines[start + 1:]))
+    if len(entries) != side * side * count:
         raise ValueError(
-            f"{path}: expected {side * side * count} entries, got {len(body)}"
+            f"{path}: expected {side * side * count} entries, got {len(entries)}"
         )
-    try:
-        values = np.array([parse_complex(t) for t in body], dtype=complex)
+    if not any(bad for _, _, bad in entries):
+        values = np.array([x for r, i, _ in entries for x in (r, i or "0")], dtype=float)
+        if np.isfinite(values).all():
+            return values.view(complex).reshape(count, side, side)
+    try:  # a malformed or overflowing literal: parse_complex names the first
+        values = [parse_complex(b or r + (i and i + "i")) for r, i, b in entries]
+        return np.array(values, dtype=complex).reshape(count, side, side)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return values.reshape(count, side, side)
 
 
 def format_matrix_file(mats) -> str:
@@ -444,16 +449,16 @@ def lower(spec: CircuitSpec, base_dir=".") -> DeutschProblem:
             raise ValueError(f"{name}: {exc.message}") from None
 
     # long circuits repeat a few gate lines many times: build each distinct
-    # line once, and reuse its (immutable) gates
-    lowered = {}
-    gates = []
+    # line's local gate once and reuse it, so the list checks it once
+    lowered, gates = {}, []
     for g in spec.gates:
-        if g not in lowered:  # a GateDecl compares by kind, regs and file
+        gate = lowered.get(g)  # a GateDecl compares by kind, regs and file
+        if gate is None:
             kind = GATE_KINDS[g.kind]
             with _on_line("gate", g.span.line):
                 args = (g, family(g.file, kind.adjoint)) if kind.file else g.regs
-                lowered[g] = kind.build(layout, *args).gates
-        gates.extend(lowered[g])
+                gate = lowered[g] = kind.build(layout, *args)
+        gates.append(gate)
     interaction = GateList(layout, tuple(gates))
 
     # the CR input: each line a state of its own registers, validated once

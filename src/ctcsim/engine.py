@@ -9,12 +9,11 @@ factors any W gives the same map. Its Kraus operators are
 K_(k,a) = (<a| x I) U (|w_k> x I), one d x d block for each column w_k of W
 and each CR output basis state a. Only the r*d columns U (|w_k> x I) of the
 interaction enter; they come from pushing the input columns |w_k> x |c>
-through the interaction's local gates (``quantum.apply_local``: a dense
-product, an index gather or per-slice block products), so the engine forms
-no rho_CR x sigma, no D x D conjugation and no D_cr-sized eigh. The
-superoperator is S = sum K x conj(K), the map and the residual apply
-sum K X K^dag, and the visible output traces the CTC out of the same blocks
-applied to sigma.
+through the interaction's plan of gathers and block products
+(``GateList.apply``), so the engine forms no rho_CR x sigma, no D x D
+conjugation and no D_cr-sized eigh. The superoperator is S = sum K x conj(K),
+the map and the residual apply sum K X K^dag, and the visible output traces
+the CTC out of the same blocks applied to sigma.
 
 The visible output is a valid density matrix by construction, with no
 eigendecomposition and no clamping. The solve's clamp returns sigma with its
@@ -118,10 +117,8 @@ def _kraus_blocks(interaction, w, d: int) -> np.ndarray:
     inputs = np.zeros((b, cr_dim, d, r, d), dtype=complex)
     inputs[:, :, diag, :, diag] = w
     inputs = inputs.reshape(b, cr_dim * d, r * d)
-    if isinstance(interaction, GateList):
-        out = interaction.apply(inputs)
-    else:
-        out = interaction @ inputs
+    out = (interaction.apply(inputs) if isinstance(interaction, GateList)
+           else interaction @ inputs)
     return out.reshape(b, cr_dim, d, r, d).transpose(0, 3, 1, 2, 4)
 
 
@@ -215,6 +212,11 @@ class DeutschProblem:
         with linalg.single_entry():
             k = kraus_stack(self.layout, self.interaction, self.cr_input.factor[None])
         return k[0]
+
+    @cached_property
+    def live(self) -> np.ndarray:
+        """The mask of the nonzero blocks of ``kraus``, for the kernels."""
+        return self.kraus.any(axis=(1, 2))
 
 
 @dataclass
@@ -363,11 +365,12 @@ def _row_groups(live: bytes, r: int, cr_dim: int):
     return blocks, np.concatenate(dest), np.concatenate(src)
 
 
-def output_stack(k: np.ndarray, factor: np.ndarray, cr_dim: int) -> np.ndarray:
+def output_stack(k: np.ndarray, factor: np.ndarray, cr_dim: int, live=None) -> np.ndarray:
     """Visible outputs of a stack, (B, D_cr, D_cr): trace the CTC register
     out of each member's evolved joint state, formed as the Gram matrix
     E E^dag of E = blocks V for the (B, d, r) factors V V^dag = rho_CTC, so
-    each output is PSD by construction."""
+    each output is PSD by construction. ``live``: the (n,) mask of the blocks
+    nonzero in some member (default: from ``k``)."""
     # row a of E holds the products K_(k,a) V over every k, and entry (a, c)
     # of the output is the product of rows a and c: with every block live,
     # E is every block times V in one (n * d, d) product. Rows that share no
@@ -376,7 +379,7 @@ def output_stack(k: np.ndarray, factor: np.ndarray, cr_dim: int) -> np.ndarray:
     # solve's V has full width d, so no member's products depend on the
     # others in its stack.
     b, n, d, _ = k.shape
-    live = k.any(axis=(0, 2, 3))
+    live = k.any(axis=(0, 2, 3)) if live is None else live
     if live.all():
         kv = (k.reshape(b, n * d, d) @ factor).reshape(b, -1, cr_dim, d, d)
         return linalg.unit_trace_hermitian(
@@ -396,9 +399,8 @@ def output_state(problem: DeutschProblem, rho_ctc: DensityMatrix) -> DensityMatr
             f"CTC state side {rho_ctc.side} does not match dim {problem.ctc_dim}"
         )
     with linalg.single_entry():
-        out = output_stack(
-            problem.kraus[None], rho_ctc.factor[None], problem.cr_input.side
-        )
+        out = output_stack(problem.kraus[None], rho_ctc.factor[None],
+                           problem.cr_input.side, problem.live)
     return DensityMatrix._trusted(out[0], problem.layout.cr_dims)
 
 
@@ -410,16 +412,17 @@ def build_superoperator(problem: DeutschProblem) -> np.ndarray:
     return g.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
-def solve_stack(kraus: np.ndarray) -> FixedPoints:
+def solve_stack(kraus: np.ndarray, live=None) -> FixedPoints:
     """The canonical fixed point P1(I/d) of each member of a (B, n, d, d)
     Kraus stack and its full-width factor, solved together in real
     arithmetic: one bordered LU for a member with multiplicity 1 (or 0), a
-    full SVD for one with more. Raises ``linalg.StackError`` naming the
-    first member whose candidate is traceless or not PSD."""
+    full SVD for one with more; ``live`` as in ``output_stack``. Raises
+    ``linalg.StackError`` naming the first member whose candidate is
+    traceless or not PSD."""
     b, d = kraus.shape[0], kraus.shape[-1]
     n = d * d
     # a block that is zero in every member adds nothing to S or the residual
-    live = kraus.any(axis=(0, 2, 3))
+    live = kraus.any(axis=(0, 2, 3)) if live is None else live
     if not live.all():
         kraus = kraus[:, live]
     a = _real_forms(_kraus_gram(kraus)) - np.eye(n)
@@ -461,7 +464,7 @@ def solve_stack(kraus: np.ndarray) -> FixedPoints:
 def solve_fixed_point(problem: DeutschProblem) -> FixedPointResult:
     """Find the canonical fixed point of the self-consistency condition."""
     with linalg.single_entry():
-        return solve_stack(problem.kraus[None])[0]
+        return solve_stack(problem.kraus[None], problem.live)[0]
 
 
 def evolve(problem: DeutschProblem) -> tuple[DensityMatrix, FixedPointResult]:

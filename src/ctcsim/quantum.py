@@ -17,18 +17,18 @@ is built:
   checked again.
 
 The gate constructors return a ``GateList``, the local gates of an
-interaction in application order on one ``Layout``; gate lists compose with
-``@``, and their register check is memoised per (layout, registers). One
-kernel, ``apply_local``, applies a local gate to a (..., dims..., m) tensor
-of m column vectors (a leading axis batches independent column sets): it
-moves the gate's registers to the front, lets the gate act on the
-(..., s, rest) view with its own ``apply`` (one s x s product, an index
-gather, or one nt x nt product per control slice), and moves them back, so
-no D x D matrix is formed. A batch member's products have the shapes they
-would have alone, so its bits do not depend on the batch. Each kind's dense
-matrix is built only on request (``.mat``), as is the dense interaction
-(``GateList.mat``: the kernel applied to the identity, checked by
-``Unitary``).
+interaction in application order on one ``Layout`` (their ``.local`` gives
+the bare pair); gate lists compose with ``@`` and check each distinct gate
+once. One kernel, ``GateList.apply``, pushes a (..., D, m) array of columns
+(leading axes batch independent column sets) through a plan the list
+compiles once: per gate, one gather of the rows that moves its registers in
+front, then its own product on the (..., s, rest) view (one s x s product,
+or one nt x nt product per control slice). A ``Permutation`` moves no data
+and folds into the next gather; a last gather restores layout order. No
+D x D matrix is formed, and a batch member's products have the shapes they
+would have alone, so its bits do not depend on the batch. Dense matrices
+are built only on request (``.mat``; ``GateList.mat`` is the plan applied
+to the identity, checked by ``Unitary``).
 
 Tensor convention: registers appear in declaration order, the CTC register
 (when present) last, and a basis state |i0, i1, ...> has flat index
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, reduce, wraps
 from typing import Sequence
 
 import numpy as np
@@ -303,10 +303,6 @@ class Unitary:
     def fits(self, dims: tuple) -> bool:
         return self.side == math.prod(dims)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """The gate on each column of a (..., side, m) array."""
-        return self.mat @ x
-
     def dagger(self) -> "Unitary":
         return Unitary._trusted(self.mat.conj().T)
 
@@ -330,10 +326,6 @@ class Permutation:
 
     def fits(self, dims: tuple) -> bool:
         return self.dims == dims
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """The gate on each column of a (..., side, m) array: a gather."""
-        return x[..., self.source, :]
 
     @cached_property
     def mat(self) -> np.ndarray:
@@ -380,12 +372,6 @@ class Select:
 
     def fits(self, dims: tuple) -> bool:
         return self.dims == dims
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """The gate on each column of a (..., side, m) array: one block
-        product per control slice."""
-        y = x.reshape(x.shape[:-2] + self.dims + x.shape[-1:])
-        return (self.blocks @ y).reshape(x.shape)
 
     @cached_property
     def mat(self) -> np.ndarray:
@@ -462,15 +448,14 @@ class Alphabet:
 
 
 @lru_cache(maxsize=256)
-def _gate_axes(layout: Layout, regs: tuple, ndim: int) -> tuple:
-    """For an (..., dims..., m) tensor of ``ndim`` axes: the number of
-    leading batch axes, the axis order that moves the registers ``regs``
-    ahead of the other register axes, and its inverse. Cached, because long
-    circuits apply the same few gates hundreds of times."""
-    lead = ndim - len(layout.registers) - 1
-    order = list(range(lead)) + [lead + layout.index(r) for r in regs]
-    order += [a for a in range(lead, ndim) if a not in order]
-    return lead, tuple(order), tuple(order.index(a) for a in range(ndim))
+def _front(layout: Layout, regs: tuple) -> tuple:
+    """The gather of rows ``index`` that moves the registers ``regs`` of a
+    (D, m) array in layout order in front, and its ``inverse``. Cached,
+    because long circuits apply the same few gates hundreds of times."""
+    order = [layout.index(r) for r in regs]
+    order += [a for a in range(len(layout.dims)) if a not in order]
+    index = np.arange(layout.total_dim).reshape(layout.dims).transpose(order).reshape(-1)
+    return index, np.argsort(index)
 
 
 @lru_cache(maxsize=1024)
@@ -484,17 +469,25 @@ def _gate_dims(layout: Layout, regs: tuple) -> tuple:
     return tuple(layout.dims[p] for p in positions)
 
 
-def apply_local(layout: Layout, gate, tensor: np.ndarray) -> np.ndarray:
-    """Apply one local gate, a pair (register names, gate on those registers
-    in that order), to a tensor of shape (..., dims..., m): move the named
-    axes to the front of the register axes, let the gate act on the
-    (..., side, rest) view, and move them back into their places. Leading
-    axes are a batch; each member gets its own products."""
-    regs, u = gate
-    lead, order, inverse = _gate_axes(layout, regs, tensor.ndim)
-    moved = tensor.transpose(order)
-    out = u.apply(moved.reshape(moved.shape[:lead] + (u.side, -1)))
-    return out.reshape(moved.shape).transpose(inverse)
+def _fitted(layout: Layout, regs: tuple, u) -> tuple:
+    """The local gate (regs, u), once ``u`` is checked to fit registers ``regs``."""
+    dims = _gate_dims(layout, regs)
+    if not u.fits(dims):
+        raise ValueError(f"gate of side {u.side} does not fit registers {list(regs)} "
+                         f"of dims {dims}")
+    return regs, u
+
+
+def _compiled(layout: Layout, regs: tuple, u) -> tuple:
+    """One local gate as (index, product, inverse): gathering rows ``index``
+    moves its registers in front for ``product`` (operand, shape), and
+    ``inverse`` moves them back. A ``Permutation`` is a gather alone."""
+    index, inverse = _front(layout, regs)
+    if isinstance(u, Permutation):
+        # in front order, row (g, o) takes the amplitude of row (source[g], o)
+        return index.reshape(u.side, -1)[u.source].reshape(-1)[inverse], None, None
+    product = (u.mat, (u.side, -1)) if isinstance(u, Unitary) else (u.blocks, u.dims + (-1,))
+    return index, product, inverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,25 +505,39 @@ class GateList:
 
     def __post_init__(self):
         gates = tuple((tuple(regs), u) for regs, u in self.gates)
-        for regs, u in gates:
-            dims = _gate_dims(self.layout, regs)
-            if not u.fits(dims):
-                raise ValueError(
-                    f"gate of side {u.side} does not fit registers {list(regs)} "
-                    f"of dims {dims}"
-                )
+        # a long circuit repeats a few gates: each distinct one is checked once
+        for regs, u in {(regs, id(u)): (regs, u) for regs, u in gates}.values():
+            _fitted(self.layout, regs, u)
         object.__setattr__(self, "gates", gates)
 
     @property
     def side(self) -> int:
         return self.layout.total_dim
 
+    @cached_property
+    def _plan(self) -> tuple:
+        """The gates compiled once into steps (rows, operand, shape), each a
+        gather of ``rows`` of the (..., D, m) array and one product with
+        ``operand`` at ``shape``, and a last gather into layout order. A run
+        of ``Permutation`` gates moves no data: it folds into one gather."""
+        where, steps, known = np.arange(self.side), [], {}  # row where[i] holds state i
+        for regs, u in self.gates:
+            if (regs, id(u)) not in known:  # a long circuit repeats a few gates
+                known[regs, id(u)] = _compiled(self.layout, regs, u)
+            index, product, inverse = known[regs, id(u)]
+            where = where[index]
+            if product is not None:
+                steps.append((where, *product))
+                where = inverse
+        return steps, where
+
     def apply(self, columns: np.ndarray) -> np.ndarray:
         """The interaction applied to each column of a (..., D, m) array."""
-        t = columns.reshape(columns.shape[:-2] + self.layout.dims + (-1,))
-        for gate in self.gates:
-            t = apply_local(self.layout, gate, t)
-        return t.reshape(columns.shape)
+        steps, last = self._plan
+        lead, x = columns.shape[:-2], columns
+        for rows, operand, shape in steps:
+            x = (operand @ x.take(rows, axis=-2).reshape(lead + shape)).reshape(columns.shape)
+        return x.take(last, axis=-2)
 
     def __matmul__(self, other: "GateList") -> "GateList":
         """Matrix-order composition: ``a @ b`` applies b first."""
@@ -575,29 +582,42 @@ def _pair_dim(layout: Layout, r1: str, r2: str, same_error: str, name: str) -> i
     return n
 
 
-def swap_gate(layout: Layout, r1: str, r2: str) -> GateList:
+def _one_gate(local):
+    """``local``, a builder of one checked local gate (registers, gate), as the
+    builder of its one-gate ``GateList``; ``.local`` keeps the pair builder."""
+    @wraps(local)
+    def build(layout: Layout, *args, **kwargs) -> GateList:
+        return GateList(layout, (local(layout, *args, **kwargs),))
+    build.local = local
+    return build
+
+
+@_one_gate
+def swap_gate(layout: Layout, r1: str, r2: str):
     """Exchange the basis indices of two equal-dimension registers."""
     n = _pair_dim(layout, r1, r2, "cannot swap a register with itself", "swap")
     # output |i, j> reads input |j, i>
     source = np.arange(n * n).reshape(n, n).T.reshape(-1)
-    return GateList(layout, (((r1, r2), Permutation(source, (n, n))),))
+    return (r1, r2), Permutation(source, (n, n))
 
 
-def csum_gate(layout: Layout, ctrl: str, tgt: str) -> GateList:
+@_one_gate
+def csum_gate(layout: Layout, ctrl: str, tgt: str):
     """Generalized controlled sum: |i>|j> -> |i>|j + i mod N| on (ctrl, tgt)."""
     n = _pair_dim(layout, ctrl, tgt, "control and target must differ", "csum")
     # output |i, j> reads input |i, j - i mod N>
     i, j = np.indices((n, n)).reshape(2, -1)
-    return GateList(layout, (((ctrl, tgt), Permutation(i * n + (j - i) % n, (n, n))),))
+    return (ctrl, tgt), Permutation(i * n + (j - i) % n, (n, n))
 
 
+@_one_gate
 def select_gate(
     layout: Layout,
     ctrl: str,
     tgt: str,
     family: Select | Sequence[Unitary],
     adjoint: bool = False,
-) -> GateList:
+):
     """Controlled-select block sum_k |k><k|_ctrl x (U_k or U_k^dag)_tgt.
 
     ``family`` is a ``Select`` or a sequence of ``Unitary`` members; either
@@ -613,13 +633,14 @@ def select_gate(
         if len(b) != nt:
             raise ValueError(f"family member {k} has side {len(b)}, target dim {nt}")
     select = family if isinstance(family, Select) else Select._trusted(np.array(blocks))
-    return GateList(layout, (((ctrl, tgt), select.dagger() if adjoint else select),))
+    return (ctrl, tgt), select.dagger() if adjoint else select
 
 
-def embed_on_registers(layout: Layout, regs: Sequence[str], u: Unitary) -> GateList:
+@_one_gate
+def embed_on_registers(layout: Layout, regs: Sequence[str], u: Unitary):
     """Place a multi-register unitary (acting on ``regs`` in the given order)
     into the full layout, identity on the remaining registers."""
-    return GateList(layout, ((tuple(regs), u),))
+    return _fitted(layout, tuple(regs), u)
 
 
 def _mapper_stack(amps: np.ndarray, js: np.ndarray) -> np.ndarray:

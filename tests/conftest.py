@@ -3,7 +3,7 @@ import pytest
 
 from ctcsim import linalg
 from ctcsim.engine import build_superoperator
-from ctcsim.quantum import Alphabet, PureState
+from ctcsim.quantum import Alphabet, Permutation, PureState, Select
 from ctcsim.sampling import haar_unitary
 
 
@@ -58,6 +58,37 @@ def hermitian_eig(h):
     if defect > linalg.tolerances.herm:
         raise ValueError(f"matrix is not Hermitian: max |h - h^dag| = {defect:.3e}")
     return np.linalg.eigh((h + h.conj().T) / 2)
+
+
+def apply_local(layout, gate, tensor: np.ndarray) -> np.ndarray:
+    """Gate-by-gate oracle of ``GateList.apply``: apply one local gate, a
+    pair (register names, gate on those registers in that order), to a
+    tensor of shape (..., dims..., m) by moving the named axes to the front
+    of the register axes, acting on the (..., side, rest) view (one product,
+    an index gather, or one block product per control slice) and moving
+    them back. Leading axes are a batch."""
+    regs, u = gate
+    lead = tensor.ndim - len(layout.registers) - 1
+    order = list(range(lead)) + [lead + layout.index(r) for r in regs]
+    order += [a for a in range(lead, tensor.ndim) if a not in order]
+    moved = tensor.transpose(order)
+    x = moved.reshape(moved.shape[:lead] + (u.side, -1))
+    if isinstance(u, Permutation):
+        out = x[..., u.source, :]
+    elif isinstance(u, Select):
+        out = (u.blocks @ x.reshape(x.shape[:-2] + u.dims + x.shape[-1:])).reshape(x.shape)
+    else:
+        out = u.mat @ x
+    return out.reshape(moved.shape).transpose(np.argsort(order))
+
+
+def apply_gate_by_gate(gates, columns: np.ndarray) -> np.ndarray:
+    """The gates of a ``GateList`` applied one at a time with ``apply_local``
+    to each column of a (..., D, m) array."""
+    t = columns.reshape(columns.shape[:-2] + gates.layout.dims + (-1,))
+    for gate in gates.gates:
+        t = apply_local(gates.layout, gate, t)
+    return t.reshape(columns.shape)
 
 
 def random_pure(rng, dim: int) -> PureState:

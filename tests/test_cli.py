@@ -533,3 +533,51 @@ def test_report_writer_edge_values():
     for value in (np.int64(3), {1: 2.0}, {"x": {1, 2}}):
         with pytest.raises(TypeError):
             cli.report_json(value)
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 256. GiB for an array with shape (34359738368,) and data "
+     "type complex128",
+     "error: Unable to allocate 256. GiB for an array with shape (34359738368,) and "
+     "data type complex128\n"),
+    ("", "error: out of memory\n"),
+])
+def test_out_of_memory_is_one_line_solver_failure(message, line, monkeypatch, tmp_path,
+                                                  capsys):
+    # a circuit too large for memory fails in lowering; no large array is made
+    from ctcsim import dsl
+
+    def too_large(spec, base_dir="."):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(dsl, "lower", too_large)
+    code = main(["run", write_circuit(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == line
+
+
+BOM = "\ufeff"
+
+
+def test_files_with_a_byte_order_mark_read_as_without(tmp_path):
+    """A circuit, matrix or alphabet file saved as UTF-8 with a byte order
+    mark gives the report bytes of the same file without one."""
+    from ctcsim import dsl
+    family = dsl.format_matrix_file([np.eye(2), [[0.6, -0.8], [0.8, 0.6]]])
+    circuit = SMALLEST + "gate select A CTC @fam.mat\n"
+    alphabet = dsl.format_matrix_file([[[1, 0.6], [0, 0.8]]])
+    reports = []
+    for mark in ("", BOM):
+        d = tmp_path / ("bom" if mark else "plain")
+        d.mkdir()
+        (d / "fam.mat").write_text(mark + family, encoding="utf-8")
+        (d / "alpha.mat").write_text(mark + alphabet, encoding="utf-8")
+        assert main(["run", write_circuit(d, mark + circuit),
+                     "--out", str(d / "run.json")]) == 0
+        assert main(["demo", "clone-pure", "--alphabet", f"@{d / 'alpha.mat'}",
+                     "--out", str(d / "demo.json")]) == 0
+        reports.append([(d / name).read_bytes() for name in ("run.json", "demo.json")])
+    assert (tmp_path / "bom" / "fam.mat").read_bytes().startswith(BOM.encode())
+    assert reports[0] == reports[1]

@@ -520,3 +520,94 @@ def test_fuzz_never_crashes(rng):
             parse(text)
         except CircuitSyntaxError:
             pass
+
+
+def random_literal(rng) -> str:
+    """A complex literal of the matrix-file grammar: signed or unsigned
+    reals in every float form, zeros of either sign, with or without an
+    imaginary part."""
+    def real():
+        mantissa = rng.choice(["0", "-0", "0.0", "7", "12.", ".5", "3.25", "0.000",
+                               repr(float(rng.standard_normal())),
+                               repr(float(rng.standard_normal() * 1e-300))])
+        exponent = rng.choice(["", "e5", "E-3", "e+300", "e-320", "E0"])
+        return mantissa.lstrip("+-") + ("" if "e" in mantissa else exponent)
+
+    sign = rng.choice(["", "+", "-"])
+    if rng.random() < 0.3:
+        return sign + real()
+    return sign + real() + rng.choice(["+", "-"]) + real() + "i"
+
+
+def test_matrix_file_equals_per_literal_parse(tmp_path, rng):
+    """The one-pass reader gives the bits of parse_complex on each literal,
+    the sign of every zero included, whatever the separators."""
+    seps = [" ", "  ", "\t", " ; ", ";", "\n", " ;\n", "\r\n", " # note\n"]
+    for trial in range(200):
+        side, count = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+        tokens = [random_literal(rng) for _ in range(side * side * count)]
+        body = "".join(t + seps[rng.integers(len(seps))] for t in tokens)
+        path = tmp_path / f"m{trial}.mat"
+        path.write_text(f"# header next\n\nmatrix {side} {count}\n{body}")
+        expected = np.array([dsl.parse_complex(t) for t in tokens],
+                            dtype=complex).reshape(count, side, side)
+        loaded = dsl.load_matrix_file(path)
+        assert loaded.shape == expected.shape and loaded.dtype == complex
+        assert loaded.tobytes() == expected.tobytes(), tokens
+
+
+@pytest.mark.parametrize("entries, message", [
+    ("1 0 ; 0 1.0.0", "malformed complex literal '1.0.0'"),
+    ("1 0 ; 0 1+2", "malformed complex literal '1+2'"),
+    ("1 nan ; 0 1", "malformed complex literal 'nan'"),
+    ("1 1_0 ; 0 1", "malformed complex literal '1_0'"),
+    ("1e999 0 ; 0 1", "complex literal '1e999' is not finite"),
+    ("1 0+1e999i ; x 1", "complex literal '0+1e999i' is not finite"),
+    ("1 x ; 1e999 1", "malformed complex literal 'x'"),
+])
+def test_matrix_file_names_its_first_bad_literal(entries, message, tmp_path):
+    (tmp_path / "u.mat").write_text(f"matrix 2 1\n{entries}\n")
+    with pytest.raises(ValueError) as info:
+        dsl.load_matrix_file(tmp_path / "u.mat")
+    assert str(info.value) == f"{tmp_path / 'u.mat'}: {message}"
+
+
+class RegexTokenParser(dsl._LineParser):
+    """The line parser with a regex match object per token: the reference
+    for the columns of the split tokenizer."""
+
+    def parse_line(self, lineno, raw):
+        toks = [(m.group(0), m.start() + 1)
+                for m in dsl._TOKEN_RE.finditer(raw.split("#", 1)[0])]
+        if not toks:
+            return
+        head, col = toks[0]
+        directive = self.DIRECTIVES.get(head)
+        if directive is None:
+            self.error(lineno, col, f"unknown directive {head!r}", "system, input or gate")
+            return
+        directive(self, lineno, toks, dsl.SourceSpan(lineno, col))
+
+
+def test_tokenizer_columns_equal_the_regex_reference(rng):
+    vocab = ["system", "input", "gate", "pure", "mixed", "swap", "csum", "select",
+             "select_adj", "unitary", "A", "B", "CTC", "2", "x2", "²", ":", ";",
+             "A:", ":1", "1;0", "@f.mat", "@", "1", "-0.5", "1+2i", "1e999", "#c", "b@d"]
+    spaces = [" ", "  ", "\t", "\u00a0", "\u2003", "\x1c", "\x0b", "\u3000"]
+    for _ in range(3000):
+        lines = []
+        for _ in range(int(rng.integers(1, 5))):
+            words = [vocab[int(rng.integers(len(vocab)))]
+                     for _ in range(int(rng.integers(0, 7)))]
+            if words and rng.random() < 0.7:
+                words[0] = ["system", "gate", "input"][int(rng.integers(3))]
+            gaps = [spaces[int(rng.integers(len(spaces)))] * int(rng.integers(0, 3))
+                    for _ in range(len(words) + 1)]
+            lines.append("".join(g + w for g, w in zip(gaps, words + [""])))
+        states = []
+        for parser in (dsl._LineParser(), RegexTokenParser()):
+            for lineno, raw in enumerate(lines, start=1):
+                parser.parse_line(lineno, raw)
+            states.append((parser.errors, parser.systems, parser.inputs, parser.gates,
+                           [(d.span.line, d.span.column) for d in parser.gates]))
+        assert states[0] == states[1], lines

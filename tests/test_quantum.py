@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from conftest import kron_all, random_alphabet, random_pure
+from conftest import apply_gate_by_gate, kron_all, random_alphabet, random_pure
 from ctcsim import linalg
 from ctcsim.sampling import haar_unitary, random_density
 from ctcsim.cloning import build_mixed_cloner, build_pure_cloner, make_problem
@@ -214,6 +216,85 @@ def test_memoised_register_check_rejects_on_every_construction():
             GateList(lay, ((("A", "CTC"), swap_gate(lay, "A", "CTC").gates[0][1].dagger()),
                            (("A", "B"), Permutation(np.arange(4), (2, 2)))))
         assert GateList(lay, ((("A",), x),)).side == 12
+
+
+def random_local_gates(rng, layout, count, kinds=("swap", "csum", "select", "unitary")):
+    """``count`` random local gates of the given kinds on ``layout``: swaps
+    and CSUMs on pairs of equal dims, selects with a Haar family, and Haar
+    unitaries on one register or two."""
+    names, gates = layout.names, []
+    while len(gates) < count:
+        kind = kinds[rng.integers(len(kinds))]
+        a, b = (names[i] for i in rng.choice(len(names), 2, replace=False))
+        if kind in ("swap", "csum"):
+            if layout.dim(a) != layout.dim(b):
+                continue
+            gates += (swap_gate if kind == "swap" else csum_gate)(layout, a, b).gates
+        elif kind == "select":
+            family = [haar_unitary(rng, layout.dim(b)) for _ in range(layout.dim(a))]
+            gates += select_gate(layout, a, b, family, bool(rng.integers(2))).gates
+        else:
+            regs = [a, b][:1 + rng.integers(2)]
+            u = haar_unitary(rng, math.prod(layout.dim(r) for r in regs))
+            gates += embed_on_registers(layout, regs, u).gates
+    return gates
+
+
+PLAN_LAYOUTS = {
+    "mixed-dims": MIXED,
+    "qutrits-first": Layout((("A", 3), ("B", 2), ("C", 2), ("D", 3), ("CTC", 2)),
+                            ctc_index=4),
+    "qubits": Layout(tuple((f"Q{i}", 2) for i in range(4)) + (("CTC", 2),), ctc_index=4),
+}
+
+
+def plan_cases(rng, layout):
+    """Gate lists with permutation runs at the start, middle and end, of
+    permutations only, empty, and with repeated lines."""
+    def perms(n):
+        return random_local_gates(rng, layout, n, ("swap", "csum"))
+
+    def dense(n):
+        return random_local_gates(rng, layout, n, ("select", "unitary"))
+
+    mixed = random_local_gates(rng, layout, 4)
+    return {
+        "perms-start": perms(3) + dense(3),
+        "perms-middle": dense(2) + perms(3) + dense(2),
+        "perms-end": dense(3) + perms(3),
+        "perms-only": perms(5),
+        "empty": [],
+        "repeated": [mixed[i] for i in (0, 1, 0, 2, 3, 1, 0, 3, 3, 2)] * 3,
+        "random": random_local_gates(rng, layout, 12),
+    }
+
+
+@pytest.mark.parametrize("name", PLAN_LAYOUTS)
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_plan_equals_gate_by_gate_oracle(name, lead, rng):
+    layout = PLAN_LAYOUTS[name]
+    for case, gates in plan_cases(rng, layout).items():
+        gl = GateList(layout, tuple(gates))
+        columns = (rng.standard_normal(lead + (layout.total_dim, 5))
+                   + 1j * rng.standard_normal(lead + (layout.total_dim, 5)))
+        out = gl.apply(columns)
+        assert out.shape == columns.shape, case
+        assert np.array_equal(out, apply_gate_by_gate(gl, columns)), case
+        steps, _ = gl._plan
+        assert len(steps) == sum(not isinstance(u, Permutation) for _, u in gates), case
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_cloner_plans_fold_their_permutations(n, rng):
+    """The mixed cloner's SWAP, SWAP, CSUM is one gather and no product; the
+    pure cloner's SWAP and CSUM fold into the gather of its first select."""
+    mixed = build_mixed_cloner(n).total
+    pure = build_pure_cloner(random_alphabet(rng, n)).total
+    assert mixed._plan[0] == [] and mixed._plan[1] is not None
+    assert len(pure._plan[0]) == 3
+    for gl in (mixed, pure):
+        columns = rng.standard_normal((n ** 3, n)) + 1j * rng.standard_normal((n ** 3, n))
+        assert np.array_equal(gl.apply(columns), apply_gate_by_gate(gl, columns))
 
 
 def oracle_cloner_total(cloner):
