@@ -52,7 +52,6 @@ _COMPLEX_RE = re.compile(
     rf"^(?P<re>[+-]?{_FLOAT})(?:(?P<sign>[+-])(?P<im>{_FLOAT})i)?$"
 )
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_TOKEN_RE = re.compile(r"[:;]|[^\s:;]+")
 # a matrix file token: a complex literal's two parts, or the token if it is none
 _ENTRY_RE = re.compile(rf"([+-]?{_FLOAT})(?:([+-]{_FLOAT})i)?(?=[\s;]|$)|([^\s;]+)")
 
@@ -127,21 +126,21 @@ def _select_line(layout, g, family):
     if len(family) != layout.dim(g.regs[0]):
         raise ValueError(f"{g.file}: select family size {len(family)} does not match "
                          f"control dim {layout.dim(g.regs[0])}")
-    return select_gate.local(layout, g.regs[0], g.regs[1], family)
+    return select_gate(layout, g.regs[0], g.regs[1], family)
 
 
 def _unitary_line(layout, g, family):
     """A unitary line: the one matrix of its file on its register."""
     if len(family) != 1:
         raise ValueError(f"{g.file}: expected a single matrix")
-    return embed_on_registers.local(layout, g.regs, Unitary._trusted(family.blocks[0]))
+    return embed_on_registers(layout, g.regs, Unitary._trusted(family.blocks[0]))
 
 
 class GateKind(NamedTuple):
     """A gate kind's operands, its registers as the usage hint names them and
-    then a ``@<file>`` when ``file``, and its builder of a line's local gate
-    (registers, gate): ``build(layout, *regs)``, or ``build(layout, decl,
-    family)`` with the file's ``Select`` stack (its adjoint when ``adjoint``)."""
+    then a ``@<file>`` when ``file``, and its builder of a line's ``GateList``:
+    ``build(layout, *regs)``, or ``build(layout, decl, family)`` with the file's
+    ``Select`` stack (its adjoint when ``adjoint``)."""
 
     regs: tuple
     build: Callable
@@ -150,8 +149,8 @@ class GateKind(NamedTuple):
 
 
 GATE_KINDS = {
-    "swap": GateKind(("r1", "r2"), swap_gate.local),
-    "csum": GateKind(("r1", "r2"), csum_gate.local),
+    "swap": GateKind(("r1", "r2"), swap_gate),
+    "csum": GateKind(("r1", "r2"), csum_gate),
     "select": GateKind(("ctrl", "tgt"), _select_line, file=True),
     "select_adj": GateKind(("ctrl", "tgt"), _select_line, file=True, adjoint=True),
     "unitary": GateKind(("reg",), _unitary_line, file=True),
@@ -190,11 +189,11 @@ class _LineParser:
         self.errors.append(ParseError(line, col, message, expected))
 
     def parse_line(self, lineno, raw):
-        # (text, 1-based column) pairs; ':' and ';' are tokens of their own
+        # (text, 1-based column) pairs; ':' and ';' are tokens of their own,
+        # so each gets spaces around it before the whitespace split
         line = raw.split("#", 1)[0]
-        texts = _TOKEN_RE.findall(line) if ":" in line or ";" in line else line.split()
         toks, end = [], 0
-        for text in texts:
+        for text in line.replace(":", " : ").replace(";", " ; ").split():
             end = line.find(text, end) + len(text)
             toks.append((text, end - len(text) + 1))
         if not toks:
@@ -449,7 +448,7 @@ def lower(spec: CircuitSpec, base_dir=".") -> DeutschProblem:
             raise ValueError(f"{name}: {exc.message}") from None
 
     # long circuits repeat a few gate lines many times: build each distinct
-    # line's local gate once and reuse it, so the list checks it once
+    # line's one local gate once and reuse it, so the list checks it once
     lowered, gates = {}, []
     for g in spec.gates:
         gate = lowered.get(g)  # a GateDecl compares by kind, regs and file
@@ -457,7 +456,7 @@ def lower(spec: CircuitSpec, base_dir=".") -> DeutschProblem:
             kind = GATE_KINDS[g.kind]
             with _on_line("gate", g.span.line):
                 args = (g, family(g.file, kind.adjoint)) if kind.file else g.regs
-                gate = lowered[g] = kind.build(layout, *args)
+                gate = lowered[g] = kind.build(layout, *args).gates[0]
         gates.append(gate)
     interaction = GateList(layout, tuple(gates))
 

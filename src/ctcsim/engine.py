@@ -9,7 +9,7 @@ factors any W gives the same map. Its Kraus operators are
 K_(k,a) = (<a| x I) U (|w_k> x I), one d x d block for each column w_k of W
 and each CR output basis state a. Only the r*d columns U (|w_k> x I) of the
 interaction enter; they come from pushing the input columns |w_k> x |c>
-through the interaction's plan of gathers and block products
+through the interaction's gathers and block products
 (``GateList.apply``), so the engine forms no rho_CR x sigma, no D x D
 conjugation and no D_cr-sized eigh. The superoperator is S = sum K x conj(K),
 the map and the residual apply sum K X K^dag, and the visible output traces
@@ -55,8 +55,9 @@ instead of 49 x 343. With every block live, E is all of them.
 
 ``solve_stack`` builds the (B, d^2, d^2) superoperators and solves them
 together into ``FixedPoints`` (CTC states and their factors (B, d, d),
-residuals and multiplicities (B,)); ``output_stack`` gives the
-(B, D_cr, D_cr) visible outputs in Gram form. A failing member raises
+residuals and multiplicities (B,), and the mask of the live blocks);
+``output_stack`` gives the (B, D_cr, D_cr) visible outputs in Gram form,
+from the solve's factors and mask. A failing member raises
 ``linalg.StackError`` naming its position in the stack. The single-problem
 API (``DeutschProblem.kraus``, ``solve_fixed_point``, ``deutsch_map``,
 ``output_state``, ``build_superoperator``) runs the same kernels on a stack
@@ -213,11 +214,6 @@ class DeutschProblem:
             k = kraus_stack(self.layout, self.interaction, self.cr_input.factor[None])
         return k[0]
 
-    @cached_property
-    def live(self) -> np.ndarray:
-        """The mask of the nonzero blocks of ``kraus``, for the kernels."""
-        return self.kraus.any(axis=(1, 2))
-
 
 @dataclass
 class FixedPointResult:
@@ -235,6 +231,7 @@ class FixedPoints:
     factor: np.ndarray        # (B, d, d), factor @ factor^dag = rho_ctc
     residual: np.ndarray      # (B,)
     multiplicity: np.ndarray  # (B,)
+    live: np.ndarray          # (n,), the Kraus blocks nonzero in some member
 
     def __getitem__(self, i: int) -> FixedPointResult:
         return FixedPointResult(
@@ -365,12 +362,13 @@ def _row_groups(live: bytes, r: int, cr_dim: int):
     return blocks, np.concatenate(dest), np.concatenate(src)
 
 
-def output_stack(k: np.ndarray, factor: np.ndarray, cr_dim: int, live=None) -> np.ndarray:
+def output_stack(k: np.ndarray, factor: np.ndarray, cr_dim: int,
+                 live: np.ndarray) -> np.ndarray:
     """Visible outputs of a stack, (B, D_cr, D_cr): trace the CTC register
     out of each member's evolved joint state, formed as the Gram matrix
     E E^dag of E = blocks V for the (B, d, r) factors V V^dag = rho_CTC, so
-    each output is PSD by construction. ``live``: the (n,) mask of the blocks
-    nonzero in some member (default: from ``k``)."""
+    each output is PSD by construction. ``live`` is the (n,) mask of the
+    blocks nonzero in some member, as ``solve_stack`` gives it."""
     # row a of E holds the products K_(k,a) V over every k, and entry (a, c)
     # of the output is the product of rows a and c: with every block live,
     # E is every block times V in one (n * d, d) product. Rows that share no
@@ -379,7 +377,6 @@ def output_stack(k: np.ndarray, factor: np.ndarray, cr_dim: int, live=None) -> n
     # solve's V has full width d, so no member's products depend on the
     # others in its stack.
     b, n, d, _ = k.shape
-    live = k.any(axis=(0, 2, 3)) if live is None else live
     if live.all():
         kv = (k.reshape(b, n * d, d) @ factor).reshape(b, -1, cr_dim, d, d)
         return linalg.unit_trace_hermitian(
@@ -399,8 +396,12 @@ def output_state(problem: DeutschProblem, rho_ctc: DensityMatrix) -> DensityMatr
             f"CTC state side {rho_ctc.side} does not match dim {problem.ctc_dim}"
         )
     with linalg.single_entry():
-        out = output_stack(problem.kraus[None], rho_ctc.factor[None],
-                           problem.cr_input.side, problem.live)
+        return _visible(problem, rho_ctc.factor, problem.kraus.any(axis=(1, 2)))
+
+
+def _visible(problem: DeutschProblem, factor: np.ndarray, live: np.ndarray) -> DensityMatrix:
+    """The visible output for the CTC factor ``factor`` and the mask ``live``."""
+    out = output_stack(problem.kraus[None], factor[None], problem.cr_input.side, live)
     return DensityMatrix._trusted(out[0], problem.layout.cr_dims)
 
 
@@ -412,17 +413,16 @@ def build_superoperator(problem: DeutschProblem) -> np.ndarray:
     return g.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
-def solve_stack(kraus: np.ndarray, live=None) -> FixedPoints:
+def solve_stack(kraus: np.ndarray) -> FixedPoints:
     """The canonical fixed point P1(I/d) of each member of a (B, n, d, d)
     Kraus stack and its full-width factor, solved together in real
     arithmetic: one bordered LU for a member with multiplicity 1 (or 0), a
-    full SVD for one with more; ``live`` as in ``output_stack``. Raises
-    ``linalg.StackError`` naming the first member whose candidate is
-    traceless or not PSD."""
+    full SVD for one with more. Raises ``linalg.StackError`` naming the
+    first member whose candidate is traceless or not PSD."""
     b, d = kraus.shape[0], kraus.shape[-1]
     n = d * d
     # a block that is zero in every member adds nothing to S or the residual
-    live = kraus.any(axis=(0, 2, 3)) if live is None else live
+    live = kraus.any(axis=(0, 2, 3))
     if not live.all():
         kraus = kraus[:, live]
     a = _real_forms(_kraus_gram(kraus)) - np.eye(n)
@@ -458,16 +458,17 @@ def solve_stack(kraus: np.ndarray, live=None) -> FixedPoints:
     # the one clamp: rho's factor, scaled to unit trace
     factor = linalg.unit_factor(linalg.psd_factor(candidate / tr[:, None, None]))
     rho = linalg.unit_trace_hermitian(factor @ linalg.dagger(factor))
-    return FixedPoints(rho, factor, _residuals(kraus, rho), multiplicity)
+    return FixedPoints(rho, factor, _residuals(kraus, rho), multiplicity, live)
 
 
 def solve_fixed_point(problem: DeutschProblem) -> FixedPointResult:
     """Find the canonical fixed point of the self-consistency condition."""
     with linalg.single_entry():
-        return solve_stack(problem.kraus[None], problem.live)[0]
+        return solve_stack(problem.kraus[None])[0]
 
 
 def evolve(problem: DeutschProblem) -> tuple[DensityMatrix, FixedPointResult]:
     """Solve the fixed point, then return (visible output, solver result)."""
-    fp = solve_fixed_point(problem)
-    return output_state(problem, fp.rho_ctc), fp
+    with linalg.single_entry():
+        fps = solve_stack(problem.kraus[None])
+        return _visible(problem, fps.factor[0], fps.live), fps[0]

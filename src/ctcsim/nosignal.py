@@ -69,9 +69,8 @@ def _entangled_runs(cloner: ClonerCircuit, joints: np.ndarray, r_dim: int):
     n = cloner.n
     layout, interaction, cr = _extended(cloner, joints, r_dim)
     kraus = kraus_stack(layout, interaction, cr)
-    live = kraus.any(axis=(0, 2, 3))  # the blocks live in some member
-    fps = solve_stack(kraus, live)
-    rho_tot = output_stack(kraus, fps.factor, cr.shape[1], live)
+    fps = solve_stack(kraus)
+    rho_tot = output_stack(kraus, fps.factor, cr.shape[1], fps.live)
     reduced = linalg.partial_trace(rho_tot, (n, n, r_dim), [0, 1])
     return rho_tot, reduced, fps
 

@@ -17,18 +17,18 @@ is built:
   checked again.
 
 The gate constructors return a ``GateList``, the local gates of an
-interaction in application order on one ``Layout`` (their ``.local`` gives
-the bare pair); gate lists compose with ``@`` and check each distinct gate
-once. One kernel, ``GateList.apply``, pushes a (..., D, m) array of columns
-(leading axes batch independent column sets) through a plan the list
-compiles once: per gate, one gather of the rows that moves its registers in
-front, then its own product on the (..., s, rest) view (one s x s product,
-or one nt x nt product per control slice). A ``Permutation`` moves no data
-and folds into the next gather; a last gather restores layout order. No
-D x D matrix is formed, and a batch member's products have the shapes they
-would have alone, so its bits do not depend on the batch. Dense matrices
-are built only on request (``.mat``; ``GateList.mat`` is the plan applied
-to the identity, checked by ``Unitary``).
+interaction in application order on one ``Layout``; gate lists compose
+with ``@`` and check each distinct gate once. One kernel,
+``GateList.apply``, pushes a (..., D, m) array of columns (leading axes
+batch independent column sets) through steps compiled from the gates: per
+gate, one gather of the rows that moves its registers in front, then its
+own product on the (..., s, rest) view (one s x s product, or one nt x nt
+product per control slice). A ``Permutation`` moves no data and folds into
+the next gather; a last gather restores layout order. No D x D matrix is
+formed, and a batch member's products have the shapes they would have
+alone, so its bits do not depend on the batch. Dense matrices are built
+only on request (``.mat``; ``GateList.mat`` is the gates applied to the
+identity, checked by ``Unitary``).
 
 Tensor convention: registers appear in declaration order, the CTC register
 (when present) last, and a basis state |i0, i1, ...> has flat index
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce, wraps
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -447,15 +447,24 @@ class Alphabet:
         return cls(tuple(states))
 
 
+# the front gathers of layouts up to this side are cached (at most 16 MB)
+_CACHED_SIDE = 1 << 12
+# the gates compiled during one apply hold at most this many rows (8 MB)
+_PLAN_ROWS = 1 << 20
+
+
 @lru_cache(maxsize=256)
 def _front(layout: Layout, regs: tuple) -> tuple:
     """The gather of rows ``index`` that moves the registers ``regs`` of a
-    (D, m) array in layout order in front, and its ``inverse``. Cached,
-    because long circuits apply the same few gates hundreds of times."""
+    (D, m) array in layout order in front, and its ``inverse``. Cached up to
+    side ``_CACHED_SIDE``, because long circuits apply the same few gates
+    hundreds of times."""
     order = [layout.index(r) for r in regs]
     order += [a for a in range(len(layout.dims)) if a not in order]
     index = np.arange(layout.total_dim).reshape(layout.dims).transpose(order).reshape(-1)
-    return index, np.argsort(index)
+    inverse = np.empty_like(index)
+    inverse[index] = np.arange(layout.total_dim)
+    return index, inverse
 
 
 @lru_cache(maxsize=1024)
@@ -469,20 +478,12 @@ def _gate_dims(layout: Layout, regs: tuple) -> tuple:
     return tuple(layout.dims[p] for p in positions)
 
 
-def _fitted(layout: Layout, regs: tuple, u) -> tuple:
-    """The local gate (regs, u), once ``u`` is checked to fit registers ``regs``."""
-    dims = _gate_dims(layout, regs)
-    if not u.fits(dims):
-        raise ValueError(f"gate of side {u.side} does not fit registers {list(regs)} "
-                         f"of dims {dims}")
-    return regs, u
-
-
 def _compiled(layout: Layout, regs: tuple, u) -> tuple:
     """One local gate as (index, product, inverse): gathering rows ``index``
     moves its registers in front for ``product`` (operand, shape), and
     ``inverse`` moves them back. A ``Permutation`` is a gather alone."""
-    index, inverse = _front(layout, regs)
+    front = _front if layout.total_dim <= _CACHED_SIDE else _front.__wrapped__
+    index, inverse = front(layout, regs)
     if isinstance(u, Permutation):
         # in front order, row (g, o) takes the amplitude of row (source[g], o)
         return index.reshape(u.side, -1)[u.source].reshape(-1)[inverse], None, None
@@ -507,37 +508,50 @@ class GateList:
         gates = tuple((tuple(regs), u) for regs, u in self.gates)
         # a long circuit repeats a few gates: each distinct one is checked once
         for regs, u in {(regs, id(u)): (regs, u) for regs, u in gates}.values():
-            _fitted(self.layout, regs, u)
+            dims = _gate_dims(self.layout, regs)
+            if not u.fits(dims):
+                raise ValueError(
+                    f"gate of side {u.side} does not fit registers {list(regs)} "
+                    f"of dims {dims}"
+                )
         object.__setattr__(self, "gates", gates)
 
     @property
     def side(self) -> int:
         return self.layout.total_dim
 
-    @cached_property
-    def _plan(self) -> tuple:
-        """The gates compiled once into steps (rows, operand, shape), each a
-        gather of ``rows`` of the (..., D, m) array and one product with
-        ``operand`` at ``shape``, and a last gather into layout order. A run
-        of ``Permutation`` gates moves no data: it folds into one gather."""
-        where, steps, known = np.arange(self.side), [], {}  # row where[i] holds state i
+    def _steps(self):
+        """The gates compiled, as they are taken, into steps (rows, product):
+        a gather of ``rows`` of the (..., D, m) array, then one product
+        (operand, shape) or none. Gathers in a row (a ``Permutation``, the
+        gather back from one gate and the gather in front for the next)
+        compose into one. Each distinct gate is compiled once while the
+        compiled gates hold at most ``_PLAN_ROWS`` rows, and again at each
+        use beyond that, so memory does not grow with D times the gates."""
+        known, room, rows = {}, _PLAN_ROWS, None  # rows: the gather pending
         for regs, u in self.gates:
-            if (regs, id(u)) not in known:  # a long circuit repeats a few gates
-                known[regs, id(u)] = _compiled(self.layout, regs, u)
-            index, product, inverse = known[regs, id(u)]
-            where = where[index]
+            compiled = known.get((regs, id(u)))
+            if compiled is None:
+                compiled = _compiled(self.layout, regs, u)
+                if room >= 2 * self.side:
+                    known[regs, id(u)], room = compiled, room - 2 * self.side
+            index, product, inverse = compiled
+            rows = index if rows is None else rows[index]
             if product is not None:
-                steps.append((where, *product))
-                where = inverse
-        return steps, where
+                yield rows, product
+                rows = inverse
+        if rows is not None:
+            yield rows, None
 
     def apply(self, columns: np.ndarray) -> np.ndarray:
         """The interaction applied to each column of a (..., D, m) array."""
-        steps, last = self._plan
         lead, x = columns.shape[:-2], columns
-        for rows, operand, shape in steps:
-            x = (operand @ x.take(rows, axis=-2).reshape(lead + shape)).reshape(columns.shape)
-        return x.take(last, axis=-2)
+        for rows, product in self._steps():
+            x = x.take(rows, axis=-2)
+            if product is not None:
+                operand, shape = product
+                x = (operand @ x.reshape(lead + shape)).reshape(columns.shape)
+        return x
 
     def __matmul__(self, other: "GateList") -> "GateList":
         """Matrix-order composition: ``a @ b`` applies b first."""
@@ -582,42 +596,29 @@ def _pair_dim(layout: Layout, r1: str, r2: str, same_error: str, name: str) -> i
     return n
 
 
-def _one_gate(local):
-    """``local``, a builder of one checked local gate (registers, gate), as the
-    builder of its one-gate ``GateList``; ``.local`` keeps the pair builder."""
-    @wraps(local)
-    def build(layout: Layout, *args, **kwargs) -> GateList:
-        return GateList(layout, (local(layout, *args, **kwargs),))
-    build.local = local
-    return build
-
-
-@_one_gate
-def swap_gate(layout: Layout, r1: str, r2: str):
+def swap_gate(layout: Layout, r1: str, r2: str) -> GateList:
     """Exchange the basis indices of two equal-dimension registers."""
     n = _pair_dim(layout, r1, r2, "cannot swap a register with itself", "swap")
     # output |i, j> reads input |j, i>
     source = np.arange(n * n).reshape(n, n).T.reshape(-1)
-    return (r1, r2), Permutation(source, (n, n))
+    return GateList(layout, (((r1, r2), Permutation(source, (n, n))),))
 
 
-@_one_gate
-def csum_gate(layout: Layout, ctrl: str, tgt: str):
+def csum_gate(layout: Layout, ctrl: str, tgt: str) -> GateList:
     """Generalized controlled sum: |i>|j> -> |i>|j + i mod N| on (ctrl, tgt)."""
     n = _pair_dim(layout, ctrl, tgt, "control and target must differ", "csum")
     # output |i, j> reads input |i, j - i mod N>
     i, j = np.indices((n, n)).reshape(2, -1)
-    return (ctrl, tgt), Permutation(i * n + (j - i) % n, (n, n))
+    return GateList(layout, (((ctrl, tgt), Permutation(i * n + (j - i) % n, (n, n))),))
 
 
-@_one_gate
 def select_gate(
     layout: Layout,
     ctrl: str,
     tgt: str,
     family: Select | Sequence[Unitary],
     adjoint: bool = False,
-):
+) -> GateList:
     """Controlled-select block sum_k |k><k|_ctrl x (U_k or U_k^dag)_tgt.
 
     ``family`` is a ``Select`` or a sequence of ``Unitary`` members; either
@@ -633,14 +634,13 @@ def select_gate(
         if len(b) != nt:
             raise ValueError(f"family member {k} has side {len(b)}, target dim {nt}")
     select = family if isinstance(family, Select) else Select._trusted(np.array(blocks))
-    return (ctrl, tgt), select.dagger() if adjoint else select
+    return GateList(layout, (((ctrl, tgt), select.dagger() if adjoint else select),))
 
 
-@_one_gate
-def embed_on_registers(layout: Layout, regs: Sequence[str], u: Unitary):
+def embed_on_registers(layout: Layout, regs: Sequence[str], u: Unitary) -> GateList:
     """Place a multi-register unitary (acting on ``regs`` in the given order)
     into the full layout, identity on the remaining registers."""
-    return _fitted(layout, tuple(regs), u)
+    return GateList(layout, ((tuple(regs), u),))
 
 
 def _mapper_stack(amps: np.ndarray, js: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -573,12 +575,13 @@ def test_matrix_file_names_its_first_bad_literal(entries, message, tmp_path):
 
 
 class RegexTokenParser(dsl._LineParser):
-    """The line parser with a regex match object per token: the reference
-    for the columns of the split tokenizer."""
+    """The line parser with a regex match object per token (':' and ';' on
+    their own, else a run of non-space characters): the reference for the
+    columns of the split tokenizer."""
 
     def parse_line(self, lineno, raw):
         toks = [(m.group(0), m.start() + 1)
-                for m in dsl._TOKEN_RE.finditer(raw.split("#", 1)[0])]
+                for m in re.finditer(r"[:;]|[^\s:;]+", raw.split("#", 1)[0])]
         if not toks:
             return
         head, col = toks[0]

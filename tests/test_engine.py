@@ -435,7 +435,7 @@ def assert_members_equal_single_solves(layout, interactions, crs):
         [u.mat for u in interactions])
     kraus = kraus_stack(layout, inter, factor_stack([cr.factor for cr in crs]))
     fps = solve_stack(kraus)
-    outputs = output_stack(kraus, fps.factor, crs[0].side)
+    outputs = output_stack(kraus, fps.factor, crs[0].side, fps.live)
     for i, cr in enumerate(crs):
         u = interactions if isinstance(interactions, GateList) else interactions[i]
         out, fp = evolve(DeutschProblem(layout, u, cr))
@@ -474,7 +474,8 @@ def output_cases(rng):
 def test_outputs_are_density_matrices_by_construction(rng):
     for layout, interaction, crs in output_cases(rng):
         kraus = kraus_stack(layout, interaction, crs)
-        out = output_stack(kraus, solve_stack(kraus).factor, crs.shape[1])
+        fps = solve_stack(kraus)
+        out = output_stack(kraus, fps.factor, crs.shape[1], fps.live)
         assert np.all(linalg.hermiticity_defect(out) == 0)
         assert np.all(np.abs(np.trace(out, axis1=1, axis2=2) - 1) <= TRACE_TOL)
         assert np.linalg.eigvalsh(out)[:, 0].min() >= -linalg.tolerances.psd
@@ -703,9 +704,10 @@ def test_mixed_cloner_output_takes_only_live_rows(n, rng, monkeypatch):
     stacks = [(f[None], [t]) for f, t in zip(factors, targets)]
     for crs, members in stacks + [(factor_stack(factors), targets)]:
         kraus = kraus_stack(cloner.layout, cloner.total, crs)
-        factor = solve_stack(kraus).factor
+        fps = solve_stack(kraus)
+        factor = fps.factor
         monkeypatch.setattr(engine, "_gram", recorded)
-        out = output_stack(kraus, factor, n * n)
+        out = output_stack(kraus, factor, n * n, fps.live)
         monkeypatch.setattr(engine, "_gram", real)
         assert np.array_equal(out, full_block_output(kraus, factor, n * n))
         for o, t in zip(out, members):

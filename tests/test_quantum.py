@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import apply_gate_by_gate, kron_all, random_alphabet, random_pure
-from ctcsim import linalg
+from ctcsim import linalg, quantum
 from ctcsim.sampling import haar_unitary, random_density
 from ctcsim.cloning import build_mixed_cloner, build_pure_cloner, make_problem
 from ctcsim.engine import DeutschProblem, solve_fixed_point
@@ -269,19 +269,51 @@ def plan_cases(rng, layout):
     }
 
 
+def gathers_only(steps):
+    return sum(product is None for _, product in steps)
+
+
 @pytest.mark.parametrize("name", PLAN_LAYOUTS)
 @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
-def test_plan_equals_gate_by_gate_oracle(name, lead, rng):
+@pytest.mark.parametrize("room", ["default", 0])
+def test_plan_equals_gate_by_gate_oracle(name, lead, room, rng, monkeypatch):
+    """One product per dense gate and one gather alone, the last. Each
+    distinct gate is compiled once, or at each use with no room to keep it."""
+    if room != "default":
+        monkeypatch.setattr(quantum, "_PLAN_ROWS", room)
+    compiled = []
+
+    def counted(layout, regs, u):
+        compiled.append(1)
+        return real(layout, regs, u)
+
+    real = quantum._compiled
+    monkeypatch.setattr(quantum, "_compiled", counted)
     layout = PLAN_LAYOUTS[name]
     for case, gates in plan_cases(rng, layout).items():
         gl = GateList(layout, tuple(gates))
         columns = (rng.standard_normal(lead + (layout.total_dim, 5))
                    + 1j * rng.standard_normal(lead + (layout.total_dim, 5)))
+        compiled.clear()
         out = gl.apply(columns)
         assert out.shape == columns.shape, case
         assert np.array_equal(out, apply_gate_by_gate(gl, columns)), case
-        steps, _ = gl._plan
-        assert len(steps) == sum(not isinstance(u, Permutation) for _, u in gates), case
+        distinct = {(regs, id(u)) for regs, u in gates}
+        assert len(compiled) == (len(distinct) if room == "default" else len(gates)), case
+        steps = list(gl._steps())
+        dense = sum(not isinstance(u, Permutation) for _, u in gates)
+        assert len(steps) - gathers_only(steps) == dense, case
+        assert gathers_only(steps) == (len(gates) > 0), case
+
+
+def test_front_gathers_of_large_layouts_are_not_cached(rng, monkeypatch):
+    monkeypatch.setattr(quantum, "_CACHED_SIDE", 8)
+    layout = PLAN_LAYOUTS["qubits"]  # side 32
+    gl = GateList(layout, tuple(random_local_gates(rng, layout, 6)))
+    before = quantum._front.cache_info().currsize
+    columns = rng.standard_normal((layout.total_dim, 3)) + 0j
+    assert np.array_equal(gl.apply(columns), apply_gate_by_gate(gl, columns))
+    assert quantum._front.cache_info().currsize == before
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -290,8 +322,9 @@ def test_cloner_plans_fold_their_permutations(n, rng):
     pure cloner's SWAP and CSUM fold into the gather of its first select."""
     mixed = build_mixed_cloner(n).total
     pure = build_pure_cloner(random_alphabet(rng, n)).total
-    assert mixed._plan[0] == [] and mixed._plan[1] is not None
-    assert len(pure._plan[0]) == 3
+    mixed_steps, pure_steps = list(mixed._steps()), list(pure._steps())
+    assert len(mixed_steps) == 1 and gathers_only(mixed_steps) == 1
+    assert [product is None for _, product in pure_steps] == [False, False, False, True]
     for gl in (mixed, pure):
         columns = rng.standard_normal((n ** 3, n)) + 1j * rng.standard_normal((n ** 3, n))
         assert np.array_equal(gl.apply(columns), apply_gate_by_gate(gl, columns))
