@@ -27,7 +27,7 @@ from .cloning import (
     run_clone,
 )
 from .engine import evolve, kraus_stack, solve_stack
-from .fidelity import fidelities, monotonicity_margins, multiplicativity_defects
+from .fidelity import factor_fidelities, monotonicity_margins, multiplicativity_defects
 from .linalg import CHUNK_TRIALS, chunks  # noqa: F401 (the sweeps' chunk size)
 from .nosignal import run_entangled_clone
 from .quantum import DensityMatrix, Layout, PureState, check_density, check_unitary
@@ -350,24 +350,22 @@ def _check_trials(checks) -> None:
 
 
 def _fidelity_chunk(rng, count, dim):
-    # per trial: four states a, b, c, d, two states on dim x dim and a
-    # Haar unitary, the order of the per-trial generators
+    # per trial: states a, b, c, d, two states on dim x dim and a Haar unitary,
+    # as the per-trial generators draw them; Z Z^dag / Tr has factor Z / ||Z||_F
     *draws, z_u = sampling.ginibre_trials(
         rng, count, (dim,) * 4 + (dim * dim,) * 2 + (dim,))
     a, b, c, d, big_a, big_b = map(sampling.density_from_ginibre, draws)
+    w_a, w_b, _, w_d, _, w_big_b = map(linalg.unit_factor, draws)
     u = sampling.haar_from_ginibre(z_u)
-    rot_a = u @ a @ linalg.dagger(u)
-    rot_b = u @ b @ linalg.dagger(u)
-    reduced = [linalg.partial_trace(s, (dim, dim), [0]) for s in (big_a, big_b)]
-    derived = [linalg.kron(a, c), linalg.kron(b, d), *reduced, rot_a, rot_b]
     _check_trials([(check_unitary, u)] + [
-        (check_density, s) for s in (a, b, c, d, big_a, big_b, *derived)])
-    f_ab = fidelities(a, b)
+        (check_density, s) for s in (a, b, c, d, big_a, big_b)])
+    f_ab = factor_fidelities(a, w_b)
     return {
-        "multiplicativity": multiplicativity_defects(a, c, b, d),
-        "monotonicity": monotonicity_margins(big_a, big_b, (dim, dim), {1}),
-        "symmetry": np.abs(f_ab - fidelities(b, a)),
-        "unitary_invariance": np.abs(fidelities(rot_a, rot_b) - f_ab),
+        "multiplicativity": multiplicativity_defects(a, c, w_b, w_d),
+        "monotonicity": monotonicity_margins(big_a, w_big_b, (dim, dim), {1}),
+        "symmetry": np.abs(f_ab - factor_fidelities(b, w_a)),
+        "unitary_invariance": np.abs(
+            factor_fidelities(u @ a @ linalg.dagger(u), u @ w_b) - f_ab),
     }
 
 

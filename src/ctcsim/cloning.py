@@ -197,13 +197,13 @@ def baseline_infidelities(
     """``no_ctc_baseline`` for a (..., D, D) stack of dense interactions,
     each a validated unitary on A x B x C."""
     n = alphabet.dim
-    # the factor psi x 0 x W_C of each input, evolved; its rows (a, b) and
-    # columns (c, k) give Tr_C of the evolved state as a Gram matrix
+    # the factor psi x 0 x W_C of each input, evolved, with C moved into its
+    # columns: a factor of Tr_C of the evolved state
     tail = np.kron(PureState.basis(n, 0).amps[:, None], ancilla.factor)
     worst = np.ones(interactions.shape[:-2])
     for state in alphabet.states:
         evolved = interactions @ np.kron(state.amps[:, None], tail)
-        e = evolved.reshape(evolved.shape[:-2] + (n * n, -1))
+        e = linalg.reduced_factor(evolved, (n, n, ancilla.side), [2])
         out = e @ linalg.dagger(e)
         # psi x psi is the factor of the pure joint target
         pair = np.kron(state.amps, state.amps)[:, None]

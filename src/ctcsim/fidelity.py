@@ -1,20 +1,15 @@
 """Uhlmann fidelity and executable checkers for its algebraic properties
 (multiplicativity over tensor products, monotonicity under partial trace).
 
-The fidelity has one kernel over a factor of its second argument:
-F(rho, W W^dag) = Tr sqrt(W^dag rho W) (Jozsa 1994), which needs only the
-r x r operator W^dag rho W for an n x r factor W. A caller that knows a
-factor passes it to ``factor_fidelities``, as ``run_clone`` passes its
-target's ``DensityMatrix.factor``: the ket of a pure state makes each
-fidelity a 1 x 1 problem. ``fidelities`` factors its second argument at
-full width with the program's one clamp, ``linalg.psd_factor`` (one
-eigendecomposition), and the
-property checkers ``multiplicativity_defects`` and ``monotonicity_margins``
-call it. Every kernel works on plain (..., n, n) arrays and broadcasts over
-leading axes. The functions on ``DensityMatrix`` arguments call them with no
-batch axis, and the property sweeps call them once per stack of trials. The
-kernels trust their inputs to be density matrices (validated where they
-entered the program) and do not check Hermiticity again.
+Every fidelity is taken by one kernel against a factor of its second state:
+F(rho, W W^dag) = Tr sqrt(W^dag rho W) (Jozsa 1994), an r x r problem for an
+n x r factor W; ``fidelity`` passes ``DensityMatrix.factor``, a ket for a
+pure state. The checkers take factors for their second arguments and derive
+those of derived states exactly: a product's is the kron of the factors, a
+reduced state's is the factor with the traced registers moved into its
+columns (``linalg.reduced_factor``), and U rho U^dag's is U W. The kernels
+broadcast over leading axes, shared by the ``DensityMatrix`` functions and
+the sweeps, and trust their inputs (validated where they entered).
 """
 
 from __future__ import annotations
@@ -54,25 +49,20 @@ def factor_fidelities(rho: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(f, 0.0), 1.0)
 
 
-def fidelities(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Tr sqrt(sigma^{1/2} rho sigma^{1/2}) of each pair of (..., n, n)
-    density matrices, clamped to [0, 1]: ``factor_fidelities`` against the
-    full-width factor of sigma."""
-    return factor_fidelities(rho, linalg.psd_factor(sigma))
-
-
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity of two states; see ``fidelities``."""
+    """Uhlmann fidelity of two states, against the factor of ``sigma``."""
     if rho.side != sigma.side:
         raise ValueError(f"shape mismatch: {rho.side} vs {sigma.side}")
-    return float(fidelities(rho.mat, sigma.mat))
+    return float(factor_fidelities(rho.mat, sigma.factor))
 
 
-def multiplicativity_defects(rho_i, sigma_i, rho_j, sigma_j) -> np.ndarray:
+def multiplicativity_defects(rho_i, sigma_i, w_rho_j, w_sigma_j) -> np.ndarray:
     """|F(rho_i x sigma_i, rho_j x sigma_j) - F(rho_i, rho_j) F(sigma_i, sigma_j)|
-    for (..., n, n) arrays of density matrices."""
-    lhs = fidelities(linalg.kron(rho_i, sigma_i), linalg.kron(rho_j, sigma_j))
-    return np.abs(lhs - fidelities(rho_i, rho_j) * fidelities(sigma_i, sigma_j))
+    for (..., n, n) arrays of density matrices rho_i, sigma_i and (..., n, r)
+    factors of rho_j, sigma_j."""
+    lhs = factor_fidelities(linalg.kron(rho_i, sigma_i), linalg.kron(w_rho_j, w_sigma_j))
+    rhs = factor_fidelities(rho_i, w_rho_j) * factor_fidelities(sigma_i, w_sigma_j)
+    return np.abs(lhs - rhs)
 
 
 def check_multiplicativity(
@@ -82,21 +72,20 @@ def check_multiplicativity(
     sigma_j: DensityMatrix,
 ) -> float:
     """|F(rho_i x sigma_i, rho_j x sigma_j) - F(rho_i, rho_j) F(sigma_i, sigma_j)|."""
-    return float(
-        multiplicativity_defects(rho_i.mat, sigma_i.mat, rho_j.mat, sigma_j.mat)
-    )
+    return float(multiplicativity_defects(rho_i.mat, sigma_i.mat,
+                                          rho_j.factor, sigma_j.factor))
 
 
 def monotonicity_margins(
-    sigma_big, tau_big, dims: Sequence[int], traced: Iterable[int]
+    sigma_big, w_tau_big, dims: Sequence[int], traced: Iterable[int]
 ) -> np.ndarray:
-    """F(reduced sigma, reduced tau) - F(sigma, tau) for (..., n, n) arrays of
-    density matrices on registers ``dims``, tracing out ``traced``."""
+    """F(reduced sigma, reduced tau) - F(sigma, tau) for (..., n, n) density
+    matrices sigma and (..., n, r) factors of tau on registers ``dims``,
+    tracing out ``traced``; a traced index outside the registers rejects."""
     traced = set(int(t) for t in traced)
-    keep = [i for i in range(len(dims)) if i not in traced]
-    red_s = linalg.partial_trace(sigma_big, dims, keep)
-    red_t = linalg.partial_trace(tau_big, dims, keep)
-    return fidelities(red_s, red_t) - fidelities(sigma_big, tau_big)
+    w_red = linalg.reduced_factor(w_tau_big, dims, traced)
+    red_s = linalg.partial_trace(sigma_big, dims, set(range(len(dims))) - traced)
+    return factor_fidelities(red_s, w_red) - factor_fidelities(sigma_big, w_tau_big)
 
 
 def check_monotonicity(
@@ -105,9 +94,7 @@ def check_monotonicity(
     dims: Sequence[int],
     traced: Iterable[int],
 ) -> float:
-    """Margin F(reduced sigma, reduced tau) - F(sigma, tau).
-
-    Non-negative (within numerical slack) for every partial trace; callers
-    pick their own threshold.
-    """
-    return float(monotonicity_margins(sigma_big.mat, tau_big.mat, dims, traced))
+    """Margin F(reduced sigma, reduced tau) - F(sigma, tau): non-negative
+    (within numerical slack) for every partial trace; callers pick their own
+    threshold."""
+    return float(monotonicity_margins(sigma_big.mat, tau_big.factor, dims, traced))

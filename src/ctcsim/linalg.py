@@ -7,10 +7,10 @@ row-major. ``kron``, ``partial_trace``, ``permute_registers``,
 ``unit_trace_hermitian``, ``trace_norm`` and ``trace_distance`` are
 shape-generic: they act on the last two axes of an (..., n, n) stack and
 broadcast over the leading ones, so one matrix and a stack of them take the
-same code; ``unit_factor`` does the same for (..., n, r) factors. A state
-is clamped in one place, ``psd_factor``. Checks on a stack go through
-``reject``, which names the first failing entry; ``chunks`` splits a long
-stack so its memory stays bounded. Tolerances live in ``tolerances``.
+same code; ``kron``, ``unit_factor`` and ``reduced_factor`` do the same for
+(..., n, r) factors. A state is clamped in one place, ``psd_factor``. Checks
+on a stack go through ``reject``, which names the first failing entry;
+``chunks`` splits a long stack to bound its memory; tolerances: ``tolerances``.
 """
 
 from __future__ import annotations
@@ -127,25 +127,24 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product of the last two axes, broadcast over leading axes.
+    """Kronecker product of the last two axes, broadcast over leading axes:
+    of (..., n, n) states, or of (..., n, r) factors, a factor of the product.
 
     A broadcast multiply, the same products ``np.kron`` forms, so the bits
     match it; ``einsum`` would not.
     """
-    a, b = as_stack(a), as_stack(b)
-    n, m = a.shape[-1], b.shape[-1]
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (n * m, n * m))
+    s = out.shape
+    return out.reshape(s[:-4] + (s[-4] * s[-3], s[-2] * s[-1]))
 
 
-def _check_dims(m: np.ndarray, dims: Sequence[int]) -> Tuple[int, ...]:
+def _check_dims(side: int, dims: Sequence[int]) -> Tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise ValueError(f"register dimensions must be positive, got {dims}")
-    if m.shape[-1] != math.prod(dims):
-        raise ValueError(
-            f"matrix side {m.shape[-1]} does not match product of dims {dims}"
-        )
+    if side != math.prod(dims):
+        raise ValueError(f"matrix side {side} does not match product of dims {dims}")
     return dims
 
 
@@ -157,7 +156,7 @@ def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     ``m`` may be a stack (..., n, n); the leading axes are kept.
     """
     m = as_stack(m)
-    dims = _check_dims(m, dims)
+    dims = _check_dims(m.shape[-1], dims)
     n = len(dims)
     keep = sorted(set(int(k) for k in keep))
     if keep and (keep[0] < 0 or keep[-1] >= n):
@@ -174,11 +173,30 @@ def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     return t.reshape(lead + (side, side))
 
 
+def reduced_factor(w, dims: Sequence[int], traced: Iterable[int]) -> np.ndarray:
+    """A factor of Tr_traced(W W^dag) for each (..., n, r) factor W on
+    registers ``dims``: W with the traced registers moved into its columns,
+    at most as wide as tall. Exact, with no eigendecomposition; a traced
+    index out of range rejects."""
+    dims, lead = _check_dims(w.shape[-2], dims), list(range(w.ndim - 2))
+    traced = sorted(set(int(t) for t in traced))
+    for t in traced:
+        if not 0 <= t < len(dims):
+            raise ValueError(f"traced register {t} out of range for {len(dims)} registers")
+    keep = [i for i in range(len(dims)) if i not in traced]
+    t = w.reshape(w.shape[:-2] + dims + w.shape[-1:])
+    t = t.transpose(lead + [len(lead) + i for i in keep + traced + [len(dims)]])
+    side = math.prod(dims[i] for i in keep)
+    t = t.reshape(w.shape[:-2] + (side, w.shape[-2] // side * w.shape[-1]))
+    # narrowed to R^dag (W^dag = QR, W W^dag = R^dag R) when wider than tall
+    return t if t.shape[-1] <= side else dagger(np.linalg.qr(dagger(t), mode="r"))
+
+
 def permute_registers(m, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     """Reorder tensor factors: register i of the result is register perm[i]
     of m. ``m`` may be a stack (..., n, n); the leading axes are kept."""
     m = as_stack(m)
-    dims = _check_dims(m, dims)
+    dims = _check_dims(m.shape[-1], dims)
     n = len(dims)
     perm = list(perm)
     if sorted(perm) != list(range(n)):

@@ -87,7 +87,8 @@ def run_entangled_clone(
         rho_tot, reduced, fps = _entangled_runs(cloner, joint_input.factor[None], r_dim)
     reduced_ab = DensityMatrix._trusted(reduced[0], (n, n))
     rho_a = linalg.partial_trace(joint_input.mat, (n, r_dim), [0])
-    expected_ab = evolve(make_problem(cloner, DensityMatrix._trusted(rho_a)))[0]
+    w_a = linalg.reduced_factor(joint_input.factor, (n, r_dim), [1])
+    expected_ab = evolve(make_problem(cloner, DensityMatrix._trusted(rho_a, factor=w_a)))[0]
     deviation = linalg.trace_distance(reduced_ab.mat, expected_ab.mat)
     return NoSignalReport(
         rho_tot=DensityMatrix._trusted(rho_tot[0], (n, n, r_dim)),

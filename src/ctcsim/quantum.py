@@ -203,9 +203,10 @@ class DensityMatrix:
     parts' factors: the CR input of ``cloning.make_problem`` and of
     ``dsl.lower``, whose input lines are each validated), the solved CTC state
     and ``sanitize`` output (the clamp's), ``random_density`` (its Ginibre
-    draw) and spectator-channel outputs (their blocks). I/d, partial traces,
-    the Gram-form output and ``deutsch_map`` output are trusted too, and
-    factored on first use if ever. Only
+    draw), spectator-channel outputs (their blocks) and ``nosignal``'s Tr_R
+    of its joint input (``linalg.reduced_factor``). I/d, other partial
+    traces, the Gram-form output and ``deutsch_map`` output are trusted too,
+    and factored on first use if ever. Only
     ``engine.solve_stack`` and ``sanitize`` clamp (``linalg.psd_factor``); map
     outputs are made exactly Hermitian and of unit trace by
     ``linalg.unit_trace_hermitian``. ``check_density`` validates a stack.

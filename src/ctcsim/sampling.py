@@ -8,7 +8,7 @@ imaginary parts. ``ginibre_trials`` draws the matrices of many trials with
 one call, in the order the single-matrix generators would draw them, and
 ``haar_from_ginibre`` and ``density_from_ginibre`` turn (..., n, n) stacks
 of draws into Haar unitaries and density matrices; ``haar_unitary`` and
-``random_density`` are the same transforms on one draw.
+``random_density`` apply them to a one-trial ``ginibre_trials`` draw.
 """
 
 from __future__ import annotations
@@ -40,11 +40,6 @@ def ginibre_trials(
     return stacks
 
 
-def _ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """One draw of ``ginibre_trials``, without its slicing."""
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-
-
 def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
     """Haar-distributed unitaries from (..., n, n) Ginibre draws: QR with the
     phases of R's diagonal moved onto Q."""
@@ -62,7 +57,7 @@ def density_from_ginibre(z: np.ndarray) -> np.ndarray:
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> Unitary:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
-    return Unitary(haar_from_ginibre(_ginibre(rng, dim)))
+    return Unitary(haar_from_ginibre(ginibre_trials(rng, 1, (dim,))[0][0]))
 
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
@@ -70,5 +65,5 @@ def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
     density matrix by construction, so it takes the trusted path, carrying
     the factor Z / ||Z||_F (``linalg.unit_factor``) as the fixed-points
     sweep draws it."""
-    z = _ginibre(rng, dim)
+    z = ginibre_trials(rng, 1, (dim,))[0][0]
     return DensityMatrix._trusted(density_from_ginibre(z), factor=unit_factor(z))

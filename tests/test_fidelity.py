@@ -7,8 +7,9 @@ from ctcsim.fidelity import (
     check_monotonicity,
     check_multiplicativity,
     factor_fidelities,
-    fidelities,
     fidelity,
+    monotonicity_margins,
+    multiplicativity_defects,
 )
 from ctcsim.quantum import DensityMatrix, PureState
 from ctcsim.sampling import haar_unitary, random_density
@@ -78,15 +79,24 @@ def rank_deficient_density(rng, n, rank):
     return m / np.trace(m).real
 
 
+def rank_deficient_factor(rng, n, rank):
+    """An (n, n) unit factor of a random density matrix of the given rank:
+    its last n - rank columns are zero."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    z[:, rank:] = 0
+    return linalg.unit_factor(z)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_fidelities_match_the_dense_oracle(n, rng):
     # full-rank and rank-deficient sigma, as one stack and one by one
     rhos = np.stack([random_density(rng, n).mat for _ in range(6)]
                     + [rank_deficient_density(rng, n, r) for r in (1, 2, 1)])
-    sigmas = np.stack([random_density(rng, n).mat for _ in range(3)]
-                      + [rank_deficient_density(rng, n, r) for r in (1, 2, n - 1)]
-                      + [random_density(rng, n).mat for _ in range(3)])
-    stacked = fidelities(rhos, sigmas)
+    ws = np.stack([random_density(rng, n).factor for _ in range(3)]
+                  + [rank_deficient_factor(rng, n, r) for r in (1, 2, n - 1)]
+                  + [random_density(rng, n).factor for _ in range(3)])
+    sigmas = ws @ linalg.dagger(ws)
+    stacked = factor_fidelities(rhos, ws)
     for rho, sigma, f in zip(rhos, sigmas, stacked):
         oracle = sandwich_fidelity(rho, sigma)
         assert abs(f - oracle) <= 1e-12
@@ -99,9 +109,15 @@ def test_pure_pairs_give_the_overlap(n, rng):
         p, q = random_pure(rng, n), random_pure(rng, n)
         overlap = abs(np.vdot(p.amps, q.amps))
         rho, sigma = p.projector(), q.projector()
-        assert abs(float(fidelities(rho, sigma)) - overlap) <= 1e-12
         assert abs(float(factor_fidelities(rho, q.amps[:, None])) - overlap) <= 1e-12
         assert abs(sandwich_fidelity(rho, sigma) - overlap) <= 1e-12
+
+
+def test_fidelity_against_a_pure_state_sandwiches_one_by_one(rng, eig_calls):
+    rho, pure = random_density(rng, 4), random_pure(rng, 4).density()
+    eig_calls.clear()
+    fidelity(rho, pure)
+    assert [(name, m.shape) for name, m in eig_calls] == [("eigvalsh", (1, 1))]
 
 
 def test_factor_kernel_rejects_what_the_dense_path_rejects():
@@ -152,3 +168,36 @@ class TestMonotonicity:
             if margin > 1e-6:
                 strict += 1
         assert strict > 0  # strictly positive cases exist
+
+
+@pytest.mark.parametrize("dims, traced", [((2, 3), {0}), ((2, 3), {1}),
+                                          ((2, 3, 2), {0, 2}), ((2, 3, 2), {1})])
+def test_monotonicity_margins_match_the_dense_oracle(dims, traced, rng):
+    n = int(np.prod(dims))
+    keep = [i for i in range(len(dims)) if i not in traced]
+    sigmas = [random_density(rng, n) for _ in range(4)]
+    taus = [random_density(rng, n) for _ in range(4)]
+    stacked = monotonicity_margins(np.stack([s.mat for s in sigmas]),
+                                   np.stack([t.factor for t in taus]), dims, traced)
+    for s, t, margin in zip(sigmas, taus, stacked):
+        reduced = [linalg.partial_trace(m.mat, dims, keep) for m in (s, t)]
+        oracle = sandwich_fidelity(*reduced) - sandwich_fidelity(s.mat, t.mat)
+        assert abs(margin - oracle) <= 1e-12
+        assert margin == check_monotonicity(s, t, dims, traced)
+
+
+@pytest.mark.parametrize("bad", [5, -1])
+def test_monotonicity_rejects_a_traced_register_out_of_range(bad, rng):
+    s, t = random_density(rng, 4), random_density(rng, 4)
+    with pytest.raises(ValueError, match=f"traced register {bad} out of range"):
+        check_monotonicity(s, t, (2, 2), {bad})
+
+
+def test_stacked_multiplicativity_equals_the_single_calls(rng):
+    quads = [[random_density(rng, 2) for _ in range(4)] for _ in range(6)]
+    rho_i, sigma_i, rho_j, sigma_j = (
+        np.stack([getattr(q[k], attr) for q in quads])
+        for k, attr in ((0, "mat"), (1, "mat"), (2, "factor"), (3, "factor")))
+    stacked = multiplicativity_defects(rho_i, sigma_i, rho_j, sigma_j)
+    for quad, defect in zip(quads, stacked):
+        assert defect == check_multiplicativity(*quad)

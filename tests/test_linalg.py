@@ -66,6 +66,27 @@ class TestKron:
             right = linalg.kron(a, linalg.kron(b, c))
             assert np.max(np.abs(left - right)) <= 1e-12
 
+    def test_factors_match_np_kron_bitwise(self, rng):
+        a = rng.standard_normal((3, 2, 1)) + 1j * rng.standard_normal((3, 2, 1))
+        b = rng.standard_normal((3, 3, 2)) + 1j * rng.standard_normal((3, 3, 2))
+        got = linalg.kron(a, b)
+        assert got.shape == (3, 6, 2)
+        for k in range(3):
+            assert np.array_equal(got[k], np.kron(a[k], b[k]))
+
+
+class TestReducedFactor:
+    @pytest.mark.parametrize("dims, traced", [((2, 3), {0}), ((2, 3), {1}),
+                                              ((2, 3, 2), {0, 2}), ((2, 3, 2), {1}),
+                                              ((2, 3), {0, 1}), ((2, 3), set())])
+    def test_factor_of_the_partial_trace(self, dims, traced, rng):
+        n = int(np.prod(dims))
+        w = rng.standard_normal((4, n, 2)) + 1j * rng.standard_normal((4, n, 2))
+        keep = [i for i in range(len(dims)) if i not in traced]
+        red = linalg.reduced_factor(w, dims, traced)
+        want = linalg.partial_trace(w @ linalg.dagger(w), dims, keep)
+        assert np.max(np.abs(red @ linalg.dagger(red) - want)) <= 1e-12
+
 
 class TestPartialTrace:
     def test_product_state(self, rng):

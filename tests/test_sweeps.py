@@ -26,7 +26,7 @@ def fidelity_oracle(rng, trials, dim):
         sym = abs(fidelity(a, b) - fidelity(b, a))
         u = sampling.haar_unitary(rng, dim).mat
         rot_a = DensityMatrix(u @ a.mat @ u.conj().T)
-        rot_b = DensityMatrix(u @ b.mat @ u.conj().T)
+        rot_b = DensityMatrix._trusted(u @ b.mat @ u.conj().T, factor=u @ b.factor)
         inv = abs(fidelity(rot_a, rot_b) - fidelity(a, b))
         rows.append({"trial": t, "multiplicativity": mult, "monotonicity": mono,
                      "symmetry": sym, "unitary_invariance": inv})
@@ -63,6 +63,15 @@ def test_batched_fidelity_sweep_equals_oracle(dim, seed, capsys):
         "symmetry": max(r["symmetry"] for r in rows),
         "unitary_invariance": max(r["unitary_invariance"] for r in rows),
     }
+
+
+def test_fidelity_sweep_factors_no_state(eig_calls, capsys):
+    # every fidelity is taken against a factor of a draw, so nothing is
+    # eigendecomposed but the draw checks and the sandwiches, none of them
+    # wider than the largest state
+    sweep_report("fidelity-props", TRIALS, 2, 0, capsys)
+    assert [name for name, _ in eig_calls if name == "eigh"] == []
+    assert max(m.shape[-1] for _, m in eig_calls) == 4
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -9,7 +9,7 @@
 # --trace-out, and on two written circuits (a two-register input line
 # declared out of layout order, with no --trace-out, with --trace-out B and
 # with --trace-out C,A, against layout order, and a circuit with only the CTC
-# register): 43 in all. The dsl-run circuits are generated
+# register): 44 in all. The dsl-run circuits are generated
 # into <outdir>/circuits by the checkout's perfbench/workloads.py, which is
 # only read. Two checkouts give byte-identical results exactly when
 #
@@ -41,6 +41,7 @@ seeded fixed-points-dim4-60-5 sweep fixed-points --dim 4 --trials 60 --seed 5
 seeded fixed-points-0 sweep fixed-points --trials 0
 seeded fixed-points-5-csv sweep fixed-points --trials 5 --format csv
 seeded fidelity-props-1000-0 sweep fidelity-props --trials 1000 --seed 0
+seeded fidelity-props-dim3-200-4 sweep fidelity-props --dim 3 --trials 200 --seed 4
 seeded fidelity-props-0 sweep fidelity-props --trials 0
 seeded no-cloning-baseline-1000-0 sweep no-cloning-baseline --trials 1000 --seed 0
 seeded no-cloning-baseline-dim3-200-4 sweep no-cloning-baseline --dim 3 --trials 200 --seed 4
