@@ -55,11 +55,17 @@ class ClonerCircuit:
             raise ValueError(f"unknown cloner kind {self.kind!r}")
         if labels != expected[self.kind]:
             raise ValueError(f"gate labels {labels} do not match {self.kind}")
+        for label, gl in self.gates:
+            if gl.layout.registers != self.layout.registers:
+                raise ValueError(f"gate {label} is on registers {gl.layout.registers}, "
+                                 f"not the cloner's {self.layout.registers}")
 
     @cached_property
     def total(self) -> GateList:
-        """The interaction: every gate's local gates, in application order."""
-        return GateList(self.layout, tuple(g for _, gl in self.gates for g in gl.gates))
+        """The interaction: every gate's local gates, in application order,
+        each checked on these registers by its own list."""
+        gates = tuple(g for _, gl in self.gates for g in gl.gates)
+        return GateList._trusted(self.layout, gates)
 
     @property
     def n(self) -> int:

@@ -18,6 +18,15 @@ CR input is the product of the lines.
 
 Matrix files referenced with ``@`` carry a ``matrix <side> <count>`` header
 followed by whitespace/";"-separated complex literals in row-major order.
+
+The front end costs what the distinct lines cost, since a long circuit
+repeats a few gate lines. ``parse`` collects every error before it gives
+up; it remembers each gate line that parsed cleanly by its text less its
+comment, and a repeat of that text gets a copy of its ``GateDecl`` with its
+own span instead of being tokenized again. A bad line is not remembered, so
+each of its repeats reports its own error. ``lower`` reads and checks each
+matrix file once, builds and checks each distinct gate line's gate once,
+and joins the gates into the interaction without checking them again.
 """
 
 from __future__ import annotations
@@ -25,7 +34,6 @@ from __future__ import annotations
 import cmath
 import functools
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -184,14 +192,20 @@ class _LineParser:
         self.inputs = []
         self.claimed = set()  # registers named by an input line
         self.gates = []
+        self.known_gates = {}  # a clean gate line's text, less its comment: its GateDecl
 
     def error(self, line, col, message, expected=""):
         self.errors.append(ParseError(line, col, message, expected))
 
     def parse_line(self, lineno, raw):
+        line = raw.split("#", 1)[0]
+        known = self.known_gates.get(line)
+        if known is not None:  # a long circuit repeats a few gate lines
+            self.gates.append(GateDecl(known.kind, known.regs, known.file,
+                                       SourceSpan(lineno, known.span.column)))
+            return
         # (text, 1-based column) pairs; ':' and ';' are tokens of their own,
         # so each gets spaces around it before the whitespace split
-        line = raw.split("#", 1)[0]
         toks, end = [], 0
         for text in line.replace(":", " : ").replace(";", " ; ").split():
             end = line.find(text, end) + len(text)
@@ -204,7 +218,9 @@ class _LineParser:
             self.error(lineno, col, f"unknown directive {head!r}",
                        "system, input or gate")
             return
-        directive(self, lineno, toks, SourceSpan(lineno, col))
+        decl = directive(self, lineno, toks, SourceSpan(lineno, col))
+        if decl is not None:
+            self.known_gates[line] = decl
 
     def _parse_system(self, lineno, toks, span):
         if len(toks) != 3:
@@ -285,11 +301,14 @@ class _LineParser:
             col, message = toks[2 + n][1], f"gate {name}: @ needs a file name"
         else:
             file = operands[n][1:] if kind.file else None
-            self.gates.append(GateDecl(name, tuple(operands[:n]), file, span))
-            return
+            decl = GateDecl(name, tuple(operands[:n]), file, span)
+            self.gates.append(decl)
+            return decl
         usage = [f"<{r}>" for r in kind.regs] + ["@<file>"] * kind.file
         self.error(lineno, col, message, " ".join(["gate", name, *usage]))
 
+    # each parses one line's tokens and returns the GateDecl that a repeat of
+    # the line may copy: only a gate line that parsed cleanly has one
     DIRECTIVES = {"system": _parse_system, "input": _parse_input, "gate": _parse_gate}
 
 
@@ -414,13 +433,11 @@ def format_matrix_file(mats) -> str:
     return "\n".join(lines) + "\n"
 
 
-@contextmanager
-def _on_line(directive, line):
-    """Prefix a ``ValueError`` raised in the block with the line it lowers."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{directive} on line {line}: {exc}") from None
+def _on_line(directive, line, exc):
+    """``exc``, a ``ValueError`` or an ``OSError`` raised lowering a line,
+    as the same kind of error with that line in front."""
+    kind = OSError if isinstance(exc, OSError) else ValueError
+    return kind(f"{directive} on line {line}: {exc}")
 
 
 def lower(spec: CircuitSpec, base_dir=".") -> DeutschProblem:
@@ -431,7 +448,9 @@ def lower(spec: CircuitSpec, base_dir=".") -> DeutschProblem:
     ``DensityMatrix.product`` in layout order, as in ``cloning.make_problem``:
     no matrix of its size is checked or eigendecomposed. A ``ValueError``
     from lowering a line starts ``input on line L: `` or ``gate on line L: ``,
-    where L is the first line of a repeated gate line."""
+    where L is the first line of a repeated gate line; a matrix file that
+    cannot be read raises ``OSError("gate on line L: cannot read <path>:
+    <reason>")``."""
     dims = spec.system_dims()
     order = [s.name for s in spec.systems if s.name != "CTC"] + ["CTC"]
     layout = Layout(tuple((n, dims[n]) for n in order), ctc_index=len(order) - 1)
@@ -442,33 +461,45 @@ def lower(spec: CircuitSpec, base_dir=".") -> DeutschProblem:
         adjoint: read, parsed and checked (one stacked check) once."""
         if adjoint:
             return family(name, False).dagger()
+        path = Path(base_dir) / name
         try:
-            return Select(load_matrix_file(Path(base_dir) / name))
+            return Select(load_matrix_file(path))
+        except OSError as exc:
+            raise OSError(f"cannot read {path}: {exc.strerror or exc}") from None
         except linalg.StackError as exc:
             raise ValueError(f"{name}: {exc.message}") from None
 
     # long circuits repeat a few gate lines many times: build each distinct
-    # line's one local gate once and reuse it, so the list checks it once
+    # line's one local gate once and reuse it, so it is checked once; a line
+    # fails where it is first built, on the first line of its repeats
     lowered, gates = {}, []
-    for g in spec.gates:
-        gate = lowered.get(g)  # a GateDecl compares by kind, regs and file
-        if gate is None:
-            kind = GATE_KINDS[g.kind]
-            with _on_line("gate", g.span.line):
+    try:
+        for g in spec.gates:
+            # the fields a GateDecl compares by: as a tuple they hash and
+            # compare in C, at a third of the cost of the dataclass methods
+            key = (g.kind, g.regs, g.file)
+            gate = lowered.get(key)
+            if gate is None:
+                kind = GATE_KINDS[g.kind]
                 args = (g, family(g.file, kind.adjoint)) if kind.file else g.regs
-                gate = lowered[g] = kind.build(layout, *args).gates[0]
-        gates.append(gate)
-    interaction = GateList(layout, tuple(gates))
+                gate = lowered[key] = kind.build(layout, *args).gates[0]
+            gates.append(gate)
+    except (ValueError, OSError) as exc:
+        raise _on_line("gate", g.span.line, exc) from None
+    # each gate was checked on this layout by the one-gate list it came from
+    interaction = GateList._trusted(layout, tuple(gates))
 
     # the CR input: each line a state of its own registers, validated once
     # here, and the product of the lines in layout order
     parts, regs = [], []
-    for d in spec.inputs:
-        line_dims = tuple(dims[r] for r in d.regs)
-        with _on_line("input", d.span.line):
+    try:
+        for d in spec.inputs:
+            line_dims = tuple(dims[r] for r in d.regs)
             state = (PureState(np.array(d.amps, dtype=complex)).density()
                      if d.kind == "pure" else DensityMatrix(d.rows, line_dims))
-        parts.append(state.with_dims(line_dims))
-        regs.extend(d.regs)
+            parts.append(state.with_dims(line_dims))
+            regs.extend(d.regs)
+    except ValueError as exc:
+        raise _on_line("input", d.span.line, exc) from None
     cr_input = DensityMatrix.product(parts, [regs.index(n) for n in order[:-1]])
     return DeutschProblem(layout, interaction, cr_input)

@@ -17,8 +17,9 @@ is built:
   checked again.
 
 The gate constructors return a ``GateList``, the local gates of an
-interaction in application order on one ``Layout``; gate lists compose
-with ``@`` and check each distinct gate once. One kernel,
+interaction in application order on one ``Layout``. A list checks each
+distinct gate once, and ``@`` composes two lists on the same registers
+without checking their gates again. One kernel,
 ``GateList.apply``, pushes a (..., D, m) array of columns (leading axes
 batch independent column sets) through steps compiled from the gates: per
 gate, one gather of the rows that moves its registers in front, then its
@@ -88,14 +89,19 @@ class Layout:
     def total_dim(self) -> int:
         return math.prod(self.dims)
 
+    @cached_property
+    def _positions(self) -> dict:
+        """Each register name's position in tensor order."""
+        return {n: i for i, n in enumerate(self.names)}
+
     def index(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.registers):
-            if n == name:
-                return i
-        raise KeyError(f"no register named {name!r}")
+        try:
+            return self._positions[name]
+        except KeyError:
+            raise KeyError(f"no register named {name!r}") from None
 
     def dim(self, name: str) -> int:
-        return self.registers[self.index(name)][1]
+        return self.dims[self.index(name)]
 
     @property
     def ctc_dim(self) -> int:
@@ -499,7 +505,9 @@ class GateList:
     Each gate is a pair (register names, ``Unitary``, ``Permutation`` or
     ``Select`` on those registers); every other register sees the identity.
     U x I is unitary exactly when U is, so validating each small gate
-    validates the whole interaction.
+    validates the whole interaction. The public constructor checks that
+    each gate fits its registers; ``_trusted`` composes gates that lists on
+    the same registers have checked.
     """
 
     layout: Layout
@@ -554,11 +562,20 @@ class GateList:
                 x = (operand @ x.reshape(lead + shape)).reshape(columns.shape)
         return x
 
+    @classmethod
+    def _trusted(cls, layout: Layout, gates: tuple) -> "GateList":
+        """Wrap a tuple of (register tuple, gate) pairs on ``layout``, each
+        taken from a gate list on the same registers, which checked it."""
+        gl = object.__new__(cls)
+        object.__setattr__(gl, "layout", layout)
+        object.__setattr__(gl, "gates", gates)
+        return gl
+
     def __matmul__(self, other: "GateList") -> "GateList":
         """Matrix-order composition: ``a @ b`` applies b first."""
         if other.layout.registers != self.layout.registers:
             raise ValueError("cannot compose gate lists on different layouts")
-        return GateList(self.layout, other.gates + self.gates)
+        return GateList._trusted(self.layout, other.gates + self.gates)
 
     def dagger(self) -> "GateList":
         return GateList(

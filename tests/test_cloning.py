@@ -218,6 +218,19 @@ def test_baseline_eigendecomposes_no_partial_trace(rng, eig_calls):
     assert [(name, m.shape) for name, m in eig_calls] == [("eigvalsh", (4, 1, 1))] * n
 
 
+@pytest.mark.parametrize("n, other", [(3, 2), (2, 3)])
+def test_cloner_rejects_gates_of_another_layout(n, other, rng):
+    own, foreign = build_mixed_cloner(n), build_mixed_cloner(other)
+    with pytest.raises(ValueError, match="gate W1 is on registers"):
+        ClonerCircuit(own.layout, foreign.gates, "mixed_diagonal")
+    # the first foreign stage is named
+    with pytest.raises(ValueError, match=r"gate V is on registers \(\('A', %d\)" % other):
+        ClonerCircuit(own.layout, own.gates[:2] + foreign.gates[2:], "mixed_diagonal")
+    pure = build_pure_cloner(random_alphabet(rng, other))
+    with pytest.raises(ValueError, match="gate W is on registers"):
+        ClonerCircuit(own.layout, pure.gates, "pure_alphabet")
+
+
 def dense_twin(cloner):
     """The same cloner with every local gate wrapped as a dense Unitary."""
     gates = tuple(

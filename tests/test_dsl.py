@@ -592,25 +592,68 @@ class RegexTokenParser(dsl._LineParser):
         directive(self, lineno, toks, dsl.SourceSpan(lineno, col))
 
 
-def test_tokenizer_columns_equal_the_regex_reference(rng):
+def random_line(rng):
+    """A line of circuit words (mostly a directive first) and odd spaces."""
     vocab = ["system", "input", "gate", "pure", "mixed", "swap", "csum", "select",
              "select_adj", "unitary", "A", "B", "CTC", "2", "x2", "²", ":", ";",
              "A:", ":1", "1;0", "@f.mat", "@", "1", "-0.5", "1+2i", "1e999", "#c", "b@d"]
     spaces = [" ", "  ", "\t", "\u00a0", "\u2003", "\x1c", "\x0b", "\u3000"]
+    words = [vocab[int(rng.integers(len(vocab)))] for _ in range(int(rng.integers(0, 7)))]
+    if words and rng.random() < 0.7:
+        words[0] = ["system", "gate", "input"][int(rng.integers(3))]
+    gaps = [spaces[int(rng.integers(len(spaces)))] * int(rng.integers(0, 3))
+            for _ in range(len(words) + 1)]
+    return "".join(g + w for g, w in zip(gaps, words + [""]))
+
+
+def parser_state(parser, lines):
+    for lineno, raw in enumerate(lines, start=1):
+        parser.parse_line(lineno, raw)
+    return (parser.errors, parser.systems, parser.inputs, parser.gates,
+            [(d.span.line, d.span.column) for d in parser.gates])
+
+
+def test_tokenizer_columns_equal_the_regex_reference(rng):
     for _ in range(3000):
-        lines = []
-        for _ in range(int(rng.integers(1, 5))):
-            words = [vocab[int(rng.integers(len(vocab)))]
-                     for _ in range(int(rng.integers(0, 7)))]
-            if words and rng.random() < 0.7:
-                words[0] = ["system", "gate", "input"][int(rng.integers(3))]
-            gaps = [spaces[int(rng.integers(len(spaces)))] * int(rng.integers(0, 3))
-                    for _ in range(len(words) + 1)]
-            lines.append("".join(g + w for g, w in zip(gaps, words + [""])))
-        states = []
-        for parser in (dsl._LineParser(), RegexTokenParser()):
-            for lineno, raw in enumerate(lines, start=1):
-                parser.parse_line(lineno, raw)
-            states.append((parser.errors, parser.systems, parser.inputs, parser.gates,
-                           [(d.span.line, d.span.column) for d in parser.gates]))
-        assert states[0] == states[1], lines
+        lines = [random_line(rng) for _ in range(int(rng.integers(1, 5)))]
+        assert (parser_state(dsl._LineParser(), lines)
+                == parser_state(RegexTokenParser(), lines)), lines
+
+
+# gate lines, clean and bad, that a long circuit may repeat
+REPEATED_LINES = ["gate swap A CTC", "  gate swap A CTC", "gate csum B A",
+                  "gate select A B @f.mat", "gate select_adj CTC A @g.mat",
+                  "gate unitary B @f.mat", "\tgate unitary CTC @u.mat ", "gate swap A Z",
+                  "gate swap A", "gate select A B f.mat", "gate unitary A @",
+                  "gate rotate A", "gate"]
+COMMENTS = ["", "#", "# c", "  # gate swap B A", "#x;y:z"]
+
+
+def test_repeated_lines_parse_as_the_regex_reference(rng):
+    # most lines repeat, with other comments: the parser tokenizes each
+    # clean gate line once and copies it with the new line's span, the
+    # reference tokenizes every line
+    repeats = 0
+    for _ in range(500):
+        pool = ([REPEATED_LINES[int(k)]
+                 for k in rng.choice(len(REPEATED_LINES), 4, replace=False)]
+                + [random_line(rng) for _ in range(2)])
+        lines = [pool[int(rng.integers(len(pool)))] + COMMENTS[int(rng.integers(len(COMMENTS)))]
+                 for _ in range(int(rng.integers(2, 30)))]
+        parser = dsl._LineParser()
+        assert parser_state(parser, lines) == parser_state(RegexTokenParser(), lines), lines
+        repeats += len(parser.gates) - len(parser.known_gates)
+    assert repeats > 1000  # lines taken from the parser's table of clean lines
+
+
+@pytest.mark.parametrize("line, column, message", [
+    ("gate swap A Z", 1, "gate references unknown register 'Z'"),
+    ("gate swap A", 6, "gate swap takes two registers"),
+    ("gate unitary A @", 16, "gate unitary: @ needs a file name"),
+])
+def test_a_repeated_bad_gate_line_fails_at_each_line(line, column, message):
+    text = SMALLEST + "\n".join([line, line + "  # again", line]) + "\n"
+    with pytest.raises(CircuitSyntaxError) as exc:
+        parse(text)
+    assert [(e.line, e.column, e.message) for e in exc.value.errors] == [
+        (lineno, column, message) for lineno in (5, 6, 7)]

@@ -139,6 +139,25 @@ def test_composition_and_dagger_match_dense_products(rng):
     assert np.max(np.abs(total.dagger().mat - dense.conj().T)) <= 1e-12
 
 
+def test_composition_trusts_only_lists_on_the_same_registers():
+    qubits = Layout((("A", 2), ("CTC", 2)), ctc_index=1)
+    qutrits = Layout((("A", 3), ("CTC", 3)), ctc_index=1)
+    a, b = swap_gate(qubits, "A", "CTC"), csum_gate(qutrits, "A", "CTC")
+    for first, second in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="cannot compose gate lists on different layouts"):
+            first @ second
+    # the public constructor checks every gate, also one a list has checked
+    for _ in range(2):
+        with pytest.raises(ValueError, match="does not fit registers"):
+            GateList(qutrits, a.gates)
+    # on the same registers the parts are composed as they are
+    c = csum_gate(Layout(qubits.registers), "CTC", "A")
+    composed = c @ a
+    assert composed.layout is c.layout
+    assert composed.gates == a.gates + c.gates
+    assert np.array_equal(composed.mat, GateList(qubits, a.gates + c.gates).mat)
+
+
 def test_structured_gates_match_dense_oracles_and_invert(rng):
     fam = [haar_unitary(rng, 3) for _ in range(2)]
     cases = [(swap_gate(MIXED, "B", "C"), oracle_swap(MIXED, "B", "C"), Permutation),
@@ -375,6 +394,17 @@ class TestLayout:
         assert lay.cr_dims == (2, 3)
         assert lay.ctc_dim == 2
         assert lay.index("B") == 1
+
+    def test_index_and_dim_equal_a_scan_of_the_registers(self):
+        lay = Layout((("Q0", 2), ("B", 3), ("Q2", 5), ("CTC", 2)), ctc_index=3)
+        for i, (name, dim) in enumerate(lay.registers):
+            assert (lay.index(name), lay.dim(name)) == (i, dim)
+        for name in ("C", "b", ""):
+            with pytest.raises(KeyError) as exc:
+                lay.index(name)
+            assert exc.value.args == (f"no register named {name!r}",)
+            with pytest.raises(KeyError, match=f"no register named {name!r}"):
+                lay.dim(name)
 
     def test_duplicate_names(self):
         with pytest.raises(ValueError, match="duplicate"):

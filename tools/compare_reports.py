@@ -12,8 +12,8 @@ defect. A csv report is read as its key,value lines.
 Any other difference is flagged on a line starting with ``FLAG``: a bool,
 int, string or null that changed (``ok``, ``multiplicity``), a float that
 turned non-finite, a changed structure (keys, list lengths, types), a
-standard output or exit code that is not byte-identical, and a file
-present on one side only.
+standard output, standard error or exit code that is not byte-identical,
+and a file present on one side only.
 
 Exits 0 when nothing is flagged (float moves alone), 1 when something is,
 and 2 on a usage error.

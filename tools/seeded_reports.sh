@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Run the seeded ctcsim commands of a checkout and keep, for each, its report
-# (<name>.report), standard output (<name>.stdout) and exit code (<name>.exit):
+# (<name>.report), standard output (<name>.stdout), standard error
+# (<name>.stderr) and exit code (<name>.exit):
 #
 #   tools/seeded_reports.sh <checkout> <outdir>
 #
@@ -9,9 +10,14 @@
 # --trace-out, and on two written circuits (a two-register input line
 # declared out of layout order, with no --trace-out, with --trace-out B and
 # with --trace-out C,A, against layout order, and a circuit with only the CTC
-# register): 44 in all. The dsl-run circuits are generated
-# into <outdir>/circuits by the checkout's perfbench/workloads.py, which is
-# only read. Two checkouts give byte-identical results exactly when
+# register): 44 that exit 0. Three more written circuits repeat a bad gate
+# line (a register that is not declared, a file operand without its @, and
+# a select whose family does not fit its control) and exit 1: 47 in all.
+# Each command runs in <outdir> and names its files relative to it, so its
+# standard error does not depend on where <outdir> is. The dsl-run circuits
+# are generated into <outdir>/circuits by the checkout's
+# perfbench/workloads.py, which is only read. Two checkouts give
+# byte-identical results exactly when
 #
 #   diff -r <outdir of one> <outdir of the other>
 #
@@ -27,11 +33,12 @@ mkdir -p "$2/circuits"
 out=$(cd "$2" && pwd)
 export PYTHONPATH="$checkout/src" PYTHONDONTWRITEBYTECODE=1 OPENBLAS_NUM_THREADS=1
 
-# seeded <name> <ctcsim arguments...>
+# seeded <name> <ctcsim arguments, paths relative to <outdir>...>
 seeded() {
     local name=$1 code=0
     shift
-    python3 -B -m ctcsim "$@" --out "$out/$name.report" >"$out/$name.stdout" || code=$?
+    (cd "$out" && python3 -B -m ctcsim "$@" --out "$name.report" \
+        >"$name.stdout" 2>"$name.stderr") || code=$?
     echo "$code" >"$out/$name.exit"
 }
 
@@ -55,7 +62,7 @@ matrix 4 1
 0.0 0.0 0.5 0.0 ;
 0.0 0.0 -0.5 0.0+0.8i ;
 MAT
-seeded clone-pure-n4 demo clone-pure --alphabet "@$out/alphabet4.txt" --index 2
+seeded clone-pure-n4 demo clone-pure --alphabet @alphabet4.txt --index 2
 seeded clone-mixed demo clone-mixed
 # a rank-2 target: its kept factor is narrower than N
 seeded clone-mixed-rank2 demo clone-mixed --probs 0.5,0.5,0
@@ -76,8 +83,8 @@ for op in sorted(workloads.dsl_run(0, Path(sys.argv[2])), key=lambda op: op.path
 PY
 )
 while read -r name keep; do
-    seeded "run-${name%.ctc}" run "$out/circuits/$name"
-    seeded "run-${name%.ctc}-trace-out" run "$out/circuits/$name" --trace-out "$keep"
+    seeded "run-${name%.ctc}" run "circuits/$name"
+    seeded "run-${name%.ctc}-trace-out" run "circuits/$name" --trace-out "$keep"
 done <<<"$circuits"
 
 # the mixed line declares its registers as B A; the layout's order is A, B, C
@@ -98,9 +105,9 @@ matrix 2 3
 0 1 ; 1 0 ;
 0.6 -0.8 ; 0.8 0.6 ;
 MAT
-seeded run-input-order run "$out/circuits/input-order.ctc"
-seeded run-input-order-trace-out run "$out/circuits/input-order.ctc" --trace-out B
-seeded run-input-order-trace-out-CA run "$out/circuits/input-order.ctc" --trace-out C,A
+seeded run-input-order run circuits/input-order.ctc
+seeded run-input-order-trace-out run circuits/input-order.ctc --trace-out B
+seeded run-input-order-trace-out-CA run circuits/input-order.ctc --trace-out C,A
 # no CR register: the CR input is the empty product [[1]]
 cat >"$out/circuits/ctc-only.ctc" <<'CTC'
 system CTC 2
@@ -110,4 +117,47 @@ cat >"$out/circuits/ctc-only.mat" <<'MAT'
 matrix 2 1
 0.6 -0.8 ; 0.8 0.6 ;
 MAT
-seeded run-ctc-only run "$out/circuits/ctc-only.ctc"
+seeded run-ctc-only run circuits/ctc-only.ctc
+
+# failing circuits, each with a gate line repeated: every repeat of a line
+# that names an undeclared register or lacks its @ is reported at its own
+# line, and a select whose family does not fit fails at its first line
+cat >"$out/circuits/bad-unknown-register.ctc" <<'CTC'
+system A 2
+system CTC 2
+input pure A : 1 0
+gate swap A Z
+gate csum A CTC
+gate swap A Z  # again
+gate swap A Z
+CTC
+seeded run-bad-unknown-register run circuits/bad-unknown-register.ctc
+cat >"$out/circuits/bad-malformed-gate.ctc" <<'CTC'
+system A 2
+system CTC 2
+input pure A : 1 0
+gate select A CTC bad-family.mat
+gate swap A CTC
+gate select A CTC bad-family.mat  # again
+gate select A CTC bad-family.mat
+CTC
+seeded run-bad-malformed-gate run circuits/bad-malformed-gate.ctc
+# a family of two fits the qubit control B, not the qutrit control A
+cat >"$out/circuits/bad-family.ctc" <<'CTC'
+system A 3
+system B 2
+system CTC 2
+input pure A : 1 0 0
+input pure B : 0 1
+gate select B CTC @bad-family.mat
+gate swap B CTC
+gate select A B @bad-family.mat
+gate select B CTC @bad-family.mat
+gate select A B @bad-family.mat
+CTC
+cat >"$out/circuits/bad-family.mat" <<'MAT'
+matrix 2 2
+1 0 ; 0 1 ;
+0.6 -0.8 ; 0.8 0.6 ;
+MAT
+seeded run-bad-family run circuits/bad-family.ctc
