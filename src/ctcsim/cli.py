@@ -27,7 +27,7 @@ from .cloning import (
     run_clone,
 )
 from .engine import evolve, kraus_stack, solve_stack
-from .fidelity import factor_fidelities, monotonicity_margins, multiplicativity_defects
+from .fidelity import factor_fidelities, monotonicity_margins
 from .linalg import CHUNK_TRIALS, chunks  # noqa: F401 (the sweeps' chunk size)
 from .nosignal import run_entangled_clone
 from .quantum import DensityMatrix, Layout, PureState, check_density, check_unitary
@@ -257,7 +257,10 @@ def _load_alphabet(arg: str) -> Alphabet:
         plus = PureState.normalized([1, 1])
         return Alphabet((zero, plus))
     if arg.startswith("@"):
-        mats = dsl.load_matrix_file(arg[1:])
+        try:
+            mats = dsl.load_matrix_file(arg[1:])
+        except OSError as exc:
+            raise OSError(f"cannot read {arg[1:]}: {exc.strerror or exc}") from None
         if len(mats) != 1:
             raise ValueError("alphabet file must hold a single matrix")
         cols = mats[0]
@@ -359,9 +362,12 @@ def _fidelity_chunk(rng, count, dim):
     u = sampling.haar_from_ginibre(z_u)
     _check_trials([(check_unitary, u)] + [
         (check_density, s) for s in (a, b, c, d, big_a, big_b)])
+    # F(a, b) enters the multiplicativity defect (``multiplicativity_defects``
+    # written out, so it is taken once), the symmetry and the invariance
     f_ab = factor_fidelities(a, w_b)
+    joint = factor_fidelities(linalg.kron(a, c), linalg.kron(w_b, w_d))
     return {
-        "multiplicativity": multiplicativity_defects(a, c, w_b, w_d),
+        "multiplicativity": np.abs(joint - f_ab * factor_fidelities(c, w_d)),
         "monotonicity": monotonicity_margins(big_a, w_big_b, (dim, dim), {1}),
         "symmetry": np.abs(f_ab - factor_fidelities(b, w_a)),
         "unitary_invariance": np.abs(

@@ -154,7 +154,7 @@ def run_clone(cloner: ClonerCircuit, target: DensityMatrix) -> CloneReport:
         clone_b=clone_b,
         fid_a=float(factor_fidelities(clone_a.mat, w)),
         fid_b=float(factor_fidelities(clone_b.mat, w)),
-        joint_fid=float(factor_fidelities(output.mat, np.kron(w, w))),
+        joint_fid=float(factor_fidelities(output.mat, linalg.kron(w, w))),
     )
 
 
@@ -205,14 +205,14 @@ def baseline_infidelities(
     n = alphabet.dim
     # the factor psi x 0 x W_C of each input, evolved, with C moved into its
     # columns: a factor of Tr_C of the evolved state
-    tail = np.kron(PureState.basis(n, 0).amps[:, None], ancilla.factor)
+    tail = linalg.kron(PureState.basis(n, 0).amps[:, None], ancilla.factor)
     worst = np.ones(interactions.shape[:-2])
     for state in alphabet.states:
-        evolved = interactions @ np.kron(state.amps[:, None], tail)
+        evolved = interactions @ linalg.kron(state.amps[:, None], tail)
         e = linalg.reduced_factor(evolved, (n, n, ancilla.side), [2])
         out = e @ linalg.dagger(e)
         # psi x psi is the factor of the pure joint target
-        pair = np.kron(state.amps, state.amps)[:, None]
+        pair = linalg.kron(state.amps[:, None], state.amps[:, None])
         worst = np.minimum(worst, factor_fidelities(out, pair))
     return 1.0 - worst
 

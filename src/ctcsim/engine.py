@@ -74,17 +74,30 @@ is real (Wolf 2012, *Quantum Channels & Operations*, ch. 1 and 6); T maps
 row-major vec(X) to the coordinates, and R comes from the Gram matrix of
 the live blocks, whose entries are those of S, by one cached index gather
 per d. T is unitary, so R - I has the singular values of S - I, and the
-multiplicity m, the dimension of the fixed space, is the number of them
-(a values-only SVD of R - I) at most ``tolerances.eig_one_window`` (or
-``_SVD_FLOOR`` times the largest, its rounding level). For m = 1, P1(I/d)
-is the one unit-trace solution of (R - I) x = 0, taken from one LU of
-[[R - I, t], [t^T, 0]] with t = T vec(I), which is 1 at the d diagonal
-coordinates (Stewart 1994, *Introduction to the Numerical Solution of
-Markov Chains*, ch. 2); so is m = 0, which the default window gives when a
-map is not trace preserving to its resolution: the product of a long
-circuit's gates, each within its check, can drift that far, as in a circuit
-of 400 Hadamards written to 10 digits. A member with m > 1 takes a full
-SVD R - I = U Sigma V^T of its own, and its fixed point is
+multiplicity m, the dimension of the fixed space, is the number of them at
+most the window max(``tolerances.eig_one_window``, ``_SVD_FLOOR`` sigma_max),
+the larger being the rounding level of R - I.
+
+One inverse of the bordered matrix B = [[R - I, t], [t^T, 0]], t = T vec(I)
+being 1 at the d diagonal coordinates, counts and solves a member with one
+fixed point (Stewart 1994, *Introduction to the Numerical Solution of
+Markov Chains*, ch. 2). t^T (R - I) = 0 by trace preservation, so B is
+nonsingular exactly for one fixed point, and x = B^-1[:n, n] is it, at unit
+trace. B is R - I bordered by one row and one column, so its singular
+values interlace those of R - I (Thompson 1972): sigma_min(B) is at most
+sigma_(n-1)(R - I), the second smallest, and at least 1 / ||B^-1||_F; and
+sigma_n(R - I) is at most ||(R - I) x|| / ||x||. With ||R - I||_F in place
+of sigma_max, which it bounds from above and, over sqrt(n), from below, a
+member for which 1 / ||B^-1||_F exceeds the upper window and
+||(R - I) x|| / ||x|| is within the lower one, each by ``_CERTIFY_MARGIN``,
+has m = 1 by the window's rule, and takes no SVD. Any other member takes
+the singular values of its R - I (a values-only SVD) and the window's
+count. With m = 1, or m = 0, it keeps x from B^-1; the default window gives
+m = 0 when a map is not trace preserving to its resolution: the product of
+a long circuit's gates, each within its check, can drift that far, as in a
+circuit of 400 Hadamards written to 10 digits. A member with m > 1 (or an
+exactly singular B, on which numpy's inverse raises) takes a full SVD
+R - I = U Sigma V^T of its own, and its fixed point is
 Q (L^T Q)^-1 L^T T vec(I/d), the columns of Q and L being the last m
 right and left singular vectors, which span the fixed space of R and that
 of its transpose. The state is T^dag x, Hermitian by construction.
@@ -105,6 +118,9 @@ from .quantum import DensityMatrix, GateList, Layout, Unitary
 # singular values of S - I up to this fraction of the largest are rounding
 # noise and count as null
 _SVD_FLOOR = 1e-14
+# the bordered inverse certifies one fixed point only with this margin on
+# each side of the count's window, far beyond the rounding of its estimates
+_CERTIFY_MARGIN = 10.0
 # a fixed-point candidate whose |trace| is below this cannot be normalized
 _TRACELESS = 1e-12
 
@@ -413,12 +429,34 @@ def build_superoperator(problem: DeutschProblem) -> np.ndarray:
     return g.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
+def _bordered_inverses(bordered: np.ndarray):
+    """B^-1 of each (n + 1, n + 1) bordered matrix of a stack, and the mask
+    of the members whose B numpy could invert. ``np.linalg.inv`` raises for
+    the whole stack when one member is exactly singular, so such a stack is
+    inverted one member at a time (each member's bits are those of its own
+    stack of one); a member that still raises keeps a zero inverse."""
+    try:
+        return np.linalg.inv(bordered), np.ones(len(bordered), dtype=bool)
+    except np.linalg.LinAlgError:
+        inverse = np.zeros_like(bordered)
+        solved = np.zeros(len(bordered), dtype=bool)
+        for i, member in enumerate(bordered):
+            try:
+                inverse[i] = np.linalg.inv(member)
+                solved[i] = True
+            except np.linalg.LinAlgError:
+                pass
+        return inverse, solved
+
+
 def solve_stack(kraus: np.ndarray) -> FixedPoints:
     """The canonical fixed point P1(I/d) of each member of a (B, n, d, d)
     Kraus stack and its full-width factor, solved together in real
-    arithmetic: one bordered LU for a member with multiplicity 1 (or 0), a
-    full SVD for one with more. Raises ``linalg.StackError`` naming the
-    first member whose candidate is traceless or not PSD."""
+    arithmetic: one inverse of the bordered matrix counts and solves a
+    member with one fixed point; a member it does not certify takes the
+    singular values of R - I for its count, and a full SVD if that count is
+    more than 1. Raises ``linalg.StackError`` naming the first member whose
+    candidate is traceless or not PSD."""
     b, d = kraus.shape[0], kraus.shape[-1]
     n = d * d
     # a block that is zero in every member adds nothing to S or the residual
@@ -426,26 +464,37 @@ def solve_stack(kraus: np.ndarray) -> FixedPoints:
     if not live.all():
         kraus = kraus[:, live]
     a = _real_forms(_kraus_gram(kraus)) - np.eye(n)
-    # singular values count the fixed points robustly for a non-normal S;
-    # R - I = T (S - I) T^dag has those of S - I, T being unitary
-    sv = np.linalg.svd(a, compute_uv=False)
-    window = np.maximum(linalg.tolerances.eig_one_window, sv[:, :1] * _SVD_FLOOR)
-    multiplicity = np.sum(sv <= window, axis=1)
-    x = np.empty((b, n))
-    one = multiplicity <= 1
     # t^T (R - I) = 0 for t = T vec(I) by trace preservation, so the bordered
-    # matrix is nonsingular exactly for one fixed point; x[:n] is it, at unit
-    # trace
-    bordered = np.zeros((np.count_nonzero(one), n + 1, n + 1))
-    bordered[:, :n, :n] = a[one]
+    # matrix is nonsingular exactly for one fixed point; the first n entries
+    # of its inverse's last column are it, at unit trace
+    bordered = np.zeros((b, n + 1, n + 1))
+    bordered[:, :n, :n] = a
     bordered[:, :n:d + 1, n] = bordered[:, n, :n:d + 1] = 1  # t is 1 at i * (d + 1)
-    # e_last as a (1, n + 1, 1) column: numpy 1 and 2 both read a right-hand
-    # side with the stack's ndim as matrices, where they differ on fewer axes
-    x[one] = np.linalg.solve(bordered, np.eye(n + 1)[None, :, n:])[:, :n, 0]
+    inverse, solved = _bordered_inverses(bordered)
+    x = inverse[:, :n, n].copy()
+    # the windows of the count with ||R - I||_F in place of sigma_max, which
+    # it bounds from above and, over sqrt(n), from below
+    frobenius = np.sqrt(np.square(a).sum(axis=(1, 2)))
+    floor = linalg.tolerances.eig_one_window
+    hi = np.maximum(floor, frobenius * _SVD_FLOOR) * _CERTIFY_MARGIN
+    lo = np.maximum(floor, frobenius / math.sqrt(n) * _SVD_FLOOR) / _CERTIFY_MARGIN
+    # 1 / ||B^-1||_F > hi: sigma_(n-1)(R - I) >= sigma_min(B) > window;
+    # ||(R - I) x|| <= lo ||x||: sigma_n(R - I) <= window
+    gap = np.square(inverse).sum(axis=(1, 2)) * np.square(hi) < 1
+    fixed = (np.square(a @ x[:, :, None]).sum(axis=(1, 2))
+             <= np.square(lo) * np.square(x).sum(axis=1))
+    multiplicity = np.ones(b, dtype=int)
+    doubt = np.flatnonzero(~(solved & gap & fixed))
+    if doubt.size:
+        # singular values count the fixed points robustly for a non-normal S;
+        # R - I = T (S - I) T^dag has those of S - I, T being unitary
+        sv = np.linalg.svd(a[doubt], compute_uv=False)
+        window = np.maximum(floor, sv[:, :1] * _SVD_FLOOR)
+        multiplicity[doubt] = np.sum(sv <= window, axis=1)
     seed = np.eye(d).reshape(-1) / d  # T vec(I/d)
-    for i in np.flatnonzero(~one):
+    for i in np.flatnonzero(~solved | (multiplicity > 1)):
         u, _, vh = np.linalg.svd(a[i])
-        m = multiplicity[i]
+        m = max(multiplicity[i], 1)
         right = vh[-m:].T  # columns span the fixed space of R (last m)
         left_h = u[:, -m:].T  # rows span that of R^T
         x[i] = right @ np.linalg.solve(left_h @ right, left_h @ seed)

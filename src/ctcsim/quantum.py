@@ -256,7 +256,7 @@ class DensityMatrix:
         order, and the state is W W^dag: no eigendecomposition of its size."""
         dims = tuple(d for p in parts for d in p.dims)
         order = tuple(range(len(dims))) if order is None else tuple(order)
-        w = reduce(np.kron, [p.factor for p in parts] or [np.ones((1, 1), dtype=complex)])
+        w = reduce(linalg.kron, [p.factor for p in parts] or [np.ones((1, 1), dtype=complex)])
         w = w.reshape(dims + (-1,)).transpose(order + (len(dims),)).reshape(w.shape)
         return cls._trusted(w @ dagger(w), tuple(dims[i] for i in order), w)
 

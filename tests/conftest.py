@@ -39,6 +39,20 @@ def svd_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def inv_calls(monkeypatch):
+    """The argument of every numpy matrix inverse made from here on; clear
+    it before the call under test."""
+    calls, real = [], np.linalg.inv
+
+    def recorded(m):
+        calls.append(np.array(m))
+        return real(m)
+
+    monkeypatch.setattr(np.linalg, "inv", recorded)
+    return calls
+
+
 def kron_all(*mats) -> np.ndarray:
     """Left-to-right Kronecker product of any number of square matrices."""
     out = np.array([[1.0 + 0j]])

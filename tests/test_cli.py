@@ -357,9 +357,9 @@ def test_unreadable_matrix_file_is_io_error(via, kind, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
-    if via == "circuit":
-        reason = {"missing": "No such file or directory", "directory": "Is a directory"}[kind]
-        assert captured.err == f"error: gate on line 5: cannot read {path}: {reason}\n"
+    reason = {"missing": "No such file or directory", "directory": "Is a directory"}[kind]
+    where = "gate on line 5: " if via == "circuit" else ""
+    assert captured.err == f"error: {where}cannot read {path}: {reason}\n"
 
 
 # each line is not a state, but the kron of the two lines is |00><00|

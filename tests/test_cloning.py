@@ -192,17 +192,58 @@ def test_clone_eigendecomposes_no_partial_trace(kind, n, rng, eig_calls):
     assert sides == [n] * (2 if kind == "pure" else 3)
 
 
-@pytest.mark.parametrize("n", range(2, 9))
-def test_pure_clone_takes_only_singular_values(n, rng, svd_calls):
-    # a pure cloner's map has one fixed point, which the bordered solve
-    # finds: S - I gives its singular values and no singular vectors
+@pytest.mark.parametrize("n", [*range(2, 9), 16, 24])
+def test_pure_clone_takes_only_singular_values(n, rng, svd_calls, inv_calls):
+    # a pure cloner's map has one fixed point, which the inverse of the
+    # bordered matrix both certifies and solves: the count takes not even
+    # the singular values of S - I, and the solve one inverse of side n^2 + 1
     alphabet = random_alphabet(rng, n)
     cloner = build_pure_cloner(alphabet)
     svd_calls.clear()
+    inv_calls.clear()
     rep = run_clone(cloner, alphabet.states[0].density())
     assert rep.fixed_point.multiplicity == 1
-    assert [m.shape for _, m in svd_calls] == [(1, n * n, n * n)]
-    assert [compute_uv for compute_uv, _ in svd_calls] == [False]
+    assert svd_calls == []
+    assert [m.shape for m in inv_calls] == [(1, n * n + 1, n * n + 1)]
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_clone_reads_the_bits_of_np_kron(kind, rng, monkeypatch):
+    # the product input, the joint target's factor and the baseline's
+    # inputs come from linalg.kron, which forms the products np.kron forms
+    n = 3
+    cloner, targets = clone_targets(kind, n, rng)
+    alphabet = random_alphabet(rng, n)
+    ancilla = PureState.basis(2, 0).density()
+    u = np.array([haar_unitary(rng, n * n * 2).mat for _ in range(2)])
+    runs = []
+    for kron in (linalg.kron, np.kron):
+        monkeypatch.setattr(linalg, "kron", kron)
+        reps = [run_clone(cloner, t) for t in targets]
+        runs.append([(r.output.mat, r.fid_a, r.fid_b, r.joint_fid) for r in reps]
+                    + [baseline_infidelities(alphabet, u, ancilla)])
+    for ours, theirs in zip(*runs):
+        assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+
+
+# {|0>, cos eps |0> + sin eps |1>} and the multiplicity of each clone's map
+NEAR_PARALLEL = {1e-2: 1, 1e-3: 1, 1e-4: 2, 1e-5: 4, 1e-6: 4}
+
+
+@pytest.mark.parametrize("eps, multiplicity", NEAR_PARALLEL.items())
+def test_near_parallel_alphabets_keep_their_counts(eps, multiplicity, svd_calls):
+    # the gap of R - I shrinks as eps^2: the bordered inverse certifies one
+    # fixed point down to eps = 1e-3, and below it the singular values count
+    # (a fixed space wider than the map's, open at the alphabet's edge)
+    alphabet = Alphabet((PureState.basis(2, 0),
+                         PureState(np.array([np.cos(eps), np.sin(eps)], dtype=complex))))
+    cloner = build_pure_cloner(alphabet)
+    for state in alphabet.states:
+        svd_calls.clear()
+        rep = run_clone(cloner, state.density())
+        assert rep.fixed_point.multiplicity == multiplicity
+        assert [compute_uv for compute_uv, _ in svd_calls] == (
+            [] if multiplicity == 1 else [False, True])
 
 
 def test_baseline_eigendecomposes_no_partial_trace(rng, eig_calls):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -560,8 +562,9 @@ def test_stack_with_multiplicity_four_member(rng):
 
 
 def test_stack_makes_a_full_svd_only_for_its_multiple_member(rng, svd_calls):
-    # the multiplicity-1 members take singular values and a bordered solve;
-    # only the multiplicity-4 repro decomposes its S - I with vectors
+    # the multiplicity-1 members take the bordered inverse alone; only the
+    # multiplicity-4 repro takes the singular values of its S - I, and then
+    # decomposes it with vectors
     repro = multiplicity_four_problem(rng)
     unitaries = np.stack([haar_unitary(rng, 6).mat, repro.interaction.mat,
                           haar_unitary(rng, 6).mat])
@@ -570,6 +573,7 @@ def test_stack_makes_a_full_svd_only_for_its_multiple_member(rng, svd_calls):
     svd_calls.clear()
     fps = solve_stack(kraus)
     assert fps.multiplicity.tolist() == [1, 4, 1]
+    assert [m.shape for compute_uv, m in svd_calls if not compute_uv] == [(1, 9, 9)]
     full = [m for compute_uv, m in svd_calls if compute_uv]
     assert len(full) == 1
     assert full[0].dtype == np.float64
@@ -590,7 +594,7 @@ def test_solves_read_alike_in_numpy_1_and_2(rng, monkeypatch):
     unitaries = np.stack([haar_unitary(rng, 6).mat, repro.interaction.mat])
     crs = [random_density(rng, 2), repro.cr_input]
     solve_stack(kraus_stack(repro.layout, unitaries, factor_stack([cr.factor for cr in crs])))
-    assert len(calls) == 2  # the bordered stack and the multiplicity-4 projection
+    assert len(calls) == 1  # the multiplicity-4 projection; B^-1 solves the other
     assert all((nb == 1) == (nb == na - 1) for na, nb in calls)
 
 
@@ -607,6 +611,72 @@ def test_multiplicity_zero_takes_the_bordered_solve(rng, monkeypatch, svd_calls)
     assert fp.multiplicity == 0
     assert all(not compute_uv for compute_uv, _ in svd_calls)
     assert np.array_equal(fp.rho_ctc.mat, reference.rho_ctc.mat)
+
+
+def singular_value_count(a):
+    """The multiplicity by the singular values of R - I: those at most
+    ``eig_one_window`` or ``_SVD_FLOOR`` times the largest."""
+    sv = np.linalg.svd(a, compute_uv=False)
+    window = max(linalg.tolerances.eig_one_window, sv[0] * engine._SVD_FLOOR)
+    return int(np.sum(sv <= window))
+
+
+def count_cases(rng):
+    """(layout, interaction, CR input factor stack): Haar stacks at
+    d = 2..8, both cloners at N = 2..8 and the multiplicity-4 repro beside
+    a Haar member."""
+    cases = []
+    for d in range(2, 9):
+        layout = Layout((("CR", 2), ("CTC", d)), ctc_index=1)
+        us = np.stack([haar_unitary(rng, 2 * d).mat for _ in range(4)])
+        cases.append((layout, us,
+                      factor_stack([random_density(rng, 2).factor for _ in range(4)])))
+    for n in range(2, 9):
+        for problem in (pure_cloner_problem(rng, n), mixed_cloner_problem(rng, n)):
+            cases.append((problem.layout, problem.interaction,
+                          problem.cr_input.factor[None]))
+    repro = multiplicity_four_problem(rng)
+    cases.append((repro.layout,
+                  np.stack([haar_unitary(rng, 6).mat, repro.interaction.mat]),
+                  factor_stack([random_density(rng, 2).factor, repro.cr_input.factor])))
+    return cases
+
+
+def test_certified_counts_equal_the_singular_value_count(rng, svd_calls, inv_calls):
+    # a member the bordered inverse certifies takes no SVD, and its count
+    # of 1 is the one the singular values of its R - I give
+    certified = 0
+    for layout, interaction, crs in count_cases(rng):
+        kraus = kraus_stack(layout, interaction, crs)
+        svd_calls.clear()
+        inv_calls.clear()
+        fps = solve_stack(kraus)
+        counted = sum(len(a) for compute_uv, a in svd_calls if not compute_uv)
+        certified += len(kraus) - counted
+        n = inv_calls[0].shape[-1] - 1
+        for a, m in zip(inv_calls[0][:, :n, :n], fps.multiplicity):
+            assert m == singular_value_count(a)
+    # every member but the multiplicity-4 repro is certified
+    assert certified == 7 * 4 + 7 * 2 + 1
+
+
+def test_stack_with_an_exactly_singular_member(rng, inv_calls):
+    # the ctc-only rotation beside a CR qubit in |0> has two fixed points,
+    # and numpy's inverse raises on its bordered matrix, exactly singular,
+    # for the whole stack: the stack is inverted member by member, the
+    # singular member takes the SVD, and each member keeps the bits of its
+    # single solve without a warning
+    layout = Layout((("CR", 2), ("CTC", 2)), ctc_index=1)
+    rotation = np.array([[0.6, -0.8], [0.8, 0.6]], dtype=complex)
+    unitaries = [haar_unitary(rng, 4), Unitary(np.kron(np.eye(2), rotation)),
+                 haar_unitary(rng, 4)]
+    crs = [random_density(rng, 2), PureState.basis(2, 0).density(), random_density(rng, 2)]
+    inv_calls.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fps = assert_members_equal_single_solves(layout, unitaries, crs)
+    assert fps.multiplicity.tolist() == [1, 2, 1]
+    assert [m.shape for m in inv_calls[:4]] == [(3, 5, 5)] + [(5, 5)] * 3
 
 
 def test_stack_error_names_the_member(rng):
@@ -642,14 +712,21 @@ def real_form_cases(rng):
     return cases
 
 
-def test_solve_decomposes_the_real_form_with_the_singular_values_of_s(rng, svd_calls):
+def test_solve_decomposes_the_real_form_with_the_singular_values_of_s(rng, svd_calls,
+                                                                      inv_calls):
+    # the leading block of each bordered matrix is R - I, whose singular
+    # values are those of S - I; the inverse certifies every count here
     for layout, interaction, crs, problems in real_form_cases(rng):
         kraus = kraus_stack(layout, interaction, crs)
         svd_calls.clear()
+        inv_calls.clear()
         fps = solve_stack(kraus)
         assert np.all(fps.multiplicity == 1)
-        [(compute_uv, a)] = svd_calls
-        assert not compute_uv and a.dtype == np.float64
+        assert svd_calls == []
+        [bordered] = inv_calls
+        n = bordered.shape[-1] - 1
+        a = bordered[:, :n, :n]
+        assert a.dtype == np.float64
         for member, problem in zip(a, problems):
             s = build_superoperator(problem) - np.eye(problem.ctc_dim ** 2)
             reference = np.linalg.svd(s, compute_uv=False)

@@ -542,6 +542,16 @@ class TestStates:
         assert rho.dims == (3, 3)
         assert np.array_equal(rho.factor, np.kron(target.factor, blank.factor))
 
+    def test_product_factor_equals_np_kron(self, rng):
+        # linalg.kron forms the products np.kron forms, at every rank
+        parts = (random_density(rng, 2), random_pure(rng, 3).density(),
+                 DensityMatrix(np.diag([0.25, 0.75, 0]) + 0j))
+        rho = DensityMatrix.product(parts)
+        oracle = np.kron(np.kron(parts[0].factor, parts[1].factor), parts[2].factor)
+        assert rho.factor.shape == (18, 4)
+        assert np.array_equal(rho.factor, oracle)
+        assert np.array_equal(rho.mat, oracle @ oracle.conj().T)
+
 
 class TestSwap:
     def test_two_register_exchange(self):

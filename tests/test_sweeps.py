@@ -1,6 +1,7 @@
 """The batched property sweeps against per-trial oracles, and the stack
 checks that must still fire inside them."""
 
+import importlib
 import json
 
 import numpy as np
@@ -72,6 +73,23 @@ def test_fidelity_sweep_factors_no_state(eig_calls, capsys):
     sweep_report("fidelity-props", TRIALS, 2, 0, capsys)
     assert [name for name, _ in eig_calls if name == "eigh"] == []
     assert max(m.shape[-1] for _, m in eig_calls) == 4
+
+
+def test_fidelity_sweep_takes_each_fidelity_once(eig_calls, monkeypatch, capsys):
+    # a chunk of 40 trials checks its six draws and takes seven distinct
+    # fidelities, F(a, b) among them once, each one sandwich eigvalsh
+    sandwiches, real = [], cli.factor_fidelities
+
+    def recorded(rho, w):
+        sandwiches.append(rho.shape)
+        return real(rho, w)
+
+    # the package exports the function fidelity under the module's name
+    for module in (cli, importlib.import_module("ctcsim.fidelity")):
+        monkeypatch.setattr(module, "factor_fidelities", recorded)
+    sweep_report("fidelity-props", 40, 2, 0, capsys)
+    assert len(sandwiches) == 7
+    assert [name for name, _ in eig_calls] == ["eigvalsh"] * (6 + 7)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

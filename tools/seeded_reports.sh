@@ -12,7 +12,9 @@
 # with --trace-out C,A, against layout order, and a circuit with only the CTC
 # register): 44 that exit 0. Three more written circuits repeat a bad gate
 # line (a register that is not declared, a file operand without its @, and
-# a select whose family does not fit its control) and exit 1: 47 in all.
+# a select whose family does not fit its control) and exit 1. Two
+# near-parallel alphabets make the pure clone demo pass (exit 0) and fail
+# (exit 2) at the edge of the multiplicity count: 49 in all.
 # Each command runs in <outdir> and names its files relative to it, so its
 # standard error does not depend on where <outdir> is. The dsl-run circuits
 # are generated into <outdir>/circuits by the checkout's
@@ -63,6 +65,21 @@ matrix 4 1
 0.0 0.0 -0.5 0.0+0.8i ;
 MAT
 seeded clone-pure-n4 demo clone-pure --alphabet @alphabet4.txt --index 2
+# near-parallel alphabets {|0>, cos e|0> + sin e|1>}: at e = 1e-2 the solve
+# certifies one fixed point (PASS); at e = 1e-4 the gap of R - I is below the
+# count's window, which reads multiplicity 2 (FAIL, exit 2)
+cat >"$out/near-parallel-1e-2.mat" <<'MAT'
+matrix 2 1
+1.0 0.9999500004166653 ;
+0.0 0.009999833334166664 ;
+MAT
+cat >"$out/near-parallel-1e-4.mat" <<'MAT'
+matrix 2 1
+1.0 0.999999995 ;
+0.0 9.999999983333334e-05 ;
+MAT
+seeded clone-pure-near-parallel-1e-2 demo clone-pure --alphabet @near-parallel-1e-2.mat
+seeded clone-pure-near-parallel-1e-4 demo clone-pure --alphabet @near-parallel-1e-4.mat
 seeded clone-mixed demo clone-mixed
 # a rank-2 target: its kept factor is narrower than N
 seeded clone-mixed-rank2 demo clone-mixed --probs 0.5,0.5,0
