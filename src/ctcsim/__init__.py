@@ -22,7 +22,7 @@ from .engine import (
     solve_fixed_point,
 )
 from .fidelity import check_monotonicity, check_multiplicativity, fidelity
-from .linalg import kron, partial_trace, psd_sqrt, trace_distance
+from .linalg import kron, partial_trace, trace_distance
 from .nosignal import NoSignalReport, check_channel_invariance, run_entangled_clone
 from .quantum import (
     Alphabet,
@@ -73,7 +73,6 @@ __all__ = [
     "no_ctc_baseline",
     "output_state",
     "partial_trace",
-    "psd_sqrt",
     "run_clone",
     "run_entangled_clone",
     "select_gate",

@@ -256,6 +256,8 @@ def _load_alphabet(arg: str) -> Alphabet:
         zero = PureState.basis(2, 0)
         plus = PureState.normalized([1, 1])
         return Alphabet((zero, plus))
+    if arg == "@":
+        raise ValueError("--alphabet @ needs a file name")
     if arg.startswith("@"):
         try:
             mats = dsl.load_matrix_file(arg[1:])

@@ -10,12 +10,20 @@ Gate application order: the pure cloner applies [W, V, S, T1, T2] (rightmost
 factor of the operator product first); the mixed cloner applies [W1, W2, V]
 in subscript order, the ordering under which its diagonal broadcast output is
 actually reproduced.
+
+A build costs what its alphabet costs. What depends on N alone is made once
+per N and shared, each in an ``lru_cache`` keyed on N with its arrays
+read-only: the [A, B, CTC] layout (``_cloner_layout``), the SWAP and CSUM
+permutations (``quantum._permutation``) and the blank |0><0| input of B
+(``_blank``). A pure build then makes and checks only the N basis mappers,
+as one stack with one ``check_unitary``, and a mixed build checks only its
+registers. Nothing keyed on an alphabet, a target or a file is cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 import numpy as np
 
 from . import linalg
@@ -84,8 +92,20 @@ class CloneReport:
     joint_fid: float
 
 
+@lru_cache(maxsize=64)
 def _cloner_layout(n: int) -> Layout:
+    """The [A, B, CTC] layout of dim ``n``, shared by every cloner of that dim."""
     return Layout((("A", n), ("B", n), ("CTC", n)), ctc_index=2)
+
+
+@lru_cache(maxsize=64)
+def _blank(n: int) -> DensityMatrix:
+    """The blank |0><0| input of B in dim ``n``, shared by every clone of
+    that dim: its matrix and factor are read-only."""
+    blank = PureState.basis(n, 0).density()
+    blank.mat.flags.writeable = False
+    blank.factor.flags.writeable = False
+    return blank
 
 
 def build_pure_cloner(alphabet: Alphabet) -> ClonerCircuit:
@@ -94,6 +114,11 @@ def build_pure_cloner(alphabet: Alphabet) -> ClonerCircuit:
     The circuit swaps A into the loop, copies the loop's basis label onto B
     with CSUM, then uses three controlled-select stages built from the basis
     mappers U_k (U_k|psi_k> = |k>) to decode both clones.
+
+    Only the mappers depend on the alphabet: they are built as one stack
+    and checked by one ``check_unitary``, and daggered once for T1 and T2.
+    The layout and the SWAP and CSUM gates are the ones shared by every
+    cloner of the alphabet's dim, and no gate is checked again.
     """
     n = alphabet.dim
     layout = _cloner_layout(n)
@@ -121,8 +146,8 @@ def build_mixed_cloner(n: int) -> ClonerCircuit:
 
 
 def make_problem(cloner: ClonerCircuit, target: DensityMatrix) -> DeutschProblem:
-    blank = PureState.basis(cloner.n, 0).density()
-    return DeutschProblem(cloner.layout, cloner.total, DensityMatrix.product((target, blank)))
+    cr_input = DensityMatrix.product((target, _blank(cloner.n)))
+    return DeutschProblem(cloner.layout, cloner.total, cr_input)
 
 
 def run_clone(cloner: ClonerCircuit, target: DensityMatrix) -> CloneReport:
@@ -216,9 +241,3 @@ def baseline_infidelities(
         worst = np.minimum(worst, factor_fidelities(out, pair))
     return 1.0 - worst
 
-
-def classical_copy_circuit(n: int, ancilla_dim: int = 2) -> GateList:
-    """CSUM from A onto B with an idle ancilla: copies computational basis
-    states exactly, the allowed orthonormal-alphabet case of the baseline."""
-    layout = Layout((("A", n), ("B", n), ("C", ancilla_dim)))
-    return csum_gate(layout, "A", "B")

@@ -24,9 +24,11 @@ repeats a few gate lines. ``parse`` collects every error before it gives
 up; it remembers each gate line that parsed cleanly by its text less its
 comment, and a repeat of that text gets a copy of its ``GateDecl`` with its
 own span instead of being tokenized again. A bad line is not remembered, so
-each of its repeats reports its own error. ``lower`` reads and checks each
-matrix file once, builds and checks each distinct gate line's gate once,
-and joins the gates into the interaction without checking them again.
+each of its repeats reports its own error. The registers of each distinct
+gate line are looked up once, and each line naming an unknown one fails
+with its own span. ``lower`` reads and checks each matrix file once,
+builds and checks each distinct gate line's gate once, and joins the
+gates into the interaction without checking them again.
 """
 
 from __future__ import annotations
@@ -201,8 +203,16 @@ class _LineParser:
         line = raw.split("#", 1)[0]
         known = self.known_gates.get(line)
         if known is not None:  # a long circuit repeats a few gate lines
-            self.gates.append(GateDecl(known.kind, known.regs, known.file,
-                                       SourceSpan(lineno, known.span.column)))
+            # a copy with its own span, made without the frozen dataclasses'
+            # __init__, which sets each field through object.__setattr__
+            span = object.__new__(SourceSpan)
+            fields = span.__dict__
+            fields["line"], fields["column"] = lineno, known.span.column
+            decl = object.__new__(GateDecl)
+            fields = decl.__dict__
+            fields.update(known.__dict__)
+            fields["span"] = span
+            self.gates.append(decl)
             return
         # (text, 1-based column) pairs; ':' and ';' are tokens of their own,
         # so each gets spaces around it before the whitespace split
@@ -357,10 +367,13 @@ def _structural_check(p: _LineParser):
     for s in p.systems:
         if s.name != "CTC" and s.name not in p.claimed:
             fail(s.span, f"register {s.name!r} has no input directive")
+    unknown = {}  # each distinct register tuple of a gate line: its undeclared registers
     for g in p.gates:
-        for r in g.regs:
-            if r not in dims:
-                fail(g.span, f"gate references unknown register {r!r}")
+        missing = unknown.get(g.regs)
+        if missing is None:
+            missing = unknown[g.regs] = [r for r in g.regs if r not in dims]
+        for r in missing:
+            fail(g.span, f"gate references unknown register {r!r}")
     return normalized_inputs
 
 

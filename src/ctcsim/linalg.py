@@ -1,10 +1,10 @@
 """Dense complex matrix primitives: Kronecker products, partial traces,
-PSD square roots and factors, and trace distances.
+PSD factors, and trace distances.
 
 All operators are plain square ``numpy`` arrays of ``complex128``, stored
 row-major. ``kron``, ``partial_trace``, ``permute_registers``,
-``hermiticity_defect``, ``psd_sqrt``, ``psd_factor``,
-``unit_trace_hermitian``, ``trace_norm`` and ``trace_distance`` are
+``hermiticity_defect``, ``psd_factor``, ``unit_trace_hermitian``,
+``trace_norm`` and ``trace_distance`` are
 shape-generic: they act on the last two axes of an (..., n, n) stack and
 broadcast over the leading ones, so one matrix and a stack of them take the
 same code; ``kron``, ``unit_factor`` and ``reduced_factor`` do the same for
@@ -212,23 +212,6 @@ def hermiticity_defect(h):
     """max |h - h^dag| of each (..., n, n) entry."""
     h = as_stack(h)
     return np.abs(h - dagger(h)).max(axis=(-2, -1))
-
-
-def psd_sqrt(h) -> np.ndarray:
-    """Unique positive square root of each PSD Hermitian (..., n, n) entry.
-
-    Eigenvalues within ``tolerances.psd`` of zero are clamped; anything more
-    negative, or an asymmetry beyond ``tolerances.herm``, rejects the input.
-    """
-    h = as_stack(h)
-    defect = hermiticity_defect(h)
-    reject((defect > tolerances.herm, defect,
-            "matrix is not Hermitian: max |h - h^dag| = {:.3e}"))
-    w, v = np.linalg.eigh((h + dagger(h)) / 2)
-    reject((w[..., 0] < -tolerances.psd, w[..., 0],
-            "matrix is not PSD: min eigenvalue {:.3e}"))
-    # np.maximum gives np.clip(w, 0, None)'s values without its wrapper cost
-    return (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ dagger(v)
 
 
 def psd_factor(h: np.ndarray) -> np.ndarray:

@@ -19,7 +19,10 @@ is built:
 The gate constructors return a ``GateList``, the local gates of an
 interaction in application order on one ``Layout``. A list checks each
 distinct gate once, and ``@`` composes two lists on the same registers
-without checking their gates again. One kernel,
+without checking their gates again. ``swap_gate``, ``csum_gate`` and
+``select_gate`` check their registers and sides themselves and return a
+list that is not checked again; the SWAP and CSUM permutations are made
+once per dim and shared, with read-only index arrays. One kernel,
 ``GateList.apply``, pushes a (..., D, m) array of columns (leading axes
 batch independent column sets) through steps compiled from the gates: per
 gate, one gather of the rows that moves its registers in front, then its
@@ -334,8 +337,9 @@ class Permutation:
     def fits(self, dims: tuple) -> bool:
         return self.dims == dims
 
-    @cached_property
+    @property
     def mat(self) -> np.ndarray:
+        # not cached: the SWAP and CSUM permutations are shared per dim
         m = np.zeros((self.side, self.side), dtype=complex)
         m[np.arange(self.side), self.source] = 1.0
         return m
@@ -565,7 +569,8 @@ class GateList:
     @classmethod
     def _trusted(cls, layout: Layout, gates: tuple) -> "GateList":
         """Wrap a tuple of (register tuple, gate) pairs on ``layout``, each
-        taken from a gate list on the same registers, which checked it."""
+        taken from a gate list on the same registers, or checked against
+        them by the gate builder that makes it."""
         gl = object.__new__(cls)
         object.__setattr__(gl, "layout", layout)
         object.__setattr__(gl, "gates", gates)
@@ -614,20 +619,33 @@ def _pair_dim(layout: Layout, r1: str, r2: str, same_error: str, name: str) -> i
     return n
 
 
+@lru_cache(maxsize=64)
+def _permutation(kind: str, n: int) -> Permutation:
+    """The ``swap`` or ``csum`` permutation of two registers of dim ``n``,
+    made once per (kind, n) and shared by every gate list that holds it;
+    its index array is read-only."""
+    if kind == "swap":
+        # output |i, j> reads input |j, i>
+        source = np.arange(n * n).reshape(n, n).T.reshape(-1)
+    else:
+        # output |i, j> reads input |i, j - i mod N>
+        i, j = np.indices((n, n)).reshape(2, -1)
+        source = i * n + (j - i) % n
+    source.flags.writeable = False
+    return Permutation(source, (n, n))
+
+
 def swap_gate(layout: Layout, r1: str, r2: str) -> GateList:
     """Exchange the basis indices of two equal-dimension registers."""
     n = _pair_dim(layout, r1, r2, "cannot swap a register with itself", "swap")
-    # output |i, j> reads input |j, i>
-    source = np.arange(n * n).reshape(n, n).T.reshape(-1)
-    return GateList(layout, (((r1, r2), Permutation(source, (n, n))),))
+    # _pair_dim made the checks GateList's constructor would make
+    return GateList._trusted(layout, (((r1, r2), _permutation("swap", n)),))
 
 
 def csum_gate(layout: Layout, ctrl: str, tgt: str) -> GateList:
     """Generalized controlled sum: |i>|j> -> |i>|j + i mod N| on (ctrl, tgt)."""
     n = _pair_dim(layout, ctrl, tgt, "control and target must differ", "csum")
-    # output |i, j> reads input |i, j - i mod N>
-    i, j = np.indices((n, n)).reshape(2, -1)
-    return GateList(layout, (((ctrl, tgt), Permutation(i * n + (j - i) % n, (n, n))),))
+    return GateList._trusted(layout, (((ctrl, tgt), _permutation("csum", n)),))
 
 
 def select_gate(
@@ -640,19 +658,22 @@ def select_gate(
     """Controlled-select block sum_k |k><k|_ctrl x (U_k or U_k^dag)_tgt.
 
     ``family`` is a ``Select`` or a sequence of ``Unitary`` members; either
-    was checked when built, so the block stack is not checked again."""
+    was checked when built, so the block stack is not checked again. The
+    registers and sides are checked here, as GateList's constructor would."""
     nc = layout.dim(ctrl)
     nt = layout.dim(tgt)
     if layout.index(ctrl) == layout.index(tgt):
         raise ValueError("control and target must differ")
     if len(family) != nc:
         raise ValueError(f"family size {len(family)} must equal control dim {nc}")
-    blocks = family.blocks if isinstance(family, Select) else [u.mat for u in family]
-    for k, b in enumerate(blocks):
-        if len(b) != nt:
-            raise ValueError(f"family member {k} has side {len(b)}, target dim {nt}")
-    select = family if isinstance(family, Select) else Select._trusted(np.array(blocks))
-    return GateList(layout, (((ctrl, tgt), select.dagger() if adjoint else select),))
+    # the blocks of a stack share its side, so a Select is tested once
+    sides = family.dims[1:] if isinstance(family, Select) else [u.side for u in family]
+    for k, side in enumerate(sides):
+        if side != nt:
+            raise ValueError(f"family member {k} has side {side}, target dim {nt}")
+    select = (family if isinstance(family, Select)
+              else Select._trusted(np.array([u.mat for u in family])))
+    return GateList._trusted(layout, (((ctrl, tgt), select.dagger() if adjoint else select),))
 
 
 def embed_on_registers(layout: Layout, regs: Sequence[str], u: Unitary) -> GateList:

@@ -3,7 +3,7 @@ import pytest
 
 from ctcsim import linalg
 from ctcsim.engine import build_superoperator
-from ctcsim.quantum import Alphabet, Permutation, PureState, Select
+from ctcsim.quantum import Alphabet, Layout, Permutation, PureState, Select, csum_gate
 from ctcsim.sampling import haar_unitary
 
 
@@ -103,6 +103,29 @@ def apply_gate_by_gate(gates, columns: np.ndarray) -> np.ndarray:
     for gate in gates.gates:
         t = apply_local(gates.layout, gate, t)
     return t.reshape(columns.shape)
+
+
+def psd_sqrt(h) -> np.ndarray:
+    """Unique positive square root of each PSD Hermitian (..., n, n) entry.
+
+    Eigenvalues within ``tolerances.psd`` of zero are clamped; anything more
+    negative, or an asymmetry beyond ``tolerances.herm``, rejects the input.
+    """
+    h = linalg.as_stack(h)
+    defect = linalg.hermiticity_defect(h)
+    linalg.reject((defect > linalg.tolerances.herm, defect,
+                   "matrix is not Hermitian: max |h - h^dag| = {:.3e}"))
+    w, v = np.linalg.eigh((h + linalg.dagger(h)) / 2)
+    linalg.reject((w[..., 0] < -linalg.tolerances.psd, w[..., 0],
+                   "matrix is not PSD: min eigenvalue {:.3e}"))
+    return (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ linalg.dagger(v)
+
+
+def classical_copy_circuit(n: int, ancilla_dim: int = 2):
+    """CSUM from A onto B with an idle ancilla: copies computational basis
+    states exactly, the allowed orthonormal-alphabet case of the baseline."""
+    layout = Layout((("A", n), ("B", n), ("C", ancilla_dim)))
+    return csum_gate(layout, "A", "B")
 
 
 def random_pure(rng, dim: int) -> PureState:

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     cesaro_fixed_point,
+    classical_copy_circuit,
     random_alphabet,
     random_kraus_channel,
     zero_plus_alphabet,
@@ -19,7 +20,6 @@ from ctcsim.cloning import (
     build_mixed_cloner,
     build_pure_cloner,
     check_cloning_condition,
-    classical_copy_circuit,
     make_problem,
     no_ctc_baseline,
     run_clone,

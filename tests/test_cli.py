@@ -339,6 +339,19 @@ def test_clone_mixed_rejects_a_single_probability(capsys):
     assert captured.err == "error: --probs needs at least two probabilities\n"
 
 
+@pytest.mark.parametrize("value, message", [
+    ("@", "--alphabet @ needs a file name"),
+    ("zero-plus", "unknown alphabet 'zero-plus'; use preset:zero-plus or @file"),
+])
+def test_malformed_alphabet_value_is_a_usage_error(value, message, capsys):
+    # a bare @ names no file: a malformed value, not a directory to read
+    code = main(["demo", "clone-pure", "--alphabet", value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 @pytest.mark.parametrize("via", ["circuit", "alphabet"])
 def test_unreadable_matrix_file_is_io_error(via, kind, tmp_path, capsys):

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
-from conftest import random_alphabet, random_pure, sandwich_fidelity, zero_plus_alphabet
-from ctcsim import linalg
+from conftest import (
+    classical_copy_circuit,
+    random_alphabet,
+    random_pure,
+    sandwich_fidelity,
+    zero_plus_alphabet,
+)
+from ctcsim import cloning, linalg, quantum
 from ctcsim.cloning import (
     ClonerCircuit,
     baseline_infidelities,
     build_mixed_cloner,
     build_pure_cloner,
     check_cloning_condition,
-    classical_copy_circuit,
+    make_problem,
     no_ctc_baseline,
     run_clone,
 )
@@ -18,7 +24,9 @@ from ctcsim.quantum import (
     Alphabet,
     DensityMatrix,
     GateList,
+    Permutation,
     PureState,
+    Select,
     Unitary,
     check_density,
 )
@@ -205,6 +213,105 @@ def test_pure_clone_takes_only_singular_values(n, rng, svd_calls, inv_calls):
     assert rep.fixed_point.multiplicity == 1
     assert svd_calls == []
     assert [m.shape for m in inv_calls] == [(1, n * n + 1, n * n + 1)]
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_cloners_of_one_dim_share_what_depends_on_the_dim_alone(kind, rng):
+    # the layout and the SWAP and CSUM permutations are made once per N and
+    # are read-only; the mapper stacks belong to their alphabets
+    n = 4
+    a, b = (build_pure_cloner(random_alphabet(rng, n)) if kind == "pure"
+            else build_mixed_cloner(n) for _ in range(2))
+    assert a.layout is b.layout
+    assert a.layout is not build_mixed_cloner(n + 1).layout
+    for (label, ga), (_, gb) in zip(a.gates, b.gates):
+        (_, u), = ga.gates
+        (_, v), = gb.gates
+        if isinstance(u, Permutation):
+            assert u is v, label
+            with pytest.raises(ValueError, match="read-only"):
+                u.source[0] = 1
+        else:
+            assert isinstance(u, Select) and u is not v, label
+            assert not np.array_equal(u.blocks, v.blocks), label
+
+
+def test_clones_of_one_dim_share_a_read_only_blank(rng, monkeypatch):
+    n = 3
+    blank = cloning._blank(n)
+    assert cloning._blank(n) is blank
+    for array in (blank.mat, blank.factor):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.5
+    fresh = PureState.basis(n, 0).density()
+    assert np.array_equal(blank.mat, fresh.mat)
+    assert np.array_equal(blank.factor, fresh.factor)
+    alphabet = random_alphabet(rng, n)
+    cloner, target = build_pure_cloner(alphabet), alphabet.states[1].density()
+    made, basis = [], PureState.basis.__func__
+
+    def counted(cls, *args):
+        made.append(args)
+        return basis(cls, *args)
+
+    monkeypatch.setattr(PureState, "basis", classmethod(counted))
+    problem = make_problem(cloner, target)
+    assert made == []  # the blank is the shared one
+    assert np.array_equal(problem.cr_input.mat,
+                          DensityMatrix.product((target, fresh)).mat)
+
+
+def record_builds(monkeypatch):
+    """The stacks given to ``quantum.check_unitary``, the ``Permutation``
+    and the ``GateList`` instances constructed from here on."""
+    checked, made, lists = [], [], []
+    check, perm_init = quantum.check_unitary, Permutation.__post_init__
+    list_init = GateList.__post_init__
+
+    def counted_check(m, *args, **kw):
+        checked.append(np.array(m))
+        return check(m, *args, **kw)
+
+    def counted_perm(self):
+        made.append(self)
+        perm_init(self)
+
+    def counted_list(self):
+        lists.append(self)
+        list_init(self)
+
+    monkeypatch.setattr(quantum, "check_unitary", counted_check)
+    monkeypatch.setattr(Permutation, "__post_init__", counted_perm)
+    monkeypatch.setattr(GateList, "__post_init__", counted_list)
+    return checked, made, lists
+
+
+@pytest.mark.parametrize("n", [2, 5, 6])
+def test_pure_build_checks_only_its_mapper_stack(n, rng, monkeypatch):
+    # one check_unitary, on the N-member mapper stack; the second build of
+    # an N makes no Permutation, and no build checks a gate list again
+    quantum._permutation.cache_clear()
+    checked, made, lists = record_builds(monkeypatch)
+    first = build_pure_cloner(random_alphabet(rng, n))
+    assert [m.shape for m in checked] == [(n, n, n)]
+    assert np.array_equal(checked[0], first.gates[2][1].gates[0][1].blocks)
+    # the SWAP of W and the CSUM of V
+    assert [p.dims for p in made] == [(n, n), (n, n)] and lists == []
+    checked.clear()
+    made.clear()
+    second = build_pure_cloner(random_alphabet(rng, n))
+    assert [m.shape for m in checked] == [(n, n, n)]
+    assert np.array_equal(checked[0], second.gates[2][1].gates[0][1].blocks)
+    assert made == [] and lists == []
+
+
+def test_mixed_build_checks_nothing_again(rng, monkeypatch):
+    build_mixed_cloner(5)
+    checked, made, lists = record_builds(monkeypatch)
+    cloner = build_mixed_cloner(5)
+    rep = run_clone(cloner, DensityMatrix(np.diag(rng.dirichlet(np.ones(5))).astype(complex)))
+    assert rep.joint_fid >= 1 - 1e-9
+    assert checked == [] and made == [] and lists == []
 
 
 @pytest.mark.parametrize("kind", ["pure", "mixed"])

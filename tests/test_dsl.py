@@ -657,3 +657,38 @@ def test_a_repeated_bad_gate_line_fails_at_each_line(line, column, message):
         parse(text)
     assert [(e.line, e.column, e.message) for e in exc.value.errors] == [
         (lineno, column, message) for lineno in (5, 6, 7)]
+
+
+def test_a_repeated_gate_line_equals_its_first_occurrence():
+    # a repeat is a copy of the first line's GateDecl with its own span
+    text = SMALLEST + "gate swap A CTC  # again\n  gate csum A CTC\ngate swap A CTC\n"
+    first, _, csum, again = parse(text).gates
+    for decl, line, column in ((first, 4, 1), (again, 7, 1), (csum, 6, 3)):
+        assert type(decl) is dsl.GateDecl and type(decl.span) is dsl.SourceSpan
+        assert (decl.span.line, decl.span.column) == (line, column)
+    assert again == first and hash(again) == hash(first)
+    assert (again.kind, again.regs, again.file) == ("swap", ("A", "CTC"), None)
+    assert again.span is not first.span and again.span != first.span
+    assert first.span == dsl.SourceSpan(4, 1)
+    assert vars(again) == {**vars(first), "span": again.span}
+    assert vars(again.span) == vars(dsl.SourceSpan(7, 1))
+    with pytest.raises(AttributeError):
+        again.kind = "csum"
+
+
+def test_an_unknown_register_fails_on_every_line_that_names_it():
+    # the registers of a distinct gate line are looked up once, but each of
+    # its lines fails with its own line
+    lines = ["gate swap A Z", "gate swap A CTC", "gate csum Z Y", "gate swap A Z  # again",
+             "gate csum Z Y", "  gate swap A Z"]
+    with pytest.raises(CircuitSyntaxError) as exc:
+        parse(SMALLEST + "\n".join(lines) + "\n")
+    assert [(e.line, e.column, e.message) for e in exc.value.errors] == [
+        (5, 1, "gate references unknown register 'Z'"),
+        (7, 1, "gate references unknown register 'Z'"),
+        (7, 1, "gate references unknown register 'Y'"),
+        (8, 1, "gate references unknown register 'Z'"),
+        (9, 1, "gate references unknown register 'Z'"),
+        (9, 1, "gate references unknown register 'Y'"),
+        (10, 3, "gate references unknown register 'Z'"),
+    ]

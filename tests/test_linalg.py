@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import hermitian_eig, random_hermitian
+from conftest import hermitian_eig, psd_sqrt, random_hermitian
 from ctcsim import linalg
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -161,29 +161,29 @@ class TestHermitianEig:
 
 class TestPsdSqrt:
     def test_identity(self):
-        assert np.allclose(linalg.psd_sqrt(np.eye(3)), np.eye(3))
+        assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3))
 
     def test_diagonal(self):
-        assert np.allclose(linalg.psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
+        assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
 
     def test_rank_one_projector(self):
-        assert np.max(np.abs(linalg.psd_sqrt(PLUS) - PLUS)) <= 1e-12
+        assert np.max(np.abs(psd_sqrt(PLUS) - PLUS)) <= 1e-12
 
     def test_squares_back(self, rng):
         for side in (2, 4, 8, 16):
             z = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
             h = z @ z.conj().T
-            r = linalg.psd_sqrt(h)
+            r = psd_sqrt(h)
             assert np.max(np.abs(r @ r - h)) <= 1e-9 * max(1.0, np.max(np.abs(h)))
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="not PSD"):
-            linalg.psd_sqrt(np.diag([1.0, -1.0]))
+            psd_sqrt(np.diag([1.0, -1.0]))
 
     def test_rejects_non_hermitian_stack_entry(self):
         stack = np.array([np.eye(2), [[1, 1], [0, 1]]], dtype=complex)
         with pytest.raises(linalg.StackError, match="not Hermitian") as info:
-            linalg.psd_sqrt(stack)
+            psd_sqrt(stack)
         assert info.value.index == 1
 
 

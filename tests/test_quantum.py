@@ -237,6 +237,71 @@ def test_memoised_register_check_rejects_on_every_construction():
         assert GateList(lay, ((("A",), x),)).side == 12
 
 
+@pytest.mark.parametrize("as_list", [False, True], ids=["select", "unitary-list"])
+def test_gate_builders_reject_misfits_with_their_messages(as_list, rng):
+    # swap_gate, csum_gate and select_gate make the checks the GateList
+    # constructor would make, so the lists they return are not checked again
+    lay = Layout((("A", 2), ("B", 3), ("CTC", 2)), ctc_index=2)
+
+    def family(*sides):
+        members = [haar_unitary(rng, side) for side in sides]
+        return members if as_list else Select(np.array([u.mat for u in members]))
+
+    cases = [
+        (lambda: swap_gate(lay, "A", "A"), "cannot swap a register with itself"),
+        (lambda: swap_gate(lay, "A", "B"), "swap needs equal dims, got 2 and 3"),
+        (lambda: csum_gate(lay, "B", "B"), "control and target must differ"),
+        (lambda: csum_gate(lay, "B", "CTC"), "csum needs equal dims, got 3 and 2"),
+        (lambda: select_gate(lay, "A", "A", family(2, 2)), "control and target must differ"),
+        (lambda: select_gate(lay, "A", "B", family(3, 3, 3)),
+         "family size 3 must equal control dim 2"),
+        (lambda: select_gate(lay, "A", "B", family(2, 2)),
+         "family member 0 has side 2, target dim 3"),
+        (lambda: select_gate(lay, "B", "A", family(3, 3, 3), adjoint=True),
+         "family member 0 has side 3, target dim 2"),
+    ]
+    if as_list:  # each member of a list is tested, not only the first
+        cases.append((lambda: select_gate(lay, "A", "B", family(3, 2)),
+                      "family member 1 has side 2, target dim 3"))
+    for build, message in cases:
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+    with pytest.raises(KeyError, match="no register named 'Z'"):
+        select_gate(lay, "A", "Z", family(2, 2))
+
+
+def test_gate_builders_return_what_the_constructor_accepts(rng):
+    lay = Layout((("A", 3), ("B", 2), ("C", 3), ("CTC", 2)), ctc_index=3)
+    members = [haar_unitary(rng, 2) for _ in range(3)]
+    built = [swap_gate(lay, "C", "A"), csum_gate(lay, "A", "C"), swap_gate(lay, "B", "CTC"),
+             select_gate(lay, "A", "B", members),
+             select_gate(lay, "C", "CTC", Select(np.array([u.mat for u in members])), True)]
+    for gl in built:
+        checked = GateList(lay, gl.gates)
+        assert checked.gates == gl.gates
+        assert np.array_equal(checked.mat, gl.mat)
+
+
+def test_swap_and_csum_share_one_read_only_permutation_per_dim():
+    a = Layout((("A", 3), ("B", 3)))
+    b = Layout((("X", 3), ("Y", 2), ("Z", 3)))
+    swap = swap_gate(a, "A", "B").gates[0][1]
+    csum = csum_gate(a, "A", "B").gates[0][1]
+    assert swap_gate(b, "Z", "X").gates[0][1] is swap
+    assert csum_gate(b, "X", "Z").gates[0][1] is csum
+    assert swap is not csum
+    assert swap_gate(Layout((("A", 4), ("B", 4))), "A", "B").gates[0][1] is not swap
+    for perm in (swap, csum):
+        with pytest.raises(ValueError, match="read-only"):
+            perm.source[0] = perm.source[1]
+        # the dense matrix is made on request and not kept on the shared gate
+        assert perm.mat is not perm.mat
+    assert np.array_equal(swap.source, [0, 3, 6, 1, 4, 7, 2, 5, 8])
+    assert np.array_equal(csum.source, [0, 1, 2, 5, 3, 4, 7, 8, 6])
+
+
 def random_local_gates(rng, layout, count, kinds=("swap", "csum", "select", "unitary")):
     """``count`` random local gates of the given kinds on ``layout``: swaps
     and CSUMs on pairs of equal dims, selects with a Haar family, and Haar
