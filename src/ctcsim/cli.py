@@ -56,17 +56,30 @@ def _default_tol() -> float:
     return _positive_tol(env, "CTCSIM_DEFAULT_TOL") if env else 1e-12
 
 
+class _Entries(list):
+    """A matrix's entries: the list of [re, im] pairs that ``json.dumps``
+    and the csv walk read, and in ``floats`` the (n², 2) float array they
+    were made from, which ``report_json`` formats instead of the list."""
+
+    __slots__ = ("floats",)
+
+
 def matrix_doc(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "entries": np.stack((m.real, m.imag), -1).reshape(-1, 2).tolist(),
-    }
+    floats = np.stack((m.real, m.imag), -1).reshape(-1, 2)
+    entries = _Entries(floats.tolist())
+    entries.floats = floats
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": entries}
 
 
 _escape = json.encoder.encode_basestring_ascii
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# a matrix of fewer floats than this (7 x 7 entries) is formatted one
+# float.__repr__ per float: on a random density matrix, finding the distinct
+# magnitudes costs 5% more than the __repr__ calls it saves at 6 x 6 and
+# saves 7% at 7 x 7 (median of 9 timings, numpy 2.4, one Xeon core)
+DISTINCT_MIN_FLOATS = 98
+_MAGNITUDE = np.uint64(2**63 - 1)  # the bits of a double less its sign
 
 
 def _scalar_text(node) -> str | None:
@@ -89,25 +102,58 @@ def _scalar_text(node) -> str | None:
     return None
 
 
-def _pairs_text(pairs: list, nl: str) -> str | None:
-    """A list of [float, float] pairs, a matrix's entries, written at once;
-    None for any other list."""
-    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
-        return None
-    flat = list(itertools.chain.from_iterable(pairs))
-    if set(map(type, flat)) != {float}:
-        return None
+def _float_texts(flat: list) -> list:
+    """The JSON texts of a list of floats, one ``float.__repr__`` each."""
     texts = list(map(float.__repr__, flat))
     if not all(map(math.isfinite, flat)):
         texts = [_NON_FINITE.get(t, t) for t in texts]
+    return texts
+
+
+def _array_texts(flat: np.ndarray) -> list:
+    """The JSON texts of a 1-d float array, as ``_float_texts`` writes them,
+    with one ``float.__repr__`` per distinct magnitude: equal magnitudes are
+    matched by their bits and the sign is put back, so -0.0 and the mirrored
+    imaginary parts of a Hermitian matrix come out exactly. NaN and ±inf,
+    and a small array, take ``_float_texts``."""
+    if flat.size < DISTINCT_MIN_FLOATS or not np.isfinite(flat).all():
+        return _float_texts(flat.tolist())
+    magnitudes, index = np.unique(flat.view(np.uint64) & _MAGNITUDE, return_inverse=True)
+    texts = list(map(float.__repr__, magnitudes.view(float).tolist()))
+    index += len(texts) * np.signbit(flat)  # the negatives' texts follow
+    return list(map([*texts, *["-" + t for t in texts]].__getitem__, index.tolist()))
+
+
+def _pairs_join(texts: list, nl: str) -> str:
+    """The list of [texts[0], texts[1]], [texts[2], texts[3]], ... pairs."""
     inner, inner2 = nl + "  ", nl + "    "
     between = f"{inner}],{inner}[{inner2}"
     body = between.join(map(f",{inner2}".join, zip(texts[::2], texts[1::2])))
     return f"[{inner}[{inner2}{body}{inner}]{nl}]"
 
 
-def _encode(node, nl: str, parts: list) -> None:
-    """Append the text of ``node``, whose line is indented as ``nl`` ends."""
+def _pairs_text(pairs: list, nl: str, memo: dict) -> str | None:
+    """A list of [float, float] pairs, a matrix's entries, written at once;
+    None for any other list. The entries of a ``matrix_doc`` are formatted
+    from their array, and equal arrays in one report (``memo``, keyed on
+    their bytes) share their texts."""
+    if type(pairs) is _Entries:
+        key = pairs.floats.tobytes()
+        texts = memo.get(key)
+        if texts is None:
+            texts = memo[key] = _array_texts(pairs.floats.reshape(-1))
+        return _pairs_join(texts, nl)
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    flat = list(itertools.chain.from_iterable(pairs))
+    if set(map(type, flat)) != {float}:
+        return None
+    return _pairs_join(_float_texts(flat), nl)
+
+
+def _encode(node, nl: str, parts: list, memo: dict) -> None:
+    """Append the text of ``node``, whose line is indented as ``nl`` ends;
+    ``memo`` holds the texts of the report's matrices."""
     text = _scalar_text(node)
     if text is not None:
         parts.append(text)
@@ -120,21 +166,21 @@ def _encode(node, nl: str, parts: list) -> None:
         sep = "{" + inner
         for key in sorted(node):
             parts.append(f"{sep}{_escape(key)}: ")
-            _encode(node[key], inner, parts)
+            _encode(node[key], inner, parts, memo)
             sep = "," + inner
         parts.append(nl + "}")
     elif isinstance(node, (list, tuple)):
         if not node:
             parts.append("[]")
             return
-        text = _pairs_text(node, nl)
+        text = _pairs_text(node, nl, memo)
         if text is not None:
             parts.append(text)
             return
         sep = "[" + inner
         for item in node:
             parts.append(sep)
-            _encode(item, inner, parts)
+            _encode(item, inner, parts, memo)
             sep = "," + inner
         parts.append(nl + "]")
     else:
@@ -144,9 +190,12 @@ def _encode(node, nl: str, parts: list) -> None:
 def report_json(report: dict) -> str:
     """Exactly ``json.dumps(report, indent=2, sort_keys=True)`` for a report
     (str-keyed dicts, lists, strings, numbers, bools and None), without the
-    pure-Python indent encoder's per-value generator chain."""
+    pure-Python indent encoder's per-value generator chain. A matrix's
+    entries cost one ``float.__repr__`` per distinct magnitude (see
+    ``_array_texts``), and a matrix equal to one already written costs none:
+    its texts are joined again at its own indent."""
     parts = []
-    _encode(report, "\n", parts)
+    _encode(report, "\n", parts, {})
     return "".join(parts)
 
 

@@ -26,9 +26,10 @@ comment, and a repeat of that text gets a copy of its ``GateDecl`` with its
 own span instead of being tokenized again. A bad line is not remembered, so
 each of its repeats reports its own error. The registers of each distinct
 gate line are looked up once, and each line naming an unknown one fails
-with its own span. ``lower`` reads and checks each matrix file once,
-builds and checks each distinct gate line's gate once, and joins the
-gates into the interaction without checking them again.
+with its own span. ``lower`` reads each matrix file once, checks the
+matrices of all files of one side in one stacked ``check_unitary``, builds
+and checks each distinct gate line's gate once, and joins the gates into
+the interaction without checking them again.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .quantum import (
     PureState,
     Select,
     Unitary,
+    check_unitary,
     csum_gate,
     embed_on_registers,
     select_gate,
@@ -463,24 +465,51 @@ def lower(spec: CircuitSpec, base_dir=".") -> DeutschProblem:
     from lowering a line starts ``input on line L: `` or ``gate on line L: ``,
     where L is the first line of a repeated gate line; a matrix file that
     cannot be read raises ``OSError("gate on line L: cannot read <path>:
-    <reason>")``."""
+    <reason>")``.
+
+    Each distinct ``@file`` is read and parsed once, before any gate is
+    built, and the matrices of all files of one side are checked in one
+    stacked ``check_unitary``; only a side whose stack fails has its files
+    checked one by one, for each file's own message. A file's failure (to
+    read, parse or be unitary) is kept and raised at the first gate line
+    that uses it, so errors, their lines and the exit codes of ``ctcsim
+    run`` are those of building the lines in file order."""
     dims = spec.system_dims()
     order = [s.name for s in spec.systems if s.name != "CTC"] + ["CTC"]
     layout = Layout(tuple((n, dims[n]) for n in order), ctc_index=len(order) - 1)
 
+    # each file's failure is kept, to be raised at the first line using it
+    mats, failed = {}, {}
+    for name in dict.fromkeys(g.file for g in spec.gates if g.file is not None):
+        path = Path(base_dir) / name
+        try:
+            mats[name] = load_matrix_file(path)
+        except OSError as exc:
+            failed[name] = OSError(f"cannot read {path}: {exc.strerror or exc}")
+        except ValueError as exc:
+            failed[name] = exc
+    sides = {}
+    for name, m in mats.items():
+        sides.setdefault(m.shape[-1], []).append(name)
+    for names in sides.values():
+        try:
+            check_unitary(np.concatenate([mats[name] for name in names]))
+        except linalg.StackError:
+            for name in names:
+                try:
+                    check_unitary(mats[name])
+                except linalg.StackError as exc:
+                    failed[name] = ValueError(f"{name}: {exc.message}")
+
     @functools.cache
     def family(name, adjoint):
         """The matrices of one @file as a ``Select`` block stack, or its
-        adjoint: read, parsed and checked (one stacked check) once."""
+        adjoint."""
         if adjoint:
             return family(name, False).dagger()
-        path = Path(base_dir) / name
-        try:
-            return Select(load_matrix_file(path))
-        except OSError as exc:
-            raise OSError(f"cannot read {path}: {exc.strerror or exc}") from None
-        except linalg.StackError as exc:
-            raise ValueError(f"{name}: {exc.message}") from None
+        if name in failed:
+            raise failed[name]
+        return Select._trusted(mats[name])
 
     # long circuits repeat a few gate lines many times: build each distinct
     # line's one local gate once and reuse it, so it is checked once; a line

@@ -501,10 +501,42 @@ def test_module_entry_point_exit_code():
     assert proc.stderr.count("\n") == 1
 
 
+# a non-orthogonal N = 4 alphabet, one state per column
+ALPHABET4 = """\
+matrix 4 1
+1.0 0.6 0.5 0.0 ;
+0.0 0.8 0.0+0.5i 0.6 ;
+0.0 0.0 0.5 0.0 ;
+0.0 0.0 -0.5 0.0+0.8i ;
+"""
+
+
+def write_cloner3(tmp_path):
+    """The pure cloner of a fixed non-orthogonal N = 3 alphabet on its
+    state 1, as a circuit file: its 9 x 9 output and A,B marginal are
+    above the writer's size cutoff."""
+    from ctcsim import dsl
+    from ctcsim.cloning import Alphabet
+    from ctcsim.quantum import PureState, basis_mappers
+
+    alphabet = Alphabet((PureState.basis(3, 0), PureState.normalized([0.6, 0.8j, 0]),
+                         PureState.normalized([0.5, -0.5, 0.5 + 0.5j])))
+    (tmp_path / "uk.mat").write_text(dsl.format_matrix_file(basis_mappers(alphabet).blocks))
+    amps = " ".join(dsl.format_complex(a) for a in alphabet.states[1].amps)
+    return write_circuit(tmp_path, (
+        f"system A 3\nsystem B 3\nsystem CTC 3\ninput pure A : {amps}\n"
+        "input pure B : 1 0 0\ngate swap A CTC\ngate csum A B\n"
+        "gate select B CTC @uk.mat\ngate select_adj A B @uk.mat\n"
+        "gate select_adj CTC A @uk.mat\n"), "cloner3.ctc")
+
+
 REPORT_ARGVS = [
     ["run", "{circuit}"],
     ["run", "{circuit}", "--trace-out", "A"],
+    ["run", "{cloner3}", "--trace-out", "A,B"],
+    ["run", "{cloner3}", "--trace-out", "B,A"],
     ["demo", "clone-pure", "--index", "1"],
+    ["demo", "clone-pure", "--alphabet", "@{alphabet4}", "--index", "2"],
     ["demo", "clone-mixed", "--probs", "0.2,0.3,0.5"],
     ["demo", "nosignal", "--cloner", "pure"],
     ["sweep", "fidelity-props", "--trials", "5", "--seed", "3"],
@@ -521,8 +553,10 @@ def test_report_writer_matches_json_dumps(argv, tmp_path, monkeypatch, capsys):
     write = cli.report_json
     monkeypatch.setattr(cli, "report_json",
                         lambda report: written.append(report) or write(report))
-    circuit = write_circuit(tmp_path)
-    assert main([a.format(circuit=circuit) for a in argv]) == 0
+    (tmp_path / "alphabet4.txt").write_text(ALPHABET4)
+    files = {"circuit": write_circuit(tmp_path), "cloner3": write_cloner3(tmp_path),
+             "alphabet4": str(tmp_path / "alphabet4.txt")}
+    assert main([a.format(**files) for a in argv]) == 0
     (report,) = written
     assert capsys.readouterr().out.startswith(
         json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -549,6 +583,75 @@ def test_report_writer_edge_values():
     for value in (np.int64(3), {1: 2.0}, {"x": {1, 2}}):
         with pytest.raises(TypeError):
             cli.report_json(value)
+
+
+def hermitian_with_signed_zeros(n):
+    """An n x n Hermitian matrix, n >= 3: each off-diagonal magnitude
+    appears twice, its imaginary parts of opposite signs, and the imaginary
+    part 0.0 of entry (0, 1) is mirrored as -0.0."""
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = z + z.conj().T
+    h[0, 1], h[1, 0] = complex(0.25, 0.0), complex(0.25, -0.0)
+    h[2, 2] = complex(-0.0, 0.0)
+    return h
+
+
+def test_report_writer_on_matrix_docs():
+    # matrix_doc entries are written from their arrays; json.dumps reads
+    # them as the plain lists they also are
+    n = 8  # 2 n^2 floats, above the writer's size cutoff
+    assert 2 * n * n >= cli.DISTINCT_MIN_FLOATS
+    h = hermitian_with_signed_zeros(n)
+    parts = np.stack((h.real, h.imag))
+    zeros = np.signbit(parts[parts == 0])
+    assert zeros.any() and not zeros.all()
+    odd = h.copy()
+    odd[0, 0], odd[1, 1], odd[2, 2] = complex(np.nan, np.inf), -np.inf, 5e-324
+    doc = {
+        "signed zeros": cli.matrix_doc(h),
+        "non-finite": cli.matrix_doc(odd),
+        "small": cli.matrix_doc(hermitian_with_signed_zeros(3)),
+        "one by one": cli.matrix_doc([[complex(-0.0, 5e-324)]]),
+        # equal matrices made apart, at two other depths
+        "again": [{"deeper": cli.matrix_doc(h.copy())}, cli.matrix_doc(h.copy())],
+    }
+    doc["same object"] = {"deeper": {"still": doc["signed zeros"]}}
+    assert cli.report_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_distinct_magnitudes_are_formatted_once(monkeypatch):
+    # one float.__repr__ per distinct magnitude of a matrix, matched by bits,
+    # and none for a matrix equal to one already written
+    h = hermitian_with_signed_zeros(8)
+    flat = np.stack((h.real, h.imag), -1).reshape(-1)
+    magnitudes = set(np.abs(flat).tolist())
+    assert len(magnitudes) < flat.size * 2 // 3  # the mirror repeats each one
+    formatted = []
+
+    def counting_map(func, *iterables):
+        if func is float.__repr__:
+            items = list(*iterables)
+            formatted.extend(items)
+            return map(func, items)
+        return map(func, *iterables)
+
+    monkeypatch.setattr(cli, "map", counting_map, raising=False)
+    doc = {"a": cli.matrix_doc(h), "b": [{"c": cli.matrix_doc(h.copy())}]}
+    assert cli.report_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    assert sorted(formatted) == sorted(magnitudes)
+
+
+def test_plain_pairs_write_as_matrix_docs():
+    # a list of [re, im] pairs not made by matrix_doc takes the list path,
+    # and writes the text of the matrix_doc of the same matrix
+    h = hermitian_with_signed_zeros(8)
+    made = cli.matrix_doc(h)
+    plain = dict(made, entries=[list(pair) for pair in made["entries"]])
+    assert type(plain["entries"]) is list
+    assert cli.report_json({"m": plain}) == cli.report_json({"m": made})
+    assert cli.report_json({"m": plain}) == json.dumps({"m": plain}, indent=2,
+                                                       sort_keys=True)
 
 
 @pytest.mark.parametrize("message, line", [

@@ -692,3 +692,93 @@ def test_an_unknown_register_fails_on_every_line_that_names_it():
         (9, 1, "gate references unknown register 'Y'"),
         (10, 3, "gate references unknown register 'Z'"),
     ]
+
+
+BAD2 = "matrix 2 1\n1 1 ;\n0 1 ;\n"  # not unitary: max |U^dag U - I| = 1
+BAD3 = "matrix 3 1\n1 0 0 ;\n0 1 0 ;\n0 0 2 ;\n"  # max |U^dag U - I| = 3
+HUGE2 = "matrix 2 1\n1e308 0 ;\n0 1e308 ;\n"  # U^dag U overflows
+
+
+class TestMatrixFileChecks:
+    """``lower`` reads each @file once and checks each side's matrices in
+    one stacked check; a file's failure is raised, with its own message, at
+    the first gate line that uses it."""
+
+    @staticmethod
+    def run(tmp_path, capsys, lines, files):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        good = dsl.format_matrix_file([np.eye(2), [[0.6, -0.8], [0.8, 0.6]]])
+        (tmp_path / "fam.mat").write_text(good)
+        (tmp_path / "u.mat").write_text(dsl.format_matrix_file([[[0, 1], [1, 0]]]))
+        path = tmp_path / "c.ctc"
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["run", str(path)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
+
+    HEAD = ["system A 2", "system CTC 2", "input pure A : 1 0"]
+
+    def test_non_unitary_before_missing(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, self.HEAD + [
+            "gate unitary A @bad.mat", "gate unitary CTC @missing.mat"], {"bad.mat": BAD2})
+        assert code == 1
+        assert err == ("error: gate on line 4: bad.mat: not unitary: "
+                       "max |U^dag U - I| = 1.000e+00\n")
+
+    def test_missing_before_non_unitary(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, self.HEAD + [
+            "gate unitary A @missing.mat", "gate unitary CTC @bad.mat"], {"bad.mat": BAD2})
+        assert code == 3
+        assert err.startswith(f"error: gate on line 4: cannot read {tmp_path / 'missing.mat'}: ")
+        assert err.count("\n") == 1
+
+    def test_misfit_select_before_non_unitary_file(self, tmp_path, capsys):
+        # line 3's family of 2 does not fit the qutrit control A
+        code, err = self.run(tmp_path, capsys, [
+            "system A 3", "system CTC 2", "gate select A CTC @fam.mat",
+            "input pure A : 1 0 0", "# a comment", "gate unitary CTC @bad.mat"],
+            {"bad.mat": BAD2})
+        assert code == 1
+        assert err == ("error: gate on line 3: fam.mat: select family size 2 does not "
+                       "match control dim 3\n")
+
+    @pytest.mark.parametrize("first", ["bad2.mat", "bad3.mat"])
+    def test_earlier_of_two_sides_wins(self, first, tmp_path, capsys):
+        regs = {"bad2.mat": "CTC", "bad3.mat": "A"}
+        lines = [f"gate unitary {regs[name]} @{name}"
+                 for name in sorted(regs, key=lambda name: name != first)]
+        code, err = self.run(tmp_path, capsys, [
+            "system A 3", "system CTC 2", "input pure A : 1 0 0",
+            "gate unitary CTC @u.mat", *lines], {"bad2.mat": BAD2, "bad3.mat": BAD3})
+        defect = {"bad2.mat": "1.000e+00", "bad3.mat": "3.000e+00"}[first]
+        assert code == 1
+        assert err == (f"error: gate on line 5: {first}: not unitary: "
+                       f"max |U^dag U - I| = {defect}\n")
+
+    def test_overflowing_file_reads_inf(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, self.HEAD + [
+            "gate unitary A @u.mat", "gate select A CTC @fam.mat",
+            "gate unitary CTC @huge.mat"], {"huge.mat": HUGE2})
+        assert code == 1
+        assert err == "error: gate on line 6: huge.mat: not unitary: max |U^dag U - I| = inf\n"
+
+    def test_one_check_per_side(self, tmp_path, monkeypatch):
+        # files of sides 2 and 3, two of each side: two stacked checks
+        from ctcsim import quantum
+        calls = []
+        for module in (dsl, quantum):
+            check = module.check_unitary
+            monkeypatch.setattr(module, "check_unitary",
+                                lambda m, *a, check=check: calls.append(m.shape) or check(m))
+        perm3 = np.eye(3)[[1, 2, 0]]
+        files = {"u.mat": [[[0, 1], [1, 0]]], "fam.mat": [np.eye(2), np.eye(2)[::-1]],
+                 "p.mat": [perm3], "q.mat": [perm3.T]}
+        for name, mats in files.items():
+            (tmp_path / name).write_text(dsl.format_matrix_file(mats))
+        text = ("system A 3\nsystem B 2\nsystem CTC 2\ninput pure A : 1 0 0\n"
+                "input pure B : 1 0\ngate unitary B @u.mat\ngate select B CTC @fam.mat\n"
+                "gate unitary A @p.mat\ngate unitary A @q.mat\ngate unitary CTC @u.mat\n")
+        dsl.lower(parse(text), tmp_path)
+        assert sorted(calls) == [(2, 3, 3), (3, 2, 2)]
