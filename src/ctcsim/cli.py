@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -56,20 +55,14 @@ def _default_tol() -> float:
     return _positive_tol(env, "CTCSIM_DEFAULT_TOL") if env else 1e-12
 
 
-class _Entries(list):
-    """A matrix's entries: the list of [re, im] pairs that ``json.dumps``
-    and the csv walk read, and in ``floats`` the (n², 2) float array they
-    were made from, which ``report_json`` formats instead of the list."""
-
-    __slots__ = ("floats",)
-
-
 def matrix_doc(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
-    floats = np.stack((m.real, m.imag), -1).reshape(-1, 2)
-    entries = _Entries(floats.tolist())
-    entries.floats = floats
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": entries}
+    """A matrix as a report node: its shape, and in ``entries`` its [re, im]
+    pairs in row-major order as one (rows·cols, 2) float64 array, a view of
+    the contiguous complex matrix that makes no Python float. ``report_json``
+    writes the array as a list of pairs; the csv walk skips the node."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]),
+            "entries": m.view(float).reshape(-1, 2)}
 
 
 _escape = json.encoder.encode_basestring_ascii
@@ -102,22 +95,18 @@ def _scalar_text(node) -> str | None:
     return None
 
 
-def _float_texts(flat: list) -> list:
-    """The JSON texts of a list of floats, one ``float.__repr__`` each."""
-    texts = list(map(float.__repr__, flat))
-    if not all(map(math.isfinite, flat)):
-        texts = [_NON_FINITE.get(t, t) for t in texts]
-    return texts
-
-
 def _array_texts(flat: np.ndarray) -> list:
-    """The JSON texts of a 1-d float array, as ``_float_texts`` writes them,
-    with one ``float.__repr__`` per distinct magnitude: equal magnitudes are
-    matched by their bits and the sign is put back, so -0.0 and the mirrored
-    imaginary parts of a Hermitian matrix come out exactly. NaN and ±inf,
-    and a small array, take ``_float_texts``."""
+    """The JSON texts of a 1-d float array, with one ``float.__repr__`` per
+    distinct magnitude: equal magnitudes are matched by their bits and the
+    sign is put back, so -0.0 and the mirrored imaginary parts of a
+    Hermitian matrix come out exactly. An array with NaN or ±inf, or a small
+    one, is formatted one ``float.__repr__`` per float."""
     if flat.size < DISTINCT_MIN_FLOATS or not np.isfinite(flat).all():
-        return _float_texts(flat.tolist())
+        values = flat.tolist()
+        texts = list(map(float.__repr__, values))
+        if all(map(math.isfinite, values)):
+            return texts
+        return [_NON_FINITE.get(t, t) for t in texts]
     magnitudes, index = np.unique(flat.view(np.uint64) & _MAGNITUDE, return_inverse=True)
     texts = list(map(float.__repr__, magnitudes.view(float).tolist()))
     index += len(texts) * np.signbit(flat)  # the negatives' texts follow
@@ -130,25 +119,6 @@ def _pairs_join(texts: list, nl: str) -> str:
     between = f"{inner}],{inner}[{inner2}"
     body = between.join(map(f",{inner2}".join, zip(texts[::2], texts[1::2])))
     return f"[{inner}[{inner2}{body}{inner}]{nl}]"
-
-
-def _pairs_text(pairs: list, nl: str, memo: dict) -> str | None:
-    """A list of [float, float] pairs, a matrix's entries, written at once;
-    None for any other list. The entries of a ``matrix_doc`` are formatted
-    from their array, and equal arrays in one report (``memo``, keyed on
-    their bytes) share their texts."""
-    if type(pairs) is _Entries:
-        key = pairs.floats.tobytes()
-        texts = memo.get(key)
-        if texts is None:
-            texts = memo[key] = _array_texts(pairs.floats.reshape(-1))
-        return _pairs_join(texts, nl)
-    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
-        return None
-    flat = list(itertools.chain.from_iterable(pairs))
-    if set(map(type, flat)) != {float}:
-        return None
-    return _pairs_join(_float_texts(flat), nl)
 
 
 def _encode(node, nl: str, parts: list, memo: dict) -> None:
@@ -173,27 +143,34 @@ def _encode(node, nl: str, parts: list, memo: dict) -> None:
         if not node:
             parts.append("[]")
             return
-        text = _pairs_text(node, nl, memo)
-        if text is not None:
-            parts.append(text)
-            return
         sep = "[" + inner
         for item in node:
             parts.append(sep)
             _encode(item, inner, parts, memo)
             sep = "," + inner
         parts.append(nl + "]")
+    elif (isinstance(node, np.ndarray) and node.dtype == np.float64
+          and node.ndim == 2 and node.shape[1] == 2 and node.size):
+        # a matrix's entries; an equal array already written shares its texts
+        key = node.tobytes()
+        texts = memo.get(key)
+        if texts is None:
+            texts = memo[key] = _array_texts(node.reshape(-1))
+        parts.append(_pairs_join(texts, nl))
     else:
         raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
 
 
 def report_json(report: dict) -> str:
-    """Exactly ``json.dumps(report, indent=2, sort_keys=True)`` for a report
-    (str-keyed dicts, lists, strings, numbers, bools and None), without the
-    pure-Python indent encoder's per-value generator chain. A matrix's
-    entries cost one ``float.__repr__`` per distinct magnitude (see
-    ``_array_texts``), and a matrix equal to one already written costs none:
-    its texts are joined again at its own indent."""
+    """Exactly ``json.dumps(report, indent=2, sort_keys=True,
+    default=np.ndarray.tolist)`` for a report (str-keyed dicts, lists,
+    strings, numbers, bools, None and the non-empty (k, 2) float64 entries
+    arrays of ``matrix_doc``), without the pure-Python indent encoder's
+    per-value generator chain; any other array raises TypeError, as
+    ``json.dumps`` does. A matrix's entries cost one ``float.__repr__`` per
+    distinct magnitude (see ``_array_texts``), and a matrix equal to one
+    already written costs none: its texts are joined again at its own
+    indent."""
     parts = []
     _encode(report, "\n", parts, {})
     return "".join(parts)

@@ -121,6 +121,8 @@ def build_pure_cloner(alphabet: Alphabet) -> ClonerCircuit:
     cloner of the alphabet's dim, and no gate is checked again.
     """
     n = alphabet.dim
+    if n < 2:
+        raise ValueError(f"alphabet dimension must be >= 2, got {n}")
     layout = _cloner_layout(n)
     mappers = basis_mappers(alphabet)
     inverses = mappers.dagger()

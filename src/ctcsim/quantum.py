@@ -440,6 +440,9 @@ class Alphabet:
         """Pad fewer than ``dim`` states up to a full alphabet with vectors
         orthogonal to the given ones (Gram-Schmidt against the span)."""
         states = list(states)
+        for i, s in enumerate(states):
+            if s.dim != dim:
+                raise ValueError(f"state {i} has dimension {s.dim}, not {dim}")
         if len(states) > dim:
             raise ValueError("more states than the dimension allows")
         basis = [s.amps for s in states]

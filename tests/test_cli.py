@@ -342,10 +342,13 @@ def test_clone_mixed_rejects_a_single_probability(capsys):
 @pytest.mark.parametrize("value, message", [
     ("@", "--alphabet @ needs a file name"),
     ("zero-plus", "unknown alphabet 'zero-plus'; use preset:zero-plus or @file"),
+    ("@{one}", "alphabet dimension must be >= 2, got 1"),
 ])
-def test_malformed_alphabet_value_is_a_usage_error(value, message, capsys):
-    # a bare @ names no file: a malformed value, not a directory to read
-    code = main(["demo", "clone-pure", "--alphabet", value])
+def test_malformed_alphabet_value_is_a_usage_error(value, message, tmp_path, capsys):
+    # a bare @ names no file: a malformed value, not a directory to read; a
+    # 1 x 1 alphabet is an Alphabet, but has no cloner
+    (tmp_path / "one.mat").write_text("matrix 1 1\n1\n")
+    code = main(["demo", "clone-pure", "--alphabet", value.format(one=tmp_path / "one.mat")])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
@@ -559,7 +562,27 @@ def test_report_writer_matches_json_dumps(argv, tmp_path, monkeypatch, capsys):
     assert main([a.format(**files) for a in argv]) == 0
     (report,) = written
     assert capsys.readouterr().out.startswith(
-        json.dumps(report, indent=2, sort_keys=True) + "\n")
+        json.dumps(report, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n")
+    # every matrix holds its entries as one float array, never a nested list
+    matrices = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            if "entries" in node and "rows" in node:
+                matrices.append(node)
+            else:
+                for value in node.values():
+                    walk(value)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value)
+
+    walk(report)
+    assert bool(matrices) == (argv[0] != "sweep")
+    for doc in matrices:
+        entries = doc["entries"]
+        assert type(entries) is np.ndarray and entries.dtype == np.float64
+        assert entries.shape == (doc["rows"] * doc["cols"], 2)
 
 
 def test_report_writer_edge_values():
@@ -580,7 +603,11 @@ def test_report_writer_edge_values():
         "nested": {"b": [{"z": [], "a": {}}], "a": [[[]]]},
     }
     assert cli.report_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
-    for value in (np.int64(3), {1: 2.0}, {"x": {1, 2}}):
+    # only a matrix_doc's non-empty (k, 2) float64 entries array is written;
+    # any other array raises, and none is written as a few pairs
+    arrays = [np.zeros(3), np.zeros((2, 3)), np.zeros((0, 2)),
+              *(np.zeros((2, 2), dtype) for dtype in (int, complex, np.float32))]
+    for value in (np.int64(3), {1: 2.0}, {"x": {1, 2}}, *({"x": a} for a in arrays)):
         with pytest.raises(TypeError):
             cli.report_json(value)
 
@@ -598,8 +625,8 @@ def hermitian_with_signed_zeros(n):
 
 
 def test_report_writer_on_matrix_docs():
-    # matrix_doc entries are written from their arrays; json.dumps reads
-    # them as the plain lists they also are
+    # matrix_doc entries are float arrays, written as json.dumps writes
+    # their nested lists
     n = 8  # 2 n^2 floats, above the writer's size cutoff
     assert 2 * n * n >= cli.DISTINCT_MIN_FLOATS
     h = hermitian_with_signed_zeros(n)
@@ -617,7 +644,8 @@ def test_report_writer_on_matrix_docs():
         "again": [{"deeper": cli.matrix_doc(h.copy())}, cli.matrix_doc(h.copy())],
     }
     doc["same object"] = {"deeper": {"still": doc["signed zeros"]}}
-    assert cli.report_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    assert cli.report_json(doc) == json.dumps(doc, indent=2, sort_keys=True,
+                                              default=np.ndarray.tolist)
 
 
 def test_distinct_magnitudes_are_formatted_once(monkeypatch):
@@ -638,13 +666,14 @@ def test_distinct_magnitudes_are_formatted_once(monkeypatch):
 
     monkeypatch.setattr(cli, "map", counting_map, raising=False)
     doc = {"a": cli.matrix_doc(h), "b": [{"c": cli.matrix_doc(h.copy())}]}
-    assert cli.report_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    assert cli.report_json(doc) == json.dumps(doc, indent=2, sort_keys=True,
+                                              default=np.ndarray.tolist)
     assert sorted(formatted) == sorted(magnitudes)
 
 
 def test_plain_pairs_write_as_matrix_docs():
-    # a list of [re, im] pairs not made by matrix_doc takes the list path,
-    # and writes the text of the matrix_doc of the same matrix
+    # a plain list of [re, im] pairs takes the generic list path, and
+    # writes the text of the matrix_doc array of the same matrix
     h = hermitian_with_signed_zeros(8)
     made = cli.matrix_doc(h)
     plain = dict(made, entries=[list(pair) for pair in made["entries"]])

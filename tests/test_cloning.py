@@ -83,6 +83,11 @@ class TestBuildPureCloner:
         fps = [run_clone(cloner, s.density()).fixed_point.rho_ctc for s in alpha.states]
         assert fidelity(fps[0], fps[1]) <= 1e-9
 
+    def test_one_state_alphabet_rejected(self):
+        # a valid alphabet of dim 1 has no cloner; the message names the alphabet
+        with pytest.raises(ValueError, match=r"^alphabet dimension must be >= 2, got 1$"):
+            build_pure_cloner(Alphabet((PureState.basis(1, 0),)))
+
 
 class TestBuildMixedCloner:
     def test_gate_labels(self):

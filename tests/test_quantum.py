@@ -817,6 +817,12 @@ class TestAlphabet:
         alpha = Alphabet.padded([PureState.basis(3, 0)], 3)
         assert len(alpha) == 3
 
+    def test_padding_names_a_state_of_another_dimension(self):
+        with pytest.raises(ValueError, match=r"^state 0 has dimension 3, not 2$"):
+            Alphabet.padded([PureState.basis(3, 0)], 2)
+        with pytest.raises(ValueError, match=r"^state 1 has dimension 2, not 3$"):
+            Alphabet.padded([PureState.basis(3, 0), PureState.basis(2, 1)], 3)
+
     def test_gates_unitary_for_random_alphabets(self, rng):
         from ctcsim.cloning import build_pure_cloner
         for n in (2, 3, 4):
