@@ -26,7 +26,7 @@ from .cloning import (
     run_clone,
 )
 from .engine import evolve, kraus_stack, solve_stack
-from .fidelity import factor_fidelities, monotonicity_margins
+from .fidelity import factor_fidelities
 from .linalg import CHUNK_TRIALS, chunks  # noqa: F401 (the sweeps' chunk size)
 from .nosignal import run_entangled_clone
 from .quantum import DensityMatrix, Layout, PureState, check_density, check_unitary
@@ -95,6 +95,14 @@ def _scalar_text(node) -> str | None:
     return None
 
 
+def _repr_texts(values: list) -> list:
+    """The JSON texts of a list of floats, one ``float.__repr__`` each."""
+    texts = list(map(float.__repr__, values))
+    if all(map(math.isfinite, values)):
+        return texts
+    return [_NON_FINITE.get(t, t) for t in texts]
+
+
 def _array_texts(flat: np.ndarray) -> list:
     """The JSON texts of a 1-d float array, with one ``float.__repr__`` per
     distinct magnitude: equal magnitudes are matched by their bits and the
@@ -102,11 +110,7 @@ def _array_texts(flat: np.ndarray) -> list:
     Hermitian matrix come out exactly. An array with NaN or ±inf, or a small
     one, is formatted one ``float.__repr__`` per float."""
     if flat.size < DISTINCT_MIN_FLOATS or not np.isfinite(flat).all():
-        values = flat.tolist()
-        texts = list(map(float.__repr__, values))
-        if all(map(math.isfinite, values)):
-            return texts
-        return [_NON_FINITE.get(t, t) for t in texts]
+        return _repr_texts(flat.tolist())
     magnitudes, index = np.unique(flat.view(np.uint64) & _MAGNITUDE, return_inverse=True)
     texts = list(map(float.__repr__, magnitudes.view(float).tolist()))
     index += len(texts) * np.signbit(flat)  # the negatives' texts follow
@@ -119,6 +123,38 @@ def _pairs_join(texts: list, nl: str) -> str:
     between = f"{inner}],{inner}[{inner2}"
     body = between.join(map(f",{inner2}".join, zip(texts[::2], texts[1::2])))
     return f"[{inner}[{inner2}{body}{inner}]{nl}]"
+
+
+class TrialColumns:
+    """A sweep's per-trial rows, held as columns: ``columns`` maps each field
+    to a 1-d array of one entry per trial, float64 or integer (the trial
+    index, a count). ``report_json`` writes it as the list of row objects,
+    one ``{field: entry}`` per trial with the fields sorted, and ``tolist``
+    builds that list."""
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+
+    def tolist(self) -> list:
+        names = sorted(self.columns)
+        return [dict(zip(names, row))
+                for row in zip(*(self.columns[name].tolist() for name in names))]
+
+
+def _rows_text(columns: dict, nl: str) -> str:
+    """The list of row objects of per-trial ``columns``: each row is one
+    template, the sorted fields' keys written once, filled with its entries'
+    texts, so no row becomes a dict."""
+    names = sorted(columns)
+    if not names or not len(columns[names[0]]):
+        return "[]"
+    inner, field = nl + "  ", nl + "    "
+    keys = (_escape(name).replace("{", "{{").replace("}", "}}") for name in names)
+    template = "{{" + field + f",{field}".join(f"{key}: {{}}" for key in keys) + inner + "}}"
+    texts = [_repr_texts(column.tolist()) if column.dtype == np.float64
+             else list(map(int.__repr__, column.tolist()))
+             for column in map(columns.__getitem__, names)]
+    return "[" + inner + f",{inner}".join(map(template.format, *texts)) + nl + "]"
 
 
 def _encode(node, nl: str, parts: list, memo: dict) -> None:
@@ -157,20 +193,24 @@ def _encode(node, nl: str, parts: list, memo: dict) -> None:
         if texts is None:
             texts = memo[key] = _array_texts(node.reshape(-1))
         parts.append(_pairs_join(texts, nl))
+    elif isinstance(node, TrialColumns):
+        parts.append(_rows_text(node.columns, nl))
     else:
         raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
 
 
 def report_json(report: dict) -> str:
     """Exactly ``json.dumps(report, indent=2, sort_keys=True,
-    default=np.ndarray.tolist)`` for a report (str-keyed dicts, lists,
-    strings, numbers, bools, None and the non-empty (k, 2) float64 entries
-    arrays of ``matrix_doc``), without the pure-Python indent encoder's
-    per-value generator chain; any other array raises TypeError, as
-    ``json.dumps`` does. A matrix's entries cost one ``float.__repr__`` per
-    distinct magnitude (see ``_array_texts``), and a matrix equal to one
-    already written costs none: its texts are joined again at its own
-    indent."""
+    default=lambda o: o.tolist())`` for a report (str-keyed dicts, lists,
+    strings, numbers, bools, None, the non-empty (k, 2) float64 entries
+    arrays of ``matrix_doc`` and a sweep's ``TrialColumns``), without the
+    pure-Python indent encoder's per-value generator chain; any other array
+    raises TypeError, as ``json.dumps`` does. A matrix's entries cost one
+    ``float.__repr__`` per distinct magnitude (see ``_array_texts``), and a
+    matrix equal to one already written costs none: its texts are joined
+    again at its own indent. Per-trial columns are written as their list of
+    row objects, each row one template filled with its entries' texts, so
+    no row becomes a dict."""
     parts = []
     _encode(report, "\n", parts, {})
     return "".join(parts)
@@ -367,13 +407,24 @@ def cmd_demo(args) -> int:
     return 0 if passed else 2
 
 
+def _by_trial(kernel, *stacks):
+    """``kernel(*stacks)`` on trial-major (count, k, ...) stacks, k entries
+    per trial, with its StackError naming the trial of the failing entry."""
+    try:
+        return kernel(*stacks)
+    except linalg.StackError as exc:
+        raise linalg.StackError(exc.message, exc.index // stacks[0].shape[1]) from None
+
+
 def _check_trials(checks) -> None:
-    """Run each (check, stack) pair over a chunk of trials and raise the
-    StackError of the first trial that fails any check."""
+    """Run each (check, stack) pair over a chunk of trials, each stack
+    trial-major of shape (count, k, n, n), and raise the StackError of the
+    first trial that fails any check: within a trial, its first failing
+    entry, and checks in the order given."""
     failures = []
     for check, stack in checks:
         try:
-            check(stack)
+            _by_trial(check, stack)
         except linalg.StackError as exc:
             failures.append(exc)
     if failures:
@@ -383,23 +434,36 @@ def _check_trials(checks) -> None:
 def _fidelity_chunk(rng, count, dim):
     # per trial: states a, b, c, d, two states on dim x dim and a Haar unitary,
     # as the per-trial generators draw them; Z Z^dag / Tr has factor Z / ||Z||_F
-    *draws, z_u = sampling.ginibre_trials(
+    z_a, z_b, z_c, z_d, z_big_a, z_big_b, z_u = sampling.ginibre_trials(
         rng, count, (dim,) * 4 + (dim * dim,) * 2 + (dim,))
-    a, b, c, d, big_a, big_b = map(sampling.density_from_ginibre, draws)
-    w_a, w_b, _, w_d, _, w_big_b = map(linalg.unit_factor, draws)
+    # each matrix side is one trial-major stack, checked at once
+    small = sampling.density_from_ginibre(np.stack((z_a, z_b, z_c, z_d), axis=1))
+    big = sampling.density_from_ginibre(np.stack((z_big_a, z_big_b), axis=1))
     u = sampling.haar_from_ginibre(z_u)
-    _check_trials([(check_unitary, u)] + [
-        (check_density, s) for s in (a, b, c, d, big_a, big_b)])
-    # F(a, b) enters the multiplicativity defect (``multiplicativity_defects``
-    # written out, so it is taken once), the symmetry and the invariance
-    f_ab = factor_fidelities(a, w_b)
-    joint = factor_fidelities(linalg.kron(a, c), linalg.kron(w_b, w_d))
+    _check_trials([(check_unitary, u[:, None]), (check_density, small),
+                   (check_density, big)])
+    a, b, c, _ = small.swapaxes(0, 1)
+    big_a = big[:, 0]
+    w_b, w_d, w_a = linalg.unit_factor(np.stack((z_b, z_d, z_a), axis=1)).swapaxes(0, 1)
+    w_big_b = linalg.unit_factor(z_big_b)
+    # ``multiplicativity_defects`` and ``monotonicity_margins`` written out:
+    # the five dim x dim fidelities in one call, F(a, b) among them once (it
+    # enters the defect, the symmetry and the invariance), and the two
+    # dim^2 x dim^2 ones in another
+    rot_a = u @ a @ linalg.dagger(u)
+    red_a = linalg.partial_trace(big_a, (dim, dim), {0})
+    w_red_b = linalg.reduced_factor(w_big_b, (dim, dim), {1})
+    f_ab, f_cd, f_ba, f_rot, f_red = _by_trial(
+        factor_fidelities, np.stack((a, c, b, rot_a, red_a), axis=1),
+        np.stack((w_b, w_d, w_a, u @ w_b, w_red_b), axis=1)).T
+    f_joint, f_big = _by_trial(factor_fidelities,
+                               np.stack((linalg.kron(a, c), big_a), axis=1),
+                               np.stack((linalg.kron(w_b, w_d), w_big_b), axis=1)).T
     return {
-        "multiplicativity": np.abs(joint - f_ab * factor_fidelities(c, w_d)),
-        "monotonicity": monotonicity_margins(big_a, w_big_b, (dim, dim), {1}),
-        "symmetry": np.abs(f_ab - factor_fidelities(b, w_a)),
-        "unitary_invariance": np.abs(
-            factor_fidelities(u @ a @ linalg.dagger(u), u @ w_b) - f_ab),
+        "multiplicativity": np.abs(f_joint - f_ab * f_cd),
+        "monotonicity": f_red - f_big,
+        "symmetry": np.abs(f_ab - f_ba),
+        "unitary_invariance": np.abs(f_rot - f_ab),
     }
 
 
@@ -456,18 +520,17 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"{flag} must be >= {low}, got {value}")
     chunk, side, worst_of, passes = SWEEPS[args.kind]
     rng = np.random.default_rng(args.seed)
-    rows = []
+    parts = {}
     for lo, hi in chunks(args.trials, side(args.dim)):
         try:
             with linalg.entries_from(lo):
-                columns = chunk(rng, hi - lo, args.dim)
+                for key, column in chunk(rng, hi - lo, args.dim).items():
+                    parts.setdefault(key, []).append(column)
         except linalg.StackError as exc:
             raise ValueError(f"trial {exc.index}: {exc.message}") from None
-        keys = ("trial", *columns)
-        values = zip(range(lo, hi), *(c.tolist() for c in columns.values()))
-        rows += [dict(zip(keys, v)) for v in values]
-    if rows:
-        summary = {key: worst(row[col] for row in rows) for key, col, worst in worst_of}
+    columns = {key: np.concatenate(part) for key, part in parts.items()}
+    if args.trials:
+        summary = {key: worst(columns[col].tolist()) for key, col, worst in worst_of}
         ok = passes(summary)
     else:  # no trial: no worst value, and nothing violated
         summary, ok = dict.fromkeys(key for key, _, _ in worst_of), True
@@ -478,7 +541,7 @@ def cmd_sweep(args) -> int:
         "trials": args.trials,
         "dim": args.dim,
         "summary": summary,
-        "per_trial": rows,
+        "per_trial": TrialColumns({"trial": np.arange(args.trials), **columns}),
         "ok": ok,
     }
     code = _dump_report(report, args.format, args.out)

@@ -171,16 +171,19 @@ def run_clone(cloner: ClonerCircuit, target: DensityMatrix) -> CloneReport:
     clone_a = DensityMatrix._trusted(linalg.partial_trace(output.mat, dims, [0]))
     clone_b = DensityMatrix._trusted(linalg.partial_trace(output.mat, dims, [1]))
     # the target's factor at its kept rank r, and its kron for the joint
-    # target: each fidelity is an r x r (r^2 x r^2 for the joint) problem
+    # target: each fidelity is an r x r (r^2 x r^2 for the joint) problem,
+    # and both clones take theirs in one call (a pure target's are read
+    # without an eigendecomposition)
     w = target.factor
+    fid_a, fid_b = factor_fidelities(np.stack((clone_a.mat, clone_b.mat)), w).tolist()
     return CloneReport(
         input_state=target,
         fixed_point=fp,
         output=output,
         clone_a=clone_a,
         clone_b=clone_b,
-        fid_a=float(factor_fidelities(clone_a.mat, w)),
-        fid_b=float(factor_fidelities(clone_b.mat, w)),
+        fid_a=fid_a,
+        fid_b=fid_b,
         joint_fid=float(factor_fidelities(output.mat, linalg.kron(w, w))),
     )
 
@@ -228,18 +231,18 @@ def baseline_infidelities(
     alphabet: Alphabet, interactions: np.ndarray, ancilla: DensityMatrix
 ) -> np.ndarray:
     """``no_ctc_baseline`` for a (..., D, D) stack of dense interactions,
-    each a validated unitary on A x B x C."""
+    each a validated unitary on A x B x C.
+
+    Every alphabet ket is evolved by every interaction in one product, and
+    all pair fidelities are taken in one call, each the 1 x 1 sandwich of a
+    ket (no eigendecomposition); the worst is the minimum over states."""
     n = alphabet.dim
+    kets = np.stack([state.amps for state in alphabet.states])[:, :, None]
     # the factor psi x 0 x W_C of each input, evolved, with C moved into its
     # columns: a factor of Tr_C of the evolved state
     tail = linalg.kron(PureState.basis(n, 0).amps[:, None], ancilla.factor)
-    worst = np.ones(interactions.shape[:-2])
-    for state in alphabet.states:
-        evolved = interactions @ linalg.kron(state.amps[:, None], tail)
-        e = linalg.reduced_factor(evolved, (n, n, ancilla.side), [2])
-        out = e @ linalg.dagger(e)
-        # psi x psi is the factor of the pure joint target
-        pair = linalg.kron(state.amps[:, None], state.amps[:, None])
-        worst = np.minimum(worst, factor_fidelities(out, pair))
-    return 1.0 - worst
-
+    evolved = interactions[..., None, :, :] @ linalg.kron(kets, tail)
+    e = linalg.reduced_factor(evolved, (n, n, ancilla.side), [2])
+    # psi x psi is the factor of the pure joint target
+    fids = factor_fidelities(e @ linalg.dagger(e), linalg.kron(kets, kets))
+    return 1.0 - fids.min(axis=-1)

@@ -10,6 +10,11 @@ reduced state's is the factor with the traced registers moved into its
 columns (``linalg.reduced_factor``), and U rho U^dag's is U W. The kernels
 broadcast over leading axes, shared by the ``DensityMatrix`` functions and
 the sweeps, and trust their inputs (validated where they entered).
+
+Against a ket (an n x 1 factor: a pure state's, the baseline's pair kets)
+the sandwich is 1 x 1, and its real part is its eigenvalue: the kernel reads
+it with no ``eigvalsh``, bit for bit what LAPACK returns for it, and keeps
+the PSD and range rejects and the noise floor.
 """
 
 from __future__ import annotations
@@ -35,10 +40,15 @@ def factor_fidelities(rho: np.ndarray, w: np.ndarray) -> np.ndarray:
     [0, 1].
 
     Computed from the eigenvalues of the (symmetrized) r x r sandwiched
-    operator, with those at the noise floor taken as zero.
+    operator, with those at the noise floor taken as zero; for a ket
+    (r = 1) that eigenvalue is the sandwich's real part, read without
+    ``eigvalsh``.
     """
     sandwich = dagger(w) @ rho @ w
-    ev = np.linalg.eigvalsh((sandwich + dagger(sandwich)) / 2)
+    if w.shape[-1] == 1:
+        ev = sandwich.real[..., 0]
+    else:
+        ev = np.linalg.eigvalsh((sandwich + dagger(sandwich)) / 2)
     reject((ev[..., 0] < -linalg.tolerances.psd, ev[..., 0],
             "sandwiched operator not PSD: {:.3e}"))
     cut = _EIG_FLOOR * np.maximum(ev[..., -1], 1.0)

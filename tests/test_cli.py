@@ -561,8 +561,10 @@ def test_report_writer_matches_json_dumps(argv, tmp_path, monkeypatch, capsys):
              "alphabet4": str(tmp_path / "alphabet4.txt")}
     assert main([a.format(**files) for a in argv]) == 0
     (report,) = written
+    # a matrix's entries array and a sweep's per-trial columns both convert
+    # to the plain lists they are written as
     assert capsys.readouterr().out.startswith(
-        json.dumps(report, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n")
+        json.dumps(report, indent=2, sort_keys=True, default=lambda o: o.tolist()) + "\n")
     # every matrix holds its entries as one float array, never a nested list
     matrices = []
 
@@ -646,6 +648,22 @@ def test_report_writer_on_matrix_docs():
     doc["same object"] = {"deeper": {"still": doc["signed zeros"]}}
     assert cli.report_json(doc) == json.dumps(doc, indent=2, sort_keys=True,
                                               default=np.ndarray.tolist)
+
+
+def test_report_writer_on_trial_columns():
+    # per-trial columns are written as json.dumps writes their rows, at any
+    # depth, with signed zeros, NaN, ±inf, integer columns and a field name
+    # the row template must escape
+    floats = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1])
+    columns = cli.TrialColumns({"trial": np.arange(6), "value": floats,
+                                "count": np.array([1, 2, 1, 4, 0, -3]),
+                                'a "{0}" }{ field': floats[::-1].copy()})
+    doc = {"per_trial": columns, "deeper": [{"rows": columns}],
+           "none": cli.TrialColumns({"trial": np.arange(0), "value": floats[:0]})}
+    assert columns.tolist()[3] == {"trial": 3, "value": -np.inf, "count": 4,
+                                   'a "{0}" }{ field': np.inf}
+    assert cli.report_json(doc) == json.dumps(doc, indent=2, sort_keys=True,
+                                              default=lambda o: o.tolist())
 
 
 def test_distinct_magnitudes_are_formatted_once(monkeypatch):

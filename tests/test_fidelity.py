@@ -4,6 +4,7 @@ import pytest
 from conftest import random_pure, sandwich_fidelity
 from ctcsim import linalg
 from ctcsim.fidelity import (
+    _EIG_FLOOR,
     check_monotonicity,
     check_multiplicativity,
     factor_fidelities,
@@ -114,10 +115,53 @@ def test_pure_pairs_give_the_overlap(n, rng):
 
 
 def test_fidelity_against_a_pure_state_sandwiches_one_by_one(rng, eig_calls):
+    # the 1 x 1 sandwich against the state's ket is its own eigenvalue
     rho, pure = random_density(rng, 4), random_pure(rng, 4).density()
     eig_calls.clear()
     fidelity(rho, pure)
-    assert [(name, m.shape) for name, m in eig_calls] == [("eigvalsh", (1, 1))]
+    assert eig_calls == []
+
+
+def eigvalsh_ket_fidelities(rho, ket):
+    """The r x r path of ``factor_fidelities`` taken for a ket: eigvalsh of
+    the symmetrized 1 x 1 sandwich, then the floor, root and clamp."""
+    sandwich = linalg.dagger(ket) @ rho @ ket
+    ev = np.linalg.eigvalsh((sandwich + linalg.dagger(sandwich)) / 2)[..., 0]
+    ev = np.where(ev < _EIG_FLOOR * np.maximum(ev, 1.0), 0.0, ev)
+    return np.minimum(np.sqrt(ev), 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_ket_fidelities_keep_the_bits_of_eigvalsh(n, rng):
+    # random states against random kets, against their own kets (a sandwich
+    # at 1 up to rounding) and against kets orthogonal to a rank-deficient
+    # state (a sandwich at the noise floor)
+    rhos = np.array([random_density(rng, n).mat for _ in range(20)])
+    kets = np.array([random_pure(rng, n).amps[:, None] for _ in range(20)])
+    own = kets[:5] @ linalg.dagger(kets[:5])
+    deficient = np.array([np.diag([0.0] * (n - 1) + [1.0]) + 0j] * 5)
+    near_zero = np.zeros((5, n, 1), dtype=complex)
+    near_zero[:, 0, 0] = 1.0
+    near_zero[:, -1, 0] = 1e-9 * rng.standard_normal(5)
+    rhos = np.concatenate([rhos, own, deficient])
+    kets = np.concatenate([kets, kets[:5], near_zero])
+    got = factor_fidelities(rhos, kets)
+    assert np.array_equal(got, eigvalsh_ket_fidelities(rhos, kets))
+    assert (got[-5:] == 0.0).all() and (got[20:25] >= 1 - 1e-12).all()
+    for rho, ket, f in zip(rhos, kets, got):  # a stack of one has the same bits
+        assert factor_fidelities(rho, ket) == f
+
+
+def test_ket_fidelities_reject_a_negative_sandwich():
+    rhos = np.array([np.eye(2) / 2, np.eye(2) / 2, np.diag([1.0, -1.0])], dtype=complex)
+    kets = np.array([[[0.0], [1.0]]] * 3, dtype=complex)
+    with pytest.raises(linalg.StackError, match="sandwiched operator not PSD") as err:
+        factor_fidelities(rhos, kets)
+    assert err.value.index == 2
+    rhos[2] = np.nan
+    with pytest.raises(linalg.StackError) as err:
+        factor_fidelities(rhos, kets)
+    assert err.value.index == 2
 
 
 def test_factor_kernel_rejects_what_the_dense_path_rejects():

@@ -76,8 +76,9 @@ def test_fidelity_sweep_factors_no_state(eig_calls, capsys):
 
 
 def test_fidelity_sweep_takes_each_fidelity_once(eig_calls, monkeypatch, capsys):
-    # a chunk of 40 trials checks its six draws and takes seven distinct
-    # fidelities, F(a, b) among them once, each one sandwich eigvalsh
+    # a chunk of 40 trials checks its six draws as one stack per matrix side
+    # and takes its seven distinct fidelities, F(a, b) among them once, as
+    # one call per side: one eigvalsh each
     sandwiches, real = [], cli.factor_fidelities
 
     def recorded(rho, w):
@@ -88,8 +89,16 @@ def test_fidelity_sweep_takes_each_fidelity_once(eig_calls, monkeypatch, capsys)
     for module in (cli, importlib.import_module("ctcsim.fidelity")):
         monkeypatch.setattr(module, "factor_fidelities", recorded)
     sweep_report("fidelity-props", 40, 2, 0, capsys)
-    assert len(sandwiches) == 7
-    assert [name for name, _ in eig_calls] == ["eigvalsh"] * (6 + 7)
+    assert sandwiches == [(40, 5, 2, 2), (40, 2, 4, 4)]
+    assert [(name, m.shape) for name, m in eig_calls] == [
+        ("eigvalsh", (40, 4, 2, 2)), ("eigvalsh", (40, 2, 4, 4)),
+        ("eigvalsh", (40, 5, 2, 2)), ("eigvalsh", (40, 2, 4, 4))]
+
+
+def test_baseline_sweep_eigendecomposes_nothing(eig_calls, capsys):
+    # every pair fidelity is the 1 x 1 sandwich of a ket
+    sweep_report("no-cloning-baseline", 40, 2, 0, capsys)
+    assert eig_calls == []
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -143,6 +152,60 @@ def test_non_psd_density_member_is_named(monkeypatch, capsys):
                        lambda n: np.diag([1.5, -0.5] + [0.0] * (n - 2)))
     argv = ["sweep", "fidelity-props", "--trials", str(cli.CHUNK_TRIALS + 20)]
     assert_trial_error(argv, cli.CHUNK_TRIALS + 10, "not PSD", capsys)
+
+
+def corrupt_draws(monkeypatch, side, bad_draws):
+    """Replace draws of the last, partial stack of density matrices of
+    ``side`` that ``sampling.density_from_ginibre`` returns: ``bad_draws``
+    maps (trial, draw) to a matrix of that side."""
+    original = sampling.density_from_ginibre
+
+    def patched(z):
+        out = original(z)
+        if out.shape[0] < cli.CHUNK_TRIALS and out.shape[-1] == side:
+            for (trial, draw), bad in bad_draws.items():
+                out[trial, draw] = bad
+        return out
+
+    monkeypatch.setattr(sampling, "density_from_ginibre", patched)
+
+
+NON_PSD = np.diag([1.5, -0.5]).astype(complex)
+NON_HERMITIAN = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
+
+
+def test_earliest_trial_of_a_stacked_check_is_named(monkeypatch, capsys):
+    # the four dim x dim draws are one stack, trial-major: draw c of trial 3
+    # fails before draw d of trial 3 and draw a of trial 7, though a is
+    # drawn first
+    corrupt_draws(monkeypatch, 2, {(3, 2): NON_PSD, (3, 3): NON_HERMITIAN,
+                                   (7, 0): NON_HERMITIAN})
+    assert_trial_error(["sweep", "fidelity-props", "--trials", "20"], 3, "not PSD", capsys)
+
+
+def test_big_draw_past_the_first_chunk_is_named(monkeypatch, capsys):
+    # draw big_b of trial CHUNK_TRIALS + 6, in the dim^2 x dim^2 stack
+    corrupt_draws(monkeypatch, 4, {(6, 1): np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)})
+    argv = ["sweep", "fidelity-props", "--trials", str(cli.CHUNK_TRIALS + 20)]
+    assert_trial_error(argv, cli.CHUNK_TRIALS + 6, "not PSD", capsys)
+
+
+def test_earliest_trial_over_both_sides_is_named(monkeypatch, capsys):
+    # the dim x dim stack is checked first, but its failing trial is later
+    corrupt_draws(monkeypatch, 2, {(8, 0): NON_HERMITIAN})
+    corrupt_draws(monkeypatch, 4, {(4, 1): np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)})
+    assert_trial_error(["sweep", "fidelity-props", "--trials", "20"], 4, "not PSD", capsys)
+
+
+@pytest.mark.parametrize("side", [2, 4])
+def test_stacked_fidelity_failure_names_the_trial(side, monkeypatch, capsys):
+    # let a non-PSD draw past the draw checks, so the sandwich check of the
+    # stacked fidelities of its side is the one that must name its trial
+    monkeypatch.setattr(cli, "check_density", lambda m: None)
+    bad = np.diag([1.5] + [0.0] * (side - 2) + [-0.5]).astype(complex)
+    corrupt_draws(monkeypatch, side, {(9, 0): bad, (9, 1): bad})
+    assert_trial_error(["sweep", "fidelity-props", "--trials", "20"], 9,
+                       "sandwiched operator not PSD", capsys)
 
 
 def fixed_points_oracle(rng, trials, dim):

@@ -10,11 +10,11 @@
 # --trace-out, and on two written circuits (a two-register input line
 # declared out of layout order, with no --trace-out, with --trace-out B and
 # with --trace-out C,A, against layout order, and a circuit with only the CTC
-# register): 44 that exit 0. Three more written circuits repeat a bad gate
+# register): 46 that exit 0. Three more written circuits repeat a bad gate
 # line (a register that is not declared, a file operand without its @, and
 # a select whose family does not fit its control) and exit 1. Two
 # near-parallel alphabets make the pure clone demo pass (exit 0) and fail
-# (exit 2) at the edge of the multiplicity count: 49 in all.
+# (exit 2) at the edge of the multiplicity count: 51 in all.
 # Each command runs in <outdir> and names its files relative to it, so its
 # standard error does not depend on where <outdir> is. The dsl-run circuits
 # are generated into <outdir>/circuits by the checkout's
@@ -52,9 +52,12 @@ seeded fixed-points-5-csv sweep fixed-points --trials 5 --format csv
 seeded fidelity-props-1000-0 sweep fidelity-props --trials 1000 --seed 0
 seeded fidelity-props-dim3-200-4 sweep fidelity-props --dim 3 --trials 200 --seed 4
 seeded fidelity-props-0 sweep fidelity-props --trials 0
+seeded fidelity-props-5-csv sweep fidelity-props --trials 5 --format csv
 seeded no-cloning-baseline-1000-0 sweep no-cloning-baseline --trials 1000 --seed 0
 seeded no-cloning-baseline-dim3-200-4 sweep no-cloning-baseline --dim 3 --trials 200 --seed 4
 seeded no-cloning-baseline-0 sweep no-cloning-baseline --trials 0
+# at dim 3 a chunk holds 256 trials: the per-trial columns join two chunks
+seeded no-cloning-baseline-dim3-300-2 sweep no-cloning-baseline --dim 3 --trials 300 --seed 2
 seeded clone-pure demo clone-pure
 # a non-orthogonal N = 4 alphabet, one state per column
 cat >"$out/alphabet4.txt" <<'MAT'
