@@ -27,7 +27,7 @@ from .cloning import (
 )
 from .engine import evolve, kraus_stack, solve_stack
 from .fidelity import factor_fidelities
-from .linalg import CHUNK_TRIALS, chunks  # noqa: F401 (the sweeps' chunk size)
+from .linalg import chunks
 from .nosignal import run_entangled_clone
 from .quantum import DensityMatrix, Layout, PureState, check_density, check_unitary
 
@@ -50,9 +50,11 @@ def _positive_tol(value, name: str) -> float:
     return tol
 
 
-def _default_tol() -> float:
+def _default_tol(fallback: float = 1e-12) -> float:
+    """The ``run --tol`` default: $CTCSIM_DEFAULT_TOL if set, else
+    ``fallback``, which the help text reads from ``__defaults__``."""
     env = os.environ.get("CTCSIM_DEFAULT_TOL")
-    return _positive_tol(env, "CTCSIM_DEFAULT_TOL") if env else 1e-12
+    return _positive_tol(env, "CTCSIM_DEFAULT_TOL") if env else fallback
 
 
 def matrix_doc(m: np.ndarray) -> dict:
@@ -273,14 +275,8 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    output, fp = evolve(problem)
-    if fp.residual > tol:
-        print(
-            f"error: solver did not converge (residual {fp.residual:.3e})",
-            file=sys.stderr,
-        )
-        return 2
-    marginals = {}
+    # checked before the solve: a bad name costs no solve, and a solve that
+    # misses --tol does not hide it
     if args.trace_out is not None:
         keep_names = [n for n in args.trace_out.split(",") if n]
         if not keep_names:
@@ -294,6 +290,15 @@ def cmd_run(args) -> int:
             if name in keep_names[:i]:
                 print(f"error: register {name!r} named twice", file=sys.stderr)
                 return 1
+    output, fp = evolve(problem)
+    if fp.residual > tol:
+        print(
+            f"error: solver did not converge (residual {fp.residual:.3e})",
+            file=sys.stderr,
+        )
+        return 2
+    marginals = {}
+    if args.trace_out is not None:
         keep = [cr_names.index(n) for n in keep_names]
         dims = problem.layout.cr_dims
         reduced = linalg.partial_trace(output.mat, dims, keep)
@@ -573,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated registers to keep as a marginal")
     run.add_argument("--tol", type=float, default=None,
                      help="largest fixed-point residual accepted "
-                          "(default: $CTCSIM_DEFAULT_TOL or 1e-12)")
+                          f"(default: $CTCSIM_DEFAULT_TOL or {_default_tol.__defaults__[0]!r})")
     add_output_flags(run)
     run.set_defaults(func=cmd_run)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .engine import DeutschProblem, FixedPointResult, evolve
-from .fidelity import factor_fidelities
+from .fidelity import FIDELITY_SLACK, factor_fidelities
 from .quantum import (
     Alphabet,
     DensityMatrix,
@@ -43,7 +43,6 @@ from .quantum import (
 )
 
 DIAGONAL_TOL = 1e-10  # max off-diagonal magnitude of a mixed-diagonal target
-FIDELITY_SLACK = 1e-9  # rounding allowed outside [0, 1] and below a zero margin
 
 
 @dataclass(frozen=True)

@@ -90,18 +90,19 @@ sigma_n(R - I) is at most ||(R - I) x|| / ||x||. With ||R - I||_F in place
 of sigma_max, which it bounds from above and, over sqrt(n), from below, a
 member for which 1 / ||B^-1||_F exceeds the upper window and
 ||(R - I) x|| / ||x|| is within the lower one, each by ``_CERTIFY_MARGIN``,
-has m = 1 by the window's rule, and takes no SVD. Any other member takes
-the singular values of its R - I (a values-only SVD) and the window's
-count. With m = 1, or m = 0, it keeps x from B^-1; the default window gives
+has m = 1 by the window's rule, and takes no SVD. The other members take
+one stacked SVD R - I = U Sigma V^T: Sigma gives the window's count. With
+m = 1, or m = 0, a member keeps x from B^-1; the default window gives
 m = 0 when a map is not trace preserving to its resolution: the product of
 a long circuit's gates, each within its check, can drift that far, as in a
-circuit of 400 Hadamards written to 10 digits. A member with m > 1 (or an
-exactly singular B, on which numpy's inverse raises) takes a full SVD
-R - I = U Sigma V^T of its own, and its fixed point is
-Q (L^T Q)^-1 L^T T vec(I/d), the columns of Q and L being the last m
-right and left singular vectors, which span the fixed space of R and that
-of its transpose. The state is T^dag x, Hermitian by construction.
-``build_superoperator`` still returns the complex S.
+circuit of 400 Hadamards written to 10 digits. A member with m > 1, or with
+an exactly singular B, has the fixed point Q (L^T Q)^-1 L^T T vec(I/d)
+from the same decomposition, the columns of Q and L being the last m right
+and left singular vectors, which span the fixed space of R and that of its
+transpose. numpy's inverse raises for a whole stack with one exactly
+singular B; one slogdet then marks those members (a sign of 0 is LU's zero
+pivot) and one inverse covers the others. The state is T^dag x, Hermitian
+by construction. ``build_superoperator`` still returns the complex S.
 """
 
 from __future__ import annotations
@@ -429,34 +430,15 @@ def build_superoperator(problem: DeutschProblem) -> np.ndarray:
     return g.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
-def _bordered_inverses(bordered: np.ndarray):
-    """B^-1 of each (n + 1, n + 1) bordered matrix of a stack, and the mask
-    of the members whose B numpy could invert. ``np.linalg.inv`` raises for
-    the whole stack when one member is exactly singular, so such a stack is
-    inverted one member at a time (each member's bits are those of its own
-    stack of one); a member that still raises keeps a zero inverse."""
-    try:
-        return np.linalg.inv(bordered), np.ones(len(bordered), dtype=bool)
-    except np.linalg.LinAlgError:
-        inverse = np.zeros_like(bordered)
-        solved = np.zeros(len(bordered), dtype=bool)
-        for i, member in enumerate(bordered):
-            try:
-                inverse[i] = np.linalg.inv(member)
-                solved[i] = True
-            except np.linalg.LinAlgError:
-                pass
-        return inverse, solved
-
-
 def solve_stack(kraus: np.ndarray) -> FixedPoints:
     """The canonical fixed point P1(I/d) of each member of a (B, n, d, d)
     Kraus stack and its full-width factor, solved together in real
     arithmetic: one inverse of the bordered matrix counts and solves a
-    member with one fixed point; a member it does not certify takes the
-    singular values of R - I for its count, and a full SVD if that count is
-    more than 1. Raises ``linalg.StackError`` naming the first member whose
-    candidate is traceless or not PSD."""
+    member with one fixed point; the members it does not certify take one
+    stacked SVD of R - I, whose singular values count and whose vectors
+    project a member with more than one fixed point, or an exactly singular
+    bordered matrix. Raises ``linalg.StackError`` naming the first member
+    whose candidate is traceless or not PSD."""
     b, d = kraus.shape[0], kraus.shape[-1]
     n = d * d
     # a block that is zero in every member adds nothing to S or the residual
@@ -470,7 +452,16 @@ def solve_stack(kraus: np.ndarray) -> FixedPoints:
     bordered = np.zeros((b, n + 1, n + 1))
     bordered[:, :n, :n] = a
     bordered[:, :n:d + 1, n] = bordered[:, n, :n:d + 1] = 1  # t is 1 at i * (d + 1)
-    inverse, solved = _bordered_inverses(bordered)
+    solved = np.ones(b, dtype=bool)
+    try:
+        inverse = np.linalg.inv(bordered)
+    except np.linalg.LinAlgError:
+        # numpy refuses the stack for one exactly singular member: a sign of
+        # 0 marks LU's zero pivot, and one inverse covers the others, each
+        # in the products of its own stack of one
+        solved = np.linalg.slogdet(bordered)[0] != 0
+        inverse = np.zeros_like(bordered)
+        inverse[solved] = np.linalg.inv(bordered[solved])
     x = inverse[:, :n, n].copy()
     # the windows of the count with ||R - I||_F in place of sigma_max, which
     # it bounds from above and, over sqrt(n), from below
@@ -487,17 +478,17 @@ def solve_stack(kraus: np.ndarray) -> FixedPoints:
     doubt = np.flatnonzero(~(solved & gap & fixed))
     if doubt.size:
         # singular values count the fixed points robustly for a non-normal S;
-        # R - I = T (S - I) T^dag has those of S - I, T being unitary
-        sv = np.linalg.svd(a[doubt], compute_uv=False)
+        # R - I = T (S - I) T^dag has those of S - I, T being unitary. The
+        # same decomposition's vectors project a member with m > 1
+        u, sv, vh = np.linalg.svd(a[doubt])
         window = np.maximum(floor, sv[:, :1] * _SVD_FLOOR)
         multiplicity[doubt] = np.sum(sv <= window, axis=1)
-    seed = np.eye(d).reshape(-1) / d  # T vec(I/d)
-    for i in np.flatnonzero(~solved | (multiplicity > 1)):
-        u, _, vh = np.linalg.svd(a[i])
-        m = max(multiplicity[i], 1)
-        right = vh[-m:].T  # columns span the fixed space of R (last m)
-        left_h = u[:, -m:].T  # rows span that of R^T
-        x[i] = right @ np.linalg.solve(left_h @ right, left_h @ seed)
+        seed = np.eye(d).reshape(-1) / d  # T vec(I/d)
+        for j in np.flatnonzero(~solved[doubt] | (multiplicity[doubt] > 1)):
+            m = max(multiplicity[doubt[j]], 1)
+            right = vh[j, -m:].T  # columns span the fixed space of R (last m)
+            left_h = u[j, :, -m:].T  # rows span that of R^T
+            x[doubt[j]] = right @ np.linalg.solve(left_h @ right, left_h @ seed)
     # the candidate T^dag x, Hermitian by construction
     _, (back, scale) = _hermitian_basis(d)
     candidate = (x.take(back, axis=1) * scale).view(complex).reshape(b, d, d)

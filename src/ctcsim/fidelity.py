@@ -30,8 +30,9 @@ from .quantum import DensityMatrix
 # eigenvalues of W^dag rho W below this fraction of the largest (or of 1)
 # are rounding noise, which would contribute sqrt(eps) after the square root
 _EIG_FLOOR = 1e-13
-# a fidelity further than this outside [0, 1] is an error, not rounding
-_RANGE_SLACK = 1e-9
+# rounding allowed outside [0, 1] (and, in the cloning condition, below a
+# zero margin): a fidelity further out is an error
+FIDELITY_SLACK = 1e-9
 
 
 def factor_fidelities(rho: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -54,7 +55,7 @@ def factor_fidelities(rho: np.ndarray, w: np.ndarray) -> np.ndarray:
     cut = _EIG_FLOOR * np.maximum(ev[..., -1], 1.0)
     ev = np.where(ev < cut[..., None], 0.0, ev)
     f = np.sqrt(ev).sum(axis=-1)
-    reject(((f < -_RANGE_SLACK) | (f > 1 + _RANGE_SLACK), f,
+    reject(((f < -FIDELITY_SLACK) | (f > 1 + FIDELITY_SLACK), f,
             "fidelity {} outside [0,1] beyond tolerance"))
     return np.minimum(np.maximum(f, 0.0), 1.0)
 

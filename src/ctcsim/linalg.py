@@ -36,17 +36,15 @@ class Tolerances:
 tolerances = Tolerances()
 
 # stacked callers (the sweeps, the no-signalling checks) process at most
-# CHUNK_TRIALS members and CHUNK_ENTRIES entries per matrix stack at once,
-# so peak memory stays bounded for any count and size; the bits do not
-# depend on the chunking
-CHUNK_TRIALS = 256
+# CHUNK_ENTRIES entries per matrix stack at once, so peak memory stays
+# bounded for any count and size; the bits do not depend on the chunking
 CHUNK_ENTRIES = 2**18
 
 
 def chunks(count: int, side: int):
     """(lo, hi) ranges covering ``count`` stack members, one per chunk;
     ``side`` is the side of the largest matrix held per member."""
-    size = max(1, min(CHUNK_TRIALS, CHUNK_ENTRIES // (side * side)))
+    size = max(1, CHUNK_ENTRIES // (side * side))
     for lo in range(0, count, size):
         yield lo, min(lo + size, count)
 

@@ -125,6 +125,25 @@ class TestRun:
         assert captured.out == ""
         assert captured.err == "error: --trace-out names no register\n"
 
+    @pytest.mark.parametrize("keep, line", [
+        ("Z", "error: unknown register 'Z'\n"),
+        ("A,B,A", "error: register 'A' named twice\n"),
+        (",", "error: --trace-out names no register\n"),
+    ])
+    def test_bad_trace_out_fails_before_the_solve(self, keep, line, monkeypatch,
+                                                  tmp_path, capsys):
+        # a solve that misses --tol would otherwise report non-convergence
+        # (exit 2) in place of the bad name
+        def no_solve(problem):
+            raise AssertionError("evolve called")
+
+        monkeypatch.setattr(cli, "evolve", no_solve)
+        circuit = write_circuit(tmp_path, TWO_REGISTERS)
+        assert main(["run", circuit, "--tol", "1e-300", "--trace-out", keep]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line
+
     def test_csv_format_flattens_scalars(self, tmp_path, capsys):
         code = main(["run", write_circuit(tmp_path), "--format", "csv"])
         assert code == 0

@@ -384,7 +384,7 @@ def test_near_parallel_alphabets_keep_their_counts(eps, multiplicity, svd_calls)
         rep = run_clone(cloner, state.density())
         assert rep.fixed_point.multiplicity == multiplicity
         assert [compute_uv for compute_uv, _ in svd_calls] == (
-            [] if multiplicity == 1 else [False, True])
+            [] if multiplicity == 1 else [True])
 
 
 def test_baseline_eigendecomposes_no_partial_trace(rng, eig_calls):

@@ -563,8 +563,8 @@ def test_stack_with_multiplicity_four_member(rng):
 
 def test_stack_makes_a_full_svd_only_for_its_multiple_member(rng, svd_calls):
     # the multiplicity-1 members take the bordered inverse alone; only the
-    # multiplicity-4 repro takes the singular values of its S - I, and then
-    # decomposes it with vectors
+    # multiplicity-4 repro takes an SVD of its S - I, whose singular values
+    # count and whose vectors project
     repro = multiplicity_four_problem(rng)
     unitaries = np.stack([haar_unitary(rng, 6).mat, repro.interaction.mat,
                           haar_unitary(rng, 6).mat])
@@ -573,10 +573,10 @@ def test_stack_makes_a_full_svd_only_for_its_multiple_member(rng, svd_calls):
     svd_calls.clear()
     fps = solve_stack(kraus)
     assert fps.multiplicity.tolist() == [1, 4, 1]
-    assert [m.shape for compute_uv, m in svd_calls if not compute_uv] == [(1, 9, 9)]
-    full = [m for compute_uv, m in svd_calls if compute_uv]
-    assert len(full) == 1
-    assert full[0].dtype == np.float64
+    [(compute_uv, full)] = svd_calls
+    assert compute_uv
+    assert full.shape == (1, 9, 9)
+    assert full.dtype == np.float64
     assert np.array_equal(full[0], real_form(build_superoperator(repro) - np.eye(9)))
 
 
@@ -600,7 +600,8 @@ def test_solves_read_alike_in_numpy_1_and_2(rng, monkeypatch):
 
 def test_multiplicity_zero_takes_the_bordered_solve(rng, monkeypatch, svd_calls):
     # an empty window counts no rounding-level singular value as null; the
-    # bordered matrix still gives the unit-trace fixed point, with no full SVD
+    # bordered matrix still gives the unit-trace fixed point: the member's one
+    # SVD only counts, and no projection replaces x
     problem = DeutschProblem(Layout((("CR", 2), ("CTC", 2)), ctc_index=1),
                              haar_unitary(rng, 4), random_density(rng, 2))
     reference = solve_fixed_point(problem)
@@ -609,7 +610,7 @@ def test_multiplicity_zero_takes_the_bordered_solve(rng, monkeypatch, svd_calls)
     svd_calls.clear()
     fp = solve_fixed_point(problem)
     assert fp.multiplicity == 0
-    assert all(not compute_uv for compute_uv, _ in svd_calls)
+    assert [(compute_uv, a.shape) for compute_uv, a in svd_calls] == [(True, (1, 4, 4))]
     assert np.array_equal(fp.rho_ctc.mat, reference.rho_ctc.mat)
 
 
@@ -651,7 +652,7 @@ def test_certified_counts_equal_the_singular_value_count(rng, svd_calls, inv_cal
         svd_calls.clear()
         inv_calls.clear()
         fps = solve_stack(kraus)
-        counted = sum(len(a) for compute_uv, a in svd_calls if not compute_uv)
+        counted = sum(len(a) for _, a in svd_calls)
         certified += len(kraus) - counted
         n = inv_calls[0].shape[-1] - 1
         for a, m in zip(inv_calls[0][:, :n, :n], fps.multiplicity):
@@ -660,12 +661,19 @@ def test_certified_counts_equal_the_singular_value_count(rng, svd_calls, inv_cal
     assert certified == 7 * 4 + 7 * 2 + 1
 
 
-def test_stack_with_an_exactly_singular_member(rng, inv_calls):
+def test_stack_with_an_exactly_singular_member(rng, inv_calls, monkeypatch):
     # the ctc-only rotation beside a CR qubit in |0> has two fixed points,
     # and numpy's inverse raises on its bordered matrix, exactly singular,
-    # for the whole stack: the stack is inverted member by member, the
-    # singular member takes the SVD, and each member keeps the bits of its
-    # single solve without a warning
+    # for the whole stack: one slogdet marks that member, one inverse covers
+    # the others, the singular member takes the SVD, and each member keeps
+    # the bits of its single solve without a warning
+    slogdets, real = [], np.linalg.slogdet
+
+    def recorded(m):
+        slogdets.append(np.array(m))
+        return real(m)
+
+    monkeypatch.setattr(np.linalg, "slogdet", recorded)
     layout = Layout((("CR", 2), ("CTC", 2)), ctc_index=1)
     rotation = np.array([[0.6, -0.8], [0.8, 0.6]], dtype=complex)
     unitaries = [haar_unitary(rng, 4), Unitary(np.kron(np.eye(2), rotation)),
@@ -676,7 +684,54 @@ def test_stack_with_an_exactly_singular_member(rng, inv_calls):
         warnings.simplefilter("error")
         fps = assert_members_equal_single_solves(layout, unitaries, crs)
     assert fps.multiplicity.tolist() == [1, 2, 1]
-    assert [m.shape for m in inv_calls[:4]] == [(3, 5, 5)] + [(5, 5)] * 3
+    # the stack, then the three single solves: the second one's inverse
+    # raises, and the stack of none left takes an empty inverse
+    assert [m.shape for m in inv_calls] == [(3, 5, 5), (2, 5, 5), (1, 5, 5),
+                                            (1, 5, 5), (0, 5, 5), (1, 5, 5)]
+    assert [m.shape for m in slogdets] == [(3, 5, 5), (1, 5, 5)]
+
+
+def test_singular_certified_and_doubted_members_keep_their_bits(rng, monkeypatch,
+                                                               svd_calls, inv_calls):
+    # beside a certified Haar member: the exactly singular rotation member
+    # (m = 2), and a partial swap cos(t) I + i sin(t) SWAP, whose gap of
+    # about t^2 the raised margin no longer certifies although its count is 1.
+    # The two in doubt share one SVD, and each member keeps the bits of its
+    # single solve
+    monkeypatch.setattr(engine, "_CERTIFY_MARGIN", 1e4)
+    layout = Layout((("CR", 2), ("CTC", 2)), ctc_index=1)
+    rotation = np.array([[0.6, -0.8], [0.8, 0.6]], dtype=complex)
+    t = 1e-3
+    partial_swap = np.cos(t) * np.eye(4) + 1j * np.sin(t) * np.eye(4)[[0, 2, 1, 3]]
+    unitaries = [haar_unitary(rng, 4), Unitary(np.kron(np.eye(2), rotation)),
+                 Unitary(partial_swap)]
+    crs = [random_density(rng, 2), PureState.basis(2, 0).density(),
+           random_density(rng, 2)]
+    kraus = kraus_stack(layout, np.stack([u.mat for u in unitaries]),
+                        factor_stack([cr.factor for cr in crs]))
+    svd_calls.clear()
+    inv_calls.clear()
+    solve_stack(kraus)
+    assert [(compute_uv, a.shape) for compute_uv, a in svd_calls] == [(True, (2, 4, 4))]
+    assert [m.shape for m in inv_calls] == [(3, 5, 5), (2, 5, 5)]
+    fps = assert_members_equal_single_solves(layout, unitaries, crs)
+    assert fps.multiplicity.tolist() == [1, 2, 1]
+
+
+def test_all_singular_stack(inv_calls):
+    # every bordered matrix is exactly singular: the slogdet mask leaves an
+    # empty inverse, and every member takes the SVD's projection with the
+    # bits of its single solve
+    layout = Layout((("CR", 2), ("CTC", 2)), ctc_index=1)
+    ctc_only = [np.eye(2), np.diag([1, 1j]), np.array([[0, -1], [1, 0]]),
+                np.array([[0.8, -0.6], [0.6, 0.8]])]
+    unitaries = [Unitary(np.kron(np.eye(2), u).astype(complex)) for u in ctc_only]
+    crs = [PureState.basis(2, 0).density()] * len(unitaries)
+    inv_calls.clear()
+    fps = assert_members_equal_single_solves(layout, unitaries, crs)
+    assert [m.shape for m in inv_calls[:2]] == [(4, 5, 5), (0, 5, 5)]
+    assert fps.multiplicity.tolist() == [4, 2, 2, 2]
+    assert np.all(fps.residual <= 1e-12)
 
 
 def test_stack_error_names_the_member(rng):

@@ -256,8 +256,10 @@ def test_stacked_trace_distance_names_non_hermitian_entry(rng):
         linalg.trace_distance(a[1], np.zeros((3, 3)))
 
 
-def test_chunks_cover_the_stack_within_the_budget():
+def test_chunks_cover_the_stack_within_the_budget(monkeypatch):
     assert list(linalg.chunks(0, 4)) == []
+    assert list(linalg.chunks(600, 2)) == [(0, 600)]
+    monkeypatch.setattr(linalg, "CHUNK_ENTRIES", 2**10)  # 256 members of side 2
     ranges = list(linalg.chunks(600, 2))
     assert ranges == [(0, 256), (256, 512), (512, 600)]
     big = list(linalg.chunks(5, 1024))

@@ -157,9 +157,15 @@ def ragged_channels(rng, count, dim):
 
 @pytest.mark.parametrize("kind", ["pure", "mixed"])
 @pytest.mark.parametrize("n, count", [(2, 7), (2, 300), (3, 7)])
-def test_stacked_invariance_equals_per_channel_oracle(kind, n, count, rng):
+def test_stacked_invariance_equals_per_channel_oracle(kind, n, count, rng, monkeypatch):
     from ctcsim.cloning import build_pure_cloner
 
+    if count > 256:
+        # 256 members per chunk of side n**4, so the 301 members (the
+        # unmodified input first) span two chunks: the later one reuses
+        # chunk 0's base and names its members from its offset
+        monkeypatch.setattr(linalg, "CHUNK_ENTRIES", 256 * n**8)
+        assert len(list(linalg.chunks(count + 1, n**4))) == 2
     if kind == "pure":
         cloner = build_pure_cloner(
             Alphabet(tuple(random_pure(rng, n) for _ in range(n))))

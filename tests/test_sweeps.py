@@ -7,12 +7,20 @@ import json
 import numpy as np
 import pytest
 
-from ctcsim import cli, sampling
+from ctcsim import cli, linalg, sampling
 from ctcsim.cloning import no_ctc_baseline
 from ctcsim.fidelity import check_monotonicity, check_multiplicativity, fidelity
 from ctcsim.quantum import Alphabet, DensityMatrix, PureState
 
-TRIALS = cli.CHUNK_TRIALS + 4  # more than one stack at dims 2 and 3
+CHUNK_TRIALS = 256  # trials per chunk under ``small_chunks``
+TRIALS = CHUNK_TRIALS + 4  # more than one stack at dims 2 and 3
+
+
+def small_chunks(monkeypatch, kind, dim=2):
+    """Bound the entry budget so that a chunk of sweep ``kind`` at ``dim``
+    holds CHUNK_TRIALS trials: the default budget holds thousands."""
+    side = cli.SWEEPS[kind][1](dim)
+    monkeypatch.setattr(linalg, "CHUNK_ENTRIES", CHUNK_TRIALS * side * side)
 
 
 def fidelity_oracle(rng, trials, dim):
@@ -54,7 +62,8 @@ def sweep_report(kind, trials, dim, seed, capsys):
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("seed", [0, 7])
-def test_batched_fidelity_sweep_equals_oracle(dim, seed, capsys):
+def test_batched_fidelity_sweep_equals_oracle(dim, seed, monkeypatch, capsys):
+    small_chunks(monkeypatch, "fidelity-props", dim)
     report = sweep_report("fidelity-props", TRIALS, dim, seed, capsys)
     rows = fidelity_oracle(np.random.default_rng(seed), TRIALS, dim)
     assert report["per_trial"] == rows
@@ -66,10 +75,11 @@ def test_batched_fidelity_sweep_equals_oracle(dim, seed, capsys):
     }
 
 
-def test_fidelity_sweep_factors_no_state(eig_calls, capsys):
+def test_fidelity_sweep_factors_no_state(eig_calls, monkeypatch, capsys):
     # every fidelity is taken against a factor of a draw, so nothing is
     # eigendecomposed but the draw checks and the sandwiches, none of them
     # wider than the largest state
+    small_chunks(monkeypatch, "fidelity-props")
     sweep_report("fidelity-props", TRIALS, 2, 0, capsys)
     assert [name for name, _ in eig_calls if name == "eigh"] == []
     assert max(m.shape[-1] for _, m in eig_calls) == 4
@@ -103,7 +113,8 @@ def test_baseline_sweep_eigendecomposes_nothing(eig_calls, capsys):
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("seed", [0, 7])
-def test_batched_baseline_sweep_equals_oracle(dim, seed, capsys):
+def test_batched_baseline_sweep_equals_oracle(dim, seed, monkeypatch, capsys):
+    small_chunks(monkeypatch, "no-cloning-baseline", dim)
     report = sweep_report("no-cloning-baseline", TRIALS, dim, seed, capsys)
     rows = baseline_oracle(np.random.default_rng(seed), TRIALS, dim)
     assert report["per_trial"] == rows
@@ -118,7 +129,7 @@ def corrupt_last_stack(monkeypatch, name, index, bad):
 
     def patched(z):
         out = original(z)
-        if out.shape[0] < cli.CHUNK_TRIALS:
+        if out.shape[0] < CHUNK_TRIALS:
             out[index] = bad(out.shape[-1])
         return out
 
@@ -142,16 +153,18 @@ def test_non_unitary_haar_member_is_named(kind, monkeypatch, capsys):
 @pytest.mark.parametrize("kind", ["fixed-points", "no-cloning-baseline"])
 def test_non_unitary_haar_member_past_the_first_chunk_is_named(kind, monkeypatch,
                                                                capsys):
+    small_chunks(monkeypatch, kind)
     corrupt_last_stack(monkeypatch, "haar_from_ginibre", 3, lambda n: 1.1 * np.eye(n))
-    argv = ["sweep", kind, "--trials", str(cli.CHUNK_TRIALS + 20)]
-    assert_trial_error(argv, cli.CHUNK_TRIALS + 3, "not unitary", capsys)
+    argv = ["sweep", kind, "--trials", str(CHUNK_TRIALS + 20)]
+    assert_trial_error(argv, CHUNK_TRIALS + 3, "not unitary", capsys)
 
 
 def test_non_psd_density_member_is_named(monkeypatch, capsys):
+    small_chunks(monkeypatch, "fidelity-props")
     corrupt_last_stack(monkeypatch, "density_from_ginibre", 10,
                        lambda n: np.diag([1.5, -0.5] + [0.0] * (n - 2)))
-    argv = ["sweep", "fidelity-props", "--trials", str(cli.CHUNK_TRIALS + 20)]
-    assert_trial_error(argv, cli.CHUNK_TRIALS + 10, "not PSD", capsys)
+    argv = ["sweep", "fidelity-props", "--trials", str(CHUNK_TRIALS + 20)]
+    assert_trial_error(argv, CHUNK_TRIALS + 10, "not PSD", capsys)
 
 
 def corrupt_draws(monkeypatch, side, bad_draws):
@@ -162,7 +175,7 @@ def corrupt_draws(monkeypatch, side, bad_draws):
 
     def patched(z):
         out = original(z)
-        if out.shape[0] < cli.CHUNK_TRIALS and out.shape[-1] == side:
+        if out.shape[0] < CHUNK_TRIALS and out.shape[-1] == side:
             for (trial, draw), bad in bad_draws.items():
                 out[trial, draw] = bad
         return out
@@ -185,9 +198,10 @@ def test_earliest_trial_of_a_stacked_check_is_named(monkeypatch, capsys):
 
 def test_big_draw_past_the_first_chunk_is_named(monkeypatch, capsys):
     # draw big_b of trial CHUNK_TRIALS + 6, in the dim^2 x dim^2 stack
+    small_chunks(monkeypatch, "fidelity-props")
     corrupt_draws(monkeypatch, 4, {(6, 1): np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)})
-    argv = ["sweep", "fidelity-props", "--trials", str(cli.CHUNK_TRIALS + 20)]
-    assert_trial_error(argv, cli.CHUNK_TRIALS + 6, "not PSD", capsys)
+    argv = ["sweep", "fidelity-props", "--trials", str(CHUNK_TRIALS + 20)]
+    assert_trial_error(argv, CHUNK_TRIALS + 6, "not PSD", capsys)
 
 
 def test_earliest_trial_over_both_sides_is_named(monkeypatch, capsys):
@@ -226,7 +240,8 @@ def fixed_points_oracle(rng, trials, dim):
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("seed", [0, 7])
-def test_stacked_fixed_points_sweep_equals_oracle(dim, seed, capsys):
+def test_stacked_fixed_points_sweep_equals_oracle(dim, seed, monkeypatch, capsys):
+    small_chunks(monkeypatch, "fixed-points", dim)
     report = sweep_report("fixed-points", TRIALS, dim, seed, capsys)
     rows = fixed_points_oracle(np.random.default_rng(seed), TRIALS, dim)
     assert report["per_trial"] == rows
@@ -245,7 +260,8 @@ def test_kraus_check_failure_names_the_trial(monkeypatch, capsys):
 
 def test_kraus_check_failure_past_the_first_chunk_names_the_trial(monkeypatch, capsys):
     monkeypatch.setattr(cli, "check_unitary", lambda m: None)
+    small_chunks(monkeypatch, "fixed-points")
     corrupt_last_stack(monkeypatch, "haar_from_ginibre", 3, lambda n: 1.1 * np.eye(n))
-    argv = ["sweep", "fixed-points", "--trials", str(cli.CHUNK_TRIALS + 20)]
-    assert_trial_error(argv, cli.CHUNK_TRIALS + 3,
+    argv = ["sweep", "fixed-points", "--trials", str(CHUNK_TRIALS + 20)]
+    assert_trial_error(argv, CHUNK_TRIALS + 3,
                        "induced map is not trace preserving", capsys)

@@ -56,8 +56,9 @@ seeded fidelity-props-5-csv sweep fidelity-props --trials 5 --format csv
 seeded no-cloning-baseline-1000-0 sweep no-cloning-baseline --trials 1000 --seed 0
 seeded no-cloning-baseline-dim3-200-4 sweep no-cloning-baseline --dim 3 --trials 200 --seed 4
 seeded no-cloning-baseline-0 sweep no-cloning-baseline --trials 0
-# at dim 3 a chunk holds 256 trials: the per-trial columns join two chunks
-seeded no-cloning-baseline-dim3-300-2 sweep no-cloning-baseline --dim 3 --trials 300 --seed 2
+# at dim 3 a chunk holds 2**18 // 27**2 = 359 trials: the per-trial columns
+# join two chunks
+seeded no-cloning-baseline-dim3-400-2 sweep no-cloning-baseline --dim 3 --trials 400 --seed 2
 seeded clone-pure demo clone-pure
 # a non-orthogonal N = 4 alphabet, one state per column
 cat >"$out/alphabet4.txt" <<'MAT'
