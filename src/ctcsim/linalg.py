@@ -28,7 +28,10 @@ class Tolerances:
     """Central tolerance registry; mutate the module-level instance to override."""
 
     herm: float = 1e-12        # max |h - h^dag| accepted as Hermitian
-    psd: float = 1e-10         # eigenvalue floor; more negative means not PSD
+    # eigenvalue floor; more negative means not PSD. quantum.check_density
+    # accepts by a Cholesky shifted by psd / 2 only while that is far above
+    # the factorization's rounding (1e3 * n * eps), else by the spectrum
+    psd: float = 1e-10
     unitary: float = 1e-10     # max |U^dag U - I| accepted as unitary
     eig_one_window: float = 1e-8  # singular values of S - I counted as null
 

@@ -34,6 +34,10 @@ alone, so its bits do not depend on the batch. Dense matrices are built
 only on request (``.mat``; ``GateList.mat`` is the gates applied to the
 identity, checked by ``Unitary``).
 
+States and stacks of them are validated by ``check_density``: one
+Cholesky factorization of a matrix or a stack accepts it, and a spectrum
+(``eigvalsh``) is taken only to decide and name a failure.
+
 Tensor convention: registers appear in declaration order, the CTC register
 (when present) last, and a basis state |i0, i1, ...> has flat index
 sum(i_k * prod(later dims)).
@@ -166,13 +170,36 @@ class PureState:
 def check_density(m: np.ndarray) -> None:
     """Raise ``ValueError`` unless every (..., n, n) entry of ``m`` is
     Hermitian, PSD and of unit trace within the tolerances; for a stack the
-    error (a ``linalg.StackError``) names the first failing entry."""
+    error (a ``linalg.StackError``) names the first failing entry.
+
+    One Cholesky factorization of the stack's h + h^dag, shifted by
+    ``tolerances.psd / 2``, accepts a stack whose every entry is Hermitian,
+    of unit trace and factors: such an entry has norm about 1, so while the
+    shift is far above the factorization's rounding (about n * eps), its
+    least eigenvalue is above ``-tolerances.psd``, as ``eigvalsh`` would
+    find. The factorization is taken only then, while ``tolerances.psd / 2``
+    exceeds 1e3 * n * eps (with the default psd, up to n = 225). Any other
+    stack takes ``eigvalsh`` of the same h + h^dag, whose spectrum decides
+    and names the first failing entry."""
     # huge entries overflow here into inf or NaN values, which fail the checks
     with np.errstate(over="ignore", invalid="ignore"):
         defect = linalg.hermiticity_defect(m)
         h = m / 2  # h + h^dag does not overflow where m is Hermitian
-        w = np.linalg.eigvalsh(h + dagger(h))[..., 0]
-        tr = np.real(np.trace(m, axis1=-2, axis2=-1))
+        herm = h + dagger(h)
+        tr = np.trace(m, axis1=-2, axis2=-1).real
+    factor = None
+    if tolerances.psd / 2 > 2.22e-13 * m.shape[-1]:  # 1e3 * n * eps
+        try:
+            factor = np.linalg.cholesky(herm + tolerances.psd / 2 * np.eye(m.shape[-1]))
+        except np.linalg.LinAlgError:
+            pass
+    # NaN fails every comparison. OpenBLAS passes a NaN pivot, where huge
+    # entries overflow, as positive; any non-finite entry of a factor makes
+    # its last pivot NaN.
+    if factor is not None and ((defect <= tolerances.herm) & (np.abs(tr - 1.0) <= TRACE_TOL)
+                               & np.isfinite(factor[..., -1, -1])).all():
+        return
+    w = np.linalg.eigvalsh(herm)[..., 0]
     reject(
         (defect > tolerances.herm, defect,
          "matrix is not Hermitian: max |h - h^dag| = {:.3e}"),
@@ -203,8 +230,9 @@ def _register_dims(side: int, dims) -> tuple:
 class DensityMatrix:
     """Hermitian, PSD, trace-one operator, optionally with register dims.
 
-    The public constructor validates its input (one eigendecomposition): use
-    it for anything arriving from outside, the API, a DSL file or the CLI.
+    The public constructor validates its input (``check_density``, one
+    Cholesky factorization): use it for anything arriving from outside, the
+    API, a DSL file or the CLI.
     States built from validated or solved ones are density matrices by
     construction and wrapped by the internal ``_trusted``, which checks only
     the register dims, and attaches a factor W W^dag = rho where one is

@@ -3,7 +3,8 @@ import pytest
 
 from ctcsim import linalg
 from ctcsim.engine import build_superoperator
-from ctcsim.quantum import Alphabet, Layout, Permutation, PureState, Select, csum_gate
+from ctcsim.quantum import (TRACE_TOL, Alphabet, Layout, Permutation, PureState, Select,
+                            csum_gate)
 from ctcsim.sampling import haar_unitary
 
 
@@ -14,10 +15,10 @@ def rng():
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """(name, argument) of every numpy eigendecomposition made from here on;
-    clear it before the call under test."""
+    """(name, argument) of every numpy eigendecomposition and Cholesky
+    factorization made from here on; clear it before the call under test."""
     calls = []
-    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "cholesky"):
         def recorded(m, *args, _name=name, _real=getattr(np.linalg, name), **kw):
             calls.append((_name, np.array(m)))
             return _real(m, *args, **kw)
@@ -103,6 +104,23 @@ def apply_gate_by_gate(gates, columns: np.ndarray) -> np.ndarray:
     for gate in gates.gates:
         t = apply_local(gates.layout, gate, t)
     return t.reshape(columns.shape)
+
+
+def eigvalsh_check_density(m) -> None:
+    """Spectral oracle of ``quantum.check_density``: the least eigenvalue of
+    every entry's h + h^dag (h = m / 2) from one ``eigvalsh`` of the stack,
+    checked with its Hermiticity defect and its trace by one ``reject``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = linalg.hermiticity_defect(m)
+        h = m / 2
+        w = np.linalg.eigvalsh(h + linalg.dagger(h))[..., 0]
+        tr = np.real(np.trace(m, axis1=-2, axis2=-1))
+    linalg.reject(
+        (defect > linalg.tolerances.herm, defect,
+         "matrix is not Hermitian: max |h - h^dag| = {:.3e}"),
+        (w < -linalg.tolerances.psd, w, "not PSD: min eigenvalue {:.3e}"),
+        (np.abs(tr - 1.0) > TRACE_TOL, tr, f"trace {{}} is not 1 within {TRACE_TOL}"),
+    )
 
 
 def psd_sqrt(h) -> np.ndarray:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import apply_gate_by_gate, kron_all, random_alphabet, random_pure
+from conftest import (apply_gate_by_gate, eigvalsh_check_density, kron_all, random_alphabet,
+                      random_pure)
 from ctcsim import linalg, quantum
 from ctcsim.sampling import haar_unitary, random_density
 from ctcsim.cloning import build_mixed_cloner, build_pure_cloner, make_problem
@@ -616,6 +617,139 @@ class TestStates:
         assert rho.factor.shape == (18, 4)
         assert np.array_equal(rho.factor, oracle)
         assert np.array_equal(rho.mat, oracle @ oracle.conj().T)
+
+
+# -- check_density against its eigvalsh oracle --------------------------------
+
+LEAST = [-2.0, -(1 + 1e-6), -0.75, -0.5, -0.25, 0.0]  # times tolerances.psd
+
+
+def density_with_least(rng, n: int, least: float) -> np.ndarray:
+    """A random n x n (n >= 2) Hermitian matrix of unit trace whose least
+    eigenvalue is ``least`` <= 0: the others split 1 - least at random."""
+    w = np.concatenate(([least], rng.dirichlet(np.ones(n - 1)) * (1 - least)))
+    v = haar_unitary(rng, n).mat
+    return (v * w) @ v.conj().T
+
+
+def valid_stack(rng, n: int, members: int) -> np.ndarray:
+    return np.array([random_density(rng, n).mat for _ in range(members)])
+
+
+def checks_like_oracle(m) -> bool:
+    """Whether ``check_density`` accepts ``m``, asserting that it decides as
+    ``eigvalsh_check_density`` does and, on a reject, raises its error: the
+    same type, entry and message. (eigvalsh of a non-finite entry of side 3
+    or more may not converge: numpy's ``LinAlgError``, a ``ValueError``.)"""
+    try:
+        eigvalsh_check_density(m)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            check_density(m)
+        assert type(info.value) is type(exc)
+        assert (getattr(info.value, "index", None), str(info.value)) == (
+            getattr(exc, "index", None), str(exc))
+        return False
+    check_density(m)
+    return True
+
+
+@pytest.mark.parametrize("least", LEAST)
+@pytest.mark.parametrize("n", range(2, 9))
+def test_check_density_decides_like_eigvalsh(n, least, rng):
+    # one member at the least eigenvalue, alone and at a random position
+    # among valid members; at -psd * (1 + 1e-6) the rounding of eigvalsh
+    # may fall on either side, so only the oracle decides there
+    for members in (1, 2, 7, 64):
+        stack = valid_stack(rng, n, members)
+        k = rng.integers(members)
+        stack[k] = density_with_least(rng, n, least * linalg.tolerances.psd)
+        accepted = [checks_like_oracle(m) for m in (stack, stack[k])]
+        if members == 64:  # two leading axes: the index is flat
+            accepted.append(checks_like_oracle(stack.reshape(4, 16, n, n)))
+        if least != LEAST[1]:
+            assert accepted == [least > -1] * len(accepted)
+
+
+@pytest.mark.parametrize("defect", ["hermiticity", "trace", "nan", "inf", "-inf", "huge"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_check_density_rejects_like_eigvalsh(n, defect, rng):
+    # a 1 x 1 Hermitian entry of unit trace is [[1]]: n = 1 fails only the
+    # other checks. A huge Hermitian pair keeps the trace and fails PSD.
+    for members in (1, 5, 64):
+        stack = valid_stack(rng, n, members)
+        k = rng.integers(members)
+        m = stack[k]
+        if defect == "hermiticity":
+            m[0, -1] += 1e-9j
+        elif defect == "trace":
+            m *= 1 + 1e-9
+        elif defect == "huge":
+            m[0, -1] = m[-1, 0] = 1e308
+        else:
+            m[-1, -1] = float(defect)
+        assert not checks_like_oracle(stack)
+        assert not checks_like_oracle(stack[k])
+        if n > 1 and members > 1:  # a non-PSD member before or after it
+            j = (k + rng.integers(1, members)) % members
+            stack[j] = density_with_least(rng, n, -2 * linalg.tolerances.psd)
+            assert not checks_like_oracle(stack)
+
+
+@pytest.mark.parametrize("psd", [1e-8, 1e-6, 1e-3])
+def test_check_density_follows_the_psd_tolerance(psd, rng, monkeypatch):
+    monkeypatch.setattr(linalg.tolerances, "psd", psd)
+    for least in LEAST:
+        stack = valid_stack(rng, 3, 5)
+        stack[2] = density_with_least(rng, 3, least * psd)
+        accepted = checks_like_oracle(stack)
+        if least != LEAST[1]:
+            assert accepted == (least > -1)
+
+
+@pytest.mark.parametrize("psd", [0.0, 1e-15, 1e-13])
+def test_check_density_below_cholesky_rounding_decides_by_the_spectrum(
+        psd, rng, monkeypatch, eig_calls):
+    # a pure state's last pivot is rounding, of either sign, as is the
+    # least eigenvalue eigvalsh finds; with psd / 2 not far above that
+    # rounding only the spectrum decides, so no factorization is taken
+    monkeypatch.setattr(linalg.tolerances, "psd", psd)
+    for n in range(2, 9):
+        kets = np.array([haar_unitary(rng, n).mat[:, 0] for _ in range(64)])
+        stack = kets[:, :, None] * kets[:, None, :].conj()
+        stack[:8] = [density_with_least(rng, n, least) for least in
+                     (0.0, -1e-17, -1e-16, -1e-15, -1e-14, -1e-13, -1e-12, -1e-11)]
+        eig_calls.clear()
+        for m in stack:
+            checks_like_oracle(m)
+        checks_like_oracle(stack)
+        assert "cholesky" not in [name for name, _ in eig_calls]
+
+
+def test_density_check_takes_a_spectrum_only_to_name_a_failure(rng, eig_calls):
+    stack = valid_stack(rng, 3, 6)
+    eig_calls.clear()
+    check_density(stack)
+    DensityMatrix(stack[0])
+    assert [(name, m.shape) for name, m in eig_calls] == [
+        ("cholesky", (6, 3, 3)), ("cholesky", (3, 3))]
+    # a non-PSD member: the Cholesky raises, and one eigvalsh of the whole
+    # stack names it
+    stack[4] = density_with_least(rng, 3, -2 * linalg.tolerances.psd)
+    eig_calls.clear()
+    with pytest.raises(linalg.StackError, match="not PSD") as info:
+        check_density(stack)
+    assert info.value.index == 4
+    assert [(name, m.shape) for name, m in eig_calls] == [
+        ("cholesky", (6, 3, 3)), ("eigvalsh", (6, 3, 3))]
+    # a member that fails the Hermiticity check, whose Hermitian part factors
+    stack[1, 0, 1] += 1e-9
+    eig_calls.clear()
+    with pytest.raises(linalg.StackError, match="not Hermitian") as info:
+        check_density(stack)
+    assert info.value.index == 1
+    assert [(name, m.shape) for name, m in eig_calls] == [
+        ("cholesky", (6, 3, 3)), ("eigvalsh", (6, 3, 3))]
 
 
 class TestSwap:

@@ -86,9 +86,9 @@ def test_fidelity_sweep_factors_no_state(eig_calls, monkeypatch, capsys):
 
 
 def test_fidelity_sweep_takes_each_fidelity_once(eig_calls, monkeypatch, capsys):
-    # a chunk of 40 trials checks its six draws as one stack per matrix side
-    # and takes its seven distinct fidelities, F(a, b) among them once, as
-    # one call per side: one eigvalsh each
+    # a chunk of 40 trials checks its six draws as one stack per matrix side,
+    # one Cholesky each, and takes its seven distinct fidelities, F(a, b)
+    # among them once, as one call per side: one eigvalsh each
     sandwiches, real = [], cli.factor_fidelities
 
     def recorded(rho, w):
@@ -101,7 +101,7 @@ def test_fidelity_sweep_takes_each_fidelity_once(eig_calls, monkeypatch, capsys)
     sweep_report("fidelity-props", 40, 2, 0, capsys)
     assert sandwiches == [(40, 5, 2, 2), (40, 2, 4, 4)]
     assert [(name, m.shape) for name, m in eig_calls] == [
-        ("eigvalsh", (40, 4, 2, 2)), ("eigvalsh", (40, 2, 4, 4)),
+        ("cholesky", (40, 4, 2, 2)), ("cholesky", (40, 2, 4, 4)),
         ("eigvalsh", (40, 5, 2, 2)), ("eigvalsh", (40, 2, 4, 4))]
 
 
