@@ -21,15 +21,19 @@ followed by whitespace/";"-separated complex literals in row-major order.
 
 The front end costs what the distinct lines cost, since a long circuit
 repeats a few gate lines. ``parse`` collects every error before it gives
-up; it remembers each gate line that parsed cleanly by its text less its
-comment, and a repeat of that text gets a copy of its ``GateDecl`` with its
-own span instead of being tokenized again. A bad line is not remembered, so
-each of its repeats reports its own error. The registers of each distinct
-gate line are looked up once, and each line naming an unknown one fails
-with its own span. ``lower`` reads each matrix file once, checks the
-matrices of all files of one side in one stacked ``check_unitary``, builds
-and checks each distinct gate line's gate once, and joins the gates into
-the interaction without checking them again.
+up. A clean gate line (``gate``, a kind, its registers and, for a file
+kind, ``@<file>``, separated by spaces or tabs only, with no ':' or ';') is
+parsed by one regex match into the ``GateDecl`` the tokenizer would give;
+any other line goes to the tokenizer, which names every error. Each gate
+line that parsed cleanly is remembered by its text less its comment, and a
+repeat of that text gets a copy of its ``GateDecl`` with its own span. A
+bad line is not remembered, so each of its repeats reports its own error.
+Each distinct register tuple of the gate lines is looked up once; the gate
+lines are visited only when one names an undeclared register, and each
+such line fails with its own span. ``lower`` reads each matrix file once,
+checks the matrices of all files of one side in one stacked
+``check_unitary``, builds and checks each distinct gate line's gate once,
+and joins the gates into the interaction without checking them again.
 """
 
 from __future__ import annotations
@@ -168,6 +172,17 @@ GATE_KINDS = {
     "unitary": GateKind(("reg",), _unitary_line, file=True),
 }
 _KIND_NAMES = f"{', '.join(list(GATE_KINDS)[:-1])} or {list(GATE_KINDS)[-1]}"
+# a clean gate line, comment stripped: 'gate', a word, one or two operands
+# not starting with '@' and an optional '@<file>', separated by spaces or tabs
+# only, with no ':' or ';' (the tokenizer's tokens of their own). It is the
+# tokenizer's clean gate line when the word is a kind of that shape.
+_OPERAND = r"[^\s:;@][^\s:;]*"
+_CLEAN_GATE_RE = re.compile(
+    rf"([ \t]*)gate[ \t]+(\w+)[ \t]+({_OPERAND})(?:[ \t]+({_OPERAND}))?"
+    r"(?:[ \t]+@([^\s:;]+))?[ \t]*"
+)
+# each kind's shape: its register count and whether it takes a file
+_SHAPES = {name: (len(kind.regs), kind.file) for name, kind in GATE_KINDS.items()}
 
 
 def parse_complex(text: str) -> complex:
@@ -189,6 +204,21 @@ def format_complex(z: complex) -> str:
     return f"{repr(z.real)}{sign}{repr(abs(z.imag))}i"
 
 
+def _gate_decl(fields, line, column) -> GateDecl:
+    """A ``GateDecl`` of ``fields`` (its kind, regs and file) at (line,
+    column), made without the frozen dataclasses' ``__init__``, which sets
+    each field through ``object.__setattr__``."""
+    span = object.__new__(SourceSpan)
+    attrs = span.__dict__
+    attrs["line"] = line
+    attrs["column"] = column
+    decl = object.__new__(GateDecl)
+    attrs = decl.__dict__
+    attrs.update(fields)
+    attrs["span"] = span  # a known line's fields hold its own span
+    return decl
+
+
 class _LineParser:
     def __init__(self):
         self.errors = []
@@ -205,17 +235,20 @@ class _LineParser:
         line = raw.split("#", 1)[0]
         known = self.known_gates.get(line)
         if known is not None:  # a long circuit repeats a few gate lines
-            # a copy with its own span, made without the frozen dataclasses'
-            # __init__, which sets each field through object.__setattr__
-            span = object.__new__(SourceSpan)
-            fields = span.__dict__
-            fields["line"], fields["column"] = lineno, known.span.column
-            decl = object.__new__(GateDecl)
-            fields = decl.__dict__
-            fields.update(known.__dict__)
-            fields["span"] = span
-            self.gates.append(decl)
+            self.gates.append(_gate_decl(known.__dict__, lineno, known.span.column))
             return
+        # a clean gate line, in one match: the GateDecl and column the
+        # tokenizer would give; any other line is tokenized
+        m = _CLEAN_GATE_RE.fullmatch(line)
+        if m is not None:
+            indent, kind, r1, r2, file = m.groups()
+            regs = (r1,) if r2 is None else (r1, r2)
+            if _SHAPES.get(kind) == (len(regs), file is not None):
+                decl = _gate_decl({"kind": kind, "regs": regs, "file": file},
+                                  lineno, len(indent) + 1)
+                self.gates.append(decl)
+                self.known_gates[line] = decl
+                return
         # (text, 1-based column) pairs; ':' and ';' are tokens of their own,
         # so each gets spaces around it before the whitespace split
         toks, end = [], 0
@@ -369,13 +402,18 @@ def _structural_check(p: _LineParser):
     for s in p.systems:
         if s.name != "CTC" and s.name not in p.claimed:
             fail(s.span, f"register {s.name!r} has no input directive")
-    unknown = {}  # each distinct register tuple of a gate line: its undeclared registers
-    for g in p.gates:
-        missing = unknown.get(g.regs)
-        if missing is None:
-            missing = unknown[g.regs] = [r for r in g.regs if r not in dims]
-        for r in missing:
-            fail(g.span, f"gate references unknown register {r!r}")
+    # every gate line is a distinct one or a copy of one: each distinct
+    # register tuple is checked once, and the gate lines are visited only to
+    # fail each line that names an undeclared register
+    unknown = {}  # a register tuple naming undeclared registers: those registers
+    for regs in {decl.regs for decl in p.known_gates.values()}:
+        missing = [r for r in regs if r not in dims]
+        if missing:
+            unknown[regs] = missing
+    if unknown:
+        for g in p.gates:
+            for r in unknown.get(g.regs, ()):
+                fail(g.span, f"gate references unknown register {r!r}")
     return normalized_inputs
 
 
@@ -406,11 +444,17 @@ def serialize(spec: CircuitSpec) -> str:
 
 
 def load_matrix_file(path) -> np.ndarray:
-    """Read a ``matrix <side> <count>`` file into a complex (count, side,
-    side) array: one regex pass over the body and one float conversion, and
-    ``parse_complex`` to name the first bad literal of a failing file."""
-    lines = [raw.split("#", 1)[0]
-             for raw in Path(path).read_text(encoding="utf-8-sig").splitlines()]
+    """Read a ``matrix <side> <count>`` file, named by a ``str`` or a
+    ``Path``, into a complex (count, side, side) array: one ``open`` and
+    read, comments stripped only from a text holding '#', one regex pass
+    over the body and one float conversion, and ``parse_complex`` to name
+    the first bad literal of a failing file. Each message starts with
+    ``path`` as given."""
+    with open(path, encoding="utf-8-sig") as fh:
+        text = fh.read()
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
     start = next((i for i, line in enumerate(lines) if line.strip()), None)
     if start is None:
         raise ValueError(f"{path}: empty matrix file")

@@ -180,7 +180,8 @@ def check_density(m: np.ndarray) -> None:
     find. The factorization is taken only then, while ``tolerances.psd / 2``
     exceeds 1e3 * n * eps (with the default psd, up to n = 225). Any other
     stack takes ``eigvalsh`` of the same h + h^dag, whose spectrum decides
-    and names the first failing entry."""
+    and names the first failing entry; an entry that fails the Hermiticity
+    check (a non-finite one does) is named by it and takes no spectrum."""
     # huge entries overflow here into inf or NaN values, which fail the checks
     with np.errstate(over="ignore", invalid="ignore"):
         defect = linalg.hermiticity_defect(m)
@@ -196,10 +197,14 @@ def check_density(m: np.ndarray) -> None:
     # NaN fails every comparison. OpenBLAS passes a NaN pivot, where huge
     # entries overflow, as positive; any non-finite entry of a factor makes
     # its last pivot NaN.
-    if factor is not None and ((defect <= tolerances.herm) & (np.abs(tr - 1.0) <= TRACE_TOL)
+    hermitian = defect <= tolerances.herm
+    if factor is not None and (hermitian & (np.abs(tr - 1.0) <= TRACE_TOL)
                                & np.isfinite(factor[..., -1, -1])).all():
         return
-    w = np.linalg.eigvalsh(herm)[..., 0]
+    # the spectrum only of entries that pass the Hermiticity check, which
+    # names the others: eigvalsh of a non-finite entry may not converge
+    w = np.linalg.eigvalsh(np.where(hermitian[..., None, None], herm,
+                                    np.eye(m.shape[-1])))[..., 0]
     reject(
         (defect > tolerances.herm, defect,
          "matrix is not Hermitian: max |h - h^dag| = {:.3e}"),

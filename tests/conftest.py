@@ -109,11 +109,15 @@ def apply_gate_by_gate(gates, columns: np.ndarray) -> np.ndarray:
 def eigvalsh_check_density(m) -> None:
     """Spectral oracle of ``quantum.check_density``: the least eigenvalue of
     every entry's h + h^dag (h = m / 2) from one ``eigvalsh`` of the stack,
-    checked with its Hermiticity defect and its trace by one ``reject``."""
+    checked with its Hermiticity defect and its trace by one ``reject``. An
+    entry failing the Hermiticity check is named by it, so its spectrum is
+    not taken: the identity stands in for it."""
     with np.errstate(over="ignore", invalid="ignore"):
         defect = linalg.hermiticity_defect(m)
         h = m / 2
-        w = np.linalg.eigvalsh(h + linalg.dagger(h))[..., 0]
+        herm = h + linalg.dagger(h)
+        passed = (defect <= linalg.tolerances.herm)[..., None, None]
+        w = np.linalg.eigvalsh(np.where(passed, herm, np.eye(m.shape[-1])))[..., 0]
         tr = np.real(np.trace(m, axis1=-2, axis2=-1))
     linalg.reject(
         (defect > linalg.tolerances.herm, defect,

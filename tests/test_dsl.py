@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -692,6 +693,138 @@ def test_an_unknown_register_fails_on_every_line_that_names_it():
         (9, 1, "gate references unknown register 'Y'"),
         (10, 3, "gate references unknown register 'Z'"),
     ]
+
+
+FAST_HEAD = ["system A 2", "system B 2", "system CTC 2", "input pure A : 1 0",
+             "input pure B : 0 1"]
+# gate lines of every kind, clean and bad, for the clean-line regex and the
+# tokenizer to parse alike
+FAST_LINES = [
+    "gate swap A CTC", "gate csum B A", "gate select A B @f.mat",
+    "gate select_adj CTC A @g.mat", "gate unitary B @u.mat", "\tgate\tswap\tA\tCTC\t",
+    "  gate  unitary   A \t @u.mat  ", "gate swap A: CTC", "gate swap A CTC;",
+    "gate swap A :CTC", "gate csum A;B CTC", "gate select A B @f:g", "gate unitary A @f;g",
+    "gate unitary A @", "gate unitary A @ f", "gate select A B", "gate select A B @f @g",
+    "gate unitary @f A", "gate select A @f B", "gate swap A B @f", "gate unitary A B @f",
+    "gate unitary A", "gate swap A", "gate swap A B C", "gate unitary A f.mat",
+    "gate unitary A@f", "gate unitary A @@f", "gate unitary @a @f", "gate swap b@d A",
+    "gate rotate A", "gate Swap A B", "gate select_adjoint A B @f", "gate", "gate swap",
+    "gategate swap A B", "gate swap 1A B", "gate swap A-1 B", "gate csum 2 3",
+    "gate unitary -A @u.mat", "gate swap : ;", "gate swap A CTC #x;y:z",
+]
+ODD_SPACES = ["\r", "\xa0", "\u2003", "\x1c", "\x0b", "\u3000"]
+
+
+def fast_path_corpus(rng):
+    """Each line of FAST_LINES as it is, with a trailing comment, with one
+    of its spaces or tabs made an odd space, and the same at random."""
+    lines = []
+    for line in FAST_LINES:
+        gaps = [i for i, c in enumerate(line) if c in " \t"]
+        lines += [line, line + "  # gate swap A B", line + "#"]
+        for space in ODD_SPACES:
+            for i in gaps[:1] + gaps[-1:] + [len(line)]:
+                lines.append(line[:i] + space + line[i + 1:])
+    for _ in range(300):
+        lines.append(FAST_LINES[int(rng.integers(len(FAST_LINES)))])
+        if rng.random() < 0.5:
+            i = int(rng.integers(len(lines[-1]) + 1))
+            space = ODD_SPACES[int(rng.integers(len(ODD_SPACES)))]
+            lines[-1] = lines[-1][:i] + space + lines[-1][i:]
+    return lines
+
+
+def front_end(lines):
+    """The line parser's and the structural check's state after ``lines``,
+    each passed to ``parse_line`` as it is (with any '\\r' or '\\x1c')."""
+    p = dsl._LineParser()
+    for lineno, raw in enumerate(FAST_HEAD + lines, start=1):
+        p.parse_line(lineno, raw)
+    dsl._structural_check(p)
+    return (p.errors, p.gates, [vars(g.span) for g in p.gates],
+            {line: (decl, vars(decl.span)) for line, decl in p.known_gates.items()})
+
+
+def test_clean_gate_lines_parse_as_the_tokenizer(rng, monkeypatch):
+    corpus = fast_path_corpus(rng)
+    fast = front_end(corpus)
+    accepted = [line for line in corpus
+                if dsl._CLEAN_GATE_RE.fullmatch(line.split("#", 1)[0])]
+    text = "\n".join(FAST_HEAD + corpus) + "\n"
+    with pytest.raises(CircuitSyntaxError) as on:
+        parse(text)
+    monkeypatch.setattr(dsl, "_CLEAN_GATE_RE", re.compile(r"(?!)"))
+    assert front_end(corpus) == fast
+    with pytest.raises(CircuitSyntaxError) as off:
+        parse(text)
+    assert on.value.errors == off.value.errors
+    # the regex takes clean lines of every kind, with tabs and comments,
+    # and no line with a space other than ' ' or '\t'
+    assert set(dsl.GATE_KINDS) <= {line.split()[1] for line in accepted}
+    assert any("\t" in line for line in accepted) and any("#" in line for line in accepted)
+    for line in accepted:
+        assert all(c in " \t" for c in line.split("#", 1)[0] if c.isspace()), repr(line)
+
+
+def test_the_clean_line_regex_takes_no_other_space():
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert len(spaces) > 20
+    for line in ("gate swap A CTC", "gate select_adj CTC A @g.mat", "gate unitary B @u.mat "):
+        assert dsl._CLEAN_GATE_RE.fullmatch(line)
+        for space in spaces:
+            if space in " \t":
+                continue
+            for i in range(len(line) + 1):
+                for odd in (line[:i] + space + line[i:], line[:i] + space + line[i + 1:]):
+                    assert not dsl._CLEAN_GATE_RE.fullmatch(odd), repr(odd)
+
+
+def long_circuit(rng, lines):
+    """Hundreds of gate lines on four qubits and a CTC qubit, drawing on a
+    few matrix files, as in the benchmark's long circuits."""
+    regs = ["Q0", "Q1", "Q2", "Q3", "CTC"]
+    body = [f"system {r} 2" for r in regs]
+    body += [f"input pure {r} : 0.6 0+0.8i" for r in regs[:-1]]
+    for i in range(lines):
+        a, b = (regs[int(k)] for k in rng.choice(5, 2, replace=False))
+        kind = ("swap", "csum", "unitary", "select")[i % 4]
+        body.append({"swap": f"gate swap {a} {b}", "csum": f"gate csum {a} {b}",
+                     "unitary": f"gate unitary {a} @u{rng.integers(6)}.mat",
+                     "select": f"gate select {a} {b} @s{rng.integers(4)}.mat"}[kind])
+    return "\n".join(body) + "\n"
+
+
+def test_a_long_circuit_tokenizes_no_gate_line(rng, monkeypatch):
+    # every gate line is clean: the regex parses each distinct one and the
+    # table of clean lines each repeat; with every register declared, the
+    # structural check visits no gate line
+    tokenized = []
+    tokenize = dsl._LineParser.DIRECTIVES["gate"]
+    monkeypatch.setitem(dsl._LineParser.DIRECTIVES, "gate",
+                        lambda p, lineno, *a: tokenized.append(lineno) or tokenize(p, lineno, *a))
+    text = long_circuit(rng, 400)
+    p = dsl._LineParser()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        p.parse_line(lineno, raw)
+    assert tokenized == [] and len(p.gates) == 400 and len(p.known_gates) < 400
+
+    class Unvisited(list):
+        def __iter__(self):
+            raise AssertionError("the structural check visited the gate lines")
+
+    p.gates = Unvisited(p.gates)
+    dsl._structural_check(p)
+    assert p.errors == []
+    # one undeclared register: the gate lines are visited, and every line
+    # naming it fails
+    spec = parse(text)
+    with pytest.raises(CircuitSyntaxError) as exc:
+        parse("\n".join(line.replace("Q3", "Q9") if line.startswith("gate") else line
+                        for line in text.splitlines()))
+    assert [(e.line, e.message) for e in exc.value.errors] == [
+        (g.span.line, "gate references unknown register 'Q9'")
+        for g in spec.gates if "Q3" in g.regs]
+    assert tokenized == []
 
 
 BAD2 = "matrix 2 1\n1 1 ;\n0 1 ;\n"  # not unitary: max |U^dag U - I| = 1

@@ -639,8 +639,9 @@ def valid_stack(rng, n: int, members: int) -> np.ndarray:
 def checks_like_oracle(m) -> bool:
     """Whether ``check_density`` accepts ``m``, asserting that it decides as
     ``eigvalsh_check_density`` does and, on a reject, raises its error: the
-    same type, entry and message. (eigvalsh of a non-finite entry of side 3
-    or more may not converge: numpy's ``LinAlgError``, a ``ValueError``.)"""
+    same type, entry and message. Both name a non-finite entry by its
+    Hermiticity defect and take no spectrum of it, where eigvalsh of side 3
+    or more may not converge."""
     try:
         eigvalsh_check_density(m)
     except ValueError as exc:
@@ -694,6 +695,22 @@ def test_check_density_rejects_like_eigvalsh(n, defect, rng):
             j = (k + rng.integers(1, members)) % members
             stack[j] = density_with_least(rng, n, -2 * linalg.tolerances.psd)
             assert not checks_like_oracle(stack)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_a_nan_entry_is_named_not_hermitian(n):
+    # eigvalsh of a side-3 matrix with a NaN on its diagonal does not
+    # converge; the entry fails the Hermiticity check, which names it
+    m = random_density(np.random.default_rng(0), n).mat.copy()
+    m[-1, -1] = np.nan
+    with pytest.raises(linalg.StackError, match="^matrix is not Hermitian: "
+                       r"max \|h - h\^dag\| = nan$") as info:
+        DensityMatrix(m)
+    assert info.value.index is None
+    stack = np.array([random_density(np.random.default_rng(1), n).mat, m])
+    with pytest.raises(linalg.StackError, match="not Hermitian") as info:
+        check_density(stack)
+    assert info.value.index == 1
 
 
 @pytest.mark.parametrize("psd", [1e-8, 1e-6, 1e-3])

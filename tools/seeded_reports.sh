@@ -9,12 +9,14 @@
 # seed-0 circuits of perfbench's dsl-run workload, with and without
 # --trace-out, and on two written circuits (a two-register input line
 # declared out of layout order, with no --trace-out, with --trace-out B and
-# with --trace-out C,A, against layout order, and a circuit with only the CTC
-# register): 46 that exit 0. Three more written circuits repeat a bad gate
-# line (a register that is not declared, a file operand without its @, and
-# a select whose family does not fit its control) and exit 1. Two
-# near-parallel alphabets make the pure clone demo pass (exit 0) and fail
-# (exit 2) at the edge of the multiplicity count: 51 in all.
+# with --trace-out C,A, against layout order, a circuit with only the CTC
+# register, and one whose repeated gate lines mix tabs, trailing comments
+# and a no-break space): 47 that exit 0. Four more written circuits repeat
+# a bad gate line (a register that is not declared, a file operand without
+# its @, a select whose family does not fit its control, and an operand
+# holding ':' beside a bare @) and exit 1. Two near-parallel alphabets make
+# the pure clone demo pass (exit 0) and fail (exit 2) at the edge of the
+# multiplicity count: 53 in all.
 # Each command runs in <outdir> and names its files relative to it, so its
 # standard error does not depend on where <outdir> is. The dsl-run circuits
 # are generated into <outdir>/circuits by the checkout's
@@ -139,6 +141,32 @@ matrix 2 1
 0.6 -0.8 ; 0.8 0.6 ;
 MAT
 seeded run-ctc-only run circuits/ctc-only.ctc
+# repeated gate lines with tabs, trailing comments and a no-break space
+# (U+00A0): the parser reads the lines without them by its clean-line regex,
+# the others by its tokenizer, and both give the same gates
+tab=$(printf '\t')
+nbsp=$(printf '\302\240')
+cat >"$out/circuits/mixed-spaces.ctc" <<CTC
+system A 2
+system B 2
+system CTC 2
+input pure A : 0.6 0+0.8i
+input pure B : 1 0
+gate swap A CTC
+gate select B CTC @mixed-spaces.mat
+gate${tab}swap A${tab}CTC  # a tab
+gate select${nbsp}B CTC @mixed-spaces.mat
+gate csum A B# a comment
+  gate select B CTC @mixed-spaces.mat${tab}
+gate swap${nbsp}A CTC
+gate csum A B
+CTC
+cat >"$out/circuits/mixed-spaces.mat" <<'MAT'
+matrix 2 2
+0 1 ; 1 0 ;
+0.6 -0.8 ; 0.8 0.6 ;
+MAT
+seeded run-mixed-spaces run circuits/mixed-spaces.ctc
 
 # failing circuits, each with a gate line repeated: every repeat of a line
 # that names an undeclared register or lacks its @ is reported at its own
@@ -163,6 +191,20 @@ gate select A CTC bad-family.mat  # again
 gate select A CTC bad-family.mat
 CTC
 seeded run-bad-malformed-gate run circuits/bad-malformed-gate.ctc
+# ':' in an operand and a bare '@', each on a repeated line: the tokenizer
+# reports each repeat at its own line
+cat >"$out/circuits/bad-colon-and-bare-at.ctc" <<'CTC'
+system A 2
+system CTC 2
+input pure A : 1 0
+gate swap A: CTC
+gate unitary A @
+gate swap A CTC
+gate swap A: CTC  # again
+gate unitary A @
+	gate swap A: CTC
+CTC
+seeded run-bad-colon-and-bare-at run circuits/bad-colon-and-bare-at.ctc
 # a family of two fits the qubit control B, not the qutrit control A
 cat >"$out/circuits/bad-family.ctc" <<'CTC'
 system A 3
