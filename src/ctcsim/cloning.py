@@ -165,16 +165,20 @@ def run_clone(cloner: ClonerCircuit, target: DensityMatrix) -> CloneReport:
                 "conjugate into the eigenbasis first"
             )
     output, fp = evolve(make_problem(cloner, target))
-    dims = (n, n)
-    # partial traces of the Gram output: density matrices by construction
-    clone_a = DensityMatrix._trusted(linalg.partial_trace(output.mat, dims, [0]))
-    clone_b = DensityMatrix._trusted(linalg.partial_trace(output.mat, dims, [1]))
+    # the partial traces of the Gram output onto A and onto B, the traces
+    # ``linalg.partial_trace`` takes, written into one (2, n, n) stack:
+    # density matrices by construction
+    joint = output.mat.reshape(n, n, n, n)
+    clones = np.empty((2, n, n), dtype=complex)
+    joint.trace(axis1=1, axis2=3, out=clones[0])
+    joint.trace(axis1=0, axis2=2, out=clones[1])
+    clone_a, clone_b = DensityMatrix._trusted(clones[0]), DensityMatrix._trusted(clones[1])
     # the target's factor at its kept rank r, and its kron for the joint
     # target: each fidelity is an r x r (r^2 x r^2 for the joint) problem,
     # and both clones take theirs in one call (a pure target's are read
     # without an eigendecomposition)
     w = target.factor
-    fid_a, fid_b = factor_fidelities(np.stack((clone_a.mat, clone_b.mat)), w).tolist()
+    fid_a, fid_b = factor_fidelities(clones, w).tolist()
     return CloneReport(
         input_state=target,
         fixed_point=fp,

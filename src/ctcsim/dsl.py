@@ -39,7 +39,6 @@ and joins the gates into the interaction without checking them again.
 from __future__ import annotations
 
 import cmath
-import functools
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -545,15 +544,22 @@ def lower(spec: CircuitSpec, base_dir=".") -> DeutschProblem:
                 except linalg.StackError as exc:
                     failed[name] = ValueError(f"{name}: {exc.message}")
 
-    @functools.cache
+    families = {}  # (name, adjoint) -> Select, in first-use order
+
     def family(name, adjoint):
         """The matrices of one @file as a ``Select`` block stack, or its
-        adjoint."""
-        if adjoint:
-            return family(name, False).dagger()
-        if name in failed:
-            raise failed[name]
-        return Select._trusted(mats[name])
+        adjoint, each made once. A plain dict, not a cached function that
+        calls itself: such a function holds itself in a reference cycle,
+        which keeps the circuit's matrices alive until a cyclic collection."""
+        key = (name, adjoint)
+        if key not in families:
+            if name in failed:
+                raise failed[name]
+            if (name, False) not in families:
+                families[name, False] = Select._trusted(mats[name])
+            if adjoint:
+                families[key] = families[name, False].dagger()
+        return families[key]
 
     # long circuits repeat a few gate lines many times: build each distinct
     # line's one local gate once and reuse it, so it is checked once; a line

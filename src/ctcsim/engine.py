@@ -161,8 +161,8 @@ def kraus_stack(
     if isinstance(interaction, Unitary):
         # one gate over every register: the same product as U @ columns
         interaction = GateList(layout, ((layout.names, interaction),))
-    nonzero = np.any(w != 0, axis=1)
-    ranks = width - np.argmax(nonzero[:, ::-1], axis=1)
+    nonzero = (w != 0).any(axis=1)
+    ranks = width - nonzero[:, ::-1].argmax(axis=1)
     # members of one width go through the interaction together, in products
     # of the width their own stacks would have (a wider product can round a
     # column differently), and zero blocks add nothing to a sum over the
@@ -178,8 +178,10 @@ def kraus_stack(
             k[m, :rank] = _kraus_blocks(u, w[m, :, :rank], d)
     k = k.reshape(b, -1, d, d)
     flat = k.reshape(b, -1, d)
-    total = np.sum(np.abs(w) ** 2, axis=(1, 2))[:, None, None] * np.eye(d)
-    defect = np.abs(linalg.dagger(flat) @ flat - total).max(axis=(1, 2))
+    # sum K^dag K - sum |w|^2 I, subtracted on the diagonal in place
+    gram = linalg.dagger(flat) @ flat
+    gram.reshape(b, -1)[:, ::d + 1] -= np.sum(np.abs(w) ** 2, axis=(1, 2))[:, None]
+    defect = np.abs(gram).max(axis=(1, 2))
     bound = (interaction.tolerance if isinstance(interaction, GateList)
              else linalg.tolerances.unitary)
     linalg.reject((defect > bound, defect,
@@ -445,12 +447,14 @@ def solve_stack(kraus: np.ndarray) -> FixedPoints:
     live = kraus.any(axis=(0, 2, 3))
     if not live.all():
         kraus = kraus[:, live]
-    a = _real_forms(_kraus_gram(kraus)) - np.eye(n)
     # t^T (R - I) = 0 for t = T vec(I) by trace preservation, so the bordered
     # matrix is nonsingular exactly for one fixed point; the first n entries
-    # of its inverse's last column are it, at unit trace
+    # of its inverse's last column are it, at unit trace. R - I is formed in
+    # place, as the view ``a`` of the bordered matrix
     bordered = np.zeros((b, n + 1, n + 1))
-    bordered[:, :n, :n] = a
+    a = bordered[:, :n, :n]
+    a[...] = _real_forms(_kraus_gram(kraus))
+    bordered.reshape(b, -1)[:, :n * (n + 2):n + 2] -= 1  # the first n diagonal entries
     bordered[:, :n:d + 1, n] = bordered[:, n, :n:d + 1] = 1  # t is 1 at i * (d + 1)
     solved = np.ones(b, dtype=bool)
     try:

@@ -72,9 +72,9 @@ def reject(*checks) -> None:
     too: NaN compares false with every bound.
     """
     bads = [bad | (values != values) for bad, values, _ in checks]  # NaN != NaN
-    # a 0-d result (one matrix) is tested by truth value, much cheaper than
-    # a reduction
-    if not any(bad.any() if bad.ndim else bad for bad in bads):
+    # a 0-d result (one matrix) is tested by truth value and a stack by
+    # ``np.count_nonzero``, a C call, where ``ndarray.any`` goes through Python
+    if not any(np.count_nonzero(bad) if bad.ndim else bad for bad in bads):
         return
     bads = [np.asarray(bad) for bad in bads]
     first = int(np.flatnonzero(np.logical_or.reduce(bads))[0])
@@ -97,14 +97,18 @@ def entries_from(offset: int):
         raise StackError(exc.message, offset + exc.index) from None
 
 
-@contextmanager
-def single_entry():
+class single_entry:
     """Run stacked kernels on a stack of one: a failure reads as the message
-    for one matrix, without the stack entry."""
-    try:
-        yield
-    except StackError as exc:
-        raise StackError(exc.message) from None
+    for one matrix, without the stack entry. A class, not a generator: it
+    enters and exits with no generator frame."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, StackError):
+            raise StackError(exc.message) from None
+        return False
 
 
 def as_matrix(m) -> np.ndarray:

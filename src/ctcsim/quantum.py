@@ -734,7 +734,8 @@ def _mapper_stack(amps: np.ndarray, js: np.ndarray) -> np.ndarray:
     outer = v[:, :, None] * v.conj()[:, None, :]
     h = eye - 2.0 * outer / np.where(reflect, vv, 1.0)[:, None, None]
     h[~reflect] = eye
-    phase_fix = np.repeat(eye[None], b, axis=0)
+    phase_fix = np.zeros((b, n, n), dtype=complex)
+    phase_fix.reshape(b, -1)[:, ::n + 1] = 1
     phase_fix[rows, js, js] = np.exp(-1j * theta)
     return phase_fix @ h
 

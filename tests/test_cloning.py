@@ -367,6 +367,21 @@ def test_clone_fidelities_keep_the_bits_of_one_call_each(kind, rng):
             assert rep.fid_b == float(factor_fidelities(rep.clone_b.mat, target.factor))
 
 
+@pytest.mark.parametrize("kind, n", [("pure", n) for n in range(2, 9)]
+                         + [("mixed", n) for n in range(2, 8)])
+def test_clones_keep_the_bits_of_partial_trace(kind, n, rng):
+    # run_clone takes the traces partial_trace takes, into one (2, n, n)
+    # stack, and both fidelities from that stack in one call
+    cloner, targets = clone_targets(kind, n, rng)
+    for target in targets:
+        rep = run_clone(cloner, target)
+        clones = [linalg.partial_trace(rep.output.mat, (n, n), [keep]) for keep in (0, 1)]
+        for clone, oracle in zip((rep.clone_a, rep.clone_b), clones):
+            assert clone.mat.shape == (n, n) and clone.mat.tobytes() == oracle.tobytes()
+        fids = factor_fidelities(np.stack(clones), target.factor).tolist()
+        assert [rep.fid_a, rep.fid_b] == fids
+
+
 # {|0>, cos eps |0> + sin eps |1>} and the multiplicity of each clone's map
 NEAR_PARALLEL = {1e-2: 1, 1e-3: 1, 1e-4: 2, 1e-5: 4, 1e-6: 4}
 

@@ -1,3 +1,4 @@
+import gc
 import re
 import sys
 
@@ -279,6 +280,23 @@ class TestLower:
         text = SMALLEST + "gate unitary A @bad.mat\n"
         with pytest.raises(ValueError, match="not unitary"):
             dsl.lower(parse(text), tmp_path)
+
+    def test_lowering_leaves_no_cyclic_garbage(self, tmp_path, rng):
+        # the @file families live in a plain dict: a cached function calling
+        # itself would leave a reference cycle holding the matrices
+        fam = [haar_unitary(rng, 2).mat for _ in range(2)]
+        (tmp_path / "fam.mat").write_text(dsl.format_matrix_file(fam))
+        (tmp_path / "u.mat").write_text(dsl.format_matrix_file([haar_unitary(rng, 2).mat]))
+        spec = parse(SMALLEST + "gate select A CTC @fam.mat\ngate unitary A @u.mat\n"
+                     "gate select_adj CTC A @fam.mat\ngate select A CTC @fam.mat\n")
+        gc.collect()
+        gc.disable()
+        try:
+            dsl.lower(spec, tmp_path)
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert garbage == 0
 
     def test_shared_matrix_files_are_read_once(self, tmp_path, rng, monkeypatch):
         fam = [haar_unitary(rng, 2).mat for _ in range(2)]

@@ -3,6 +3,9 @@ import pytest
 
 from conftest import hermitian_eig, psd_sqrt, random_hermitian
 from ctcsim import linalg
+from ctcsim.engine import DeutschProblem, evolve
+from ctcsim.quantum import Layout, Unitary
+from ctcsim.sampling import haar_unitary, random_density
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -197,6 +200,36 @@ def test_reject_fails_a_nan_value():
         linalg.reject((values[1] > 1.0, values[1], "value {}"))
     assert info.value.index is None
     linalg.reject((values[::2] > 1.0, values[::2], "value {}"))
+
+
+class TestSingleEntry:
+    def test_a_stack_error_reads_as_one_matrix(self):
+        with pytest.raises(linalg.StackError) as info:
+            with linalg.single_entry():
+                raise linalg.StackError("not unitary: max |U^dag U - I| = 1e-03", 3)
+        assert str(info.value) == info.value.message == "not unitary: max |U^dag U - I| = 1e-03"
+        assert info.value.index is None
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
+    def test_other_exceptions_pass_unchanged(self):
+        error = ValueError("expected a square matrix")
+        with pytest.raises(ValueError) as info:
+            with linalg.single_entry():
+                raise error
+        assert info.value is error
+        with linalg.single_entry():
+            pass
+
+    def test_a_nested_use_keeps_the_single_matrix_message(self, rng):
+        # evolve enters it, and DeutschProblem.kraus enters it again inside
+        layout = Layout((("CR", 2), ("CTC", 2)), ctc_index=1)
+        bad = Unitary(haar_unitary(rng, 4).mat)
+        bad.mat[:] *= 1.1
+        problem = DeutschProblem(layout, bad, random_density(rng, 2))
+        with pytest.raises(linalg.StackError,
+                           match="^induced map is not trace preserving") as info:
+            evolve(problem)
+        assert info.value.index is None and info.value.__suppress_context__
 
 
 class TestTraceDistance:
