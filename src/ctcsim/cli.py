@@ -1,8 +1,12 @@
 """Command-line driver: run circuit files, replay the canned cloning and
 no-signalling experiments, and execute seeded property sweeps.
 
-Exit codes: 0 success, 1 parse errors, 2 invalid option values, solver
-failure or non-convergence, or property violation, 3 I/O failure.
+Exit codes, as ``main`` maps them: 0 success; 1 a circuit, alphabet,
+``--probs``, ``--index`` or ``--trace-out`` error; 2 a usage error or an
+option value out of range, solver failure or non-convergence, a failing
+demo or a property violation; 3 I/O failure. Commands raise ``CliError``,
+and ``main`` alone writes its one ``error:`` line (for a circuit's parse
+errors, one ``<path>:line L, column C:`` line each).
 """
 
 from __future__ import annotations
@@ -35,6 +39,15 @@ FORMAT_VERSION = 1
 PASS_TOL = 1e-9
 RESIDUAL_TOL = 1e-10  # sweep fixed-points passes when no residual is above this
 MIN_INFIDELITY = 1e-6  # sweep no-cloning-baseline passes when every trial is above this
+
+
+class CliError(Exception):
+    """A command's failure: exit ``code`` and the standard-error ``lines``
+    that ``main`` writes, by default the one line ``error: <message>``."""
+
+    def __init__(self, code: int, message: str = "", lines: list | None = None):
+        super().__init__(message)
+        self.code, self.lines = code, lines or [f"error: {message}"]
 
 
 def _positive_tol(value, name: str) -> float:
@@ -218,8 +231,11 @@ def report_json(report: dict) -> str:
     return "".join(parts)
 
 
-def _dump_report(report: dict, fmt: str, out: str | None) -> int:
-    if fmt == "json":
+def _dump_report(args, command: str, report: dict) -> None:
+    """Write ``report``, stamped with the format version and ``command``, as
+    ``args.format`` to ``args.out`` or standard output."""
+    report.update(format_version=FORMAT_VERSION, command=command)
+    if args.format == "json":
         text = report_json(report) + "\n"
     else:  # csv flattens scalar fields only
         lines = ["key,value"]
@@ -235,15 +251,13 @@ def _dump_report(report: dict, fmt: str, out: str | None) -> int:
 
         walk("", report)
         text = "\n".join(lines) + "\n"
-    if out:
+    if args.out:
         try:
-            Path(out).write_text(text, encoding="utf-8")
+            Path(args.out).write_text(text, encoding="utf-8")
         except OSError as exc:
-            print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-            return 3
+            raise CliError(3, f"cannot write {args.out}: {exc}")
     else:
         sys.stdout.write(text)
-    return 0
 
 
 def _fixed_point_doc(fp) -> dict:
@@ -260,43 +274,31 @@ def cmd_run(args) -> int:
     try:
         text = Path(args.circuit).read_text(encoding="utf-8-sig")
     except OSError as exc:
-        print(f"error: cannot read {args.circuit}: {exc}", file=sys.stderr)
-        return 3
+        raise CliError(3, f"cannot read {args.circuit}: {exc}")
     try:
         spec = dsl.parse(text)
         problem = dsl.lower(spec, Path(args.circuit).parent)
     except dsl.CircuitSyntaxError as exc:
-        for err in exc.errors:
-            print(f"{args.circuit}:{err}", file=sys.stderr)
-        return 1
+        raise CliError(1, lines=[f"{args.circuit}:{err}" for err in exc.errors])
     except OSError as exc:  # a matrix file that cannot be read
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        raise CliError(3, str(exc))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise CliError(1, str(exc))
     # checked before the solve: a bad name costs no solve, and a solve that
     # misses --tol does not hide it
     if args.trace_out is not None:
         keep_names = [n for n in args.trace_out.split(",") if n]
         if not keep_names:
-            print("error: --trace-out names no register", file=sys.stderr)
-            return 1
+            raise CliError(1, "--trace-out names no register")
         cr_names = [n for n, _ in problem.layout.registers[:-1]]
         for i, name in enumerate(keep_names):
             if name not in cr_names:
-                print(f"error: unknown register {name!r}", file=sys.stderr)
-                return 1
+                raise CliError(1, f"unknown register {name!r}")
             if name in keep_names[:i]:
-                print(f"error: register {name!r} named twice", file=sys.stderr)
-                return 1
+                raise CliError(1, f"register {name!r} named twice")
     output, fp = evolve(problem)
     if fp.residual > tol:
-        print(
-            f"error: solver did not converge (residual {fp.residual:.3e})",
-            file=sys.stderr,
-        )
-        return 2
+        raise CliError(2, f"solver did not converge (residual {fp.residual:.3e})")
     marginals = {}
     if args.trace_out is not None:
         keep = [cr_names.index(n) for n in keep_names]
@@ -307,9 +309,7 @@ def cmd_run(args) -> int:
         reduced = linalg.permute_registers(
             reduced, [dims[k] for k in order], [order.index(k) for k in keep])
         marginals[",".join(keep_names)] = matrix_doc(reduced)
-    report = {
-        "format_version": FORMAT_VERSION,
-        "command": "run",
+    _dump_report(args, "run", {
         "solver_options": {
             "tol_residual": tol,
             "eig_one_window": linalg.tolerances.eig_one_window,
@@ -318,8 +318,8 @@ def cmd_run(args) -> int:
         "output": matrix_doc(output.mat),
         "marginals": marginals,
         "fidelities": {},
-    }
-    return _dump_report(report, args.format, args.out)
+    })
+    return 0
 
 
 def _load_alphabet(arg: str) -> Alphabet:
@@ -378,7 +378,6 @@ def cmd_demo(args) -> int:
                 Alphabet((PureState.basis(2, 0), PureState.basis(2, 1)))
             )
         rep = run_entangled_clone(cloner, bell)
-        passed = rep.deviation <= PASS_TOL
         report = {
             "cloner": args.cloner,
             "deviation": rep.deviation,
@@ -389,27 +388,26 @@ def cmd_demo(args) -> int:
         try:
             cloner, target, own_fields = _clone_case(args)
         except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+            raise CliError(3, str(exc))
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            raise CliError(1, str(exc))
         rep = run_clone(cloner, target)
         dist = linalg.trace_distance(rep.output.mat, linalg.kron(target.mat, target.mat))
-        passed = dist <= PASS_TOL
         report = {
             "joint_fidelity": rep.joint_fid,
             "distance_to_broadcast": dist,
             "output": matrix_doc(rep.output.mat),
             **own_fields(rep),
         }
-    report.update(format_version=FORMAT_VERSION, command=f"demo {args.name}",
-                  fixed_point=_fixed_point_doc(rep.fixed_point))
-    code = _dump_report(report, args.format, args.out)
-    if code != 0:
-        return code
+    report["fixed_point"] = _fixed_point_doc(rep.fixed_point)
+    _dump_report(args, f"demo {args.name}", report)
+    measure = "deviation" if args.name == "nosignal" else "distance_to_broadcast"
+    passed = report[measure] <= PASS_TOL
     print(f"{'PASS' if passed else 'FAIL'} demo {args.name}")
-    return 0 if passed else 2
+    if not passed:
+        raise CliError(2, f"demo {args.name} failed: {measure.replace('_', ' ')} "
+                          f"{report[measure]:.3e} above {PASS_TOL:g}")
+    return 0
 
 
 def _by_trial(kernel, *stacks):
@@ -539,33 +537,32 @@ def cmd_sweep(args) -> int:
         ok = passes(summary)
     else:  # no trial: no worst value, and nothing violated
         summary, ok = dict.fromkeys(key for key, _, _ in worst_of), True
-    report = {
-        "format_version": FORMAT_VERSION,
-        "command": f"sweep {args.kind}",
+    _dump_report(args, f"sweep {args.kind}", {
         "seed": args.seed,
         "trials": args.trials,
         "dim": args.dim,
         "summary": summary,
         "per_trial": TrialColumns({"trial": np.arange(args.trials), **columns}),
         "ok": ok,
-    }
-    code = _dump_report(report, args.format, args.out)
-    if code != 0:
-        return code
+    })
     if not ok:
-        print(f"error: property violation (seed {args.seed})", file=sys.stderr)
-        return 2
+        raise CliError(2, f"property violation (seed {args.seed})")
     return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise CliError (exit 2)."""
+
+    def error(self, message):
+        raise CliError(2, message)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on first use and shared: parsing does not
     change it, and building it costs about a millisecond."""
-    parser = argparse.ArgumentParser(
-        prog="ctcsim",
-        description="Deutsch closed-timelike-curve circuit simulator",
-    )
+    parser = _Parser(prog="ctcsim",
+                     description="Deutsch closed-timelike-curve circuit simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_output_flags(p):
@@ -602,15 +599,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # a ValueError that escapes a command (a malformed CTCSIM_DEFAULT_TOL
-    # among them) is a usage or solver error, and so is a MemoryError (a
-    # problem too large to solve): one line and exit 2, never a traceback
+    # the one writer of standard error; a ValueError (a malformed
+    # CTCSIM_DEFAULT_TOL among them) or MemoryError that escapes a command exits 2
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except CliError as exc:
+        code, lines = exc.code, exc.lines
     except (ValueError, MemoryError) as exc:  # numpy's MemoryError names the array
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 2
+        code, lines = 2, [f"error: {str(exc) or 'out of memory'}"]
+    print(*lines, sep="\n", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

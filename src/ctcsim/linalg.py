@@ -251,11 +251,12 @@ def trace_norm(h):
     float for one matrix, an array for a stack. An asymmetry beyond
     ``tolerances.herm`` rejects the input."""
     h = as_stack(h)
-    defect = hermiticity_defect(h)
+    h_dag = dagger(h)  # once, for the defect and the Hermitian part
+    defect = np.abs(h - h_dag).max(axis=(-2, -1))
     reject((defect > tolerances.herm, defect,
             "matrix is not Hermitian: max |h - h^dag| = {:.3e}"))
     # eigh, not eigvalsh: LAPACK's eigenvalue-only path rounds differently
-    w, _ = np.linalg.eigh((h + dagger(h)) / 2)
+    w, _ = np.linalg.eigh((h + h_dag) / 2)
     norm = np.sum(np.abs(w), axis=-1)
     return float(norm) if norm.ndim == 0 else norm
 

@@ -471,24 +471,26 @@ class Alphabet:
     @classmethod
     def padded(cls, states: Sequence[PureState], dim: int) -> "Alphabet":
         """Pad fewer than ``dim`` states up to a full alphabet with vectors
-        orthogonal to the given ones (Gram-Schmidt against the span)."""
+        orthogonal to the given ones: Gram-Schmidt of the given states gives
+        an orthonormal basis of their span, and each basis vector in turn
+        that leaves a residual against it is a padding state."""
         states = list(states)
         for i, s in enumerate(states):
             if s.dim != dim:
                 raise ValueError(f"state {i} has dimension {s.dim}, not {dim}")
         if len(states) > dim:
             raise ValueError("more states than the dimension allows")
-        basis = [s.amps for s in states]
-        for cand in np.eye(dim, dtype=complex):
-            if len(basis) == dim:
+        given, span = len(states), []
+        for k, v in enumerate([s.amps for s in states] + list(np.eye(dim, dtype=complex))):
+            if len(states) == dim:
                 break
-            v = cand.copy()
-            for b in basis:
+            for b in span:
                 v = v - b * (np.vdot(b, v))
             n = np.linalg.norm(v)
             if n > PAD_FLOOR:
-                basis.append(v / n)
-                states.append(PureState(v / n))
+                span.append(v / n)
+                if k >= given:
+                    states.append(PureState(v / n))
         if len(states) != dim:
             raise ValueError("could not complete the alphabet to full dimension")
         return cls(tuple(states))

@@ -6,9 +6,9 @@ A case writes a small corpus of its own (circuits, their matrix files and
 an alphabet file), mutates one of those files, the values of its command
 line or both, and runs ``cli.main`` with the report sent to a file. File
 mutations replace, drop, insert, duplicate or swap tokens and lines; command
-line mutations replace, drop or add a flag's value. Values stay within
-argparse's types and choices, whose own usage errors (exit 2 through
-``SystemExit``) are a separate path. Every integer a mutation can write is
+line mutations replace, drop or add a flag and its value; some values are
+outside the flag's argparse type, and one added flag is accepted by no
+command, so usage errors are drawn too. Every integer a mutation can write is
 at most 8, and a mutation that would take a circuit's registers past a
 total dimension of 64 is not applied, so no case allocates a large problem.
 
@@ -16,8 +16,7 @@ total dimension of 64 is not applied, so no case allocates a large problem.
 
 - an exception escaped ``cli.main``, or a warning was raised;
 - the exit code is not 0, 1, 2 or 3;
-- exit 2 or 3 did not print exactly one ``error:`` line (a demo's FAIL
-  verdict, printed as its own line on standard output, is its message);
+- exit 2 or 3 did not print exactly one ``error:`` line;
 - exit 1 printed a line that is neither ``error: ...`` nor
   ``<circuit>:line L, column C: ...``;
 - exit 0 wrote a report that is not strict JSON.
@@ -96,20 +95,22 @@ EDGE_TOKENS = (
     "select", "select_adj", "unitary", "CTC", "A", "B", "Z", "",
 )
 
-# the values a command line mutation may give each flag: within the flag's
-# argparse type, and never a non-numeric string that starts with "-"
+# the values a command line mutation may give each flag, never a non-numeric
+# string that starts with "-": "x", "abc" and "1.5" are outside their flag's
+# argparse type, a usage error
 FLAG_VALUES = {
-    "--trials": ("-3", "0", "1", "3"),
+    "--trials": ("-3", "0", "1", "3", "x"),
     "--dim": ("-1", "0", "1", "2", "3"),
     "--seed": ("-1", "0", "5"),
-    "--tol": ("0", "-1", "nan", "inf", "1e-300", "1e-12", "1e-10", "1e300"),
+    "--tol": ("0", "-1", "nan", "inf", "1e-300", "1e-12", "1e-10", "1e300", "abc"),
     "--trace-out": ("A", "B", "C", "CTC", "Z", "A,A", "B,A", ",", "", "A,,B"),
-    "--index": ("-1", "0", "2", "3", "7"),
+    "--index": ("-1", "0", "2", "3", "7", "1.5"),
     "--probs": ("0.25,0.75", "1", "nan,1", "0.2,0.3,0.5", "0.5,0.5,0", "1,0",
                 "", ",", "inf,0", "0.5;0.5", "0.5,x"),
     "--alphabet": ("preset:zero-plus", "preset:none", "@", "@alphabet.mat",
                    "@missing.mat", "@rotation.mat", "@.", "alphabet.mat"),
     "--cloner": ("mixed", "pure"),
+    "--no-such-flag": ("1",),
 }
 
 # each command with the flags it accepts; {name} is a corpus file's path
@@ -125,11 +126,12 @@ COMMANDS = (
     ("sweep", "fidelity-props", "--trials", "3", "--dim", "2", "--seed", "2"),
     ("sweep", "no-cloning-baseline", "--trials", "3", "--dim", "2", "--seed", "3"),
 )
-# the flags each subcommand accepts, for a mutation that adds one
-ACCEPTS = {
-    "run": ("--trace-out", "--tol"),
-    "demo": ("--alphabet", "--index", "--probs", "--cloner"),
-    "sweep": ("--trials", "--dim", "--seed"),
+# the flags a mutation may add to each subcommand: those it accepts, and one
+# that no command accepts
+ADDS = {
+    "run": ("--trace-out", "--tol", "--no-such-flag"),
+    "demo": ("--alphabet", "--index", "--probs", "--cloner", "--no-such-flag"),
+    "sweep": ("--trials", "--dim", "--seed", "--no-such-flag"),
 }
 
 def _token_pool() -> tuple[str, ...]:
@@ -200,7 +202,7 @@ def small_enough(text: str) -> bool:
 
 def mutate_argv(rng, argv: list[str]) -> list[str]:
     """``argv`` with one flag's value replaced, one flag dropped, or one
-    accepted flag added, its value drawn from ``FLAG_VALUES``."""
+    flag of ``ADDS`` added, its value drawn from ``FLAG_VALUES``."""
     argv = list(argv)
     flags = [i for i, a in enumerate(argv) if a in FLAG_VALUES]
     op = _pick(rng, ("replace", "replace", "drop", "add"))
@@ -211,7 +213,7 @@ def mutate_argv(rng, argv: list[str]) -> list[str]:
         i = _pick(rng, flags)
         del argv[i:i + 2]
     else:
-        flag = _pick(rng, ACCEPTS[argv[0]])
+        flag = _pick(rng, ADDS[argv[0]])
         argv += [flag, _pick(rng, FLAG_VALUES[flag])]
     return argv
 
@@ -281,7 +283,7 @@ def _strict_json(text: str) -> bool:
 
 def contract_breaches(argv, outcome, report: Path) -> list[str]:
     """What one case's outcome breaks of the CLI contract; empty if nothing."""
-    code, out, err, caught = outcome
+    code, _, err, caught = outcome
     if isinstance(code, BaseException):
         return [f"{type(code).__name__} escaped: {code}"]
     breaches = [f"warning: {message}" for message in caught]
@@ -289,9 +291,7 @@ def contract_breaches(argv, outcome, report: Path) -> list[str]:
     if code not in (0, 1, 2, 3):
         breaches.append(f"exit code {code!r}")
     elif code in (2, 3):
-        verdict = argv[0] == "demo" and out.splitlines()[-1:] == [f"FAIL demo {argv[1]}"]
-        if not (verdict and not lines) and not (
-                len(lines) == 1 and lines[0].startswith("error: ")):
+        if not (len(lines) == 1 and lines[0].startswith("error: ")):
             breaches.append(f"exit {code} with standard error {err!r}")
     elif code == 1:
         circuit = re.escape(argv[1]) if argv[0] == "run" else r"(?!)"

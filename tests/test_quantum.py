@@ -968,6 +968,15 @@ class TestAlphabet:
         alpha = Alphabet.padded([PureState.basis(3, 0)], 3)
         assert len(alpha) == 3
 
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_padding_is_orthogonal_to_the_span_of_the_given_states(self, dim):
+        # |0> and |+> are not orthogonal; the padding must be orthogonal to
+        # both, not only to |0> and to |+> less its |0> part
+        given = [PureState.basis(dim, 0), PureState.normalized([1, 1] + [0] * (dim - 2))]
+        kets = np.array([s.amps for s in Alphabet.padded(given, dim).states])
+        assert np.abs(kets[2:].conj() @ kets[:2].T).max() <= 1e-15
+        assert np.linalg.matrix_rank(kets) == dim
+
     def test_padding_names_a_state_of_another_dimension(self):
         with pytest.raises(ValueError, match=r"^state 0 has dimension 3, not 2$"):
             Alphabet.padded([PureState.basis(3, 0)], 2)
